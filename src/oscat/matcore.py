@@ -2,8 +2,9 @@
 
 Everything downstream works with plain complex128 ndarrays; this module owns
 validation, the two base norms (operator and trace), PSD certification,
-Kronecker products, block-diagonal direct sums, and the shared matrix literal
-text format.  Eigen/SVD work is delegated to LAPACK through numpy.
+Kronecker products, block-diagonal direct sums, the one coordinate-reordering
+helper, and the shared matrix literal text format.  Eigen/SVD work is
+delegated to LAPACK through numpy.
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ __all__ = [
     "PsdVerdict",
     "kron",
     "direct_sum",
+    "axis_perm",
     "BlockMatrix",
     "rand_complex",
     "rand_hermitian",
@@ -129,6 +131,18 @@ def direct_sum(*mats) -> np.ndarray:
         r += m.shape[0]
         c += m.shape[1]
     return out
+
+
+def axis_perm(dims, order) -> np.ndarray:
+    """Index array p with v[p] = v.reshape(dims).transpose(order).ravel().
+
+    Every coordinate reordering (factor swaps, shuffles, blockwise
+    transposes) is one of these; np.eye(n)[p] is the matching permutation
+    matrix when a dense one is needed.
+    """
+    dims = tuple(int(k) for k in dims)
+    n = int(np.prod(dims, dtype=np.int64))
+    return np.arange(n).reshape(dims).transpose(order).ravel()
 
 
 @dataclass(frozen=True)

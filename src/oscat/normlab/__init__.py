@@ -13,7 +13,6 @@ from .brackets import (
     haagerup_bracket_flat,
     proj_bracket_flat,
     inj_norm_flat,
-    haagerup_upper_dual_side,
 )
 
 
@@ -62,5 +61,4 @@ __all__ = [
     "proj_bracket_flat",
     "inj_norm",
     "inj_norm_flat",
-    "haagerup_upper_dual_side",
 ]

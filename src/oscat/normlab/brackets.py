@@ -22,7 +22,6 @@ __all__ = [
     "haagerup_bracket_flat",
     "proj_bracket_flat",
     "inj_norm_flat",
-    "haagerup_upper_dual_side",
     "elem_coords",
 ]
 
@@ -90,10 +89,7 @@ class FlatSpace:
     @staticmethod
     def base(n: int, m: int | None = None) -> "FlatSpace":
         m = n if m is None else m
-        place = np.zeros((n * m, n, m), dtype=np.complex128)
-        for r in range(n):
-            for c in range(m):
-                place[r * m + c, r, c] = 1.0
+        place = np.eye(n * m, dtype=np.complex128).reshape(n * m, n, m)
         return FlatSpace(place, base_rect=(n, m))
 
     def opp(self) -> "FlatSpace":
@@ -241,14 +237,6 @@ def _residual_patch(v, x, y, k, da, db, rank_cap):
     if trunc:
         return x, y, np.inf
     return np.concatenate([x, xr], axis=1), np.concatenate([y, yr], axis=0), 0.0
-
-
-def haagerup_upper_dual_side(fs, gs) -> float:
-    """Row×column certificate ‖Σ f_l ⊗ g_l‖_h ≤ √(Σ‖f‖²)·√(Σ‖g‖²).
-
-    fs, gs are lists of component dual norms (‖f_l‖_{X*}, ‖g_l‖_{Y*}).
-    """
-    return float(np.sqrt(np.sum(np.square(fs))) * np.sqrt(np.sum(np.square(gs))))
 
 
 def _sandwich_value(v, k, fa: FlatSpace, fb: FlatSpace, a, c, b):

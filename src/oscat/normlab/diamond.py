@@ -148,7 +148,7 @@ def diamond_norm(s: SuperOp, rel_gap: float = 1e-8) -> NormBracket:
         return NormBracket.exactly(0.0)
     if K == 1:
         # map C → ⊕T: norm of the image element
-        img = s.apply(BlockMatrix.identity(s.dom_shape) if s.dom_shape == (1,) else None)
+        img = s.apply(BlockMatrix.identity(s.dom_shape))
         return NormBracket.exactly(img.tr_norm())
     if L == 1:
         return NormBracket.exactly(functional_norm(functional_rep(s), "trace"))
@@ -165,7 +165,7 @@ def cb_norm(s: SuperOp, picture: str, rel_gap: float = 1e-8) -> NormBracket:
     if K == 0 or L == 0:
         return NormBracket.exactly(0.0)
     if K == 1:
-        img = s.apply(BlockMatrix.identity((1,)))
+        img = s.apply(BlockMatrix.identity(s.dom_shape))
         return NormBracket.exactly(img.op_norm())
     if L == 1:
         return NormBracket.exactly(functional_norm(functional_rep(s), "operator"))

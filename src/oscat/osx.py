@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import ShapeMismatchError, UnsupportedSpaceError
-from .matcore import BlockMatrix
+from .matcore import BlockMatrix, axis_perm
 from .normlab.brackets import (
     FlatSpace,
     NormBracket,
@@ -211,14 +211,6 @@ _CTORS = {
 }
 
 
-def _swap_mat(da: int, db: int) -> np.ndarray:
-    s = np.zeros((da * db, da * db))
-    for a in range(da):
-        for b in range(db):
-            s[b * da + a, a * db + b] = 1.0
-    return s
-
-
 def _combine(kind, ma, mb):
     if kind in ("sum_inf", "sum_1"):
         out = np.zeros((ma.shape[0] + mb.shape[0], ma.shape[1] + mb.shape[1]))
@@ -255,7 +247,8 @@ def _invol_normal(x: SpaceExpr):
             a, b = inner.args
             sb, mb = _invol_normal(opp(b))
             sa, ma = _invol_normal(opp(a))
-            return tens_h(sb, sa), np.kron(mb, ma) @ _swap_mat(dim(a), dim(b))
+            # (m_b ⊗ m_a)∘γ = γ∘(m_a ⊗ m_b): swap the rows of the product
+            return tens_h(sb, sa), np.kron(ma, mb)[axis_perm((dim(a), dim(b)), (1, 0))]
         if inner.kind in ("sum_inf", "sum_1", "tens_min", "tens_proj"):
             a, b = inner.args
             sa, ma = _invol_normal(opp(a))
@@ -316,7 +309,7 @@ def norm_at(e: SpaceElement, config: RunConfig | None = None) -> NormBracket:
     coords = e.coords
     key = None
     if coords.size <= 4096:
-        key = (format_space(space), e.level, coords.tobytes(), config.seed)
+        key = (format_space(space), e.level, coords.tobytes(), config)
         hit = _NORM_CACHE.get(key)
         if hit is not None:
             return hit
@@ -367,13 +360,13 @@ def _norm_dispatch(space, k, coords, config) -> NormBracket:
         return NormBracket.unknown()
 
     if space.kind == "sum_1":
+        duals_alg = _algebra_shape(normalize_space(dual(space)))
+        if duals_alg is not None:
+            # the trace pairing identifies both sides coordinate-wise
+            return dual_level_norm(coords, duals_alg, k)
         da = dim(space.args[0])
         ba = _norm_dispatch(space.args[0], k, coords[:, :, :da], config)
         bb = _norm_dispatch(space.args[1], k, coords[:, :, da:], config)
-        duals_alg = _algebra_shape(normalize_space(dual(space)))
-        if duals_alg is not None:
-            bracket = dual_level_norm(_sum1_dual_coords(space, coords), duals_alg, k)
-            return bracket
         if k == 1:
             return NormBracket.from_bounds(ba.lower + bb.lower, ba.upper + bb.upper)
         return NormBracket.from_bounds(
@@ -401,15 +394,6 @@ def _norm_dispatch(space, k, coords, config) -> NormBracket:
     return NormBracket.unknown()
 
 
-def _sum1_dual_coords(space, coords):
-    """Coordinates of a ⊕₁-of-T element viewed in (⊕∞ of M)*.
-
-    The canonical pairing identifies both sides coordinate-wise, so this is a
-    passthrough at matching dims.
-    """
-    return coords
-
-
 # ---------------------------------------------------------------------------
 # canonical maps (coordinate actions)
 
@@ -435,10 +419,7 @@ def canonical_map(kind: str, x: SpaceExpr, y: SpaceExpr | None = None, *extra) -
         if y is None:
             raise ShapeMismatchError("swap needs two spaces")
         da, db = dim(x), dim(y)
-        mat = np.zeros((da * db, da * db))
-        for a in range(da):
-            for b in range(db):
-                mat[b * da + a, a * db + b] = 1.0
+        mat = np.eye(da * db)[axis_perm((da, db), (1, 0))]
         return CanonicalMap("swap", tens_h(x, y), tens_h(y, x), mat)
     if kind == "haagerup_self_dual":
         if y is None:
@@ -454,15 +435,8 @@ def canonical_map(kind: str, x: SpaceExpr, y: SpaceExpr | None = None, *extra) -
         if y is None or len(extra) != 2:
             raise ShapeMismatchError("shuffle needs four spaces")
         a, b, c, d_ = x, y, extra[0], extra[1]
-        da, db, dc, dd = dim(a), dim(b), dim(c), dim(d_)
-        mat = np.zeros((da * db * dc * dd,) * 2)
-        for ia in range(da):
-            for ib in range(db):
-                for ic in range(dc):
-                    for id_ in range(dd):
-                        src = ((ia * db + ib) * dc + ic) * dd + id_
-                        dst = ((ia * dc + ic) * db + ib) * dd + id_
-                        mat[dst, src] = 1.0
+        dims = (dim(a), dim(b), dim(c), dim(d_))
+        mat = np.eye(int(np.prod(dims)))[axis_perm(dims, (0, 2, 1, 3))]
         if kind == "shuffle_w":
             src_sp = tens_proj(tens_h(a, b), tens_h(c, d_))
             dst_sp = tens_h(tens_proj(a, c), tens_proj(b, d_))

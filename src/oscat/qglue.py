@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import ShapeMismatchError
-from .matcore import BlockMatrix, kron, op_norm, rand_complex, rand_unitary
+from .matcore import BlockMatrix, axis_perm, kron, op_norm, rand_complex, rand_unitary
 from .normlab.brackets import NormBracket
 from .normlab.diamond import cb_norm
 from .osx import (
@@ -164,11 +164,7 @@ def _pairing_twist(space: SpaceExpr) -> np.ndarray:
     space = normalize_space(space)
     if space.kind == "base":
         n, m = space.args
-        q = np.zeros((m * n, n * m))
-        for r in range(n):
-            for c in range(m):
-                q[c * n + r, r * m + c] = 1.0
-        return q
+        return np.eye(n * m)[axis_perm((n, m), (1, 0))]
     if space.kind == "dual":
         return _pairing_twist(space.args[0]).T
     if space.kind in ("conj", "opp"):

@@ -28,17 +28,7 @@ __all__ = [
     "conjugation",
     "depolarizing",
     "trace_map",
-    "from_kraus",
 ]
-
-
-def _vec_transpose_perm(n: int) -> np.ndarray:
-    """Permutation P with P·vec(x) = vec(xᵀ) for row-major vec."""
-    p = np.zeros((n * n, n * n))
-    for i in range(n):
-        for j in range(n):
-            p[j * n + i, i * n + j] = 1.0
-    return p
 
 
 def choi_from_transfer(k: np.ndarray, dom: int, cod: int) -> np.ndarray:
@@ -236,11 +226,10 @@ class SuperOp:
         grid = []
         for j, l in enumerate(self.cod_shape):
             row = []
-            pl = _vec_transpose_perm(l)
             for i, k in enumerate(self.dom_shape):
-                pk = _vec_transpose_perm(k)
-                kt = self.transfer_block(i, j)
-                row.append(choi_from_transfer(pk @ kt.T @ pl, l, k))
+                # K†[(a,b),(y1,y2)] = K[(y2,y1),(b,a)]: reverse all four transfer axes
+                kt = self.transfer_block(i, j).reshape(l, l, k, k).transpose(3, 2, 1, 0)
+                row.append(choi_from_transfer(kt.reshape(k * k, l * l), l, k))
             grid.append(row)
         return SuperOp(self.cod_shape, self.dom_shape, grid)
 
@@ -324,15 +313,6 @@ class SuperOp:
                     row.append(np.zeros((l * k, l * k), dtype=np.complex128))
             grid.append(row)
         return SuperOp(dom, cod, grid)
-
-    def combine(self, other: "SuperOp", mode: str) -> "SuperOp":
-        if mode == "compose":
-            return self.compose(other)
-        if mode == "tensor":
-            return self.tensor(other)
-        if mode == "direct_sum":
-            return self.direct_sum(other)
-        raise ValueError(f"unknown combine mode {mode!r}")
 
     # -- classification ------------------------------------------------------
 
@@ -465,21 +445,3 @@ def trace_map(shape) -> SuperOp:
     return SuperOp.from_action(
         lambda x: BlockMatrix([np.array([[x.trace()]])]), shape, (1,)
     )
-
-
-def from_kraus(ops, dom: int | None = None, cod: int | None = None) -> SuperOp:
-    ops = [cmatrix(k) for k in ops]
-    if ops:
-        cod_, dom_ = ops[0].shape
-    else:
-        if dom is None or cod is None:
-            raise ShapeMismatchError("empty Kraus list needs explicit dims")
-        cod_, dom_ = cod, dom
-
-    def act(x: BlockMatrix) -> BlockMatrix:
-        acc = np.zeros((cod_, cod_), dtype=np.complex128)
-        for k in ops:
-            acc += k @ x.blocks[0] @ k.conj().T
-        return BlockMatrix([acc])
-
-    return SuperOp.from_action(act, (dom_,), (cod_,))

@@ -12,8 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeMismatchError
-from .matcore import BlockMatrix, rand_complex, rand_unitary
+from .config import DIM_CAP
+from .errors import ShapeMismatchError, SizeLimitError
+from .matcore import BlockMatrix, axis_perm, rand_complex, rand_unitary
 from .normlab.brackets import NormBracket
 from .normlab.diamond import cb_norm
 from .supop import SuperOp
@@ -47,36 +48,30 @@ def _shape_dim(shape) -> int:
     return sum(k * k for k in shape)
 
 
-def _basis(shape):
-    d = _shape_dim(shape)
-    for a in range(d):
-        v = np.zeros(d, dtype=np.complex128)
-        v[a] = 1.0
-        yield a, v
-
-
-def _transpose_perm(shape) -> np.ndarray:
-    """Permutation R on coordinates with R·vec(x) = vec(xᵀ) blockwise."""
-    d = _shape_dim(shape)
-    p = np.zeros((d, d))
+def _blocks(shape):
+    """(coordinate offset, size) of each block."""
     off = 0
     for k in shape:
-        for i in range(k):
-            for j in range(k):
-                p[off + j * k + i, off + i * k + j] = 1.0
+        yield off, k
         off += k * k
-    return p
+
+
+def _transpose_idx(shape) -> np.ndarray:
+    """Index array t with vec(x)[t] = vec(xᵀ) blockwise.
+
+    It is an involution, and it is also the trace pairing:
+    ⟨f, x⟩ = f_vec[t] · x_vec.
+    """
+    idx = np.arange(_shape_dim(shape))
+    for off, k in _blocks(shape):
+        idx[off : off + k * k] = off + axis_perm((k, k), (1, 0))
+    return idx
 
 
 def trace_pairing(f: BlockMatrix, x: BlockMatrix) -> complex:
     """Bilinear pairing ⟨f, x⟩ = Σ_i tr(f_i x_i)."""
     f._check(x)
     return complex(sum(np.trace(a @ b) for a, b in zip(f.blocks, x.blocks)))
-
-
-def _pairing_matrix(shape) -> np.ndarray:
-    """Q with ⟨f, x⟩ = f_vecᵀ Q x_vec; Q is the blockwise transpose permutation."""
-    return _transpose_perm(shape)
 
 
 @dataclass(frozen=True)
@@ -153,40 +148,47 @@ class VnCoalgebra:
         return b
 
 
-def make_algebra(shape) -> VnAlgebra:
+def _structure_shape(shape) -> tuple[int, ...]:
+    """Validated block shape whose d × d² structure matrix fits DIM_CAP."""
     shape = tuple(int(k) for k in shape)
     if any(k < 0 for k in shape):
         raise ShapeMismatchError("block sizes must be >= 0")
     d = _shape_dim(shape)
-    unit = BlockMatrix.identity(shape).to_vector()
-    mult = np.zeros((d, d * d), dtype=np.complex128)
-    for a, va in _basis(shape):
-        xa = BlockMatrix.from_vector(va, shape)
-        for b, vb in _basis(shape):
-            xb = BlockMatrix.from_vector(vb, shape)
-            mult[:, a * d + b] = (xa @ xb).to_vector()
-    return VnAlgebra(shape, unit, mult, _transpose_perm(shape))
+    if d * d > DIM_CAP:
+        raise SizeLimitError(f"structure matrix {d}x{d * d} exceeds cap {DIM_CAP}")
+    return shape
+
+
+def _unit_products(shape):
+    """Coordinate triples (il, ij, jl) of every nonzero product e_ij·e_jl = e_il."""
+    for off, n in _blocks(shape):
+        i, j, l = np.indices((n, n, n)).reshape(3, -1)
+        yield off + i * n + l, off + i * n + j, off + j * n + l
+
+
+def make_algebra(shape) -> VnAlgebra:
+    shape = _structure_shape(shape)
+    d = _shape_dim(shape)
+    mult = np.zeros((d, d, d), dtype=np.complex128)
+    for il, ij, jl in _unit_products(shape):
+        mult[il, ij, jl] = 1.0
+    inv = np.eye(d)[_transpose_idx(shape)]
+    return VnAlgebra(
+        shape, BlockMatrix.identity(shape).to_vector(), mult.reshape(d, d * d), inv
+    )
 
 
 def make_coalgebra(shape) -> VnCoalgebra:
     """⊕T_{k_i}: counit = blockwise trace, δ(e_ij) = Σ_k e_kj ⊗ e_ik per block."""
-    shape = tuple(int(k) for k in shape)
-    if any(k < 0 for k in shape):
-        raise ShapeMismatchError("block sizes must be >= 0")
+    shape = _structure_shape(shape)
     d = _shape_dim(shape)
-    counit = BlockMatrix.identity(shape).to_vector()
-    comult = np.zeros((d * d, d), dtype=np.complex128)
-    off = 0
-    for blk, n in enumerate(shape):
-        for i in range(n):
-            for j in range(n):
-                col = off + i * n + j
-                for k in range(n):
-                    a = off + k * n + j  # e_kj
-                    b = off + i * n + k  # e_ik
-                    comult[a * d + b, col] += 1.0
-        off += n * n
-    return VnCoalgebra(shape, counit, comult, _transpose_perm(shape))
+    comult = np.zeros((d, d, d), dtype=np.complex128)
+    for ij, ik, kj in _unit_products(shape):
+        comult[kj, ik, ij] = 1.0
+    inv = np.eye(d)[_transpose_idx(shape)]
+    return VnCoalgebra(
+        shape, BlockMatrix.identity(shape).to_vector(), comult.reshape(d * d, d), inv
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +206,13 @@ class LawReport:
         self.passed = False
 
 
-def _swap_tensor(d: int) -> np.ndarray:
-    s = np.zeros((d * d, d * d))
-    for a in range(d):
-        for b in range(d):
-            s[b * d + a, a * d + b] = 1.0
-    return s
+def _maxabs(x) -> float:
+    return float(np.max(np.abs(x), initial=0.0))
+
+
+def _einsum(spec, *ops):
+    """einsum through BLAS pairwise contractions (the plain einsum loop is not)."""
+    return np.einsum(spec, *ops, optimize=True)
 
 
 def check_laws(
@@ -230,37 +233,25 @@ def check_laws(
 def _check_algebra_laws(alg: VnAlgebra, samples, tol, rng, exact_tol) -> LawReport:
     rep = LawReport("algebra", True)
     d = alg.dim
-    m, eye = alg.mult_mat, np.eye(d)
-    # associativity μ(μ⊗id) = μ(id⊗μ)
-    lhs = m @ np.kron(m, eye)
-    rhs = m @ np.kron(eye, m)
-    err = np.max(np.abs(lhs - rhs)) if d else 0.0
-    if err > exact_tol:
-        rep.fail("associativity", err)
-    # unit laws
-    uv = alg.unit_vec.reshape(d, 1) if d else alg.unit_vec.reshape(0, 1)
-    lu = m @ np.kron(uv, eye)
-    ru = m @ np.kron(eye, uv)
-    for name, mat in (("left_unit", lu), ("right_unit", ru)):
-        err = np.max(np.abs(mat - eye)) if d else 0.0
+    m, p, u, eye = alg.mult_mat.reshape(d, d, d), alg.inv_mat, alg.unit_vec, np.eye(d)
+    # m[c, a, b] is the e_c coordinate of e_a·e_b; the basis is real, so
+    # i(e_a) = P[:, a] and every law is an identity between whole tensors.
+    diffs = {
+        # associativity μ(μ⊗id) = μ(id⊗μ)
+        "associativity": _einsum("exc,xab->eabc", m, m) - _einsum("eax,xbc->eabc", m, m),
+        # unit laws μ(1⊗id) = id = μ(id⊗1)
+        "left_unit": _einsum("cab,a->cb", m, u) - eye,
+        "right_unit": _einsum("cab,b->ca", m, u) - eye,
+        # involution squared: i(i(x)) = x  ⇔  P·conj(P) = I
+        "involution_squared": p @ p.conj() - eye,
+        # reverse multiplicativity (ab)* = b*a*:  P·conj(μ) = μ·(P⊗P)·swap
+        "reverse_multiplicativity": _einsum("cx,xab->cab", p, m.conj())
+        - _einsum("cxy,xb,ya->cab", m, p, p),
+    }
+    for name, diff in diffs.items():
+        err = _maxabs(diff)
         if err > exact_tol:
             rep.fail(name, err)
-    # involution squared: i(i(x)) = x  ⇔  P·conj(P) = I for i(x) = P conj(x)
-    err = np.max(np.abs(alg.inv_mat @ alg.inv_mat.conj() - eye)) if d else 0.0
-    if err > exact_tol:
-        rep.fail("involution_squared", err)
-    # reverse multiplicativity (ab)* = b*a* on all basis pairs
-    err = 0.0
-    for a, va in _basis(alg.shape):
-        xa = BlockMatrix.from_vector(va, alg.shape)
-        ia = alg.involute(xa)
-        for b, vb in _basis(alg.shape):
-            xb = BlockMatrix.from_vector(vb, alg.shape)
-            lhsv = alg.involute(alg.multiply(xa, xb)).to_vector()
-            rhsv = alg.multiply(alg.involute(xb), ia).to_vector()
-            err = max(err, float(np.max(np.abs(lhsv - rhsv))) if d else 0.0)
-    if err > exact_tol:
-        rep.fail("reverse_multiplicativity", err)
     # C*-identity and submultiplicativity on samples + canonical unitaries
     worst_c, worst_s = 0.0, 0.0
     specials = [BlockMatrix.identity(alg.shape)] + [
@@ -296,50 +287,39 @@ def _coalg_cq_composite(co: VnCoalgebra, e_rep: BlockMatrix) -> BlockMatrix:
     on T_n with e = tr(a·) this reproduces tr(a*a ·).
     """
     d = co.dim
-    q = _pairing_matrix(co.shape)
-    e_vec = e_rep.to_vector()
-    ev = q @ e_vec  # ev[p] = e(basis_p)
+    t = _transpose_idx(co.shape)
+    ev = e_rep.to_vector()[t]  # ev[p] = e(basis_p)
     evj = co.inv_mat.T @ ev  # evj[p] = e(j(basis_p)); basis coords are real
     dv = co.comult_mat.reshape(d, d, d)  # (first slot, second slot, input)
     out = np.einsum("pqa,p,q->a", dv, evj.conj(), ev)
     # out[α] is the composite's value on basis_α; rep satisfies tr(r·e_α)=out[α]
-    return BlockMatrix.from_vector(q @ out, co.shape)
+    return BlockMatrix.from_vector(out[t], co.shape)
 
 
 def _check_coalgebra_laws(co: VnCoalgebra, samples, tol, rng, exact_tol) -> LawReport:
     rep = LawReport("coalgebra", True)
     d = co.dim
-    dm, eye = co.comult_mat, np.eye(d)
-    # coassociativity (δ⊗id)δ = (id⊗δ)δ
-    lhs = np.kron(dm, eye) @ dm
-    rhs = np.kron(eye, dm) @ dm
-    err = np.max(np.abs(lhs - rhs)) if d else 0.0
-    if err > exact_tol:
-        rep.fail("coassociativity", err)
-    # counit laws (ε⊗id)δ = id = (id⊗ε)δ
-    q = _pairing_matrix(co.shape)
-    eps_row = (q @ co.counit_vec).reshape(1, d)  # ε as a row on coordinates
-    lc = np.kron(eps_row, eye) @ dm
-    rc = np.kron(eye, eps_row) @ dm
-    for name, mat in (("left_counit", lc), ("right_counit", rc)):
-        err = np.max(np.abs(mat - eye)) if d else 0.0
+    dv, p, eye = co.comult_mat.reshape(d, d, d), co.inv_mat, np.eye(d)
+    eps = co.counit_vec[_transpose_idx(co.shape)]  # ε(e_a) = eps[a]
+    # dv[p, q, a] is the e_p⊗e_q coordinate of δ(e_a); the laws are the duals
+    # of the algebra identities
+    diffs = {
+        # coassociativity (δ⊗id)δ = (id⊗δ)δ
+        "coassociativity": _einsum("ijx,xka->ijka", dv, dv)
+        - _einsum("jkx,ixa->ijka", dv, dv),
+        # counit laws (ε⊗id)δ = id = (id⊗ε)δ
+        "left_counit": _einsum("pqa,p->qa", dv, eps) - eye,
+        "right_counit": _einsum("pqa,q->pa", dv, eps) - eye,
+        "involution_squared": p @ p.conj() - eye,
+        # reverse comultiplicativity δ(j(c)) = (j⊗j)(γ(δ(c))):
+        # δ·P = (P⊗P)·swap·conj(δ)
+        "reverse_comultiplicativity": _einsum("pqx,xa->pqa", dv, p)
+        - _einsum("px,qy,yxa->pqa", p, p, dv.conj()),
+    }
+    for name, diff in diffs.items():
+        err = _maxabs(diff)
         if err > exact_tol:
             rep.fail(name, err)
-    # involution squared
-    err = np.max(np.abs(co.inv_mat @ co.inv_mat.conj() - eye)) if d else 0.0
-    if err > exact_tol:
-        rep.fail("involution_squared", err)
-    # reverse comultiplicativity: δ(j(c)) = (j⊗j)(γ(δ(c))) on basis
-    err = 0.0
-    s = _swap_tensor(d)
-    for a, va in _basis(co.shape):
-        xc = BlockMatrix.from_vector(va, co.shape)
-        lhsv = co.comult(co.involute(xc))
-        inner = (s @ co.comult(xc).conj())
-        rhsv = np.kron(co.inv_mat, co.inv_mat) @ inner
-        err = max(err, float(np.max(np.abs(lhsv - rhsv))) if d else 0.0)
-    if err > exact_tol:
-        rep.fail("reverse_comultiplicativity", err)
     # co-C*-identity on random norm-one functionals
     worst = 0.0
     for idx in range(samples):
@@ -363,28 +343,30 @@ def _check_coalgebra_laws(co: VnCoalgebra, samples, tol, rng, exact_tol) -> LawR
 # duality
 
 def dualize(structure):
-    """Trace-pairing transport: algebras ↔ coalgebras on the same shape."""
+    """Trace-pairing transport: algebras ↔ coalgebras on the same shape.
+
+    The pairing is the blockwise transpose t (an involution), so
+    δ[(p,q), c] = μ[t c, (t p, t q)] and back.
+    """
+    if not isinstance(structure, (VnAlgebra, VnCoalgebra)):
+        raise TypeError("dualize wants a VnAlgebra or VnCoalgebra")
+    d = structure.dim
+    t = _transpose_idx(structure.shape)
     if isinstance(structure, VnAlgebra):
-        q = _pairing_matrix(structure.shape)
-        qq = np.kron(q, q)
-        comult = qq @ structure.mult_mat.T @ q
+        m = structure.mult_mat.reshape(d, d, d)[np.ix_(t, t, t)]
         return VnCoalgebra(
             structure.shape,
             structure.unit_vec.copy(),
-            comult,
+            m.transpose(1, 2, 0).reshape(d * d, d),
             structure.inv_mat.copy(),
         )
-    if isinstance(structure, VnCoalgebra):
-        q = _pairing_matrix(structure.shape)
-        qq = np.kron(q, q)
-        mult = q @ structure.comult_mat.T @ qq
-        return VnAlgebra(
-            structure.shape,
-            structure.counit_vec.copy(),
-            mult,
-            structure.inv_mat.copy(),
-        )
-    raise TypeError("dualize wants a VnAlgebra or VnCoalgebra")
+    m = structure.comult_mat.reshape(d, d, d)[np.ix_(t, t, t)]
+    return VnAlgebra(
+        structure.shape,
+        structure.counit_vec.copy(),
+        m.transpose(2, 0, 1).reshape(d, d * d),
+        structure.inv_mat.copy(),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -496,60 +478,85 @@ def certify_morphism(
     raise ValueError(f"unknown morphism mode {mode!r}")
 
 
+def _transfer(f: SuperOp) -> np.ndarray:
+    """Matrix T of f on the block coordinates: T[:, a] = vec(f(e_a))."""
+    dom = np.cumsum((0,) + tuple(k * k for k in f.dom_shape))
+    cod = np.cumsum((0,) + tuple(l * l for l in f.cod_shape))
+    out = np.zeros((cod[-1], dom[-1]), dtype=np.complex128)
+    for i in range(len(f.dom_shape)):
+        for j in range(len(f.cod_shape)):
+            out[cod[j] : cod[j + 1], dom[i] : dom[i + 1]] = f.transfer_block(i, j)
+    return out
+
+
+def _worst_norm(cols: np.ndarray, shape, picture: str) -> float:
+    """Largest BlockMatrix norm among the columns of cols (coordinate vectors over shape).
+
+    Operator picture: max over blocks of the operator norm; trace picture:
+    sum over blocks of the trace norm.  All columns are batched per block.
+    """
+    per_col = np.zeros(cols.shape[1])
+    for off, k in _blocks(shape):
+        if k == 0:
+            continue
+        sv = np.linalg.svd(cols[off : off + k * k].T.reshape(-1, k, k), compute_uv=False)
+        if picture == "operator":
+            per_col = np.maximum(per_col, sv[:, 0])
+        else:
+            per_col = per_col + sv.sum(axis=1)
+    return float(per_col.max(initial=0.0))
+
+
+def _flag(v: MorphismVerdict, errs: dict, tol) -> None:
+    for name, err in errs.items():
+        if err > tol:
+            v.ok = False
+            v.failures.append((name, err))
+
+
 def _check_alg_hom(f, alg_a: VnAlgebra, alg_b: VnAlgebra, tol, v) -> MorphismVerdict:
-    err_u = (f.apply(alg_a.unit()) - alg_b.unit()).op_norm()
-    if err_u > tol:
-        v.ok = False
-        v.failures.append(("unital", err_u))
-    err_m, err_i = 0.0, 0.0
-    for _, va in _basis(alg_a.shape):
-        xa = BlockMatrix.from_vector(va, alg_a.shape)
-        fi = f.apply(xa)
-        err_i = max(err_i, (f.apply(alg_a.involute(xa)) - alg_b.involute(fi)).op_norm())
-        for _, vb in _basis(alg_a.shape):
-            xb = BlockMatrix.from_vector(vb, alg_a.shape)
-            lhs = f.apply(alg_a.multiply(xa, xb))
-            rhs = alg_b.multiply(fi, f.apply(xb))
-            err_m = max(err_m, (lhs - rhs).op_norm())
-    if err_m > tol:
-        v.ok = False
-        v.failures.append(("multiplicative", err_m))
-    if err_i > tol:
-        v.ok = False
-        v.failures.append(("involutive", err_i))
-    v.diagnostics.update({"mult_err": err_m, "inv_err": err_i, "unit_err": err_u})
+    da, db = alg_a.dim, alg_b.dim
+    t = _transfer(f)
+    mu_b = alg_b.mult_mat.reshape(db, db, db)
+    # f(1) = 1,  T·μ_A = μ_B·(T⊗T),  T·P_A = P_B·conj(T); each column is one
+    # basis element (pair), measured in the blockwise operator norm
+    diffs = {
+        "unital": (t @ alg_a.unit_vec - alg_b.unit_vec)[:, None],
+        "multiplicative": t @ alg_a.mult_mat
+        - _einsum("cxy,xa,yb->cab", mu_b, t, t).reshape(db, da * da),
+        "involutive": t @ alg_a.inv_mat - alg_b.inv_mat @ t.conj(),
+    }
+    errs = {name: _worst_norm(x, alg_b.shape, "operator") for name, x in diffs.items()}
+    _flag(v, errs, tol)
+    v.diagnostics.update(
+        mult_err=errs["multiplicative"], inv_err=errs["involutive"], unit_err=errs["unital"]
+    )
     return v
 
 
 def _check_coalg_hom(f, co_c: VnCoalgebra, co_d: VnCoalgebra, tol, v) -> MorphismVerdict:
-    err_c, err_d, err_i = 0.0, 0.0, 0.0
-    ff = None
-    for _, vc in _basis(co_c.shape):
-        xc = BlockMatrix.from_vector(vc, co_c.shape)
-        fx = f.apply(xc)
-        err_c = max(err_c, abs(co_d.counit(fx) - co_c.counit(xc)))
-        err_i = max(err_i, (f.apply(co_c.involute(xc)) - co_d.involute(fx)).tr_norm())
-        if ff is None:
-            d1, d2 = co_c.dim, co_d.dim
-            tm = np.zeros((d2, d1), dtype=np.complex128)
-            for a, va in _basis(co_c.shape):
-                tm[:, a] = f.apply(
-                    BlockMatrix.from_vector(va, co_c.shape)
-                ).to_vector()
-            ff = np.kron(tm, tm)
-        lhs = co_d.comult(fx)
-        rhs = ff @ co_c.comult(xc)
-        err_d = max(err_d, float(np.max(np.abs(lhs - rhs))))
-    if err_c > tol:
-        v.ok = False
-        v.failures.append(("counital", err_c))
-    if err_d > tol:
-        v.ok = False
-        v.failures.append(("comultiplicative", err_d))
-    if err_i > tol:
-        v.ok = False
-        v.failures.append(("involutive", err_i))
-    v.diagnostics.update({"counit_err": err_c, "comult_err": err_d, "inv_err": err_i})
+    dc, dd = co_c.dim, co_d.dim
+    t = _transfer(f)
+    eps_c = co_c.counit_vec[_transpose_idx(co_c.shape)]
+    eps_d = co_d.counit_vec[_transpose_idx(co_d.shape)]
+    delta_c = co_c.comult_mat.reshape(dc, dc, dc)
+    # ε_D·T = ε_C,  δ_D·T = (T⊗T)·δ_C (both entrywise),  T·P_C = P_D·conj(T)
+    # (blockwise trace norm per basis element)
+    errs = {
+        "counital": _maxabs(eps_d @ t - eps_c),
+        "comultiplicative": _maxabs(
+            co_d.comult_mat @ t - _einsum("px,qy,xya->pqa", t, t, delta_c).reshape(dd * dd, dc)
+        ),
+        "involutive": _worst_norm(
+            t @ co_c.inv_mat - co_d.inv_mat @ t.conj(), co_d.shape, "trace"
+        ),
+    }
+    _flag(v, errs, tol)
+    v.diagnostics.update(
+        counit_err=errs["counital"],
+        comult_err=errs["comultiplicative"],
+        inv_err=errs["involutive"],
+    )
     return v
 
 
@@ -614,29 +621,15 @@ def _tensor_reindex(a_shape, b_shape) -> np.ndarray:
 
     e_pq^(i) ⊗ e_rs^(j) ↦ E_{(p,r),(q,s)} in block (i,j).
     """
-    da, db = _shape_dim(a_shape), _shape_dim(b_shape)
-    d = da * db
-    mat = np.zeros((d, d))
-    a_off = np.cumsum([0] + [k * k for k in a_shape])
-    b_off = np.cumsum([0] + [k * k for k in b_shape])
-    out_off = {}
-    pos = 0
-    for i, ka in enumerate(a_shape):
-        for j, kb in enumerate(b_shape):
-            out_off[(i, j)] = pos
-            pos += (ka * kb) ** 2
-    for i, ka in enumerate(a_shape):
-        for j, kb in enumerate(b_shape):
-            for p in range(ka):
-                for q in range(ka):
-                    for r in range(kb):
-                        for s in range(kb):
-                            src = (a_off[i] + p * ka + q) * db + (b_off[j] + r * kb + s)
-                            dst = out_off[(i, j)] + (p * kb + r) * (ka * kb) + (
-                                q * kb + s
-                            )
-                            mat[dst, src] = 1.0
-    return mat
+    db = _shape_dim(b_shape)
+    src = [np.zeros(0, int)]
+    for a_off, ka in _blocks(a_shape):
+        for b_off, kb in _blocks(b_shape):
+            # block (i,j) lists its (p,r),(q,s) coordinates in order; local
+            # index (p,q,r,s) sits at (a_off + pq)·db + b_off + rs in V(A)⊗V(B)
+            idx = axis_perm((ka, ka, kb, kb), (0, 2, 1, 3))
+            src.append((a_off + idx // (kb * kb)) * db + b_off + idx % (kb * kb))
+    return np.eye(_shape_dim(a_shape) * db)[np.concatenate(src)]
 
 
 def tensor_algebra(a: VnAlgebra, b: VnAlgebra) -> VnAlgebra:
@@ -657,7 +650,7 @@ def tensor_algebra_structure_composite(a: VnAlgebra, b: VnAlgebra):
     """
     da, db = a.dim, b.dim
     unit = np.kron(a.unit_vec, b.unit_vec)
-    v_shuffle = _shuffle_perm(da, db, da, db)
+    v_shuffle = np.eye((da * db) ** 2)[axis_perm((da, db, da, db), (0, 2, 1, 3))]
     mult = np.kron(a.mult_mat, b.mult_mat) @ v_shuffle
     inv = np.kron(a.inv_mat, b.inv_mat)
     return unit, mult, inv
@@ -667,21 +660,8 @@ def tensor_coalgebra_structure_composite(c: VnCoalgebra, d: VnCoalgebra):
     """Literal w-shuffle composite: δ = w ∘ (δ_C ⊗ δ_D), ε = ε_C ⊗ ε_D."""
     dc, dd = c.dim, d.dim
     counit = np.kron(c.counit_vec, d.counit_vec)  # pairing reps kron
-    w_shuffle = _shuffle_perm(dc, dc, dd, dd)
-    comult = w_shuffle @ np.kron(c.comult_mat, d.comult_mat)
+    w_idx = axis_perm((dc, dc, dd, dd), (0, 2, 1, 3))
+    comult = np.kron(c.comult_mat, d.comult_mat)[w_idx]
     inv = np.kron(c.inv_mat, d.inv_mat)
     return counit, comult, inv
 
-
-def _shuffle_perm(da, db, dc, dd) -> np.ndarray:
-    """(A⊗B)⊗(C⊗D) → (A⊗C)⊗(B⊗D) on coordinates."""
-    n = da * db * dc * dd
-    mat = np.zeros((n, n))
-    for ia in range(da):
-        for ib in range(db):
-            for ic in range(dc):
-                for id_ in range(dd):
-                    src = ((ia * db + ib) * dc + ic) * dd + id_
-                    dst = ((ia * dc + ic) * db + ib) * dd + id_
-                    mat[dst, src] = 1.0
-    return mat

@@ -99,6 +99,11 @@ class TestRunner:
         )
         assert run_session(parse_session(unknown_session)).exit_code == 2
 
+    def test_oversized_structure_fails_cleanly(self):
+        rep = run_session(parse_session("alg A = [30];\nnorm op [[2]];\nassert laws A;"))
+        assert [r.status for r in rep.records] == ["fail", "pass", "fail"]
+        assert "exceeds cap" in rep.records[0].detail["error"]
+
     def test_shape_mismatch_surfaced(self):
         ast = parse_session("map f = identity([2]);\ncoalg C = [3];\ncheck cptp f : C -> C;")
         rep = run_session(ast)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from oscat.errors import InvalidInputError, ShapeMismatchError, SizeLimitError
 from oscat.matcore import (
     BlockMatrix,
+    axis_perm,
     direct_sum,
     format_matrix_literal,
     herm_eig,
@@ -101,6 +102,37 @@ class TestKron:
     def test_size_cap(self):
         with pytest.raises(SizeLimitError):
             kron(np.eye(100), np.eye(100), cap=4096)
+
+
+class TestAxisPerm:
+    @pytest.mark.parametrize("da,db", [(1, 1), (2, 3), (4, 2), (0, 3)])
+    def test_swap(self, da, db):
+        # flip A⊗B → B⊗A: e_a⊗e_b ↦ e_b⊗e_a
+        want = np.zeros((da * db, da * db))
+        for a in range(da):
+            for b in range(db):
+                want[b * da + a, a * db + b] = 1.0
+        assert np.array_equal(np.eye(da * db)[axis_perm((da, db), (1, 0))], want)
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2, 2), (1, 2, 3, 2), (3, 1, 2, 4)])
+    def test_shuffle(self, dims):
+        # (A⊗B)⊗(C⊗D) → (A⊗C)⊗(B⊗D)
+        da, db, dc, dd = dims
+        n = da * db * dc * dd
+        want = np.zeros((n, n))
+        for ia in range(da):
+            for ib in range(db):
+                for ic in range(dc):
+                    for id_ in range(dd):
+                        src = ((ia * db + ib) * dc + ic) * dd + id_
+                        dst = ((ia * dc + ic) * db + ib) * dd + id_
+                        want[dst, src] = 1.0
+        assert np.array_equal(np.eye(n)[axis_perm(dims, (0, 2, 1, 3))], want)
+
+    def test_index_form_matches_reshape(self, rng):
+        v = rand_complex(rng, 1, 24).ravel()
+        p = axis_perm((2, 3, 4), (2, 0, 1))
+        assert np.array_equal(v[p], v.reshape(2, 3, 4).transpose(2, 0, 1).ravel())
 
 
 class TestHermEig:

@@ -17,7 +17,8 @@ from oscat.normlab.diamond import (
     diamond_seesaw_lower,
     dual_level_norm,
 )
-from oscat.supop import conjugation, identity_map, trace_map, transpose_map
+from oscat.matcore import BlockMatrix
+from oscat.supop import SuperOp, conjugation, identity_map, trace_map, transpose_map, zero_map
 
 F2 = FlatSpace.base(2, 2)
 
@@ -103,6 +104,15 @@ class TestCbNorm:
         a = cb_norm(s, "operator")
         b = diamond_norm(s.adjoint())
         assert abs(a.mid - b.mid) <= 1e-7
+
+    def test_zero_size_blocks_in_scalar_domain(self):
+        z = zero_map((1, 0), (1,))
+        assert diamond_norm(z).mid == 0.0 and cb_norm(z, "operator").mid == 0.0
+        # C ≅ [0, 1] → M_2, 1 ↦ diag(1, −2): trace norm 3, operator norm 2
+        img = np.diag([1.0, -2.0])
+        s = SuperOp.from_action(lambda x: BlockMatrix([x.blocks[1][0, 0] * img]), (0, 1), (2,))
+        assert abs(diamond_norm(s).mid - 3.0) <= 1e-12
+        assert abs(cb_norm(s, "operator").mid - 2.0) <= 1e-12
 
     def test_transpose_operator_picture(self):
         # transpose is its own trace-adjoint, so both pictures give n

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from oscat import osx
+from oscat.config import BracketCaps, RunConfig
 from oscat.errors import UnsupportedSpaceError
 from oscat.matcore import kron, op_norm, rand_complex, rand_unitary, tr_norm
 from oscat.osx import (
@@ -162,6 +164,20 @@ class TestNormAt:
         u = rand_unitary(rng, 2)
         el = SpaceElement(M(2), 1, u.ravel())
         assert norm_at(el, config) is norm_at(el, config)
+
+    def test_norm_cache_keyed_on_caps(self):
+        # a low-caps bracket must not be served to a later default-caps call
+        rng = np.random.default_rng(0)
+        coords = rng.standard_normal((2, 2, 16)) + 1j * rng.standard_normal((2, 2, 16))
+        el = SpaceElement(tens_h(M(2), M(2)), 2, coords)
+        low_caps = BracketCaps(restarts=1, sweeps=2, witnesses=4, ascent_steps=2)
+        osx._NORM_CACHE.clear()
+        low = norm_at(el, RunConfig(caps=low_caps))
+        after = norm_at(el, RunConfig())
+        osx._NORM_CACHE.clear()
+        fresh = norm_at(el, RunConfig())
+        assert (after.lower, after.upper) == (fresh.lower, fresh.upper)
+        assert after.lower > low.lower + 0.5
 
 
 class TestFlatRealization:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import random_cptp, random_superop
+from oscat.errors import SizeLimitError
 from oscat.matcore import BlockMatrix, rand_complex, rand_unitary
-from oscat.supop import SuperOp, conjugation, identity_map, transpose_map
+from oscat.supop import SuperOp, conjugation, depolarizing, identity_map, transpose_map
 from oscat.vnstruct import (
     abstract_positive_functional,
     certify_morphism,
@@ -22,6 +23,7 @@ from oscat.vnstruct import (
     tensor_coalgebra_structure_composite,
     trace_pairing,
     _tensor_reindex,
+    _transpose_idx,
 )
 
 SHAPES = ([1], [2], [3], [2, 1], [2, 2])
@@ -52,6 +54,16 @@ class TestConstruction:
                     want[k * n + j, i * n + k] += 1.0
                 assert np.allclose(dv, want)
 
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_mult_mat_matches_block_products(self, shape):
+        alg = make_algebra(shape)
+        d = alg.dim
+        for a in range(d):
+            xa = BlockMatrix.from_vector(np.eye(d)[a], shape)
+            for b in range(d):
+                xb = BlockMatrix.from_vector(np.eye(d)[b], shape)
+                assert np.array_equal(alg.mult_mat[:, a * d + b], (xa @ xb).to_vector())
+
     def test_scalar_algebra(self):
         alg = make_algebra([1])
         assert np.allclose(alg.unit_vec, [1.0])
@@ -61,6 +73,26 @@ class TestConstruction:
         alg = make_algebra([2, 3])
         u = alg.unit()
         assert np.allclose(u.blocks[0], np.eye(2)) and np.allclose(u.blocks[1], np.eye(3))
+
+    @pytest.mark.parametrize("shape", [[2], [3, 1], [2, 0, 2], []])
+    def test_blockwise_transpose_index(self, shape):
+        d = sum(k * k for k in shape)
+        want = np.zeros((d, d))
+        off = 0
+        for k in shape:
+            for i in range(k):
+                for j in range(k):
+                    want[off + j * k + i, off + i * k + j] = 1.0
+            off += k * k
+        assert np.array_equal(np.eye(d)[_transpose_idx(shape)], want)
+        assert np.array_equal(make_algebra(shape).inv_mat, want)
+
+    def test_structure_size_cap(self):
+        # a 1000x10^6 structure matrix could not be allocated either way
+        with pytest.raises(SizeLimitError):
+            make_algebra([1000])
+        with pytest.raises(SizeLimitError):
+            make_coalgebra([1000])
 
 
 class TestLaws:
@@ -73,6 +105,10 @@ class TestLaws:
     def test_coalgebra_laws(self, shape, rng):
         rep = check_laws(make_coalgebra(shape), sample_count=50, rng=rng)
         assert rep.passed, rep.failures
+
+    def test_laws_at_m6(self):
+        assert check_laws(make_algebra([6])).passed
+        assert check_laws(make_coalgebra([6])).passed
 
     def test_mutated_comult_flagged(self, rng):
         co = make_coalgebra([2])
@@ -201,6 +237,63 @@ class TestMorphisms:
     def test_identity_is_coalg_hom(self):
         co = make_coalgebra([2])
         assert certify_morphism(identity_map((2,)), co, co, "coalg_hom").ok
+
+    def test_depolarizing_not_coalg_hom(self):
+        co = make_coalgebra([2])
+        v = certify_morphism(depolarizing(2), co, co, "coalg_hom")
+        assert [name for name, _ in v.failures] == ["comultiplicative"]
+        assert abs(v.failures[0][1] - 0.5) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "make,mode,names",
+        [
+            (make_algebra, "alg_hom", ["unital", "multiplicative", "involutive"]),
+            (make_coalgebra, "coalg_hom", ["counital", "comultiplicative", "involutive"]),
+        ],
+    )
+    def test_phase_map_fails_every_diagram(self, make, mode, names):
+        # x ↦ i·x: unit/counit off by |i−1| = √2, products by |i+1| = √2,
+        # involution by |i−(−i)| = 2
+        f = SuperOp.from_action(lambda x: x * 1j, (2,), (2,))
+        v = certify_morphism(f, make([2]), make([2]), mode)
+        assert [name for name, _ in v.failures] == names
+        want = [np.sqrt(2), np.sqrt(2), 2.0]
+        assert all(abs(val - w) <= 1e-12 for (_, val), w in zip(v.failures, want))
+
+    @pytest.mark.parametrize("dom,cod", [((2,), (2,)), ((2, 1), (1, 2)), ((1, 2), (3,))])
+    def test_hom_errors_match_basis_loops(self, dom, cod, rng):
+        # the whole-tensor identities against the diagrams checked one basis
+        # element (pair) at a time
+        f = SuperOp.from_transfer_blocks(
+            [[rand_complex(rng, l * l, k * k) for l in cod] for k in dom], dom, cod
+        )
+        alg_a, alg_b = make_algebra(dom), make_algebra(cod)
+        co_c, co_d = make_coalgebra(dom), make_coalgebra(cod)
+        basis = [BlockMatrix.from_vector(e, dom) for e in np.eye(alg_a.dim)]
+        unit = (f.apply(alg_a.unit()) - alg_b.unit()).op_norm()
+        mult = max(
+            (f.apply(alg_a.multiply(x, y)) - alg_b.multiply(f.apply(x), f.apply(y))).op_norm()
+            for x in basis
+            for y in basis
+        )
+        inv = max(
+            (f.apply(alg_a.involute(x)) - alg_b.involute(f.apply(x))).op_norm() for x in basis
+        )
+        counit = max(abs(co_d.counit(f.apply(x)) - co_c.counit(x)) for x in basis)
+        tm = np.stack([f.apply(x).to_vector() for x in basis], axis=1)
+        comult = max(
+            np.max(np.abs(co_d.comult(f.apply(x)) - np.kron(tm, tm) @ co_c.comult(x)))
+            for x in basis
+        )
+        co_inv = max(
+            (f.apply(co_c.involute(x)) - co_d.involute(f.apply(x))).tr_norm() for x in basis
+        )
+        va = certify_morphism(f, alg_a, alg_b, "alg_hom").diagnostics
+        vc = certify_morphism(f, co_c, co_d, "coalg_hom").diagnostics
+        got = [va[k] for k in ("unit_err", "mult_err", "inv_err")] + [
+            vc[k] for k in ("counit_err", "comult_err", "inv_err")
+        ]
+        assert np.allclose(got, [unit, mult, inv, counit, comult, co_inv], rtol=1e-12, atol=1e-12)
 
     def test_transpose_is_alg_antihom_not_hom(self):
         # transpose reverses products, so the multiplicative diagram fails
