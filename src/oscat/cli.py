@@ -738,9 +738,12 @@ def _run_norm(env: _Env, st: Statement, text: str, config: RunConfig) -> Record:
             else cb_norm(f, st.get("picture"))
         )
         status = "unknown" if br.status == "unknown" else "pass"
+        detail = {"norm_status": br.status}
+        if "reason" in br.witnesses:
+            detail["reason"] = br.witnesses["reason"]
         return Record(
             text, status, value=br.mid if br.status != "unknown" else None,
-            bracket=(br.lower, br.upper), detail={"norm_status": br.status},
+            bracket=(br.lower, br.upper), detail=detail,
         )
     mat = parse_matrix_literal(st.get("arg"))
     space = parse_space(st.get("space"), names=env.spaces)

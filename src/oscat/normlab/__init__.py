@@ -1,5 +1,5 @@
-"""Numerical-optimization core: dense SDP solver and norm brackets."""
-from .sdp import SdpProblem, SdpResult, sdp_solve, real_embed_herm, HermBasis
+"""Numerical-optimization core: sparse SDP solver and norm brackets."""
+from .sdp import SdpProblem, SdpResult, sdp_solve, lmi_triples, real_embed_herm, HermBasis
 from .diamond import (
     diamond_norm,
     cb_norm,
@@ -46,6 +46,7 @@ __all__ = [
     "SdpProblem",
     "SdpResult",
     "sdp_solve",
+    "lmi_triples",
     "real_embed_herm",
     "HermBasis",
     "diamond_norm",

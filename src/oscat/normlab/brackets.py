@@ -57,8 +57,8 @@ class NormBracket:
         return NormBracket(lo, hi, status, witnesses or {})
 
     @staticmethod
-    def unknown() -> "NormBracket":
-        return NormBracket(0.0, np.inf, "unknown", {})
+    def unknown(witnesses: dict | None = None) -> "NormBracket":
+        return NormBracket(0.0, np.inf, "unknown", witnesses or {})
 
     @property
     def mid(self) -> float:

@@ -14,7 +14,7 @@ from ..errors import ShapeMismatchError
 from ..matcore import BlockMatrix, op_norm, tr_norm
 from ..supop import SuperOp
 from .brackets import NormBracket
-from .sdp import HermBasis, SdpProblem, real_embed_herm, sdp_solve
+from .sdp import HermBasis, SdpProblem, lmi_triples, sdp_solve
 
 __all__ = [
     "diamond_norm",
@@ -55,37 +55,50 @@ def functional_norm(rep: BlockMatrix, picture: str) -> float:
     raise ValueError(f"unknown picture {picture!r}")
 
 
+def _embed_triples(con, row, col, val, dim_c: int) -> np.ndarray:
+    """LMI triples of real_embed_herm(B) from complex triples of B (dim_c × dim_c)."""
+    re_, im_ = val.real, val.imag
+    tri = (
+        np.concatenate([con] * 4),
+        np.concatenate([row, row + dim_c, row + dim_c, row]),
+        np.concatenate([col, col + dim_c, col, col + dim_c]),
+        np.concatenate([re_, re_, im_, -im_]),
+    )
+    keep = tri[3] != 0
+    return lmi_triples(*(a[keep] for a in tri))
+
+
 def _diamond_sdp(J: np.ndarray, K: int, L: int, rel_gap: float) -> NormBracket:
     """max Re tr(J†X) s.t. [[1_L⊗ρ0, X], [X†, 1_L⊗ρ1]] ⪰ 0, tr ρ = 1.
 
     For Hermitian J the optimum is attained with ρ0 = ρ1 and X Hermitian
     (feasible points symmetrize without changing the objective), which halves
-    the variable count.
+    the variable count.  The LMI is built directly as triples from the index
+    arrays of `HermBasis`.  A solver failure or a certificate whose dual value
+    crosses its primal value beyond rounding gives `unknown`, with the reason
+    in the witnesses.
     """
     d = L * K
     herm = bool(np.allclose(J, J.conj().T, atol=1e-13, rtol=0.0))
     hb = HermBasis(K)
     n_h = len(hb)
-    eye_l = np.eye(L)
     dim_c = 2 * d  # complex block size
+    # 1_L ⊗ ρ: the L diagonal copies of each ρ-basis entry
+    off = (np.arange(L) * K)[:, None]
+    rho = (np.tile(hb.param, L), (off + hb.row).ravel(), (off + hb.col).ravel(), np.tile(hb.val, L))
 
     if herm:
         hx = HermBasis(d)
         m = n_h + len(hx)
-        f_list = np.zeros((m, 2 * dim_c, 2 * dim_c))
+        xp = n_h + hx.param
+        parts = [
+            rho,
+            (rho[0], rho[1] + d, rho[2] + d, rho[3]),
+            (xp, hx.row, hx.col + d, hx.val),
+            (xp, hx.col + d, hx.row, hx.val.conj()),
+        ]
         c = np.zeros(m)
-        blk = np.zeros((dim_c, dim_c), dtype=np.complex128)
-        for t, hmat in enumerate(hb.mats):
-            blk[:] = 0
-            blk[:d, :d] = np.kron(eye_l, hmat)
-            blk[d:, d:] = np.kron(eye_l, hmat)
-            f_list[t] = real_embed_herm(blk)
-        for t, hmat in enumerate(hx.mats):
-            blk[:] = 0
-            blk[:d, d:] = hmat
-            blk[d:, :d] = hmat.conj().T
-            f_list[n_h + t] = real_embed_herm(blk)
-            c[n_h + t] = -float(np.trace(J @ hmat).real)
+        c[n_h:] = -np.bincount(hx.param, weights=(J[hx.col, hx.row] * hx.val).real, minlength=len(hx))
         eq_a = np.zeros((1, m))
         eq_a[0, :K] = 1.0
         eq_b = np.ones(1)
@@ -93,30 +106,20 @@ def _diamond_sdp(J: np.ndarray, K: int, L: int, rel_gap: float) -> NormBracket:
         slater[:K] = 1.0 / K
     else:
         m = 2 * n_h + 2 * d * d
-        f_list = np.zeros((m, 2 * dim_c, 2 * dim_c))
+        a, b = np.divmod(np.arange(d * d), d)
+        xre = 2 * n_h + 2 * np.arange(d * d)  # Re of X[a, b]; Im is xre + 1
+        one = np.ones(d * d, dtype=np.complex128)
+        parts = [
+            rho,
+            (rho[0] + n_h, rho[1] + d, rho[2] + d, rho[3]),
+            (xre, a, d + b, one),
+            (xre, d + b, a, one),
+            (xre + 1, a, d + b, 1j * one),
+            (xre + 1, d + b, a, -1j * one),
+        ]
         c = np.zeros(m)
-        blk = np.zeros((dim_c, dim_c), dtype=np.complex128)
-        for t, hmat in enumerate(hb.mats):
-            blk[:] = 0
-            blk[:d, :d] = np.kron(eye_l, hmat)
-            f_list[t] = real_embed_herm(blk)
-            blk[:] = 0
-            blk[d:, d:] = np.kron(eye_l, hmat)
-            f_list[n_h + t] = real_embed_herm(blk)
-        base = 2 * n_h
-        for a in range(d):
-            for b in range(d):
-                idx = base + 2 * (a * d + b)
-                blk[:] = 0
-                blk[a, d + b] = 1.0
-                blk[d + b, a] = 1.0
-                f_list[idx] = real_embed_herm(blk)
-                c[idx] = -J[a, b].real
-                blk[:] = 0
-                blk[a, d + b] = 1j
-                blk[d + b, a] = -1j
-                f_list[idx + 1] = real_embed_herm(blk)
-                c[idx + 1] = -J[a, b].imag
+        c[2 * n_h :: 2] = -J.real.ravel()
+        c[2 * n_h + 1 :: 2] = -J.imag.ravel()
         eq_a = np.zeros((2, m))
         eq_a[0, :K] = 1.0
         eq_a[1, n_h : n_h + K] = 1.0
@@ -125,19 +128,29 @@ def _diamond_sdp(J: np.ndarray, K: int, L: int, rel_gap: float) -> NormBracket:
         slater[:K] = 1.0 / K
         slater[n_h : n_h + K] = 1.0 / K
 
+    con, row, col, val = (np.concatenate(f) for f in zip(*parts))
     prob = SdpProblem(
         c=c,
         f0=[np.zeros((2 * dim_c, 2 * dim_c))],
-        fs=[f_list],
+        fs=[_embed_triples(con, row, col, val, dim_c)],
         eq_a=eq_a,
         eq_b=eq_b,
         slater=slater,
     )
     res = sdp_solve(prob, rel_gap=rel_gap)
     if res.status != "optimal":
-        return NormBracket.unknown()
+        reason = f"sdp {res.status}" + (f": {res.message}" if res.message else "")
+        return NormBracket.unknown(
+            {"reason": reason, "sdp_status": res.status, "sdp_message": res.message}
+        )
     lower = max(0.0, -res.value)
-    upper = max(lower, -res.dual_value)
+    upper = -res.dual_value
+    if lower - upper > 1e-12 * (1.0 + abs(res.value)):
+        return NormBracket.unknown(
+            {"reason": "crossed certificate", "value": res.value, "dual_value": res.dual_value}
+        )
+    # a crossing within rounding: the certificate's upper end is the lower end
+    upper = max(lower, upper)
     return NormBracket.from_bounds(lower, upper, {"sdp_iterations": res.iterations})
 
 

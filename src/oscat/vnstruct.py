@@ -236,9 +236,14 @@ def _check_algebra_laws(alg: VnAlgebra, samples, tol, rng, exact_tol) -> LawRepo
     m, p, u, eye = alg.mult_mat.reshape(d, d, d), alg.inv_mat, alg.unit_vec, np.eye(d)
     # m[c, a, b] is the e_c coordinate of e_a·e_b; the basis is real, so
     # i(e_a) = P[:, a] and every law is an identity between whole tensors.
+    flat = m.reshape(d, d * d)
     diffs = {
-        # associativity μ(μ⊗id) = μ(id⊗μ)
-        "associativity": _einsum("exc,xab->eabc", m, m) - _einsum("eax,xbc->eabc", m, m),
+        # associativity μ(μ⊗id) = μ(id⊗μ), one output coordinate e at a time
+        # (the whole (e, a, b, c) tensor is d⁴ entries)
+        "associativity": max(
+            (_maxabs((flat.T @ m[e]).ravel() - (m[e] @ flat).ravel()) for e in range(d)),
+            default=0.0,
+        ),
         # unit laws μ(1⊗id) = id = μ(id⊗1)
         "left_unit": _einsum("cab,a->cb", m, u) - eye,
         "right_unit": _einsum("cab,b->ca", m, u) - eye,
@@ -304,9 +309,14 @@ def _check_coalgebra_laws(co: VnCoalgebra, samples, tol, rng, exact_tol) -> LawR
     # dv[p, q, a] is the e_p⊗e_q coordinate of δ(e_a); the laws are the duals
     # of the algebra identities
     diffs = {
-        # coassociativity (δ⊗id)δ = (id⊗δ)δ
-        "coassociativity": _einsum("ijx,xka->ijka", dv, dv)
-        - _einsum("jkx,ixa->ijka", dv, dv),
+        # coassociativity (δ⊗id)δ = (id⊗δ)δ, one first output slot i at a time
+        "coassociativity": max(
+            (
+                _maxabs((dv[i] @ dv.reshape(d, d * d)).ravel() - (dv.reshape(d * d, d) @ dv[i]).ravel())
+                for i in range(d)
+            ),
+            default=0.0,
+        ),
         # counit laws (ε⊗id)δ = id = (id⊗ε)δ
         "left_counit": _einsum("pqa,p->qa", dv, eps) - eye,
         "right_counit": _einsum("pqa,q->pa", dv, eps) - eye,

@@ -121,6 +121,21 @@ class TestRunner:
         lo, hi = rep.records[0].bracket
         assert lo <= 2.0 <= hi and hi - lo < 1e-6
 
+    @pytest.mark.parametrize("kind", ["diamond t", "cb t operator"])
+    def test_unknown_norm_carries_reason(self, kind, monkeypatch):
+        import oscat.normlab.diamond as diamond_mod
+        from oscat.normlab.sdp import SdpResult
+
+        monkeypatch.setattr(
+            diamond_mod, "sdp_solve",
+            lambda p, rel_gap: SdpResult(status="numerical_failure", message="barrier stalled"),
+        )
+        rep = run_session(parse_session(f"map t = transpose(2);\nnorm {kind};"))
+        rec = rep.records[0]
+        assert rec.status == "unknown" and rec.value is None
+        assert rec.detail["reason"] == "sdp numerical_failure: barrier stalled"
+        assert rec.to_json_dict()["detail"]["reason"] == rec.detail["reason"]
+
     def test_assert_laws_passes_on_canonical(self):
         ast = parse_session("coalg C = [2];\nassert laws C;")
         rep = run_session(ast)

@@ -18,6 +18,8 @@ from oscat.normlab.diamond import (
     dual_level_norm,
 )
 from oscat.matcore import BlockMatrix
+from oscat.normlab import diamond as diamond_mod
+from oscat.normlab.sdp import SdpResult
 from oscat.supop import SuperOp, conjugation, identity_map, trace_map, transpose_map, zero_map
 
 F2 = FlatSpace.base(2, 2)
@@ -85,6 +87,42 @@ class TestDiamond:
         s = random_cptp(rng, 2).direct_sum(random_cptp(rng, 2))
         br = diamond_norm(s)
         assert abs(br.mid - 1.0) <= 1e-6
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_transpose_bracket_contains_n(self, n):
+        br = diamond_norm(transpose_map(n))
+        assert br.status == "exact" and br.lower <= n <= br.upper
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_cptp_bracket_contains_one(self, n, rng):
+        for _ in range(3):
+            br = diamond_norm(random_cptp(rng, n))
+            assert br.status == "exact" and br.lower <= 1.0 <= br.upper
+
+    def test_solver_failure_reason_kept(self, monkeypatch):
+        monkeypatch.setattr(
+            diamond_mod, "sdp_solve",
+            lambda p, rel_gap: SdpResult(status="numerical_failure", message="barrier stalled"),
+        )
+        br = diamond_norm(random_superop(np.random.default_rng(1), 2))
+        assert br.status == "unknown"
+        assert br.witnesses["sdp_status"] == "numerical_failure"
+        assert br.witnesses["reason"] == "sdp numerical_failure: barrier stalled"
+
+    def test_crossed_certificate_is_unknown(self, monkeypatch):
+        # dual value above the primal value: upper end -dual below lower end -value
+        crossed = SdpResult(status="optimal", value=-2.0, dual_value=-1.5, gap=-0.5)
+        monkeypatch.setattr(diamond_mod, "sdp_solve", lambda p, rel_gap: crossed)
+        br = diamond_norm(transpose_map(2))
+        assert br.status == "unknown" and br.witnesses["reason"] == "crossed certificate"
+        assert br.witnesses["value"] == -2.0 and br.witnesses["dual_value"] == -1.5
+
+    def test_rounding_crossing_kept(self, monkeypatch):
+        # a crossing within 1e-12·(1+|value|) is rounding, not a bug
+        near = SdpResult(status="optimal", value=-2.0, dual_value=-2.0 + 2e-12, gap=-2e-12)
+        monkeypatch.setattr(diamond_mod, "sdp_solve", lambda p, rel_gap: near)
+        br = diamond_norm(transpose_map(2))
+        assert br.status == "exact" and br.lower == br.upper == 2.0
 
 
 class TestCbNorm:

@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
 
-from oscat.errors import SizeLimitError
+from oscat.errors import ShapeMismatchError, SizeLimitError
 from oscat.matcore import op_norm, rand_complex
-from oscat.normlab.sdp import HermBasis, SdpProblem, real_embed_herm, sdp_solve
+from oscat.normlab.sdp import (
+    LMI_TRIPLE,
+    HermBasis,
+    SdpProblem,
+    lmi_triples,
+    real_embed_herm,
+    sdp_solve,
+)
 
 
 def lmi_opnorm_problem(a):
@@ -102,3 +109,146 @@ class TestSolver:
         r1 = sdp_solve(lmi_opnorm_problem(a))
         r2 = sdp_solve(lmi_opnorm_problem(a))
         assert r1.value == r2.value and r1.gap == r2.gap
+
+
+def random_sparse_lmi(rng, m=6, sizes=(5, 3, 0), zero_con=2):
+    """Dense Fi stacks and the same data as triples, with split duplicates.
+
+    Every Fi is symmetric and sparse; constraint `zero_con` is all zero, the
+    last block has size 0, and each off-diagonal nonzero is given as two
+    triples whose values sum to it.  Values are small dyadic numbers, so the
+    sums are exact and both forms hold the same matrices bit for bit; the
+    triples come in shuffled order.
+    """
+    dense, trips = [], []
+    for n in sizes:
+        fs = np.zeros((m, n, n))
+        con, row, col, val = [], [], [], []
+        for i in range(m):
+            if i == zero_con or n == 0:
+                continue
+            for _ in range(3):
+                r, c = rng.integers(n, size=2)
+                v = rng.integers(1, 9) * rng.choice([-1.0, 1.0]) / 4
+                fs[i, r, c] += v
+                if r != c:
+                    fs[i, c, r] += v
+                    # the mirror entry in two halves: duplicate (i, c, r) triples
+                    con += [i, i, i]
+                    row += [r, c, c]
+                    col += [c, r, r]
+                    val += [v, 0.25 * v, 0.75 * v]
+                else:
+                    con.append(i)
+                    row.append(r)
+                    col.append(c)
+                    val.append(v)
+        dense.append(fs)
+        order = rng.permutation(len(val))
+        trips.append(lmi_triples(*(np.array(a)[order] for a in (con, row, col, val))))
+    return dense, trips
+
+
+def box_problem(rng, fs, f0, m=6):
+    """min c·y over S(y) ⪰ 0 and the box |yᵢ| ≤ 1 (as a diagonal block)."""
+    box_con = np.repeat(np.arange(m), 2)
+    box_idx = np.arange(2 * m)
+    box = lmi_triples(box_con, box_idx, box_idx, np.tile([1.0, -1.0], m))
+    dense_box = np.zeros((m, 2 * m, 2 * m))
+    dense_box[box_con, box_idx, box_idx] = np.tile([1.0, -1.0], m)
+    c = rng.standard_normal(m)
+    return c, f0 + [np.eye(2 * m)], box, dense_box
+
+
+class TestSparseCore:
+    def test_schur_matches_dense_formulas(self, rng):
+        dense, trips = random_sparse_lmi(rng)
+        f0 = [4.0 * np.eye(f.shape[1]) for f in dense]
+        p = SdpProblem(c=np.zeros(6), f0=f0, fs=trips)
+        y = 0.1 * rng.standard_normal(6)
+        for blk, fs, f0b in zip(p.blocks, dense, f0):
+            s = f0b + np.einsum("i,iab->ab", y, fs)
+            assert np.allclose(blk.s(y), s, rtol=0, atol=1e-14)
+            assert np.array_equal(blk.s(y), blk.s(y).T)
+            if blk.n == 0:
+                continue
+            sinv = np.linalg.inv(s)
+            sinv = (sinv + sinv.T) / 2
+            g, h = blk.grad_hess(sinv)
+            g_ref = np.einsum("ab,iba->i", sinv, fs)
+            h_ref = np.einsum("ab,ibc,cd,jda->ij", sinv, fs, sinv, fs)
+            assert np.allclose(g, g_ref, rtol=0, atol=1e-13)
+            assert np.allclose(h, h_ref, rtol=0, atol=1e-13)
+            assert not h[2].any() and not h[:, 2].any()  # the all-zero constraint
+            z = sinv + 0.5 * np.eye(blk.n)
+            assert np.allclose(blk.traces(z), np.einsum("iab,ba->i", fs, z), rtol=0, atol=1e-13)
+
+    def test_dense_and_triple_inputs_identical(self, rng):
+        dense, trips = random_sparse_lmi(rng)
+        f0 = [np.eye(f.shape[1]) for f in dense]
+        c, f0_all, box, dense_box = box_problem(rng, dense, f0)
+        r_dense = sdp_solve(SdpProblem(c=c, f0=list(f0_all), fs=dense + [dense_box]))
+        r_trip = sdp_solve(SdpProblem(c=c, f0=list(f0_all), fs=trips + [box]))
+        assert r_dense.status == "optimal", r_dense.message
+        for name in ("status", "value", "gap", "dual_value", "iterations", "message"):
+            assert getattr(r_dense, name) == getattr(r_trip, name), name
+        assert np.array_equal(r_dense.y, r_trip.y)
+        assert all(np.array_equal(a, b) for a, b in zip(r_dense.dual_blocks, r_trip.dual_blocks))
+
+    def test_caller_fs_kept(self, rng):
+        dense, trips = random_sparse_lmi(rng)
+        p = SdpProblem(c=np.zeros(6), f0=[np.eye(f.shape[1]) for f in dense], fs=trips)
+        assert all(f is t for f, t in zip(p.fs, trips))
+        assert all(f.dtype == LMI_TRIPLE for f in p.fs)
+
+    def test_triple_index_out_of_range(self):
+        with pytest.raises(ShapeMismatchError):
+            SdpProblem(c=np.zeros(1), f0=[np.eye(2)], fs=[lmi_triples([0], [2], [0], [1.0])])
+        with pytest.raises(ShapeMismatchError):
+            SdpProblem(c=np.zeros(1), f0=[np.eye(2)], fs=[lmi_triples([1], [0], [0], [1.0])])
+
+
+def loop_herm_mats(n):
+    """The basis matrices one at a time, in parameter order."""
+    mats = []
+    for p in range(n):
+        m = np.zeros((n, n), dtype=np.complex128)
+        m[p, p] = 1.0
+        mats.append(m)
+    for p in range(n):
+        for q in range(p + 1, n):
+            m = np.zeros((n, n), dtype=np.complex128)
+            m[p, q] = m[q, p] = 1.0
+            mats.append(m)
+            m = np.zeros((n, n), dtype=np.complex128)
+            m[p, q] = -1j
+            m[q, p] = 1j
+            mats.append(m)
+    return mats
+
+
+def loop_herm_coords(h):
+    n = h.shape[0]
+    out = [h[p, p].real for p in range(n)]
+    for p in range(n):
+        for q in range(p + 1, n):
+            out += [h[p, q].real, -h[p, q].imag]
+    return np.array(out)
+
+
+class TestHermBasis:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_loop_reference(self, n, rng):
+        hb = HermBasis(n)
+        mats = loop_herm_mats(n)
+        assert len(hb) == len(mats) == n * n
+        assert np.array_equal(hb.mats, np.array(mats))
+        x = rng.standard_normal(n * n)
+        acc = np.zeros((n, n), dtype=np.complex128)
+        for w, m in zip(x, mats):
+            acc += w * m
+        assert np.array_equal(hb.assemble(x), acc)
+        assert np.array_equal(hb.coords(hb.assemble(x)), x)
+        a = rand_complex(rng, n)
+        h = a + a.conj().T
+        assert np.allclose(hb.coords(h), loop_herm_coords(h), rtol=0, atol=1e-15)

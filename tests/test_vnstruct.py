@@ -124,6 +124,25 @@ class TestLaws:
         bad.mult_mat[2, 9] += 1e-3
         assert not check_laws(bad, sample_count=5, rng=rng).passed
 
+    def test_associativity_errors_match_whole_tensor(self, rng):
+        # the slice-by-slice check reports the max-abs error of the d⁴ identity
+        alg, co = make_algebra([2, 1]), make_coalgebra([2, 1])
+        d = alg.dim
+        bad_a = replace(alg, mult_mat=alg.mult_mat + 1e-3 * rand_complex(rng, d, d * d))
+        bad_c = replace(co, comult_mat=co.comult_mat + 1e-3 * rand_complex(rng, d * d, d))
+        m = bad_a.mult_mat.reshape(d, d, d)
+        dv = bad_c.comult_mat.reshape(d, d, d)
+        ref_a = np.abs(
+            np.einsum("exc,xab->eabc", m, m) - np.einsum("eax,xbc->eabc", m, m)
+        ).max()
+        ref_c = np.abs(
+            np.einsum("ijx,xka->ijka", dv, dv) - np.einsum("jkx,ixa->ijka", dv, dv)
+        ).max()
+        got_a = dict(check_laws(bad_a, sample_count=2, rng=rng).failures)["associativity"]
+        got_c = dict(check_laws(bad_c, sample_count=2, rng=rng).failures)["coassociativity"]
+        assert got_a == pytest.approx(ref_a, rel=1e-12)
+        assert got_c == pytest.approx(ref_c, rel=1e-12)
+
     def test_mutated_involution_flagged(self, rng):
         alg = make_algebra([2])
         bad = replace(alg, inv_mat=alg.inv_mat.copy())
