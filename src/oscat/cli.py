@@ -652,6 +652,9 @@ def run_session(ast: SessionAst, config: RunConfig | None = None) -> Report:
             recs = _execute(env, st, config, idx)
         except (OscatError, ValueError, np.linalg.LinAlgError) as exc:
             recs = [Record(text, "fail", detail={"error": str(exc)})]
+        except MemoryError as exc:
+            error = f"out of memory: {exc}" if str(exc) else "out of memory"
+            recs = [Record(text, "fail", detail={"error": error})]
         for r in recs:
             r.elapsed = time.perf_counter() - t0
         records.extend(recs)

@@ -1,4 +1,4 @@
-"""Self-contained primal-dual SDP solver on sparse LMI data (log-barrier path following).
+"""Self-contained primal-dual SDP solver on sparse LMI data (HKM predictor–corrector).
 
 Problems are stated in inequality (LMI) form over real symmetric blocks:
 
@@ -8,19 +8,27 @@ Problems are stated in inequality (LMI) form over real symmetric blocks:
 
 Every Fi_b is held as the (constraint, row, col, value) triples of its
 nonzeros (`lmi_triples`); a dense (m, nb, nb) stack is accepted and converted
-once.  S(y) is assembled by scatter-add, and the Schur complement
-tr(S⁻¹FᵢS⁻¹Fⱼ) is formed by one scatter, one GEMM and a gather over the
-triples (Fujisawa–Kojima–Nakata, Math. Prog. 79, 1997).  Equalities are
-eliminated on the triples by an affine reparameterization before the barrier
-loop.
+once.  S(y) is assembled by scatter-add, and the Newton matrix
+M_ij = tr(Fᵢ Z Fⱼ S⁻¹) is formed by one scatter, one GEMM and a gather over
+the triples (Fujisawa–Kojima–Nakata, Math. Prog. 79, 1997).  Equalities are
+eliminated on the triples by an affine reparameterization (one SVD).
 
-An `optimal` result carries a dual certificate Z ⪰ 0 with tr(Fi·Z) = c_i,
-built from the S⁻¹ and Hessian of Newton's last point and accepted when the
-equality residual is below 1e-9 (relative) and λ_min(Z) ≥ −1e-14·scale.  The
-duality gap is therefore a two-sided bound up to those floating-point
-tolerances; they are not yet charged against the bound.  Complex Hermitian
-data enters through `real_embed_herm` (dense) or the index arrays of
-`HermBasis` (triples).
+The solve is the HKM primal–dual predictor–corrector (Helmberg–Rendl–
+Vanderbei–Wolkowicz, SIAM J. Optim. 6, 1996) with Mehrotra's σ = (μₐ/μ)³
+(SIAM J. Optim. 2, 1992).  y keeps S(y) ≻ 0, so c·y is always attained; the
+dual iterate Z ≻ 0 may violate tr(Fᵢ·Z) = cᵢ.  Each iteration forms one
+Newton system and factors it once for the predictor, the corrector and the
+certificate.  Phase one (min t s.t. S(z) + t·I ⪰ 0) runs on the same
+iteration.
+
+An `optimal` result carries a dual certificate built from the iterate's own
+Z: Z_c = Z + sym(Z·Lin(w)·S⁻¹) with M w = c − tr(F·Z), which meets
+tr(Fᵢ·Z_c) = cᵢ exactly in exact arithmetic; the barrier-metric correction of
+μS⁻¹ is the fallback.  Z_c is accepted when the equality residual is below
+1e-9 (relative) and λ_min(Z_c) ≥ −1e-14·scale.  The duality gap is therefore
+a two-sided bound up to those floating-point tolerances; they are not yet
+charged against the bound.  Complex Hermitian data enters through
+`real_embed_herm` (dense) or the index arrays of `HermBasis` (triples).
 """
 from __future__ import annotations
 
@@ -159,18 +167,18 @@ class _Block:
         return self.f0 + self.lin(y)
 
     def traces(self, z) -> np.ndarray:
-        """tr(Fᵢ Z) for every i, Z symmetric."""
+        """tr(Fᵢ Z) for every i; Fᵢ is symmetric, so Z need not be."""
         return np.bincount(self.con, weights=self.val * z.ravel()[self.flat], minlength=self.m)
 
-    def grad_hess(self, sinv):
-        """tr(S⁻¹Fᵢ) and the Schur complement tr(S⁻¹FᵢS⁻¹Fⱼ)."""
+    def grad_hess(self, sinv, z):
+        """tr(S⁻¹Fᵢ) and the Newton matrix tr(Fᵢ Z Fⱼ S⁻¹); Z = S⁻¹ gives the barrier Hessian."""
         n, m = self.n, self.m
         # g[p, b, i] = (Fᵢ S⁻¹)[p, b]: one scatter of summed S⁻¹ rows per (i, p) run
         g = np.zeros((n, n, m))
         for cons, rows, val, col in self.run_groups:
             g[rows, :, cons] = np.einsum("rk,rkb->rb", val, sinv[col])
-        w = (sinv @ g.reshape(n, n * m)).reshape(n, n, m)  # w[a, b, i] = (S⁻¹FᵢS⁻¹)[a, b]
-        # h[j, i] = tr(Fⱼ (S⁻¹FᵢS⁻¹)), gathered over the triples of each j
+        w = (z @ g.reshape(n, n * m)).reshape(n, n, m)  # w[a, b, i] = (Z FᵢS⁻¹)[a, b]
+        # h[j, i] = tr(Fⱼ (Z FᵢS⁻¹)), gathered over the triples of each j
         h = np.zeros((m, m))
         for cons, val, col, row in self.con_groups:
             h[cons] = np.einsum("jk,jki->ji", val, w[col, row])
@@ -241,7 +249,7 @@ class SdpResult:
     dual_blocks: list = field(default_factory=list)
     gap: float = np.nan
     dual_value: float = np.nan
-    iterations: int = 0
+    iterations: int = 0  # Newton systems formed, phase one included
     message: str = ""
 
 
@@ -253,196 +261,179 @@ def _chol_or_none(s):
 
 
 def _interior(y, blocks) -> bool:
-    return all(blk.n == 0 or _chol_or_none(blk.s(y)) is not None for blk in blocks)
+    return all(_chol_or_none(blk.s(y)) is not None for blk in blocks)
 
 
-def _barrier_value(tau, cvec, y, blocks):
-    val = tau * float(cvec @ y)
-    for blk in blocks:
-        if blk.n == 0:
-            continue
-        l = _chol_or_none(blk.s(y))
-        if l is None:
-            return None
-        val -= 2.0 * float(np.sum(np.log(np.diagonal(l))))
-    return val
+def _sym(x):
+    return (x + x.T) * 0.5
 
 
-def _schur(y, blocks):
-    """(S⁻¹ per block, Σ tr(S⁻¹Fᵢ), Σ tr(S⁻¹FᵢS⁻¹Fⱼ)) at y, or None off the interior."""
-    m = y.size
-    sinvs, grad, hess = [], np.zeros(m), np.zeros((m, m))
-    for blk in blocks:
-        if blk.n == 0:
-            sinvs.append(np.zeros((0, 0)))
-            continue
-        s = blk.s(y)
-        if _chol_or_none(s) is None:
-            return None
-        sinv = np.linalg.inv(s)
-        sinv = (sinv + sinv.T) / 2
-        g, h = blk.grad_hess(sinv)
-        sinvs.append(sinv)
-        grad += g
-        hess += h
-    return sinvs, grad, hess
+def _inv_factor(x):
+    """L⁻¹ for the Cholesky factor L of x, or None when x is not positive definite."""
+    l = _chol_or_none(x)
+    return None if l is None else np.linalg.inv(l)
 
 
-def _newton_center(tau, cvec, y, blocks, lam_tol=0.2, max_iter=80):
-    """Damped Newton on  tau·c·y − Σ log det S(y).
+def _step(lis, dxs) -> float:
+    """0.95 of the step to the boundary of every X + α·dX ⪰ 0, capped at 1; lis are L⁻¹ of each X."""
+    lam = min(float(np.linalg.eigvalsh(li @ dx @ li.T).min(initial=0.0)) for li, dx in zip(lis, dxs))
+    return 1.0 if lam >= -0.95 else -0.95 / lam
 
-    Returns (y, lam, ok, at) with `at` the `_schur` data of the returned y,
-    or None where it was not formed there.
+
+def _newton_solver(mat):
+    """A solver from one Cholesky factorization of the diagonally scaled,
+    1e-13-regularized Newton matrix, or None.
+
+    Each solve is a block substitution through L and Lᵀ with the inverted
+    diagonal blocks of L, so a second right-hand side costs no factorization.
     """
-    m = cvec.size
-    for it in range(max_iter):
-        at = _schur(y, blocks)
-        if at is None:
-            return y, np.inf, False, None
-        grad = tau * cvec - at[1]
-        hess = at[2]
-        try:
-            dg = np.sqrt(np.clip(np.diagonal(hess), 1e-300, None))
-            hs = hess / np.outer(dg, dg)
-            d = np.linalg.solve(hs + 1e-13 * np.eye(m), -grad / dg) / dg
-        except np.linalg.LinAlgError:
-            return y, np.inf, False, at
-        lam2 = float(-grad @ d)
-        if lam2 < 0:  # hessian numerically indefinite
-            d = -grad
-            lam2 = float(grad @ grad)
-        lam = np.sqrt(max(lam2, 0.0))
-        if lam < lam_tol:
-            return y, lam, True, at
-        if np.max(np.abs(y)) > 1e12:
-            return y, lam, False, at
-        f_cur = _barrier_value(tau, cvec, y, blocks)
-        step, ok_step = 1.0, False
-        for _ in range(60):
-            y_new = y + step * d
-            f_new = _barrier_value(tau, cvec, y_new, blocks)
-            if f_new is not None and f_new < f_cur - 1e-4 * step * lam2:
-                y = y_new
-                ok_step = True
-                break
-            step *= 0.5
-        if not ok_step:
-            # no decrease found: treat current point as centered enough
-            return y, lam, lam < 1.0, at
-    return y, lam, lam < 1.0, None
-
-
-def _dual_certificate(tau, cvec, y, blocks, at=None):
-    """Exactly dual-feasible Z from the near-central point, or None.
-
-    The correction to Ẑ = S⁻¹/τ runs along S⁻¹FᵢS⁻¹ (the Hessian metric), so
-    tr(Fᵢ·Z) = cᵢ is met exactly while positivity survives near the path.
-    `at` is `_schur(y, blocks)` when the caller already has it.
-    """
-    if at is None:
-        at = _schur(y, blocks)
-        if at is None:
-            return None
-    sinvs, grad, hess = at
-    resid = cvec - grad / tau  # want tr(Fi Z) = c_i
-    try:
-        w = np.linalg.solve(hess, resid)
-    except np.linalg.LinAlgError:
-        try:
-            w = np.linalg.lstsq(hess, resid, rcond=None)[0]
-        except np.linalg.LinAlgError:
-            return None
-    out, left = [], np.zeros(cvec.size)
-    for blk, sinv in zip(blocks, sinvs):
-        if blk.n == 0:
-            out.append(sinv)
-            continue
-        zc = sinv / tau + sinv @ blk.lin(w) @ sinv
-        zc = (zc + zc.T) / 2
-        if np.linalg.eigvalsh(zc)[0] < -1e-14 * max(1.0, np.abs(zc).max()):
-            return None
-        out.append(zc)
-        left += blk.traces(zc)
-    # residual after correction must be negligible
-    if np.max(np.abs(left - cvec)) > 1e-9 * (1.0 + np.max(np.abs(cvec))):
+    dg = np.sqrt(np.clip(np.diagonal(mat), 1e-300, None))[:, None]
+    l = _chol_or_none(mat / (dg * dg.T) + 1e-13 * np.eye(dg.size))
+    if l is None:
         return None
-    return out
+    cuts = [(k, k + 64, np.linalg.inv(l[k : k + 64, k : k + 64])) for k in range(0, dg.size, 64)]
+
+    def solve(rhs):
+        x = rhs.reshape(dg.size, -1) / dg
+        for a, b, di in cuts:
+            x[a:b] = di @ (x[a:b] - l[a:b, :a] @ x[:a])
+        for a, b, di in reversed(cuts):
+            x[a:b] = di.T @ (x[a:b] - l[b:, a:b].T @ x[b:])
+        return (x / dg).reshape(rhs.shape)
+
+    return solve
 
 
-def _try_cert(tau, cvec, y, blocks, best, iters, at=None):
-    zs = _dual_certificate(tau, cvec, y, blocks, at)
-    if zs is None:
-        return best
-    primal = float(cvec @ y)
-    dual = -sum(float(np.tensordot(blk.f0, z)) for blk, z in zip(blocks, zs) if z.shape[0])
-    gap = primal - dual
-    if best is None or gap < best[4]:
-        return ("optimal", y.copy(), zs, primal, gap, iters)
-    return best
+def _certificate(cvec, blocks, sinvs, lefts, w, floor):
+    """(Z_c, −Σ tr(F0·Z_c)) for Z_c = X + sym(X·Lin(w)·S⁻¹) per block, or None.
+
+    When M w = c − tr(F·X) with M_ij = tr(Fᵢ X Fⱼ S⁻¹), tr(Fᵢ·Z_c) = cᵢ holds
+    exactly; Z_c is accepted when the residual is below 1e-9 (relative) and
+    λ_min(Z_c) ≥ −1e-14·scale.  A dual value ≤ `floor` is of no use and skips
+    the eigenvalue test.
+    """
+    zcs = [_sym(x + x @ blk.lin(w) @ sinv) for blk, sinv, x in zip(blocks, sinvs, lefts)]
+    left = sum(blk.traces(zc) for blk, zc in zip(blocks, zcs))
+    if np.max(np.abs(left - cvec), initial=0.0) > 1e-9 * (1.0 + np.max(np.abs(cvec), initial=0.0)):
+        return None
+    dual = -sum(float(np.tensordot(blk.f0, zc)) for blk, zc in zip(blocks, zcs))
+    if dual <= floor:
+        return None
+    for zc in zcs:
+        if np.linalg.eigvalsh(zc).min(initial=0.0) < -1e-14 * max(1.0, np.abs(zc).max(initial=0.0)):
+            return None
+    return zcs, dual
 
 
-def _solve_lmi(cvec, blocks, y0, rel_gap, max_outer=60):
-    """Barrier loop from strictly feasible y0.  Returns SdpResult-like tuple."""
-    y = y0.copy()
+def _newton_system(y, zs, blocks):
+    """At (y, Z): S, L⁻¹ and S⁻¹ per block, Σ tr(FᵢS⁻¹), Σ tr(Fᵢ Z Fⱼ S⁻¹) and Σ tr(Fᵢ Z).
+
+    zs None means Z = S⁻¹, which makes the matrix the barrier Hessian.  None
+    when some S is not positive definite.
+    """
+    m = y.size
+    ss = [blk.s(y) for blk in blocks]
+    lis = [_inv_factor(s) for s in ss]
+    if any(li is None for li in lis):
+        return None
+    sinvs = [_sym(li.T @ li) for li in lis]
+    grad, mat, tz = np.zeros(m), np.zeros((m, m)), np.zeros(m)
+    for blk, sinv, z in zip(blocks, sinvs, sinvs if zs is None else zs):
+        g, h = blk.grad_hess(sinv, z)
+        grad += g
+        mat += h
+        tz += blk.traces(z)
+    return ss, lis, sinvs, grad, mat, tz
+
+
+def _pd_solve(cvec, blocks, y, rel_gap, stop=None):
+    """HKM primal–dual predictor–corrector from strictly feasible y.
+
+    y keeps S(y) ≻ 0, so c·y is an upper end; Z ≻ 0 starts at S(y)⁻¹ and may
+    be dual-infeasible.  After each Newton system the iterate's certificate
+    is tried, and `stop(y, dual)` (the best certified dual value, or None) may
+    end the solve with its own verdict.  Returns (status, y, Z_c, primal,
+    gap, newton_systems).
+    """
     nu = sum(blk.n for blk in blocks)
     if nu == 0 or cvec.size == 0:
         value = float(cvec @ y) if cvec.size else 0.0
-        return ("optimal", y, [np.zeros((blk.n, blk.n)) for blk in blocks], value, value, 0)
+        return ("optimal", y, [np.zeros((blk.n, blk.n)) for blk in blocks], value, 0.0, 0)
+    best_y, primal, best_z, dual, zs, last, it = y, float(cvec @ y), None, -np.inf, None, None, 0
 
-    def good_enough(b):
-        return b is not None and b[4] <= rel_gap * (1.0 + abs(b[3]))
+    def certify(sinvs, lefts, w):
+        nonlocal best_z, dual
+        floor = max(dual, primal - 10 * rel_gap * (1.0 + abs(primal)) - 1e-12)
+        cert = _certificate(cvec, blocks, sinvs, lefts, w, floor)
+        if cert is not None:
+            best_z, dual = cert
 
-    tau, mu, fails, iters, best, best_at = 1.0, 20.0, 0, 0, None, None
-    for _ in range(max_outer):
-        y, lam, ok, at = _newton_center(tau, cvec, y, blocks)
-        iters += 1
+    while it < 50 and np.max(np.abs(y)) <= 1e12:
+        at = _newton_system(y, zs, blocks)
         if at is None:
-            at = _schur(y, blocks)
-        found = _try_cert(tau, cvec, y, blocks, best, iters, at)
-        if found is not best:
-            best, best_at = found, at
-        if good_enough(best):
-            return best
-        if not ok:
-            fails += 1
-            mu = max(2.0, np.sqrt(mu))
-            if fails >= 4:
-                break
-        else:
-            fails = 0
-        tau *= mu
-        if tau > 1e15:
             break
-    # terminal squeeze: the certificate at inflated τ' is the Newton-step dual
-    # at that τ'; it stays valid whenever the PSD check passes
-    if best is not None:
-        tau_p = tau
-        for _ in range(30):
-            tau_p *= 3.0
-            improved = _try_cert(tau_p, cvec, best[1], blocks, best, iters, best_at)
-            if improved is best:
-                break
-            best = improved
-            if good_enough(best):
-                return best
-    if best is not None:
-        return best
-    return ("numerical_failure", y, [], float(cvec @ y), np.inf, iters)
+        it += 1
+        ss, lis, sinvs, grad, mat, tz = at
+        zs = [s.copy() for s in sinvs] if zs is None else zs
+        mu = sum(float(np.tensordot(s, z)) for s, z in zip(ss, zs)) / nu
+        last = (y, mu)
+        solve = _newton_solver(mat)
+        lzs = [_inv_factor(z) for z in zs]
+        if solve is None or any(lz is None for lz in lzs):
+            break
+        if float(cvec @ y) < primal:
+            best_y, primal = y, float(cvec @ y)
+        w, dya = solve(np.column_stack([cvec - tz, -cvec])).T
+        certify(sinvs, zs, w)
+        if stop is not None and (verdict := stop(y, None if best_z is None else dual)):
+            return (verdict, y, best_z, primal, primal - dual, it)
+        if primal - dual <= rel_gap * (1.0 + abs(primal)):
+            break
+        # predictor (σ = 0), then Mehrotra's σ = (μₐ/μ)³ and the second-order corrector
+        dsa = [blk.lin(dya) for blk in blocks]
+        dza = [-z - _sym(z @ ds @ sinv) for z, ds, sinv in zip(zs, dsa, sinvs)]
+        ap, ad = _step(lis, dsa), _step(lzs, dza)
+        mu_a = sum(float(np.tensordot(s + ap * ds, z + ad * dz)) for s, ds, z, dz in zip(ss, dsa, zs, dza))
+        sm = min(1.0, mu_a / (nu * mu)) ** 3 * mu  # σμ
+        corr = [dz @ ds @ sinv for dz, ds, sinv in zip(dza, dsa, sinvs)]
+        rhs = sm * grad - cvec - sum(blk.traces(c) for blk, c in zip(blocks, corr))
+        dy = solve(rhs)
+        dss = [blk.lin(dy) for blk in blocks]
+        dzs = [sm * sinv - z - _sym(z @ ds @ sinv + c) for z, ds, sinv, c in zip(zs, dss, sinvs, corr)]
+        ap, ad = _step(lis, dss), _step(lzs, dzs)
+        y = y + ap * dy
+        zs = [z + ad * dz for z, dz in zip(zs, dzs)]
+    if primal - dual > rel_gap * (1.0 + abs(primal)) and last is not None:
+        # fallback: the barrier-metric correction of μS⁻¹ (τ = 1/μ) at the last iterate
+        y, mu = last
+        at = _newton_system(y, None, blocks)
+        if at is not None:
+            it += 1
+            _, _, sinvs, grad, mat, _ = at
+            solve = _newton_solver(mu * mat)
+            if solve is not None:
+                certify(sinvs, [mu * s for s in sinvs], solve(cvec - mu * grad))
+    if best_z is None:
+        return ("numerical_failure", y, [], float(cvec @ y), np.inf, it)
+    return ("optimal", best_y, best_z, primal, primal - dual, it)
 
 
 def _eliminate_equalities(p: SdpProblem):
-    """y = y0 + N z; returns (cz, blocks', y0, N, const) or None if infeasible."""
+    """y = y0 + N z; returns (cz, blocks', y0, N, const) or None if infeasible.
+
+    One SVD of A gives both y0 = A⁺b and the orthonormal null basis N.
+    """
     m = p.c.size
     if p.eq_a is None:
         return p.c, p.blocks, np.zeros(m), np.eye(m), 0.0
     a = np.asarray(p.eq_a, dtype=np.float64).reshape(-1, m)
     b = np.asarray(p.eq_b, dtype=np.float64).ravel()
-    y0, res, rank, _ = np.linalg.lstsq(a, b, rcond=None)
+    u, sv, vt = np.linalg.svd(a)
+    rank = int(np.sum(sv > max(a.shape) * (sv[0] if sv.size else 0.0) * np.finfo(float).eps))
+    y0 = vt[:rank].T @ ((u[:, :rank].T @ b) / sv[:rank])
     if np.linalg.norm(a @ y0 - b) > 1e-10 * (1.0 + np.linalg.norm(b)):
         return None
-    _, sv, vt = np.linalg.svd(a)
-    tol = max(a.shape) * (sv[0] if sv.size else 0.0) * np.finfo(float).eps
-    null = vt[np.sum(sv > tol) :].T  # (m, m - rank)
+    null = vt[rank:].T  # (m, m - rank)
     blocks = [blk.substitute(y0, null) for blk in p.blocks]
     return null.T @ p.c, blocks, y0, null, float(p.c @ y0)
 
@@ -450,8 +441,10 @@ def _eliminate_equalities(p: SdpProblem):
 def _phase_one(cz, blocks):
     """Find strictly feasible z via  min t  s.t.  S(z) + t·I ⪰ 0, t ≥ -1.
 
-    The t ≥ -1 cap keeps the objective bounded; any t < 0 certifies strict
-    feasibility of the original constraints.
+    The t ≥ -1 cap keeps the objective bounded.  The solve stops as soon as
+    t < 0 or S(z) ≻ 0 (feasible) or a certified dual value exceeds 1e-9
+    (infeasible); an optimum pinched at t ≈ 0 means no strict interior.
+    Returns (z or None, verdict, newton_systems).
     """
     m = cz.size
     aug = []
@@ -471,48 +464,31 @@ def _phase_one(cz, blocks):
     c_aug = np.zeros(m + 1)
     c_aug[m] = 1.0
     z = np.zeros(m + 1)
-    t0 = 1.0
-    for blk in blocks:
-        if blk.n:
-            t0 = max(t0, -float(np.linalg.eigvalsh(blk.f0)[0]) * 1.5 + 1.0)
-    z[m] = t0
+    z[m] = max([1.0] + [1.0 - 1.5 * np.linalg.eigvalsh(blk.f0)[0] for blk in blocks if blk.n])
 
     def strictly_feasible(zv):
         for blk in blocks:
-            if blk.n == 0:
-                continue
             s = blk.s(zv)
-            scale = max(1.0, float(np.abs(s).max()))
             try:
-                w0 = float(np.linalg.eigvalsh(s)[0])
+                w0 = np.linalg.eigvalsh(s).min(initial=np.inf)
             except np.linalg.LinAlgError:
                 return False
-            if w0 < 1e-10 * scale:
+            if w0 < 1e-10 * max(1.0, np.abs(s).max(initial=0.0)):
                 return False
         return True
 
-    # short Newton bursts with direct feasibility checks: the phase-1 center
-    # need not exist (unbounded sets), but iterates go strictly feasible fast
-    tau, fails = 1.0, 0
-    for _ in range(60):
-        z, lam, ok, at = _newton_center(tau, c_aug, z, aug, max_iter=8)
-        if z[m] < -1e-9 or strictly_feasible(z[:m]):
-            return z[:m].copy(), "feasible"
-        if not ok:
-            fails += 1
-            if fails >= 4:
-                return None, "numerical_failure"
-            continue
-        zs = _dual_certificate(tau, c_aug, z, aug, at)
-        if zs is not None:
-            dual = -sum(float(np.tensordot(blk.f0, zb)) for blk, zb in zip(aug, zs) if zb.shape[0])
-            if dual > 1e-9:
-                return None, "infeasible"
-            if lam < 0.2 and z[m] - dual < 1e-11:
-                # optimum pinched at ~0: no strict interior
-                return None, "infeasible"
-        tau *= 5.0
-    return None, "numerical_failure"
+    def stop(zv, dual):
+        if zv[m] < -1e-9 or strictly_feasible(zv[:m]):
+            return "feasible"
+        if dual is not None and dual > 1e-9:
+            return "infeasible"
+        return None
+
+    status, zv, _, _, _, iters = _pd_solve(c_aug, aug, z, 1e-11, stop)
+    if status == "feasible":
+        return zv[:m].copy(), status, iters
+    # an optimum within 1e-11 of a dual value ≤ 1e-9 is pinched at 0: no strict interior
+    return None, "infeasible" if status in ("infeasible", "optimal") else "numerical_failure", iters
 
 
 def sdp_solve(p: SdpProblem, rel_gap: float = 1e-8) -> SdpResult:
@@ -527,19 +503,20 @@ def sdp_solve(p: SdpProblem, rel_gap: float = 1e-8) -> SdpResult:
         return SdpResult(status="infeasible", message="inconsistent equalities")
     cz, blocks, y0, null, const = elim
 
-    z_start = None
+    z_start, iters = None, 0
     if p.slater is not None:
-        z_cand = np.linalg.lstsq(null, np.asarray(p.slater, float) - y0, rcond=None)[0]
+        z_cand = null.T @ (np.asarray(p.slater, float) - y0)
         if _interior(z_cand, blocks):
             z_start = z_cand
     if z_start is None and _interior(np.zeros(cz.size), blocks):
         z_start = np.zeros(cz.size)
     if z_start is None:
-        z_start, verdict = _phase_one(cz, blocks)
+        z_start, verdict, iters = _phase_one(cz, blocks)
         if z_start is None:
-            return SdpResult(status=verdict, message="phase-1: " + verdict)
+            return SdpResult(status=verdict, iterations=iters, message="phase-1: " + verdict)
 
-    status, z, duals, primal, gap, iters = _solve_lmi(cz, blocks, z_start, rel_gap)
+    status, z, duals, primal, gap, n_sys = _pd_solve(cz, blocks, z_start, rel_gap)
+    iters += n_sys
     y = y0 + null @ z
     value = primal + const + p.obj_offset
     if status != "optimal":
@@ -549,7 +526,7 @@ def sdp_solve(p: SdpProblem, rel_gap: float = 1e-8) -> SdpResult:
             y=y,
             gap=gap,
             iterations=iters,
-            message="barrier stalled",
+            message="path stalled",
         )
     ok = gap <= rel_gap * (1.0 + abs(primal)) * 10 + 1e-12
     return SdpResult(

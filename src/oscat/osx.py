@@ -10,6 +10,7 @@ never a wrong number.
 from __future__ import annotations
 
 import re
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -300,7 +301,9 @@ def _algebra_shape(x: SpaceExpr) -> tuple[int, ...] | None:
 # ---------------------------------------------------------------------------
 # norm oracle
 
-_NORM_CACHE: dict = {}
+# least recently used first; an insert past NORM_CACHE_SIZE evicts the oldest
+NORM_CACHE_SIZE = 256
+_NORM_CACHE: OrderedDict = OrderedDict()
 
 
 def norm_at(e: SpaceElement, config: RunConfig | None = None) -> NormBracket:
@@ -312,10 +315,13 @@ def norm_at(e: SpaceElement, config: RunConfig | None = None) -> NormBracket:
         key = (format_space(space), e.level, coords.tobytes(), config)
         hit = _NORM_CACHE.get(key)
         if hit is not None:
+            _NORM_CACHE.move_to_end(key)
             return hit
     out = _norm_dispatch(space, e.level, coords, config)
     if key is not None:
         _NORM_CACHE[key] = out
+        if len(_NORM_CACHE) > NORM_CACHE_SIZE:
+            _NORM_CACHE.popitem(last=False)
     return out
 
 

@@ -104,6 +104,19 @@ class TestRunner:
         assert [r.status for r in rep.records] == ["fail", "pass", "fail"]
         assert "exceeds cap" in rep.records[0].detail["error"]
 
+    def test_memory_error_is_a_fail_record(self, monkeypatch):
+        # a layer that runs out of memory fails its statement; later ones still run
+        import oscat.cli as cli_mod
+
+        def exhausted(shape):
+            raise MemoryError("Unable to allocate 12.0 GiB")
+
+        monkeypatch.setattr(cli_mod, "make_algebra", exhausted)
+        rep = run_session(parse_session("alg A = [3];\nnorm op [[2]];"))
+        assert [r.status for r in rep.records] == ["fail", "pass"]
+        assert rep.records[0].detail["error"] == "out of memory: Unable to allocate 12.0 GiB"
+        assert rep.exit_code == 1
+
     def test_shape_mismatch_surfaced(self):
         ast = parse_session("map f = identity([2]);\ncoalg C = [3];\ncheck cptp f : C -> C;")
         rep = run_session(ast)

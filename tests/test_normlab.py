@@ -99,6 +99,21 @@ class TestDiamond:
             br = diamond_norm(random_cptp(rng, n))
             assert br.status == "exact" and br.lower <= 1.0 <= br.upper
 
+    def test_random_n3_newton_systems(self, monkeypatch, rng):
+        # one Newton system per predictor–corrector iteration, about ten per solve
+        from oscat.normlab import sdp as sdp_mod
+
+        calls = []
+        grad_hess = sdp_mod._Block.grad_hess
+        monkeypatch.setattr(
+            sdp_mod._Block, "grad_hess", lambda blk, sinv, z: calls.append(1) or grad_hess(blk, sinv, z)
+        )
+        for _ in range(3):
+            calls.clear()
+            br = diamond_norm(random_superop(rng, 3))
+            assert br.status == "exact"
+            assert len(calls) == br.witnesses["sdp_iterations"] <= 20
+
     def test_solver_failure_reason_kept(self, monkeypatch):
         monkeypatch.setattr(
             diamond_mod, "sdp_solve",

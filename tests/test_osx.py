@@ -165,6 +165,19 @@ class TestNormAt:
         el = SpaceElement(M(2), 1, u.ravel())
         assert norm_at(el, config) is norm_at(el, config)
 
+    def test_norm_cache_is_bounded_lru(self, monkeypatch, config):
+        monkeypatch.setattr(osx, "NORM_CACHE_SIZE", 3)
+        osx._NORM_CACHE.clear()
+        els = [SpaceElement(M(2), 1, (i + 1.0) * np.eye(2).ravel()) for i in range(4)]
+        first = [norm_at(e, config) for e in els[:3]]
+        assert norm_at(els[0], config) is first[0]  # a repeat hits and becomes the newest entry
+        norm_at(els[3], config)  # past the bound: the least recently used entry goes
+        assert len(osx._NORM_CACHE) == 3
+        assert norm_at(els[0], config) is first[0]
+        assert norm_at(els[2], config) is first[2]
+        assert norm_at(els[1], config) is not first[1]
+        osx._NORM_CACHE.clear()
+
     def test_norm_cache_keyed_on_caps(self):
         # a low-caps bracket must not be served to a later default-caps call
         rng = np.random.default_rng(0)

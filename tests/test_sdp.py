@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oscat.normlab.sdp as sdp_mod
 from oscat.errors import ShapeMismatchError, SizeLimitError
 from oscat.matcore import op_norm, rand_complex
 from oscat.normlab.sdp import (
@@ -61,6 +62,24 @@ class TestSolver:
             )
         )
         assert res.status == "infeasible"
+
+    def test_pinched_feasible_set_is_infeasible(self):
+        # [[y, 0], [0, 0]] ⪰ 0 has solutions but no strictly feasible point
+        res = sdp_solve(
+            SdpProblem(c=np.array([1.0]), f0=[np.zeros((2, 2))], fs=[np.diag([1.0, 0.0]).reshape(1, 2, 2)])
+        )
+        assert res.status == "infeasible" and res.message == "phase-1: infeasible"
+
+    def test_phase_one_without_slater_point(self, rng):
+        # F0 = [[0, a], [a*, 0]] is indefinite and no Slater point is given,
+        # so phase one must find the interior before the solve
+        a = rand_complex(rng, 3)
+        p = lmi_opnorm_problem(a)
+        assert p.slater is None and np.linalg.eigvalsh(p.f0[0])[0] < 0
+        res = sdp_solve(p)
+        assert res.status == "optimal", res.message
+        assert abs(res.value - op_norm(a)) < 1e-7
+        assert res.dual_value <= op_norm(a) + 1e-12 <= res.value + 2e-12
 
     def test_inconsistent_equalities(self):
         res = sdp_solve(
@@ -174,7 +193,7 @@ class TestSparseCore:
                 continue
             sinv = np.linalg.inv(s)
             sinv = (sinv + sinv.T) / 2
-            g, h = blk.grad_hess(sinv)
+            g, h = blk.grad_hess(sinv, sinv)
             g_ref = np.einsum("ab,iba->i", sinv, fs)
             h_ref = np.einsum("ab,ibc,cd,jda->ij", sinv, fs, sinv, fs)
             assert np.allclose(g, g_ref, rtol=0, atol=1e-13)
@@ -182,6 +201,13 @@ class TestSparseCore:
             assert not h[2].any() and not h[:, 2].any()  # the all-zero constraint
             z = sinv + 0.5 * np.eye(blk.n)
             assert np.allclose(blk.traces(z), np.einsum("iab,ba->i", fs, z), rtol=0, atol=1e-13)
+            # the primal-dual Newton matrix tr(Fᵢ Z Fⱼ S⁻¹) for a Z ≠ S⁻¹
+            a = rng.standard_normal((blk.n, blk.n))
+            z = a @ a.T + np.eye(blk.n)
+            g, h = blk.grad_hess(sinv, z)
+            assert np.allclose(g, g_ref, rtol=0, atol=1e-13)
+            assert np.allclose(h, np.einsum("ab,ibc,cd,jda->ij", z, fs, sinv, fs), rtol=0, atol=1e-12)
+            assert np.array_equal(h, h.T)
 
     def test_dense_and_triple_inputs_identical(self, rng):
         dense, trips = random_sparse_lmi(rng)
@@ -194,6 +220,30 @@ class TestSparseCore:
             assert getattr(r_dense, name) == getattr(r_trip, name), name
         assert np.array_equal(r_dense.y, r_trip.y)
         assert all(np.array_equal(a, b) for a, b in zip(r_dense.dual_blocks, r_trip.dual_blocks))
+
+    @pytest.mark.parametrize("left", ["z", "barrier"])
+    def test_certificate_meets_equalities(self, rng, left):
+        # Z_c = X + sym(X·Lin(w)·S⁻¹) with M w = c − tr(F·X), for the iterate's
+        # Z and for the barrier-metric fallback X = μS⁻¹
+        dense, trips = random_sparse_lmi(rng)
+        f0 = [4.0 * np.eye(f.shape[1]) for f in dense]
+        p = SdpProblem(c=np.zeros(6), f0=f0, fs=trips)
+        y = 0.1 * rng.standard_normal(6)
+        sinvs = [np.linalg.inv(blk.s(y)) for blk in p.blocks]
+        xs = [0.3 * si if left == "barrier" else si + 0.1 * np.eye(si.shape[0]) for si in sinvs]
+        mat = sum(blk.grad_hess(si, x)[1] for blk, si, x in zip(p.blocks, sinvs, xs))
+        tx = sum(blk.traces(x) for blk, x in zip(p.blocks, xs))
+        # a small dual residual; c₂ stays 0, the only value the all-zero F₂ can meet
+        c = tx + 1e-3 * rng.standard_normal(6)
+        c[2] = 0.0
+        mat[2, 2] = 1.0
+        w = np.linalg.solve(mat, c - tx)
+        zcs, dual = sdp_mod._certificate(c, p.blocks, sinvs, xs, w, -np.inf)
+        got = sum(np.einsum("iab,ba->i", fs, zc) for fs, zc in zip(dense, zcs))
+        assert np.allclose(got, c, rtol=0, atol=1e-12)
+        assert dual == -sum(float(np.tensordot(f, zc)) for f, zc in zip(f0, zcs))
+        # a dual value at or below the floor is not certified
+        assert sdp_mod._certificate(c, p.blocks, sinvs, xs, w, dual) is None
 
     def test_caller_fs_kept(self, rng):
         dense, trips = random_sparse_lmi(rng)
