@@ -358,7 +358,7 @@ def criterion_8(config: RunConfig) -> AcceptanceResult:
         k = 1 + trial % 2
         w = rand_complex(rng, 1, k * k * 16).ravel().reshape(k, k, 16)
         bi = inj_norm_flat(w, k, f2, f2)
-        bh = haagerup_bracket_flat(w, k, f2, f2, config.caps, config.rng(salt=800 + trial))
+        bh = haagerup_bracket_flat(w, k, f2, f2)
         bp = proj_bracket_flat(w, k, f2, f2, config.caps, config.rng(salt=900 + trial))
         if bi.upper > bh.upper + 1e-6 or bh.lower > bp.upper + 1e-6:
             crossings += 1
@@ -368,7 +368,7 @@ def criterion_8(config: RunConfig) -> AcceptanceResult:
     for trial in range(20):
         x, y = rand_complex(rng, 2), rand_complex(rng, 2)
         w = elem_coords(x.ravel(), y.ravel()) + 0.05 * rand_complex(rng, 1, 16).ravel()
-        bh = haagerup_bracket_flat(w, 1, f2, f2, config.caps, config.rng(salt=950 + trial))
+        bh = haagerup_bracket_flat(w, 1, f2, f2)
         if (bh.upper - bh.lower) > 0.10 * max(bh.upper, 1e-12):
             bad_width += 1
     ok = crossings == 0 and bad_width == 0

@@ -733,33 +733,28 @@ def _run_norm(env: _Env, st: Statement, text: str, config: RunConfig) -> Record:
         mat = parse_matrix_literal(st.get("arg"))
         val = op_norm(mat) if kind == "op" else tr_norm(mat)
         return Record(text, "pass", value=val)
-    if kind in ("diamond", "cb"):
-        f = env.lookup("maps", st.get("arg"))
-        br = (
-            diamond_norm(f)
-            if kind == "diamond"
-            else cb_norm(f, st.get("picture"))
-        )
-        status = "unknown" if br.status == "unknown" else "pass"
-        detail = {"norm_status": br.status}
-        if "reason" in br.witnesses:
-            detail["reason"] = br.witnesses["reason"]
-        return Record(
-            text, status, value=br.mid if br.status != "unknown" else None,
-            bracket=(br.lower, br.upper), detail=detail,
-        )
-    mat = parse_matrix_literal(st.get("arg"))
-    space = parse_space(st.get("space"), names=env.spaces)
-    sp, level, coords = _element_level(mat, space)
-    fn = {"haagerup": haagerup_bracket, "proj": proj_upper, "inj": inj_norm}[kind]
-    if kind == "inj":
-        br = fn(coords, level, sp.args[0], sp.args[1])
+    if kind == "diamond":
+        br = diamond_norm(env.lookup("maps", st.get("arg")))
+    elif kind == "cb":
+        br = cb_norm(env.lookup("maps", st.get("arg")), st.get("picture"))
     else:
-        br = fn(coords, level, sp.args[0], sp.args[1], config.caps, config.rng(salt=3))
-    status = "unknown" if br.status == "unknown" else "pass"
+        mat = parse_matrix_literal(st.get("arg"))
+        space = parse_space(st.get("space"), names=env.spaces)
+        sp, level, coords = _element_level(mat, space)
+        args = (coords, level, sp.args[0], sp.args[1])
+        if kind == "haagerup":
+            br = haagerup_bracket(*args)
+        elif kind == "proj":
+            br = proj_upper(*args, config.caps, config.rng(salt=3))
+        else:
+            br = inj_norm(*args)
+    unknown = br.status == "unknown"
+    detail = {"norm_status": br.status}
+    if "reason" in br.witnesses:
+        detail["reason"] = br.witnesses["reason"]
     return Record(
-        text, status, value=br.mid if br.status != "unknown" else None,
-        bracket=(br.lower, br.upper), detail={"norm_status": br.status},
+        text, "unknown" if unknown else "pass", value=None if unknown else br.mid,
+        bracket=(br.lower, br.upper), detail=detail,
     )
 
 

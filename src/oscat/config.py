@@ -1,7 +1,8 @@
 """Run-wide configuration: seeds, tolerances and search caps.
 
 Every randomized routine takes either a ``numpy.random.Generator`` or a
-``RunConfig``; results are deterministic for a fixed seed.
+``RunConfig``; results are deterministic for a fixed seed.  Haagerup norms
+are exact SDPs and take neither.
 """
 from __future__ import annotations
 
@@ -15,15 +16,12 @@ DIM_CAP = 4096
 
 @dataclass(frozen=True)
 class BracketCaps:
-    """Search caps for the norm-bracket machinery.
+    """Search caps for the randomized witness searches.
 
-    inner_rank=None means the default cap k*min(dim X, dim Y) for the
-    Haagerup factorization width.
+    witnesses: random dual functionals tried by the projective bracket;
+    ascent_steps: steps per start of the quantum-switch ratio ascent.
     """
 
-    inner_rank: int | None = None
-    restarts: int = 8
-    sweeps: int = 60
     witnesses: int = 64
     ascent_steps: int = 120
 

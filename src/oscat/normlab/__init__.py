@@ -16,15 +16,15 @@ from .brackets import (
 )
 
 
-def haagerup_bracket(v, level, x_space, y_space, caps=None, rng=None):
-    """Haagerup-norm bracket for an element of x_space ⊗_h y_space.
+def haagerup_bracket(v, level, x_space, y_space):
+    """Haagerup norm of an element of x_space ⊗_h y_space.
 
     Accepts osx SpaceExpr operands; they must be concretely realizable.
     """
     from ..osx import flat_realization
 
     return haagerup_bracket_flat(
-        v, level, flat_realization(x_space), flat_realization(y_space), caps, rng
+        v, level, flat_realization(x_space), flat_realization(y_space)
     )
 
 

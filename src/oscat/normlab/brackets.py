@@ -1,10 +1,13 @@
-"""Bracketed tensor norms: Haagerup, projective upper bounds, injective exact.
+"""Tensor norms of flat spaces: Haagerup by SDP, projective bracket, injective exact.
 
 Spaces enter as flat realizations (completely isometric placements into a
 rectangular matrix space); levelled norms of flat spaces are single operator
-norms.  All bounds returned here are mathematically valid two-sided bounds:
-uppers come from explicit factorizations, lowers from certified dual
-witnesses, so brackets can only be loose, never wrong.
+norms.  The Haagerup norm is the cb norm of an elementary-operator map
+(Haagerup's theorem), solved by the certified cb-norm SDP; past the SDP size
+cap it falls back to an SVD factorization and a rank-one dual witness.
+Projective uppers come from explicit expansions and lowers from certified dual
+witnesses.  All bounds are mathematically valid two-sided bounds, so brackets
+can only be loose, never wrong.
 """
 from __future__ import annotations
 
@@ -13,8 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..config import BracketCaps
-from ..errors import ShapeMismatchError
+from ..errors import ShapeMismatchError, SizeLimitError
 from ..matcore import op_norm, tr_norm
+from ..supop import SuperOp
 
 __all__ = [
     "NormBracket",
@@ -169,130 +173,18 @@ def _tensor_coords_reshape(v: np.ndarray, k: int, da: int, db: int) -> np.ndarra
     raise ShapeMismatchError(f"tensor coords shape {v.shape}, expected {(k, k, da*db)}")
 
 
-def _contract(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Matrix inner product ⊙ on coordinates: (k,r,da),(r,k,db) → (k,k,da·db)."""
-    k, r, da = x.shape
-    db = y.shape[2]
-    out = np.einsum("ila,ljb->ijab", x, y)
-    return out.reshape(k, k, da * db)
-
-
 # ---------------------------------------------------------------------------
-# Haagerup bracket
+# Haagerup norm
 
-def _svd_factorization(v: np.ndarray, k: int, da: int, db: int, rank_cap: int):
+def _svd_factorization(v: np.ndarray, k: int, da: int, db: int):
     """Exact v = x ⊙ y from the SVD of the (k·da, k·db) unfolding."""
     w = v.reshape(k, k, da, db).transpose(0, 2, 1, 3).reshape(k * da, k * db)
     u, s, vh = np.linalg.svd(w, full_matrices=False)
-    keep = [i for i in range(s.size) if s[i] > max(1e-14, 1e-14 * s[0] if s.size else 0)]
-    r = len(keep)
-    trunc = r > rank_cap
-    if trunc:
-        keep = keep[:rank_cap]
-        r = rank_cap
+    keep = s > max(1e-14, 1e-14 * s[0])
     rs = np.sqrt(s[keep])
-    x = (u[:, keep] * rs).reshape(k, da, r).transpose(0, 2, 1)
-    y = (vh[keep, :].conj().T * rs).conj().T.reshape(r, k, db)
-    return x, y, trunc
-
-
-def _solve_x_given_y(v, y, k, da, db):
-    """Least-squares x with v ≈ x ⊙ y: design D[(l,a'),(j,a,b)] = δ_{a,a'} y[l,j,b]."""
-    r = y.shape[0]
-    d = np.einsum("ac,ljb->lajcb", np.eye(da), y).reshape(r * da, k * da * db)
-    tgt = v.reshape(k, k * da * db)
-    sol = np.linalg.lstsq(d.T, tgt.T, rcond=None)[0].T
-    return sol.reshape(k, r, da)
-
-
-def _solve_y_given_x(v, x, k, da, db):
-    r = x.shape[1]
-    d2 = np.einsum("ila,bc->lbiac", x, np.eye(db)).reshape(r * db, k * da * db)
-    tgt2 = v.transpose(1, 0, 2).reshape(k, k * da * db)
-    sol2 = np.linalg.lstsq(d2.T, tgt2.T, rcond=None)[0].T
-    return sol2.reshape(k, r, db).transpose(1, 0, 2)
-
-
-def _altmin_sweep(v, x, y, k, da, db):
-    """One alternating least-squares pass toward v = x ⊙ y."""
-    x = _solve_x_given_y(v, y, k, da, db)
-    y = _solve_y_given_x(v, x, k, da, db)
+    x = (u[:, keep] * rs).reshape(k, da, -1).transpose(0, 2, 1)
+    y = (rs[:, None] * vh[keep, :]).reshape(-1, k, db)
     return x, y
-
-
-def _balance(x, y, fa: FlatSpace, fb: FlatSpace):
-    nx, ny = fa.rect_norm(x), fb.rect_norm(y)
-    if nx > 0 and ny > 0:
-        alpha = np.sqrt(nx / ny)
-        return x / alpha, y * alpha
-    return x, y
-
-
-def _residual_patch(v, x, y, k, da, db, rank_cap):
-    """Append an SVD factorization of the residual so v = x⊙y holds exactly."""
-    res = v - _contract(x, y)
-    if np.max(np.abs(res)) < 1e-14 * max(1.0, np.max(np.abs(v))):
-        return x, y, 0.0
-    xr, yr, trunc = _svd_factorization(res, k, da, db, rank_cap)
-    if trunc:
-        return x, y, np.inf
-    return np.concatenate([x, xr], axis=1), np.concatenate([y, yr], axis=0), 0.0
-
-
-def _sandwich_value(v, k, fa: FlatSpace, fb: FlatSpace, a, c, b):
-    """Lower-bound datum from the witness F(ξ⊗υ) = a·ξ·c·υ·b.
-
-    Returns (|pairing matrix| operator norm, certified ‖F‖ upper bound).
-    """
-    fmat = np.einsum(
-        "r,arc,cs,bst,t->ab", a.conj(), fa.place, c, fb.place, b.conj()
-    )
-    g = np.einsum("ijz,z->ij", v.reshape(k, k, -1), fmat.ravel())
-    cert = float(np.linalg.norm(a) * op_norm(c) * np.linalg.norm(b))
-    return op_norm(g), cert
-
-
-def _seed_sandwiches(v, k, fa, fb, rng, caps):
-    """Candidate (a, c, b) witness parameters: structured + random + ascent."""
-    cands = []
-    for _ in range(max(4, caps.witnesses // 4)):
-        a = rng.standard_normal(fa.rows) + 1j * rng.standard_normal(fa.rows)
-        c = rng.standard_normal((fa.cols, fb.rows)) + 1j * rng.standard_normal(
-            (fa.cols, fb.rows)
-        )
-        b = rng.standard_normal(fb.cols) + 1j * rng.standard_normal(fb.cols)
-        cands.append((a, c, b))
-    for i in range(min(fa.rows, fb.cols)):
-        a = np.zeros(fa.rows, complex)
-        a[i % fa.rows] = 1.0
-        b = np.zeros(fb.cols, complex)
-        b[i % fb.cols] = 1.0
-        c = np.eye(fa.cols, fb.rows)
-        cands.append((a, c, b))
-    return cands
-
-
-def _ascend_sandwich(v, k, fa, fb, a, c, b, steps, rng):
-    best_val, best_cert = _sandwich_value(v, k, fa, fb, a, c, b)
-    best_ratio = best_val / best_cert if best_cert > 1e-14 else 0.0
-    state = (a, c, b)
-    scale = 0.4
-    for i in range(steps):
-        a, c, b = state
-        which = i % 3
-        da_ = scale * (rng.standard_normal(a.shape) + 1j * rng.standard_normal(a.shape))
-        dc = scale * (rng.standard_normal(c.shape) + 1j * rng.standard_normal(c.shape))
-        db_ = scale * (rng.standard_normal(b.shape) + 1j * rng.standard_normal(b.shape))
-        trial = (
-            (a + da_, c, b) if which == 0 else (a, c + dc, b) if which == 1 else (a, c, b + db_)
-        )
-        val, cert = _sandwich_value(v, k, fa, fb, *trial)
-        ratio = val / cert if cert > 1e-14 else 0.0
-        if ratio > best_ratio:
-            best_ratio, state = ratio, trial
-        else:
-            scale *= 0.97
-    return best_ratio, state
 
 
 def _rank1_witness_lower(v, k, fa: FlatSpace, fb: FlatSpace):
@@ -339,65 +231,35 @@ def _attaining_functional(x_coords, fs: FlatSpace):
     return np.einsum("cr,arc->a", rep, fs.place)
 
 
-def haagerup_bracket_flat(
-    v,
-    level: int,
-    fa: FlatSpace,
-    fb: FlatSpace,
-    caps: BracketCaps | None = None,
-    rng: np.random.Generator | None = None,
-) -> NormBracket:
-    caps = caps or BracketCaps()
-    rng = rng or np.random.default_rng(0)
+def haagerup_bracket_flat(v, level: int, fa: FlatSpace, fb: FlatSpace) -> NormBracket:
+    """‖v‖ in M_k(X ⊗_h Y) as one operator-picture cb norm (Haagerup's theorem).
+
+    M_k(X ⊗_h Y) = (C_k ⊗_h X) ⊗_h (Y ⊗_h R_k), and ⊗_h is injective, so with
+    the flat placements A_a, B_b the norm is the cb norm of
+    φ(x) = Σ v[i,j,a,b]·(e_i ⊗ A_a)·x·(B_b ⊗ e_jᵀ), zero-padded to M_p → M_q.
+    Past the SDP size cap the SVD factorization gives the upper end and the
+    rank-one dual witness the lower end.
+    """
+    from .diamond import cb_norm
+
     k, da, db = level, fa.dim, fb.dim
     v = _tensor_coords_reshape(v, k, da, db)
     if np.max(np.abs(v)) < 1e-300:
         return NormBracket.exactly(0.0)
-    rank_cap = caps.inner_rank or k * min(da, db)
-
-    # -- upper: alternating least squares over exact factorizations
-    best_upper, best_xy = np.inf, None
-    starts = [_svd_factorization(v, k, da, db, rank_cap)[:2]]
-    for _ in range(caps.restarts - 1):
-        r = int(max(1, rng.integers(1, rank_cap + 1)))
-        x0 = rng.standard_normal((k, r, da)) + 1j * rng.standard_normal((k, r, da))
-        starts.append((x0, _solve_y_given_x(v, x0, k, da, db)))
-    for x, y in starts:
-        prev = np.inf
-        for _ in range(caps.sweeps):
-            x, y = _altmin_sweep(v, x, y, k, da, db)
-            x, y = _balance(x, y, fa, fb)
-            xe, ye, slack = _residual_patch(v, x, y, k, da, db, rank_cap)
-            if slack == 0.0:
-                val = fa.rect_norm(xe) * fb.rect_norm(ye)
-                if val < best_upper:
-                    best_upper, best_xy = val, (xe, ye)
-            cur = fa.rect_norm(x) * fb.rect_norm(y)
-            if prev - cur < 1e-12 * max(1.0, prev):
-                break
-            prev = cur
-    if best_upper is np.inf:
-        return NormBracket.unknown()
-
-    # -- lower: certified dual witnesses
-    lower = _rank1_witness_lower(v, k, fa, fb)
-    best_ratio, best_seed = 0.0, None
-    for cand in _seed_sandwiches(v, k, fa, fb, rng, caps):
-        val, cert = _sandwich_value(v, k, fa, fb, *cand)
-        if cert > 1e-14 and val / cert >= best_ratio:
-            best_ratio, best_seed = val / cert, cand
-    if best_seed is not None:
-        ratio, _ = _ascend_sandwich(
-            v, k, fa, fb, *best_seed, caps.ascent_steps, rng
-        )
-        best_ratio = max(best_ratio, ratio)
-    lower = max(lower, best_ratio)
-    lower = min(lower, best_upper)  # guard against fp crumbs
-
-    wit = {}
-    if best_xy is not None:
-        wit = {"x": best_xy[0], "y": best_xy[1]}
-    return NormBracket.from_bounds(lower, best_upper, wit)
+    m, p = max(fa.rows, fb.cols), max(fa.cols, fb.rows)
+    t = np.zeros((k, m, k, m, p, p), dtype=np.complex128)
+    t[:, : fa.rows, :, : fb.cols, : fa.cols, : fb.rows] = np.einsum(
+        "ijab,arc,bst->irjtcs", v.reshape(k, k, da, db), fa.place, fb.place
+    )
+    q = k * m
+    phi = SuperOp.from_transfer_blocks([[t.reshape(q * q, p * p)]], (p,), (q,))
+    try:
+        return cb_norm(phi, "operator")
+    except SizeLimitError:
+        x, y = _svd_factorization(v, k, da, db)
+        upper = fa.rect_norm(x) * fb.rect_norm(y)
+        wit = {"x": x, "y": y, "reason": "sdp size cap"}
+        return NormBracket.from_bounds(_rank1_witness_lower(v, k, fa, fb), upper, wit)
 
 
 # ---------------------------------------------------------------------------

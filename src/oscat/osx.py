@@ -385,9 +385,7 @@ def _norm_dispatch(space, k, coords, config) -> NormBracket:
             fa, fb = _flat(a), _flat(b)
         except UnsupportedSpaceError:
             return NormBracket.unknown()
-        return haagerup_bracket_flat(
-            coords, k, fa, fb, config.caps, config.rng(salt=11)
-        )
+        return haagerup_bracket_flat(coords, k, fa, fb)
 
     if space.kind == "tens_proj":
         a, b = space.args

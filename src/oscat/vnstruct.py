@@ -105,9 +105,8 @@ class VnAlgebra:
 
     def random_element(self, rng, unit_norm=True) -> BlockMatrix:
         b = BlockMatrix([rand_complex(rng, k) for k in self.shape])
-        if unit_norm and b.op_norm() > 0:
-            b = b * (1.0 / b.op_norm())
-        return b
+        nrm = b.op_norm() if unit_norm else 0.0
+        return b * (1.0 / nrm) if nrm > 0 else b
 
 
 @dataclass(frozen=True)
@@ -143,9 +142,8 @@ class VnCoalgebra:
 
     def random_element(self, rng, unit_norm=True) -> BlockMatrix:
         b = BlockMatrix([rand_complex(rng, k) for k in self.shape])
-        if unit_norm and b.tr_norm() > 0:
-            b = b * (1.0 / b.tr_norm())
-        return b
+        nrm = b.tr_norm() if unit_norm else 0.0
+        return b * (1.0 / nrm) if nrm > 0 else b
 
 
 def _structure_shape(shape) -> tuple[int, ...]:

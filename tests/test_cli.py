@@ -149,6 +149,18 @@ class TestRunner:
         assert rec.detail["reason"] == "sdp numerical_failure: barrier stalled"
         assert rec.to_json_dict()["detail"]["reason"] == rec.detail["reason"]
 
+    def test_haagerup_size_cap_carries_reason(self, monkeypatch):
+        import oscat.normlab.sdp as sdp_mod
+
+        monkeypatch.setattr(sdp_mod, "MAX_PSD_DIM", 4)
+        rep = run_session(parse_session(
+            "norm haagerup [[0,0,1,0],[0,0,0,0],[0,1,0,0],[0,0,0,0]] in M(2) (*h) M(2);"
+        ))
+        rec = rep.records[0]
+        assert rec.status == "pass" and rec.detail["reason"] == "sdp size cap"
+        lo, hi = rec.bracket
+        assert lo <= 1.0 <= hi
+
     def test_assert_laws_passes_on_canonical(self):
         ast = parse_session("coalg C = [2];\nassert laws C;")
         rep = run_session(ast)

@@ -19,6 +19,7 @@ from oscat.normlab.diamond import (
 )
 from oscat.matcore import BlockMatrix
 from oscat.normlab import diamond as diamond_mod
+from oscat.normlab import sdp as sdp_mod
 from oscat.normlab.sdp import SdpResult
 from oscat.supop import SuperOp, conjugation, identity_map, trace_map, transpose_map, zero_map
 
@@ -196,48 +197,81 @@ class TestDualLevelNorms:
         assert abs(dual_level_norm(trans, (2,), 2).mid - 2.0) <= 1e-4
 
 
+def _unit(n, i, j):
+    return np.outer(np.eye(n)[i], np.eye(n)[j]).ravel()
+
+
 class TestHaagerup:
     def test_elementary_unitaries(self, rng):
         u, v = rand_unitary(rng, 2), rand_unitary(rng, 2)
-        br = haagerup_bracket_flat(
-            elem_coords(u.ravel(), v.ravel()), 1, F2, F2, rng=np.random.default_rng(0)
-        )
+        br = haagerup_bracket_flat(elem_coords(u.ravel(), v.ravel()), 1, F2, F2)
+        assert br.status == "exact"
         assert br.upper <= 1 + 1e-6 and br.lower >= 1 - 1e-6
+
+    @pytest.mark.parametrize("shapes", [((2, 2), (2, 2)), ((3, 3), (3, 3)), ((2, 3), (3, 2))])
+    def test_elementary_is_product_of_norms(self, rng, shapes):
+        (n1, m1), (n2, m2) = shapes
+        a, b = rand_complex(rng, n1, m1), rand_complex(rng, n2, m2)
+        fa, fb = FlatSpace.base(n1, m1), FlatSpace.base(n2, m2)
+        br = haagerup_bracket_flat(elem_coords(a.ravel(), b.ravel()), 1, fa, fb)
+        want = op_norm(a) * op_norm(b)
+        assert br.status == "exact"
+        assert abs(br.lower - want) <= 1e-7 * want and abs(br.upper - want) <= 1e-7 * want
 
     def test_row_column_factorization(self):
         # Σ_k e_k1 ⊗ e_1k: ‖x‖ = ‖y‖ = 1 for the row×column split
-        n = 2
-        v = sum(
-            elem_coords(
-                np.outer(np.eye(n)[k], np.eye(n)[0]).ravel(),
-                np.outer(np.eye(n)[0], np.eye(n)[k]).ravel(),
-            )
-            for k in range(n)
-        )
-        br = haagerup_bracket_flat(v, 1, F2, F2, rng=np.random.default_rng(1))
-        assert br.upper <= 1 + 1e-6
-        assert br.lower >= 1 - 1e-6
+        for n in (2, 3):
+            fn = FlatSpace.base(n)
+            v = sum(elem_coords(_unit(n, k, 0), _unit(n, 0, k)) for k in range(n))
+            br = haagerup_bracket_flat(v, 1, fn, fn)
+            assert br.status == "exact"
+            assert br.upper <= 1 + 1e-6
+            assert br.lower >= 1 - 1e-6
 
     def test_swapped_version_is_n(self):
         # γv = Σ_k e_1k ⊗ e_k1 has Haagerup norm n (multiplication witness)
-        n = 2
-        v = sum(
-            elem_coords(
-                np.outer(np.eye(n)[0], np.eye(n)[k]).ravel(),
-                np.outer(np.eye(n)[k], np.eye(n)[0]).ravel(),
-            )
-            for k in range(n)
-        )
-        br = haagerup_bracket_flat(v, 1, F2, F2, rng=np.random.default_rng(2))
-        assert br.lower >= n - 1e-6 and br.upper <= n + 1e-6
+        for n in (2, 3):
+            fn = FlatSpace.base(n)
+            v = sum(elem_coords(_unit(n, 0, k), _unit(n, k, 0)) for k in range(n))
+            br = haagerup_bracket_flat(v, 1, fn, fn)
+            assert br.status == "exact"
+            assert br.lower >= n - 1e-6 and br.upper <= n + 1e-6
+
+    def test_level2_corner_is_level1_norm(self, rng):
+        w = rand_complex(rng, 1, 16).ravel()
+        v = np.zeros((2, 2, 16), dtype=complex)
+        v[0, 0] = w
+        b1 = haagerup_bracket_flat(w, 1, F2, F2)
+        b2 = haagerup_bracket_flat(v, 2, F2, F2)
+        assert b1.status == b2.status == "exact"
+        assert abs(b2.mid - b1.mid) <= 1e-6 * b1.mid
 
     def test_zero(self):
         br = haagerup_bracket_flat(np.zeros(16), 1, F2, F2)
         assert br.status == "exact" and br.upper == 0.0
 
-    def test_factorization_witness_reconstructs(self, rng):
+    def _capped(self, monkeypatch, v, k):
+        # the SDP refuses the problem before anything is solved or allocated
+        def no_solve(*a, **kw):
+            raise AssertionError("SDP solved above the size cap")
+
+        monkeypatch.setattr(sdp_mod, "MAX_PSD_DIM", 4)
+        monkeypatch.setattr(diamond_mod, "sdp_solve", no_solve)
+        return haagerup_bracket_flat(v, k, F2, F2)
+
+    def test_size_cap_fallback_contains_sdp_value(self, monkeypatch, rng):
+        for k in (1, 2):
+            v = rand_complex(rng, 1, k * k * 16).ravel().reshape(k, k, 16)
+            exact = haagerup_bracket_flat(v, k, F2, F2)
+            with monkeypatch.context() as mp:
+                br = self._capped(mp, v, k)
+            assert br.witnesses["reason"] == "sdp size cap"
+            assert br.status != "unknown"
+            assert br.lower <= exact.lower + 1e-9 and exact.upper <= br.upper + 1e-9
+
+    def test_factorization_witness_reconstructs(self, monkeypatch, rng):
         w = rand_complex(rng, 1, 16).ravel()
-        br = haagerup_bracket_flat(w, 1, F2, F2, rng=np.random.default_rng(3))
+        br = self._capped(monkeypatch, w, 1)
         x, y = br.witnesses["x"], br.witnesses["y"]
         rebuilt = np.einsum("ila,ljb->ijab", x, y).reshape(1, 1, 16)
         assert np.allclose(rebuilt.ravel(), w, atol=1e-10)
@@ -252,10 +286,11 @@ class TestOrdering:
             k = 1 + trial % 2
             w = rand_complex(rng, 1, k * k * 16).ravel().reshape(k, k, 16)
             bi = inj_norm_flat(w, k, F2, F2)
-            bh = haagerup_bracket_flat(w, k, F2, F2, rng=np.random.default_rng(trial))
+            bh = haagerup_bracket_flat(w, k, F2, F2)
             bp = proj_bracket_flat(w, k, F2, F2, rng=np.random.default_rng(trial))
-            assert bi.upper <= bh.upper + 1e-6
-            assert bh.lower <= bp.upper + 1e-6
+            assert bh.status == "exact"
+            assert bi.upper <= bh.lower + 1e-6
+            assert bh.upper <= bp.upper + 1e-6
             assert bi.mid <= bp.upper + 1e-6
 
     def test_inj_exact_on_elementary(self, rng):

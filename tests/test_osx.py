@@ -179,18 +179,20 @@ class TestNormAt:
         osx._NORM_CACHE.clear()
 
     def test_norm_cache_keyed_on_caps(self):
-        # a low-caps bracket must not be served to a later default-caps call
+        # a low-caps entry must not be served to a later default-caps call:
+        # the cache is keyed on the whole RunConfig, caps included
         rng = np.random.default_rng(0)
         coords = rng.standard_normal((2, 2, 16)) + 1j * rng.standard_normal((2, 2, 16))
         el = SpaceElement(tens_h(M(2), M(2)), 2, coords)
-        low_caps = BracketCaps(restarts=1, sweeps=2, witnesses=4, ascent_steps=2)
+        low_caps = BracketCaps(witnesses=4, ascent_steps=2)
         osx._NORM_CACHE.clear()
         low = norm_at(el, RunConfig(caps=low_caps))
         after = norm_at(el, RunConfig())
+        assert len(osx._NORM_CACHE) == 2
+        assert after is not low
         osx._NORM_CACHE.clear()
         fresh = norm_at(el, RunConfig())
         assert (after.lower, after.upper) == (fresh.lower, fresh.upper)
-        assert after.lower > low.lower + 0.5
 
 
 class TestFlatRealization:
