@@ -161,11 +161,11 @@ def criterion_4(config: RunConfig) -> AcceptanceResult:
     worst_c = 0.0
     for shape in _SHAPES4:
         alg = make_algebra(shape)
-        rep = check_laws(alg, sample_count=100, tol=1e-9, rng=config.rng(salt=41))
+        rep = check_laws(alg, tol=1e-9)
         exact_ok &= rep.passed
         worst_c = max(worst_c, rep.details.get("cstar_worst", 0.0))
         co = make_coalgebra(shape)
-        rep = check_laws(co, sample_count=100, tol=1e-9, rng=config.rng(salt=42))
+        rep = check_laws(co, tol=1e-9)
         exact_ok &= rep.passed
         worst_c = max(worst_c, rep.details.get("co_cstar_worst", 0.0))
     missed = 0
@@ -178,7 +178,7 @@ def criterion_4(config: RunConfig) -> AcceptanceResult:
                 total += 1
                 bad = replace(alg, mult_mat=alg.mult_mat.copy())
                 bad.mult_mat[r, c] += 1e-3
-                if check_laws(bad, sample_count=3, rng=config.rng(salt=43)).passed:
+                if check_laws(bad).passed:
                     missed += 1
         co = make_coalgebra(shape)
         for r in range(d * d):
@@ -186,7 +186,7 @@ def criterion_4(config: RunConfig) -> AcceptanceResult:
                 total += 1
                 bad = replace(co, comult_mat=co.comult_mat.copy())
                 bad.comult_mat[r, c] += 1e-3
-                if check_laws(bad, sample_count=3, rng=config.rng(salt=44)).passed:
+                if check_laws(bad).passed:
                     missed += 1
     ok = exact_ok and missed == 0
     return AcceptanceResult(

@@ -645,11 +645,11 @@ def run_session(ast: SessionAst, config: RunConfig | None = None) -> Report:
     config = config or RunConfig()
     env = _Env(config)
     records: list[Record] = []
-    for idx, st in enumerate(ast.statements):
+    for st in ast.statements:
         text = format_session(SessionAst((st,))).strip()
         t0 = time.perf_counter()
         try:
-            recs = _execute(env, st, config, idx)
+            recs = _execute(env, st, config)
         except (OscatError, ValueError, np.linalg.LinAlgError) as exc:
             recs = [Record(text, "fail", detail={"error": str(exc)})]
         except MemoryError as exc:
@@ -664,7 +664,7 @@ def run_session(ast: SessionAst, config: RunConfig | None = None) -> Report:
     )
 
 
-def _execute(env: _Env, st: Statement, config: RunConfig, idx: int) -> list[Record]:
+def _execute(env: _Env, st: Statement, config: RunConfig) -> list[Record]:
     text = format_session(SessionAst((st,))).strip()
     if st.kind == "space":
         expr = parse_space(st.get("text"), names=env.spaces)
@@ -689,7 +689,7 @@ def _execute(env: _Env, st: Statement, config: RunConfig, idx: int) -> list[Reco
     if st.kind == "demo":
         return _run_demo(env, st, text, config)
     if st.kind == "assert":
-        return [_run_assert(env, st, text, config, idx)]
+        return [_run_assert(env, st, text, config)]
     raise OscatError(f"unknown statement kind {st.kind}")
 
 
@@ -773,7 +773,7 @@ def _run_demo(env: _Env, st: Statement, text: str, config: RunConfig) -> list[Re
     return out
 
 
-def _run_assert(env: _Env, st: Statement, text: str, config: RunConfig, idx: int) -> Record:
+def _run_assert(env: _Env, st: Statement, text: str, config: RunConfig) -> Record:
     name = st.get("name")
     if name in env.algs:
         target = env.algs[name]
@@ -781,7 +781,7 @@ def _run_assert(env: _Env, st: Statement, text: str, config: RunConfig, idx: int
         target = env.coalgs[name]
     else:
         raise OscatError(f"undefined name {name!r}")
-    rep = check_laws(target, sample_count=50, tol=config.tol, rng=config.rng(salt=idx))
+    rep = check_laws(target, tol=config.tol)
     detail = {"failures": [nm for nm, _ in rep.failures]}
     return Record(text, "pass" if rep.passed else "fail", detail=detail)
 

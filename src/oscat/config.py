@@ -6,7 +6,7 @@ are exact SDPs and take neither.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,6 +34,3 @@ class RunConfig:
 
     def rng(self, salt: int = 0) -> np.random.Generator:
         return np.random.default_rng((self.seed, salt))
-
-    def with_seed(self, seed: int) -> "RunConfig":
-        return replace(self, seed=seed)

@@ -8,6 +8,7 @@ delegated to LAPACK through numpy.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -141,8 +142,7 @@ def axis_perm(dims, order) -> np.ndarray:
     matrix when a dense one is needed.
     """
     dims = tuple(int(k) for k in dims)
-    n = int(np.prod(dims, dtype=np.int64))
-    return np.arange(n).reshape(dims).transpose(order).ravel()
+    return np.arange(math.prod(dims)).reshape(dims).transpose(order).ravel()
 
 
 @dataclass(frozen=True)
@@ -192,10 +192,6 @@ class BlockMatrix:
         if not self.blocks:
             return np.zeros(0, dtype=np.complex128)
         return np.concatenate([b.ravel() for b in self.blocks])
-
-    def to_dense(self) -> np.ndarray:
-        """Block-diagonal embedding into M_{sum k_i}."""
-        return direct_sum(*self.blocks) if self.blocks else np.zeros((0, 0), complex)
 
     def op_norm(self) -> float:
         """max over blocks (axiom (M1) for direct sums)."""

@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import ShapeMismatchError, UnsupportedSpaceError
-from .matcore import BlockMatrix, axis_perm
+from .matcore import axis_perm
 from .normlab.brackets import (
     FlatSpace,
     NormBracket,
@@ -468,10 +468,6 @@ def algebra_space(shape) -> SpaceExpr:
 def coalgebra_space(shape) -> SpaceExpr:
     """⊕₁ T_{k_i}, normalized as the dual of the algebra carrier."""
     return normalize_space(dual(algebra_space(shape)))
-
-
-def element_from_blocks(space: SpaceExpr, b: BlockMatrix, level: int = 1) -> SpaceElement:
-    return SpaceElement(space, level, b.to_vector())
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ import pytest
 
 from conftest import random_cptp, random_superop
 from oscat.errors import SizeLimitError
-from oscat.matcore import BlockMatrix, rand_complex, rand_unitary
+from oscat.matcore import BlockMatrix, rand_complex, rand_hermitian, rand_unitary
 from oscat.supop import SuperOp, conjugation, depolarizing, identity_map, transpose_map
 from oscat.vnstruct import (
+    VnAlgebra,
     abstract_positive_functional,
     certify_morphism,
     check_laws,
@@ -27,6 +28,63 @@ from oscat.vnstruct import (
 )
 
 SHAPES = ([1], [2], [3], [2, 1], [2, 2])
+
+
+def _structure(shape, product, star, unit_blocks) -> VnAlgebra:
+    """Algebra whose tensors are read off blockwise formulas, one basis pair at a time.
+
+    product(x, y) and star(x) act on lists of blocks; i(e_a) = P[:, a] since
+    the basis is real.
+    """
+    d = sum(k * k for k in shape)
+    basis = [BlockMatrix.from_vector(e, shape).blocks for e in np.eye(d)]
+    mult = np.array(
+        [BlockMatrix(product(x, y)).to_vector() for x in basis for y in basis]
+    ).T
+    inv = np.array([BlockMatrix(star(x)).to_vector() for x in basis]).T
+    return VnAlgebra(tuple(shape), BlockMatrix(unit_blocks).to_vector(), mult, inv)
+
+
+def _unitary_twist(shape, rng, anti=None) -> VnAlgebra:
+    """C*-algebra: unit u, x·u*·y (or y·u*·x on anti blocks), involution u·x*·u."""
+    us = [rand_unitary(rng, k) for k in shape]
+    anti = [i % 2 == 1 for i in range(len(shape))] if anti is None else anti
+
+    def product(x, y):
+        return [b @ u.conj().T @ a if f else a @ u.conj().T @ b for a, b, u, f in zip(x, y, us, anti)]
+
+    return _structure(shape, product, lambda x: [u @ a.conj().T @ u for a, u in zip(x, us)], us)
+
+
+def _positive_twist(shape, rng) -> VnAlgebra:
+    """*-algebra x·a·y, unit a⁻¹, involution a⁻¹·x*·a, a ≻ I: not C*."""
+    aa = []
+    for k in shape:
+        g = rand_complex(rng, k)
+        aa.append(g @ g.conj().T + np.eye(k))
+    ai = [np.linalg.inv(a) for a in aa]
+
+    def product(x, y):
+        return [p @ a @ q for p, q, a in zip(x, y, aa)]
+
+    return _structure(shape, product, lambda x: [b @ p.conj().T @ a for p, a, b in zip(x, aa, ai)], ai)
+
+
+def _involution_twist(shape, rng) -> VnAlgebra:
+    """⊕M_k with involution h·x*·h⁻¹, h Hermitian and invertible: not C* unless h is scalar."""
+    hs = [rand_hermitian(rng, k) + 3 * np.eye(k) for k in shape]
+
+    def product(x, y):
+        return [p @ q for p, q in zip(x, y)]
+
+    def star(x):
+        return [h @ p.conj().T @ np.linalg.inv(h) for p, h in zip(x, hs)]
+
+    return _structure(shape, product, star, [np.eye(k) for k in shape])
+
+
+def _cstar_defect(alg: VnAlgebra, x: BlockMatrix) -> float:
+    return abs(alg.multiply(alg.involute(x), x).op_norm() - x.op_norm() ** 2)
 
 
 class TestConstruction:
@@ -97,32 +155,32 @@ class TestConstruction:
 
 class TestLaws:
     @pytest.mark.parametrize("shape", SHAPES)
-    def test_algebra_laws(self, shape, rng):
-        rep = check_laws(make_algebra(shape), sample_count=50, rng=rng)
+    def test_algebra_laws(self, shape):
+        rep = check_laws(make_algebra(shape))
         assert rep.passed, rep.failures
 
     @pytest.mark.parametrize("shape", SHAPES)
-    def test_coalgebra_laws(self, shape, rng):
-        rep = check_laws(make_coalgebra(shape), sample_count=50, rng=rng)
+    def test_coalgebra_laws(self, shape):
+        rep = check_laws(make_coalgebra(shape))
         assert rep.passed, rep.failures
 
     def test_laws_at_m6(self):
         assert check_laws(make_algebra([6])).passed
         assert check_laws(make_coalgebra([6])).passed
 
-    def test_mutated_comult_flagged(self, rng):
+    def test_mutated_comult_flagged(self):
         co = make_coalgebra([2])
         bad = replace(co, comult_mat=co.comult_mat.copy())
         bad.comult_mat[3, 1] += 1e-3
-        rep = check_laws(bad, sample_count=5, rng=rng)
+        rep = check_laws(bad)
         assert not rep.passed
         assert any("coassociativity" == f[0] for f in rep.failures)
 
-    def test_mutated_mult_flagged(self, rng):
+    def test_mutated_mult_flagged(self):
         alg = make_algebra([2])
         bad = replace(alg, mult_mat=alg.mult_mat.copy())
         bad.mult_mat[2, 9] += 1e-3
-        assert not check_laws(bad, sample_count=5, rng=rng).passed
+        assert not check_laws(bad).passed
 
     def test_associativity_errors_match_whole_tensor(self, rng):
         # the slice-by-slice check reports the max-abs error of the d⁴ identity
@@ -138,29 +196,90 @@ class TestLaws:
         ref_c = np.abs(
             np.einsum("ijx,xka->ijka", dv, dv) - np.einsum("jkx,ixa->ijka", dv, dv)
         ).max()
-        got_a = dict(check_laws(bad_a, sample_count=2, rng=rng).failures)["associativity"]
-        got_c = dict(check_laws(bad_c, sample_count=2, rng=rng).failures)["coassociativity"]
+        got_a = dict(check_laws(bad_a).failures)["associativity"]
+        got_c = dict(check_laws(bad_c).failures)["coassociativity"]
         assert got_a == pytest.approx(ref_a, rel=1e-12)
         assert got_c == pytest.approx(ref_c, rel=1e-12)
 
-    def test_mutated_involution_flagged(self, rng):
+    def test_mutated_involution_flagged(self):
         alg = make_algebra([2])
         bad = replace(alg, inv_mat=alg.inv_mat.copy())
         bad.inv_mat[0, 3] += 1e-3
-        assert not check_laws(bad, sample_count=5, rng=rng).passed
+        assert not check_laws(bad).passed
+
+
+class TestCstarDecision:
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_unitary_twists_pass(self, shape, rng):
+        # mixed homomorphism/anti-homomorphism blocks, and the opposite algebra
+        for alg in (_unitary_twist(shape, rng), _unitary_twist(shape, rng, [True] * len(shape))):
+            rep = check_laws(alg)
+            assert rep.passed, rep.failures
+            assert rep.details["cstar_worst"] <= 1e-12
+            co_rep = check_laws(dualize(alg))
+            assert co_rep.passed, co_rep.failures
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_positive_twist_fails_only_cstar(self, shape, rng):
+        alg = _positive_twist(shape, rng)
+        rep = check_laws(alg)
+        assert [name for name, _ in rep.failures] == ["cstar_identity"]
+        x, defect = rep.details["cstar_witness"], rep.details["cstar_witness_defect"]
+        assert defect > 1e-9
+        assert _cstar_defect(alg, x) == pytest.approx(defect, rel=1e-9)
+        co_rep = check_laws(dualize(alg))
+        assert [name for name, _ in co_rep.failures] == ["co_cstar_identity"]
+        assert co_rep.details["co_cstar_witness_defect"] > 1e-9
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_involution_twist_fails_only_cstar(self, shape, rng):
+        alg = _involution_twist(shape, rng)
+        rep, co_rep = check_laws(alg), check_laws(dualize(alg))
+        if max(shape) == 1:
+            # a 1×1 Hermitian h is a real scalar, so h·x*·h⁻¹ = x*
+            assert rep.passed and co_rep.passed
+            return
+        assert [name for name, _ in rep.failures] == ["cstar_identity"]
+        x, defect = rep.details["cstar_witness"], rep.details["cstar_witness_defect"]
+        assert defect > 1e-9
+        assert _cstar_defect(alg, x) == pytest.approx(defect, rel=1e-9)
+        assert [name for name, _ in co_rep.failures] == ["co_cstar_identity"]
+        assert co_rep.details["co_cstar_witness_defect"] > 1e-9
+
+    def test_exact_law_failure_carries_no_witness(self):
+        alg = make_algebra([2])
+        bad = replace(alg, mult_mat=alg.mult_mat.copy())
+        bad.mult_mat[2, 9] += 1e-3
+        rep = check_laws(bad)
+        assert "cstar_identity" in dict(rep.failures)
+        assert "cstar_witness" not in rep.details
 
 
 class TestDuality:
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_dualize_transports_twisted_involution(self, shape, rng):
+        # the dual involution is Q = t·Pᴴ·t; copying P breaks (ab)* = b*a* on the dual
+        alg = _unitary_twist(shape, rng)
+        co = dualize(alg)
+        assert check_laws(co).passed
+        t = _transpose_idx(shape)
+        assert np.array_equal(co.inv_mat, alg.inv_mat.conj().T[np.ix_(t, t)])
+        if max(shape) > 1:
+            copied = replace(co, inv_mat=alg.inv_mat)
+            assert "reverse_comultiplicativity" in dict(check_laws(copied).failures)
+
     @pytest.mark.parametrize("shape", SHAPES)
     def test_dualize_algebra_gives_canonical_coalgebra(self, shape):
         co = dualize(make_algebra(shape))
         canon = make_coalgebra(shape)
         assert np.allclose(co.comult_mat, canon.comult_mat)
         assert np.allclose(co.counit_vec, canon.counit_vec)
-        assert np.allclose(co.inv_mat, canon.inv_mat)
+        # the involution transport t·Pᴴ·t is bit-exact on canonical structures
+        assert np.array_equal(co.inv_mat, canon.inv_mat)
+        assert np.array_equal(dualize(canon).inv_mat, make_algebra(shape).inv_mat)
 
     @pytest.mark.parametrize("shape", SHAPES)
-    def test_double_dual_identity(self, shape):
+    def test_double_dual_identity(self, shape, rng):
         alg = make_algebra(shape)
         rt = dualize(dualize(alg))
         assert np.array_equal(rt.mult_mat, alg.mult_mat)
@@ -168,6 +287,10 @@ class TestDuality:
         co = make_coalgebra(shape)
         rt = dualize(dualize(co))
         assert np.array_equal(rt.comult_mat, co.comult_mat)
+        # a twisted involution round-trips exactly too
+        twisted = _unitary_twist(shape, rng)
+        assert np.array_equal(dualize(dualize(twisted)).inv_mat, twisted.inv_mat)
+        assert np.array_equal(dualize(dualize(dualize(twisted))).inv_mat, dualize(twisted).inv_mat)
 
     def test_delta_is_mu_star(self):
         # ⟨δ(f), x ⊗ y⟩ = ⟨f, x·y⟩ for all basis triples via tr(e_ij ab)
@@ -426,9 +549,9 @@ class TestTensorStructures:
         assert np.allclose(mult_t @ np.kron(unit_t.reshape(d, 1), eye), eye)
 
     @pytest.mark.parametrize("shapes", [([2], [2]), ([2], [3]), ([2, 1], [2])])
-    def test_tensor_and_sums_pass_laws(self, shapes, rng):
+    def test_tensor_and_sums_pass_laws(self, shapes):
         sa, sb = shapes
-        assert check_laws(tensor_algebra(make_algebra(sa), make_algebra(sb)), 30, rng=rng).passed
-        assert check_laws(direct_sum_algebra(make_algebra(sa), make_algebra(sb)), 30, rng=rng).passed
-        assert check_laws(tensor_coalgebra(make_coalgebra(sa), make_coalgebra(sb)), 30, rng=rng).passed
-        assert check_laws(direct_sum_coalgebra(make_coalgebra(sa), make_coalgebra(sb)), 30, rng=rng).passed
+        assert check_laws(tensor_algebra(make_algebra(sa), make_algebra(sb))).passed
+        assert check_laws(direct_sum_algebra(make_algebra(sa), make_algebra(sb))).passed
+        assert check_laws(tensor_coalgebra(make_coalgebra(sa), make_coalgebra(sb))).passed
+        assert check_laws(direct_sum_coalgebra(make_coalgebra(sa), make_coalgebra(sb))).passed
