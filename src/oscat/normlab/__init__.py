@@ -1,5 +1,5 @@
 """Numerical-optimization core: sparse SDP solver and norm brackets."""
-from .sdp import SdpProblem, SdpResult, sdp_solve, lmi_triples, real_embed_herm, HermBasis
+from .sdp import SdpProblem, SdpResult, sdp_solve, lmi_triples, HermBasis
 from .diamond import (
     diamond_norm,
     cb_norm,
@@ -47,7 +47,6 @@ __all__ = [
     "SdpResult",
     "sdp_solve",
     "lmi_triples",
-    "real_embed_herm",
     "HermBasis",
     "diamond_norm",
     "cb_norm",

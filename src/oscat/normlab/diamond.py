@@ -55,28 +55,16 @@ def functional_norm(rep: BlockMatrix, picture: str) -> float:
     raise ValueError(f"unknown picture {picture!r}")
 
 
-def _embed_triples(con, row, col, val, dim_c: int) -> np.ndarray:
-    """LMI triples of real_embed_herm(B) from complex triples of B (dim_c × dim_c)."""
-    re_, im_ = val.real, val.imag
-    tri = (
-        np.concatenate([con] * 4),
-        np.concatenate([row, row + dim_c, row + dim_c, row]),
-        np.concatenate([col, col + dim_c, col, col + dim_c]),
-        np.concatenate([re_, re_, im_, -im_]),
-    )
-    keep = tri[3] != 0
-    return lmi_triples(*(a[keep] for a in tri))
-
-
 def _diamond_sdp(J: np.ndarray, K: int, L: int, rel_gap: float) -> NormBracket:
     """max Re tr(J†X) s.t. [[1_L⊗ρ0, X], [X†, 1_L⊗ρ1]] ⪰ 0, tr ρ = 1.
 
     For Hermitian J the optimum is attained with ρ0 = ρ1 and X Hermitian
     (feasible points symmetrize without changing the objective), which halves
-    the variable count.  The LMI is built directly as triples from the index
-    arrays of `HermBasis`.  A solver failure or a certificate whose dual value
-    crosses its primal value beyond rounding gives `unknown`, with the reason
-    in the witnesses.
+    the variable count.  The LMI is one complex Hermitian block of size 2·L·K,
+    built directly as complex triples from the index arrays of `HermBasis`
+    and handed to the SDP core as it is.  A solver failure or a certificate
+    whose dual value crosses its primal value beyond rounding gives
+    `unknown`, with the reason in the witnesses.
     """
     d = L * K
     herm = bool(np.allclose(J, J.conj().T, atol=1e-13, rtol=0.0))
@@ -131,8 +119,8 @@ def _diamond_sdp(J: np.ndarray, K: int, L: int, rel_gap: float) -> NormBracket:
     con, row, col, val = (np.concatenate(f) for f in zip(*parts))
     prob = SdpProblem(
         c=c,
-        f0=[np.zeros((2 * dim_c, 2 * dim_c))],
-        fs=[_embed_triples(con, row, col, val, dim_c)],
+        f0=[np.zeros((dim_c, dim_c))],
+        fs=[lmi_triples(con, row, col, val)],
         eq_a=eq_a,
         eq_b=eq_b,
         slater=slater,

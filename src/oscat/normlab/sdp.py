@@ -1,17 +1,23 @@
 """Self-contained primal-dual SDP solver on sparse LMI data (HKM predictor–corrector).
 
-Problems are stated in inequality (LMI) form over real symmetric blocks:
+Problems are stated in inequality (LMI) form over complex Hermitian blocks,
+with real variables y:
 
     minimize    c·y
     subject to  S_b(y) = F0_b + Σ_i y_i Fi_b  ⪰ 0   for every block b,
                 A y = b_eq                          (optional equalities)
 
 Every Fi_b is held as the (constraint, row, col, value) triples of its
-nonzeros (`lmi_triples`); a dense (m, nb, nb) stack is accepted and converted
-once.  S(y) is assembled by scatter-add, and the Newton matrix
-M_ij = tr(Fᵢ Z Fⱼ S⁻¹) is formed by one scatter, one GEMM and a gather over
-the triples (Fujisawa–Kojima–Nakata, Math. Prog. 79, 1997).  Equalities are
-eliminated on the triples by an affine reparameterization (one SVD).
+nonzeros, with complex values (`lmi_triples`); a dense (m, nb, nb) stack is
+accepted and converted once.  Only the Hermitian part of each Fi_b counts.
+There is one code path: a real symmetric Fi_b is the special case of zero
+imaginary parts, and Hermitian data is never doubled through the real
+embedding [[A, −B], [B, A]].  S(y) is assembled by scatter-add, and the Newton
+matrix M_ij = Re tr(Fᵢ Z Fⱼ S⁻¹) is formed by a scatter, a complex GEMM and a
+gather over the triples (Fujisawa–Kojima–Nakata, Math. Prog. 79, 1997), over
+slabs of constraints i so that each (nb, nb, slab) array stays within a
+fixed byte budget.  Every inner product ⟨S, Z⟩ is Re tr(S·Z).  Equalities
+are eliminated on the triples by an affine reparameterization (one SVD).
 
 The solve is the HKM primal–dual predictor–corrector (Helmberg–Rendl–
 Vanderbei–Wolkowicz, SIAM J. Optim. 6, 1996) with Mehrotra's σ = (μₐ/μ)³
@@ -27,8 +33,8 @@ tr(Fᵢ·Z_c) = cᵢ exactly in exact arithmetic; the barrier-metric correction 
 μS⁻¹ is the fallback.  Z_c is accepted when the equality residual is below
 1e-9 (relative) and λ_min(Z_c) ≥ −1e-14·scale.  The duality gap is therefore
 a two-sided bound up to those floating-point tolerances; they are not yet
-charged against the bound.  Complex Hermitian data enters through
-`real_embed_herm` (dense) or the index arrays of `HermBasis` (triples).
+charged against the bound.  `HermBasis` gives the index arrays of the real
+parameterization of a Hermitian matrix, from which triples are built.
 """
 from __future__ import annotations
 
@@ -38,10 +44,14 @@ import numpy as np
 
 from ..errors import ShapeMismatchError, SizeLimitError
 
-MAX_PSD_DIM = 512
+# cap on the summed (complex) size of the LMI blocks
+MAX_PSD_DIM = 256
 
 # one nonzero Fᵢ[row, col] = val of an LMI block, i = con
-LMI_TRIPLE = np.dtype([("con", np.int32), ("row", np.int32), ("col", np.int32), ("val", np.float64)])
+LMI_TRIPLE = np.dtype([("con", np.int32), ("row", np.int32), ("col", np.int32), ("val", np.complex128)])
+
+# complex entries of each (nb, nb, slab) array of the Newton formation (32 MiB)
+_SLAB_ENTRIES = 1 << 21
 
 
 def lmi_triples(con, row, col, val) -> np.ndarray:
@@ -49,15 +59,6 @@ def lmi_triples(con, row, col, val) -> np.ndarray:
     out = np.empty(np.size(val), dtype=LMI_TRIPLE)
     out["con"], out["row"], out["col"], out["val"] = con, row, col, val
     return out
-
-
-def real_embed_herm(h: np.ndarray) -> np.ndarray:
-    """Complex Hermitian (or general) H = A+iB ↦ [[A, -B], [B, A]].
-
-    For Hermitian H the image is symmetric with the same spectrum, doubled.
-    """
-    a, b = h.real, h.imag
-    return np.block([[a, -b], [b, a]])
 
 
 class HermBasis:
@@ -99,6 +100,24 @@ class HermBasis:
         )
 
 
+def _csum(idx, w, size) -> np.ndarray:
+    """Sums of the complex weights w per index (np.bincount takes real weights only)."""
+    out = np.empty(size, dtype=np.complex128)
+    out.real = np.bincount(idx, weights=w.real, minlength=size)
+    out.imag = np.bincount(idx, weights=w.imag, minlength=size)
+    return out
+
+
+def _herm(x):
+    """The Hermitian part (X + Xᴴ)/2; its mirror entries are bit-exact conjugates."""
+    return (x + x.conj().T) * 0.5
+
+
+def _re_tr(a, b) -> float:
+    """Re tr(A·B) for Hermitian A, B, as Re Σ conj(Aᵢⱼ)·Bᵢⱼ."""
+    return float(np.vdot(a, b).real)
+
+
 def _by_length(starts, size):
     """Group contiguous runs (first indices `starts` in a sequence of `size`) by length.
 
@@ -114,19 +133,22 @@ def _by_length(starts, size):
 
 
 class _Block:
-    """One LMI block: size n, dense F0, and F1..Fm as canonical triples.
+    """One LMI block: size n, dense Hermitian F0, and F1..Fm as canonical triples.
 
-    Only the symmetric part of each Fᵢ enters S(y) ⪰ 0, so the triples are
-    symmetrized (mirror entries bit-equal, hence S(y) is exactly symmetric),
-    duplicates are summed, zeros dropped, and the rest sorted by
+    Only the Hermitian part of each Fᵢ enters S(y) ⪰ 0, so the triples are
+    symmetrized by Hermitian mirror: (r, c, v) gets the partner (c, r, v̄), and
+    mirror entries are bit-exact conjugates, hence S(y) is exactly Hermitian.
+    Duplicates are summed, zeros dropped, and the rest sorted by
     (con, row, col), which makes every (con, row) run and every con run
-    contiguous.
+    contiguous.  The Newton matrix is formed over `slabs` of constraints,
+    each holding its (con, row) runs grouped by length.
     """
 
     def __init__(self, f0, m, con, row, col, val):
+        f0 = np.asarray(f0, dtype=np.complex128)
         n = f0.shape[0]
         con, row, col = (np.asarray(a, dtype=np.intp).ravel() for a in (con, row, col))
-        val = np.asarray(val, dtype=np.float64).ravel()
+        val = np.asarray(val, dtype=np.complex128).ravel()
         if not con.size == row.size == col.size == val.size:
             raise ShapeMismatchError("LMI triple arrays differ in length")
         if con.size and (
@@ -137,20 +159,31 @@ class _Block:
         keys, inv = np.unique(
             np.concatenate([con * nn + row * n + col, con * nn + col * n + row]), return_inverse=True
         )
-        v = np.bincount(inv, weights=np.concatenate([val, val]) * 0.5, minlength=keys.size)
+        v = _csum(inv, np.concatenate([val, val.conj()]) * 0.5, keys.size)
         con, rc = np.divmod(keys, nn)
         row, col = np.divmod(rc, max(n, 1))
-        v = (v + v[np.searchsorted(keys, con * nn + col * n + row)]) * 0.5
+        v = (v + v[np.searchsorted(keys, con * nn + col * n + row)].conj()) * 0.5
         keep = v != 0
-        self.n, self.m, self.f0 = n, m, (f0 + f0.T) * 0.5
+        self.n, self.m, self.f0 = n, m, _herm(f0)
         self.con, self.row, self.col, self.val = con[keep], row[keep], col[keep], v[keep]
         self.flat = self.row * n + self.col
-        # (con, row) runs and con runs, grouped by length for the Schur sums
+        self.tflat = self.col * n + self.row
+        # slabs [lo, hi) of constraints with their (con, row) runs grouped by
+        # length (slab-local con), and con runs grouped by length: the Schur sums
         run = np.flatnonzero(np.diff(self.con * n + self.row, prepend=-1))
-        self.run_groups = [
-            (self.con[run[sel]], self.row[run[sel]], self.val[idx], self.col[idx])
-            for sel, idx in _by_length(run, self.val.size)
-        ]
+        run_con = self.con[run]
+        chunk = max(1, _SLAB_ENTRIES // max(n * n, 1))
+        self.slabs = []
+        for lo in range(0, m, chunk):
+            hi = min(m, lo + chunk)
+            a, b = np.searchsorted(run_con, [lo, hi])
+            end = run[b] if b < run.size else self.val.size
+            starts = run[a:b]
+            groups = [
+                (self.con[starts[sel]] - lo, self.row[starts[sel]], self.val[idx], self.col[idx])
+                for sel, idx in _by_length(starts, end)
+            ]
+            self.slabs.append((lo, hi, groups))
         cons = np.flatnonzero(np.diff(self.con, prepend=-1))
         self.con_groups = [
             (self.con[cons[sel]], self.val[idx], self.col[idx], self.row[idx])
@@ -158,30 +191,35 @@ class _Block:
         ]
 
     def lin(self, w) -> np.ndarray:
-        """Σᵢ wᵢ Fᵢ."""
+        """Σᵢ wᵢ Fᵢ for real w."""
         n = self.n
-        return np.bincount(self.flat, weights=w[self.con] * self.val, minlength=n * n).reshape(n, n)
+        return _csum(self.flat, w[self.con] * self.val, n * n).reshape(n, n)
 
     def s(self, y) -> np.ndarray:
         """S(y) = F0 + Σᵢ yᵢ Fᵢ."""
         return self.f0 + self.lin(y)
 
     def traces(self, z) -> np.ndarray:
-        """tr(Fᵢ Z) for every i; Fᵢ is symmetric, so Z need not be."""
-        return np.bincount(self.con, weights=self.val * z.ravel()[self.flat], minlength=self.m)
+        """Re tr(Fᵢ Z) = Re Σ v·Z[c, r] over the triples (r, c, v) of each i; Z need not be Hermitian."""
+        return np.bincount(self.con, weights=(self.val * z.ravel()[self.tflat]).real, minlength=self.m)
 
     def grad_hess(self, sinv, z):
-        """tr(S⁻¹Fᵢ) and the Newton matrix tr(Fᵢ Z Fⱼ S⁻¹); Z = S⁻¹ gives the barrier Hessian."""
+        """Re tr(S⁻¹Fᵢ) and the Newton matrix Re tr(Fᵢ Z Fⱼ S⁻¹); Z = S⁻¹ gives the barrier Hessian.
+
+        The columns i are formed slab by slab, so the (n, n, slab) scatter and
+        product arrays hold at most _SLAB_ENTRIES complex entries each.
+        """
         n, m = self.n, self.m
-        # g[p, b, i] = (Fᵢ S⁻¹)[p, b]: one scatter of summed S⁻¹ rows per (i, p) run
-        g = np.zeros((n, n, m))
-        for cons, rows, val, col in self.run_groups:
-            g[rows, :, cons] = np.einsum("rk,rkb->rb", val, sinv[col])
-        w = (z @ g.reshape(n, n * m)).reshape(n, n, m)  # w[a, b, i] = (Z FᵢS⁻¹)[a, b]
-        # h[j, i] = tr(Fⱼ (Z FᵢS⁻¹)), gathered over the triples of each j
         h = np.zeros((m, m))
-        for cons, val, col, row in self.con_groups:
-            h[cons] = np.einsum("jk,jki->ji", val, w[col, row])
+        for lo, hi, run_groups in self.slabs:
+            # g[p, b, i] = (Fᵢ S⁻¹)[p, b]: one scatter of summed S⁻¹ rows per (i, p) run
+            g = np.zeros((n, n, hi - lo), dtype=np.complex128)
+            for cons, rows, val, col in run_groups:
+                g[rows, :, cons] = np.einsum("rk,rkb->rb", val, sinv[col])
+            w = (z @ g.reshape(n, n * (hi - lo))).reshape(n, n, hi - lo)  # w[a, b, i] = (Z FᵢS⁻¹)[a, b]
+            # h[j, i] = Re tr(Fⱼ (Z FᵢS⁻¹)), gathered over the triples of each j
+            for cons, val, col, row in self.con_groups:
+                h[cons, lo:hi] = np.matmul(val[:, None, :], w[col, row])[:, 0].real
         return self.traces(sinv), (h + h.T) * 0.5
 
     def substitute(self, y0, null) -> "_Block":
@@ -197,7 +235,8 @@ class SdpProblem:
     """LMI-form SDP; `f0[b]` has shape (nb, nb) and `fs[b]` holds F1..Fm of block b.
 
     `fs[b]` is either a dense (m, nb, nb) array or an LMI_TRIPLE array of the
-    nonzeros; it is converted once, and `fs` keeps what the caller gave.
+    nonzeros, real or complex; it is converted once, and `fs` keeps what the
+    caller gave.  The summed block size is capped at MAX_PSD_DIM.
     """
 
     c: np.ndarray
@@ -214,14 +253,14 @@ class SdpProblem:
         m = self.c.size
         if len(self.f0) != len(self.fs):
             raise ShapeMismatchError(f"{len(self.f0)} F0 blocks but {len(self.fs)} Fi blocks")
-        f0s = [np.asarray(f0b, dtype=np.float64) for f0b in self.f0]
+        f0s = [np.asarray(f0b, dtype=np.complex128) for f0b in self.f0]
         total = 0
         for b, f0b in enumerate(f0s):
             if f0b.ndim != 2 or f0b.shape[0] != f0b.shape[1]:
                 raise ShapeMismatchError(f"F0 of block {b} is not square")
             total += f0b.shape[0]
         if total > MAX_PSD_DIM:
-            raise SizeLimitError(f"total PSD dimension {total} exceeds {MAX_PSD_DIM}")
+            raise SizeLimitError(f"total complex PSD dimension {total} exceeds {MAX_PSD_DIM}")
         self.blocks = []
         for b, (f0b, fsb) in enumerate(zip(f0s, self.fs)):
             fsb = np.asarray(fsb)
@@ -229,7 +268,7 @@ class SdpProblem:
                 t = fsb.ravel()
                 con, row, col, val = t["con"], t["row"], t["col"], t["val"]
             else:
-                fsb = np.asarray(fsb, dtype=np.float64)
+                fsb = np.asarray(fsb, dtype=np.complex128)
                 if fsb.shape != (m,) + f0b.shape:
                     raise ShapeMismatchError(f"inconsistent LMI data in block {b}")
                 con, row, col = np.nonzero(fsb)
@@ -264,10 +303,6 @@ def _interior(y, blocks) -> bool:
     return all(_chol_or_none(blk.s(y)) is not None for blk in blocks)
 
 
-def _sym(x):
-    return (x + x.T) * 0.5
-
-
 def _inv_factor(x):
     """L⁻¹ for the Cholesky factor L of x, or None when x is not positive definite."""
     l = _chol_or_none(x)
@@ -276,7 +311,7 @@ def _inv_factor(x):
 
 def _step(lis, dxs) -> float:
     """0.95 of the step to the boundary of every X + α·dX ⪰ 0, capped at 1; lis are L⁻¹ of each X."""
-    lam = min(float(np.linalg.eigvalsh(li @ dx @ li.T).min(initial=0.0)) for li, dx in zip(lis, dxs))
+    lam = min(float(np.linalg.eigvalsh(li @ dx @ li.conj().T).min(initial=0.0)) for li, dx in zip(lis, dxs))
     return 1.0 if lam >= -0.95 else -0.95 / lam
 
 
@@ -305,18 +340,18 @@ def _newton_solver(mat):
 
 
 def _certificate(cvec, blocks, sinvs, lefts, w, floor):
-    """(Z_c, −Σ tr(F0·Z_c)) for Z_c = X + sym(X·Lin(w)·S⁻¹) per block, or None.
+    """(Z_c, −Σ Re tr(F0·Z_c)) for Z_c = X + herm(X·Lin(w)·S⁻¹) per block, or None.
 
-    When M w = c − tr(F·X) with M_ij = tr(Fᵢ X Fⱼ S⁻¹), tr(Fᵢ·Z_c) = cᵢ holds
+    When M w = c − tr(F·X) with M_ij = Re tr(Fᵢ X Fⱼ S⁻¹), tr(Fᵢ·Z_c) = cᵢ holds
     exactly; Z_c is accepted when the residual is below 1e-9 (relative) and
     λ_min(Z_c) ≥ −1e-14·scale.  A dual value ≤ `floor` is of no use and skips
     the eigenvalue test.
     """
-    zcs = [_sym(x + x @ blk.lin(w) @ sinv) for blk, sinv, x in zip(blocks, sinvs, lefts)]
+    zcs = [_herm(x + x @ blk.lin(w) @ sinv) for blk, sinv, x in zip(blocks, sinvs, lefts)]
     left = sum(blk.traces(zc) for blk, zc in zip(blocks, zcs))
     if np.max(np.abs(left - cvec), initial=0.0) > 1e-9 * (1.0 + np.max(np.abs(cvec), initial=0.0)):
         return None
-    dual = -sum(float(np.tensordot(blk.f0, zc)) for blk, zc in zip(blocks, zcs))
+    dual = -sum(_re_tr(blk.f0, zc) for blk, zc in zip(blocks, zcs))
     if dual <= floor:
         return None
     for zc in zcs:
@@ -326,7 +361,7 @@ def _certificate(cvec, blocks, sinvs, lefts, w, floor):
 
 
 def _newton_system(y, zs, blocks):
-    """At (y, Z): S, L⁻¹ and S⁻¹ per block, Σ tr(FᵢS⁻¹), Σ tr(Fᵢ Z Fⱼ S⁻¹) and Σ tr(Fᵢ Z).
+    """At (y, Z): S, L⁻¹ and S⁻¹ per block, Σ tr(FᵢS⁻¹), Σ Re tr(Fᵢ Z Fⱼ S⁻¹) and Σ tr(Fᵢ Z).
 
     zs None means Z = S⁻¹, which makes the matrix the barrier Hessian.  None
     when some S is not positive definite.
@@ -336,7 +371,7 @@ def _newton_system(y, zs, blocks):
     lis = [_inv_factor(s) for s in ss]
     if any(li is None for li in lis):
         return None
-    sinvs = [_sym(li.T @ li) for li in lis]
+    sinvs = [_herm(li.conj().T @ li) for li in lis]
     grad, mat, tz = np.zeros(m), np.zeros((m, m)), np.zeros(m)
     for blk, sinv, z in zip(blocks, sinvs, sinvs if zs is None else zs):
         g, h = blk.grad_hess(sinv, z)
@@ -358,7 +393,7 @@ def _pd_solve(cvec, blocks, y, rel_gap, stop=None):
     nu = sum(blk.n for blk in blocks)
     if nu == 0 or cvec.size == 0:
         value = float(cvec @ y) if cvec.size else 0.0
-        return ("optimal", y, [np.zeros((blk.n, blk.n)) for blk in blocks], value, 0.0, 0)
+        return ("optimal", y, [np.zeros((blk.n, blk.n), dtype=np.complex128) for blk in blocks], value, 0.0, 0)
     best_y, primal, best_z, dual, zs, last, it = y, float(cvec @ y), None, -np.inf, None, None, 0
 
     def certify(sinvs, lefts, w):
@@ -375,7 +410,7 @@ def _pd_solve(cvec, blocks, y, rel_gap, stop=None):
         it += 1
         ss, lis, sinvs, grad, mat, tz = at
         zs = [s.copy() for s in sinvs] if zs is None else zs
-        mu = sum(float(np.tensordot(s, z)) for s, z in zip(ss, zs)) / nu
+        mu = sum(_re_tr(s, z) for s, z in zip(ss, zs)) / nu
         last = (y, mu)
         solve = _newton_solver(mat)
         lzs = [_inv_factor(z) for z in zs]
@@ -391,15 +426,15 @@ def _pd_solve(cvec, blocks, y, rel_gap, stop=None):
             break
         # predictor (σ = 0), then Mehrotra's σ = (μₐ/μ)³ and the second-order corrector
         dsa = [blk.lin(dya) for blk in blocks]
-        dza = [-z - _sym(z @ ds @ sinv) for z, ds, sinv in zip(zs, dsa, sinvs)]
+        dza = [-z - _herm(z @ ds @ sinv) for z, ds, sinv in zip(zs, dsa, sinvs)]
         ap, ad = _step(lis, dsa), _step(lzs, dza)
-        mu_a = sum(float(np.tensordot(s + ap * ds, z + ad * dz)) for s, ds, z, dz in zip(ss, dsa, zs, dza))
+        mu_a = sum(_re_tr(s + ap * ds, z + ad * dz) for s, ds, z, dz in zip(ss, dsa, zs, dza))
         sm = min(1.0, mu_a / (nu * mu)) ** 3 * mu  # σμ
         corr = [dz @ ds @ sinv for dz, ds, sinv in zip(dza, dsa, sinvs)]
         rhs = sm * grad - cvec - sum(blk.traces(c) for blk, c in zip(blocks, corr))
         dy = solve(rhs)
         dss = [blk.lin(dy) for blk in blocks]
-        dzs = [sm * sinv - z - _sym(z @ ds @ sinv + c) for z, ds, sinv, c in zip(zs, dss, sinvs, corr)]
+        dzs = [sm * sinv - z - _herm(z @ ds @ sinv + c) for z, ds, sinv, c in zip(zs, dss, sinvs, corr)]
         ap, ad = _step(lis, dss), _step(lzs, dzs)
         y = y + ap * dy
         zs = [z + ad * dz for z, dz in zip(zs, dzs)]

@@ -199,7 +199,9 @@ def _maxabs(x) -> float:
 def check_laws(structure, tol: float = 1e-9, exact_tol: float = 1e-12) -> LawReport:
     """Decide every (co)algebra law and the (co-)C* identity; nothing is sampled.
 
-    Algebraic laws are whole-tensor identities (max-abs residual ≤ exact_tol).
+    Algebraic laws are whole-tensor identities: the max-abs residual must be
+    ≤ exact_tol·max(1, magnitude of the products compared), where a product's
+    magnitude is that of its factors' max-abs entries multiplied.
     By Kadison's isometry theorem (Ann. Math. 54, 1951) the identity map onto
     ⊕M_k with its blockwise operator norm is u·(Jordan *-isomorphism), so
     (μ, P, 1) is a C*-algebra exactly when the unit u is blockwise unitary,
@@ -283,9 +285,19 @@ def _check_algebra_laws(alg: VnAlgebra, tol, exact_tol) -> LawReport:
         "reverse_multiplicativity": (p @ flat.conj()).reshape(d, d, d)
         - (p.T @ m @ p).transpose(0, 2, 1),
     }
+    # the magnitude of the products each law compares (the product of their
+    # factors' max-abs entries) scales the rounding a valid structure leaves
+    mu, pm, um = _maxabs(m), _maxabs(p), _maxabs(u)
+    sizes = {
+        "associativity": mu * mu,
+        "left_unit": um * mu,
+        "right_unit": um * mu,
+        "involution_squared": pm * pm,
+        "reverse_multiplicativity": pm * pm * mu,
+    }
     for name, diff in diffs.items():
         err = _maxabs(diff)
-        if err > exact_tol:
+        if err > exact_tol * max(1.0, sizes[name]):
             rep.fail(name, err)
     res = rep.details["cstar_worst"] = _kadison_residual(alg)
     if res > tol:

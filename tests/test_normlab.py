@@ -115,6 +115,19 @@ class TestDiamond:
             assert br.status == "exact"
             assert len(calls) == br.witnesses["sdp_iterations"] <= 20
 
+    @pytest.mark.parametrize("make", [random_superop, random_cptp])
+    def test_lmi_is_one_complex_block(self, monkeypatch, rng, make):
+        # the Hermitian LMI goes to the core as complex triples, not through
+        # the real embedding: one block of complex size 2·n² for n = 3
+        seen = []
+        solve = diamond_mod.sdp_solve
+        monkeypatch.setattr(diamond_mod, "sdp_solve", lambda p, rel_gap: seen.append(p) or solve(p, rel_gap))
+        assert diamond_norm(make(rng, 3)).status == "exact"
+        (p,) = seen
+        assert [f.shape for f in p.f0] == [(18, 18)] and [blk.n for blk in p.blocks] == [18]
+        assert p.fs[0].dtype == sdp_mod.LMI_TRIPLE and np.iscomplexobj(p.fs[0]["val"])
+        assert np.any(p.fs[0]["val"].imag != 0)
+
     def test_solver_failure_reason_kept(self, monkeypatch):
         monkeypatch.setattr(
             diamond_mod, "sdp_solve",

@@ -9,9 +9,18 @@ from oscat.normlab.sdp import (
     HermBasis,
     SdpProblem,
     lmi_triples,
-    real_embed_herm,
     sdp_solve,
 )
+
+
+def real_embed_herm(h: np.ndarray) -> np.ndarray:
+    """Complex Hermitian (or general) H = A+iB ↦ [[A, -B], [B, A]].
+
+    For Hermitian H the image is symmetric with the same spectrum, doubled;
+    the tests use it to state complex problems in real arithmetic.
+    """
+    a, b = h.real, h.imag
+    return np.block([[a, -b], [b, a]])
 
 
 def lmi_opnorm_problem(a):
@@ -107,12 +116,13 @@ class TestSolver:
         a = rand_complex(rng, 2)
         p = lmi_opnorm_problem(a)
         res = sdp_solve(p)
-        # Z ⪰ 0 and tr(Fi Z) = c_i exactly define the reported gap
+        # Z ⪰ 0 and tr(Fi Z) = c_i exactly define the reported gap; the dual
+        # block is complex Hermitian, so the pairings are Re tr(F·Z)
         z = res.dual_blocks[0]
         assert np.linalg.eigvalsh(z)[0] >= -1e-12
-        lhs = float(np.tensordot(p.fs[0][0], z))
+        lhs = np.trace(p.fs[0][0] @ z).real
         assert abs(lhs - 1.0) < 1e-8
-        dual_val = -float(np.tensordot(p.f0[0], z))
+        dual_val = -np.trace(p.f0[0] @ z).real
         assert abs((res.value - dual_val) - res.gap) < 1e-9
 
     def test_size_cap(self):
@@ -130,18 +140,19 @@ class TestSolver:
         assert r1.value == r2.value and r1.gap == r2.gap
 
 
-def random_sparse_lmi(rng, m=6, sizes=(5, 3, 0), zero_con=2):
+def random_sparse_lmi(rng, m=6, sizes=(5, 3, 0), zero_con=2, cplx=False):
     """Dense Fi stacks and the same data as triples, with split duplicates.
 
-    Every Fi is symmetric and sparse; constraint `zero_con` is all zero, the
-    last block has size 0, and each off-diagonal nonzero is given as two
-    triples whose values sum to it.  Values are small dyadic numbers, so the
-    sums are exact and both forms hold the same matrices bit for bit; the
-    triples come in shuffled order.
+    Every Fi is symmetric (Hermitian with `cplx`) and sparse; constraint
+    `zero_con` is all zero, the last block has size 0, and each off-diagonal
+    nonzero is given as two triples whose values sum to it (the mirror of v
+    is v̄).  Values are small dyadic numbers, so the sums are exact and both
+    forms hold the same matrices bit for bit; the triples come in shuffled
+    order.
     """
     dense, trips = [], []
     for n in sizes:
-        fs = np.zeros((m, n, n))
+        fs = np.zeros((m, n, n), dtype=np.complex128 if cplx else np.float64)
         con, row, col, val = [], [], [], []
         for i in range(m):
             if i == zero_con or n == 0:
@@ -149,14 +160,16 @@ def random_sparse_lmi(rng, m=6, sizes=(5, 3, 0), zero_con=2):
             for _ in range(3):
                 r, c = rng.integers(n, size=2)
                 v = rng.integers(1, 9) * rng.choice([-1.0, 1.0]) / 4
+                if cplx and r != c:
+                    v = v + 1j * rng.integers(-8, 9) / 4
                 fs[i, r, c] += v
                 if r != c:
-                    fs[i, c, r] += v
+                    fs[i, c, r] += np.conj(v)
                     # the mirror entry in two halves: duplicate (i, c, r) triples
                     con += [i, i, i]
                     row += [r, c, c]
                     col += [c, r, r]
-                    val += [v, 0.25 * v, 0.75 * v]
+                    val += [v, 0.25 * np.conj(v), 0.75 * np.conj(v)]
                 else:
                     con.append(i)
                     row.append(r)
@@ -181,33 +194,59 @@ def box_problem(rng, fs, f0, m=6):
 
 class TestSparseCore:
     def test_schur_matches_dense_formulas(self, rng):
-        dense, trips = random_sparse_lmi(rng)
+        # real symmetric Fᵢ, then complex Hermitian ones, against dense einsums
+        for cplx in (False, True):
+            dense, trips = random_sparse_lmi(rng, cplx=cplx)
+            f0 = [4.0 * np.eye(f.shape[1]) for f in dense]
+            p = SdpProblem(c=np.zeros(6), f0=f0, fs=trips)
+            y = 0.1 * rng.standard_normal(6)
+            for blk, fs, f0b in zip(p.blocks, dense, f0):
+                s = f0b + np.einsum("i,iab->ab", y, fs)
+                assert np.allclose(blk.s(y), s, rtol=0, atol=1e-14)
+                assert np.array_equal(blk.s(y), blk.s(y).conj().T)
+                w = rng.standard_normal(6)
+                assert np.allclose(blk.lin(w), np.einsum("i,iab->ab", w, fs), rtol=0, atol=1e-14)
+                if blk.n == 0:
+                    g, h = blk.grad_hess(np.zeros((0, 0)), np.zeros((0, 0)))
+                    assert np.array_equal(g, np.zeros(6)) and np.array_equal(h, np.zeros((6, 6)))
+                    continue
+                sinv = np.linalg.inv(s)
+                sinv = (sinv + sinv.conj().T) / 2
+                g, h = blk.grad_hess(sinv, sinv)
+                g_ref = np.einsum("ab,iba->i", sinv, fs).real
+                h_ref = np.einsum("ab,ibc,cd,jda->ij", sinv, fs, sinv, fs).real
+                assert np.allclose(g, g_ref, rtol=0, atol=1e-13)
+                assert np.allclose(h, h_ref, rtol=0, atol=1e-13)
+                assert not h[2].any() and not h[:, 2].any()  # the all-zero constraint
+                z = sinv + 0.5 * np.eye(blk.n)
+                assert np.allclose(blk.traces(z), np.einsum("iab,ba->i", fs, z).real, rtol=0, atol=1e-13)
+                # the primal-dual Newton matrix Re tr(Fᵢ Z Fⱼ S⁻¹) for a Z ≠ S⁻¹
+                a = rng.standard_normal((blk.n, blk.n)) + (1j * rng.standard_normal((blk.n, blk.n)) if cplx else 0)
+                z = a @ a.conj().T + np.eye(blk.n)
+                g, h = blk.grad_hess(sinv, z)
+                assert np.allclose(g, g_ref, rtol=0, atol=1e-13)
+                h_ref = np.einsum("ab,ibc,cd,jda->ij", z, fs, sinv, fs).real
+                assert np.allclose(h, h_ref, rtol=0, atol=1e-12)
+                assert np.array_equal(h, h.T)
+
+    def test_newton_matrix_over_slabs(self, rng, monkeypatch):
+        # a byte budget that splits the 5×5 block's 6 constraints into 3 slabs
+        # and the 3×3 block's into 2 must not change the Newton matrix
+        dense, trips = random_sparse_lmi(rng, cplx=True)
         f0 = [4.0 * np.eye(f.shape[1]) for f in dense]
-        p = SdpProblem(c=np.zeros(6), f0=f0, fs=trips)
+        one = SdpProblem(c=np.zeros(6), f0=f0, fs=trips)
+        monkeypatch.setattr(sdp_mod, "_SLAB_ENTRIES", 50)
+        many = SdpProblem(c=np.zeros(6), f0=f0, fs=trips)
+        assert [len(b.slabs) for b in one.blocks] == [1, 1, 1]
+        assert [len(b.slabs) for b in many.blocks] == [3, 2, 1]
         y = 0.1 * rng.standard_normal(6)
-        for blk, fs, f0b in zip(p.blocks, dense, f0):
-            s = f0b + np.einsum("i,iab->ab", y, fs)
-            assert np.allclose(blk.s(y), s, rtol=0, atol=1e-14)
-            assert np.array_equal(blk.s(y), blk.s(y).T)
-            if blk.n == 0:
-                continue
-            sinv = np.linalg.inv(s)
-            sinv = (sinv + sinv.T) / 2
-            g, h = blk.grad_hess(sinv, sinv)
-            g_ref = np.einsum("ab,iba->i", sinv, fs)
-            h_ref = np.einsum("ab,ibc,cd,jda->ij", sinv, fs, sinv, fs)
-            assert np.allclose(g, g_ref, rtol=0, atol=1e-13)
-            assert np.allclose(h, h_ref, rtol=0, atol=1e-13)
-            assert not h[2].any() and not h[:, 2].any()  # the all-zero constraint
-            z = sinv + 0.5 * np.eye(blk.n)
-            assert np.allclose(blk.traces(z), np.einsum("iab,ba->i", fs, z), rtol=0, atol=1e-13)
-            # the primal-dual Newton matrix tr(Fᵢ Z Fⱼ S⁻¹) for a Z ≠ S⁻¹
-            a = rng.standard_normal((blk.n, blk.n))
-            z = a @ a.T + np.eye(blk.n)
-            g, h = blk.grad_hess(sinv, z)
-            assert np.allclose(g, g_ref, rtol=0, atol=1e-13)
-            assert np.allclose(h, np.einsum("ab,ibc,cd,jda->ij", z, fs, sinv, fs), rtol=0, atol=1e-12)
-            assert np.array_equal(h, h.T)
+        for b1, bm in zip(one.blocks, many.blocks):
+            sinv = np.linalg.inv(b1.s(y))
+            sinv = (sinv + sinv.conj().T) / 2
+            z = sinv + 0.25 * np.eye(b1.n)
+            (g1, h1), (gm, hm) = b1.grad_hess(sinv, z), bm.grad_hess(sinv, z)
+            assert np.array_equal(g1, gm)
+            assert np.allclose(hm, h1, rtol=0, atol=1e-12)
 
     def test_dense_and_triple_inputs_identical(self, rng):
         dense, trips = random_sparse_lmi(rng)
@@ -241,7 +280,8 @@ class TestSparseCore:
         zcs, dual = sdp_mod._certificate(c, p.blocks, sinvs, xs, w, -np.inf)
         got = sum(np.einsum("iab,ba->i", fs, zc) for fs, zc in zip(dense, zcs))
         assert np.allclose(got, c, rtol=0, atol=1e-12)
-        assert dual == -sum(float(np.tensordot(f, zc)) for f, zc in zip(f0, zcs))
+        # the core's pairing of Hermitian blocks: Re tr(F0·Z_c) = Re Σ conj(F0)·Z_c
+        assert dual == -sum(float(np.vdot(f, zc).real) for f, zc in zip(f0, zcs))
         # a dual value at or below the floor is not certified
         assert sdp_mod._certificate(c, p.blocks, sinvs, xs, w, dual) is None
 
