@@ -396,12 +396,21 @@ def _pd_solve(cvec, blocks, y, rel_gap, stop=None):
         return ("optimal", y, [np.zeros((blk.n, blk.n), dtype=np.complex128) for blk in blocks], value, 0.0, 0)
     best_y, primal, best_z, dual, zs, last, it = y, float(cvec @ y), None, -np.inf, None, None, 0
 
-    def certify(sinvs, lefts, w):
+    def certify(sinvs, lefts, w) -> bool:
+        """Keep the certificate if it is better; False when it crosses the primal value.
+
+        A dual value above an attained primal value breaks weak duality: the
+        certificate's rounding exceeds its tolerances, so the iterate is at
+        the limit of working precision and the previous certificate stays.
+        """
         nonlocal best_z, dual
         floor = max(dual, primal - 10 * rel_gap * (1.0 + abs(primal)) - 1e-12)
         cert = _certificate(cvec, blocks, sinvs, lefts, w, floor)
+        if cert is not None and cert[1] > primal + 1e-12 * (1.0 + abs(primal)):
+            return False
         if cert is not None:
             best_z, dual = cert
+        return True
 
     while it < 50 and np.max(np.abs(y)) <= 1e12:
         at = _newton_system(y, zs, blocks)
@@ -419,10 +428,10 @@ def _pd_solve(cvec, blocks, y, rel_gap, stop=None):
         if float(cvec @ y) < primal:
             best_y, primal = y, float(cvec @ y)
         w, dya = solve(np.column_stack([cvec - tz, -cvec])).T
-        certify(sinvs, zs, w)
+        crossed = not certify(sinvs, zs, w)
         if stop is not None and (verdict := stop(y, None if best_z is None else dual)):
             return (verdict, y, best_z, primal, primal - dual, it)
-        if primal - dual <= rel_gap * (1.0 + abs(primal)):
+        if crossed or primal - dual <= rel_gap * (1.0 + abs(primal)):
             break
         # predictor (σ = 0), then Mehrotra's σ = (μₐ/μ)³ and the second-order corrector
         dsa = [blk.lin(dya) for blk in blocks]

@@ -285,6 +285,27 @@ class TestSparseCore:
         # a dual value at or below the floor is not certified
         assert sdp_mod._certificate(c, p.blocks, sinvs, xs, w, dual) is None
 
+    def test_crossed_certificate_ends_solve(self, rng, monkeypatch):
+        # a certificate whose dual value exceeds an attained primal value has
+        # rounding beyond its tolerances: it is dropped and the path stops
+        # there, leaving one try of the barrier-metric fallback
+        dense, trips = random_sparse_lmi(rng, cplx=True)
+        c, f0_all, box, _ = box_problem(rng, dense, [np.eye(f.shape[1]) for f in dense])
+        certificate, calls = sdp_mod._certificate, []
+
+        def crossing_once(*args):
+            cert = certificate(*args)
+            calls.append(cert is not None)
+            if cert is not None and calls.count(True) == 1:
+                return cert[0], cert[1] + 1.0
+            return cert
+
+        monkeypatch.setattr(sdp_mod, "_certificate", crossing_once)
+        res = sdp_solve(SdpProblem(c=c, f0=f0_all, fs=trips + [box]))
+        assert True in calls and len(calls) == calls.index(True) + 2
+        assert res.status in ("optimal", "numerical_failure")
+        assert res.status == "numerical_failure" or res.dual_value <= res.value
+
     def test_caller_fs_kept(self, rng):
         dense, trips = random_sparse_lmi(rng)
         p = SdpProblem(c=np.zeros(6), f0=[np.eye(f.shape[1]) for f in dense], fs=trips)
