@@ -750,8 +750,9 @@ def _run_norm(env: _Env, st: Statement, text: str, config: RunConfig) -> Record:
             br = inj_norm(*args)
     unknown = br.status == "unknown"
     detail = {"norm_status": br.status}
-    if "reason" in br.witnesses:
-        detail["reason"] = br.witnesses["reason"]
+    for key in ("route", "reason"):
+        if key in br.witnesses:
+            detail[key] = br.witnesses[key]
     return Record(
         text, "unknown" if unknown else "pass", value=None if unknown else br.mid,
         bracket=(br.lower, br.upper), detail=detail,

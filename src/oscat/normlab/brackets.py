@@ -51,14 +51,25 @@ class NormBracket:
 
     @staticmethod
     def from_bounds(lo: float, hi: float, witnesses: dict | None = None) -> "NormBracket":
-        lo = max(0.0, min(lo, hi))
+        """Bracket [lo, hi] of two certified ends, classified by width.
+
+        Ends that cross by more than 1e-12·(1 + |hi|) cannot both be right:
+        the result is `unknown`, with both values as witnesses.  A smaller
+        crossing is rounding, and the upper end is raised to the lower.
+        """
+        witnesses = witnesses or {}
+        if lo - hi > 1e-12 * (1.0 + abs(hi)):
+            crossed = {"reason": "crossed bracket", "lower": lo, "upper": hi}
+            return NormBracket.unknown({**witnesses, **crossed})
+        lo = max(0.0, lo)
+        hi = max(lo, hi)
         if hi - lo <= 1e-6 * max(1.0, hi):
             status = "exact"
         elif lo > 1e-12:
             status = "bracket"
         else:
             status = "upper_only"
-        return NormBracket(lo, hi, status, witnesses or {})
+        return NormBracket(lo, hi, status, witnesses)
 
     @staticmethod
     def unknown(witnesses: dict | None = None) -> "NormBracket":
@@ -258,7 +269,7 @@ def haagerup_bracket_flat(v, level: int, fa: FlatSpace, fb: FlatSpace) -> NormBr
     except SizeLimitError:
         x, y = _svd_factorization(v, k, da, db)
         upper = fa.rect_norm(x) * fb.rect_norm(y)
-        wit = {"x": x, "y": y, "reason": "sdp size cap"}
+        wit = {"x": x, "y": y, "route": "sdp size cap", "reason": "sdp size cap"}
         return NormBracket.from_bounds(_rank1_witness_lower(v, k, fa, fb), upper, wit)
 
 
@@ -315,7 +326,6 @@ def proj_bracket_flat(
                 continue
             g = np.einsum("uvz,z->uv", v, np.outer(fx, fy).ravel())
             lower = max(lower, op_norm(g) / (nf * ng))
-    lower = min(lower, upper)
     return NormBracket.from_bounds(lower, upper)
 
 

@@ -1,10 +1,22 @@
 """Completely bounded norms of superoperators.
 
-The trace-picture cb norm (diamond norm) is computed by the standard
-two-block SDP over the Choi matrix; the operator-picture cb norm is the
-diamond norm of the trace-pairing adjoint.  Scalar domains/codomains take
-the closed-form shortcut (cb-norm = operator norm there), and block maps are
-flattened through the completely isometric block-diagonal embeddings.
+The trace-picture cb norm (diamond norm) of a map with Choi matrix J is tried
+first in closed form.  For a completely positive map ‖Φ‖⋄ = ‖Φ*(1)‖ =
+λ_max(Tr_L J) (Watrous, *The Theory of Quantum Information*, 2018, §3.3), and
+the same eigenproblem brackets every map: with H, A the Hermitian and
+anti-Hermitian parts of J and ε = max(0, −λ_min(H)),
+
+    ψ*(Tr_L H)ψ ≤ ‖Φ‖⋄ ≤ λ_max(Tr_L H) + 2εL + ‖A‖₁,
+
+ψ the top eigenvector of Tr_L H.  Rounding is charged against both ends, so
+the bracket encloses the norm of the map the given J describes.  When it is
+not within the requested gap (a map that is not CP) the standard two-block
+SDP over J decides.  The operator-picture cb norm is the diamond norm of the
+trace-pairing adjoint, so for a CP map it is ‖Φ(1)‖ (Paulsen, *Completely
+Bounded Maps and Operator Algebras*, Prop. 3.6).  Scalar domains/codomains
+take the closed-form shortcut (cb-norm = operator norm there), and block maps
+are flattened through the completely isometric block-diagonal embeddings.
+Every bracket names its `route` in the witnesses.
 """
 from __future__ import annotations
 
@@ -53,6 +65,60 @@ def functional_norm(rep: BlockMatrix, picture: str) -> float:
     if picture == "trace":
         return max((op_norm(b) for b in rep.blocks), default=0.0)
     raise ValueError(f"unknown picture {picture!r}")
+
+
+def _gamma(n: int) -> float:
+    """Higham's γₙ = n·u/(1 − n·u), which bounds the relative error of n roundings."""
+    nu = n * float(np.finfo(np.float64).eps) / 2
+    return nu / (1.0 - nu)
+
+
+def _eig_charge(m: np.ndarray) -> float:
+    """How far an `eigh` eigenvalue of the n×n Hermitian m can be from the exact one.
+
+    The computed eigenvalues are exact for some m + E with ‖E‖₂ ≤ γ_{n²}·‖m‖_F
+    (Householder reduction, Higham, *Accuracy and Stability*, §19.3; LAPACK
+    quotes p(n)·ε·‖m‖₂), and Weyl's inequality moves each by at most ‖E‖₂.
+    """
+    n = m.shape[0]
+    return _gamma(n * n) * float(np.linalg.norm(m))
+
+
+def _closed_form_bracket(J: np.ndarray, K: int, L: int) -> tuple[float, float]:
+    """Certified (lower, upper) for ‖Φ‖⋄ from one eigenproblem on Tr_L H.
+
+    Lower: σ = ψ̄ψᵀ has unit trace, so |tr Φ(σ)| ≥ Re ψ*(Tr_L J)ψ = ψ*(Tr_L H)ψ
+    bounds every map.  Upper: H + εI ⪰ 0 and the map with Choi matrix I has
+    diamond norm L, so ‖Φ_H‖⋄ ≤ λ_max(Tr_L H) + 2εL; and ‖Φ_A‖⋄ ≤ ‖A‖₁ ≤
+    √(LK)·‖A‖_F.  The split J = h + (J − h) is exact for the computed h, which
+    is exactly Hermitian; the computed a is J − h to one rounding per entry.
+    Charged rounding: Tr_L by γ_{2L} on Tr_L|J| (complex sums), the Rayleigh
+    quotient by its two K-term complex products, ‖ψ‖² and the quotient,
+    eigenvalues by `_eig_charge`; the few extra roundings counted in each γ
+    cover the charges and the final sums.  Only for a CP map (ε, A ≈ 0) is
+    the bracket tight.
+    """
+    d = L * K
+    h = (J + J.conj().T) * 0.5
+    a = J - h
+    tabs = np.einsum("lalb->ab", np.abs(J).reshape(L, K, L, K))
+    th = np.einsum("lalb->ab", h.reshape(L, K, L, K))
+    lam, vec = np.linalg.eigh(th)
+    psi = vec[:, -1]
+    nrm = float(np.vdot(psi, psi).real)
+    ray = float(np.vdot(psi, th @ psi).real) / nrm
+    ap = np.abs(psi)
+    lower = ray - _gamma(2 * L + 6 * K + 12) * float(ap @ tabs @ ap) / nrm
+    eps = max(0.0, _eig_charge(h) - float(np.linalg.eigvalsh(h)[0]))
+    terms = (
+        float(lam[-1]),
+        _eig_charge(th),
+        _gamma(2 * L + 2) * float(np.linalg.norm(tabs)),
+        2.0 * L * eps,
+        float(np.sqrt(d) * np.linalg.norm(a)) * (1.0 + _gamma(2 * d * d + 4)),
+    )
+    upper = sum(terms) + _gamma(len(terms)) * sum(abs(t) for t in terms)
+    return lower, upper
 
 
 def _diamond_sdp(J: np.ndarray, K: int, L: int, rel_gap: float) -> NormBracket:
@@ -129,31 +195,41 @@ def _diamond_sdp(J: np.ndarray, K: int, L: int, rel_gap: float) -> NormBracket:
     if res.status != "optimal":
         reason = f"sdp {res.status}" + (f": {res.message}" if res.message else "")
         return NormBracket.unknown(
-            {"reason": reason, "sdp_status": res.status, "sdp_message": res.message}
+            {"route": "sdp", "reason": reason, "sdp_status": res.status, "sdp_message": res.message}
         )
     lower = max(0.0, -res.value)
     upper = -res.dual_value
     if lower - upper > 1e-12 * (1.0 + abs(res.value)):
         return NormBracket.unknown(
-            {"reason": "crossed certificate", "value": res.value, "dual_value": res.dual_value}
+            {"route": "sdp", "reason": "crossed certificate",
+             "value": res.value, "dual_value": res.dual_value}
         )
-    # a crossing within rounding: the certificate's upper end is the lower end
-    upper = max(lower, upper)
-    return NormBracket.from_bounds(lower, upper, {"sdp_iterations": res.iterations})
+    return NormBracket.from_bounds(lower, upper, {"route": "sdp", "sdp_iterations": res.iterations})
 
 
 def diamond_norm(s: SuperOp, rel_gap: float = 1e-8) -> NormBracket:
-    """cb norm of s viewed T_dom → T_cod (the diamond norm)."""
+    """cb norm of s viewed T_dom → T_cod (the diamond norm).
+
+    The closed-form bracket of `_closed_form_bracket` is returned when its
+    width is within rel_gap·(1 + lower), which holds for completely positive
+    maps, where ‖Φ‖⋄ = λ_max(Tr_L J) with rounding charged against both ends;
+    any other map goes to the SDP.  `witnesses["route"]` says which.
+    """
     K, L = sum(s.dom_shape), sum(s.cod_shape)
+    closed = {"route": "closed form"}
     if K == 0 or L == 0:
-        return NormBracket.exactly(0.0)
+        return NormBracket.exactly(0.0, closed)
     if K == 1:
         # map C → ⊕T: norm of the image element
         img = s.apply(BlockMatrix.identity(s.dom_shape))
-        return NormBracket.exactly(img.tr_norm())
+        return NormBracket.exactly(img.tr_norm(), closed)
     if L == 1:
-        return NormBracket.exactly(functional_norm(functional_rep(s), "trace"))
-    return _diamond_sdp(s.big_choi(), K, L, rel_gap)
+        return NormBracket.exactly(functional_norm(functional_rep(s), "trace"), closed)
+    J = s.big_choi()
+    lower, upper = _closed_form_bracket(J, K, L)
+    if upper - lower <= rel_gap * (1.0 + abs(lower)):
+        return NormBracket.from_bounds(max(0.0, lower), upper, closed)
+    return _diamond_sdp(J, K, L, rel_gap)
 
 
 def cb_norm(s: SuperOp, picture: str, rel_gap: float = 1e-8) -> NormBracket:
@@ -163,13 +239,14 @@ def cb_norm(s: SuperOp, picture: str, rel_gap: float = 1e-8) -> NormBracket:
         return diamond_norm(s, rel_gap)
     if picture != "operator":
         raise ValueError(f"unknown picture {picture!r}")
+    closed = {"route": "closed form"}
     if K == 0 or L == 0:
-        return NormBracket.exactly(0.0)
+        return NormBracket.exactly(0.0, closed)
     if K == 1:
         img = s.apply(BlockMatrix.identity(s.dom_shape))
-        return NormBracket.exactly(img.op_norm())
+        return NormBracket.exactly(img.op_norm(), closed)
     if L == 1:
-        return NormBracket.exactly(functional_norm(functional_rep(s), "operator"))
+        return NormBracket.exactly(functional_norm(functional_rep(s), "operator"), closed)
     return diamond_norm(s.adjoint(), rel_gap)
 
 

@@ -66,7 +66,7 @@ class HermBasis:
 
     Parameter order: n diagonal entries, then (Re, Im) for each p<q pair in
     row-major order.  The basis is held as the triples (param, row, col, val)
-    of its nonzero entries: `mats[param[l]][row[l], col[l]] = val[l]`.
+    of its nonzero entries: basis matrix param[l] has val[l] at (row[l], col[l]).
     """
 
     def __init__(self, n: int):
@@ -80,8 +80,6 @@ class HermBasis:
         self.val = np.concatenate(
             [np.ones(n + 2 * iu.size), np.full(iu.size, -1j), np.full(iu.size, 1j)]
         )
-        self.mats = np.zeros((n * n, n, n), dtype=np.complex128)
-        self.mats[self.param, self.row, self.col] = self.val
 
     def __len__(self) -> int:
         return self.n * self.n

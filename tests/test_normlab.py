@@ -17,13 +17,21 @@ from oscat.normlab.diamond import (
     diamond_seesaw_lower,
     dual_level_norm,
 )
+from oscat.config import BracketCaps
 from oscat.matcore import BlockMatrix
+from oscat.normlab import brackets as brackets_mod
 from oscat.normlab import diamond as diamond_mod
 from oscat.normlab import sdp as sdp_mod
 from oscat.normlab.sdp import SdpResult
 from oscat.supop import SuperOp, conjugation, identity_map, trace_map, transpose_map, zero_map
 
 F2 = FlatSpace.base(2, 2)
+
+
+def cptp_difference(rng, n):
+    """Φ₁ − Φ₂ for two random channels: Hermitian-preserving, not CP."""
+    j = random_cptp(rng, n).big_choi() - random_cptp(rng, n).big_choi()
+    return SuperOp.from_big_choi(j, (n,), (n,))
 
 
 class TestNormBracket:
@@ -40,6 +48,18 @@ class TestNormBracket:
         assert NormBracket.from_bounds(0.5, 1.0).status == "bracket"
         assert NormBracket.from_bounds(0.0, 1.0).status == "upper_only"
         assert NormBracket.unknown().status == "unknown"
+
+    def test_crossing_within_rounding_raises_upper(self):
+        br = NormBracket.from_bounds(1.0 + 1e-12, 1.0, {"route": "sdp"})
+        assert br.status == "exact" and br.lower == br.upper == 1.0 + 1e-12
+        assert br.witnesses == {"route": "sdp"}
+
+    def test_crossing_beyond_rounding_is_unknown(self):
+        # the threshold is 1e-12·(1 + |upper|) = 2e-12 here
+        br = NormBracket.from_bounds(1.0 + 3e-12, 1.0, {"route": "sdp"})
+        assert br.status == "unknown" and br.witnesses["reason"] == "crossed bracket"
+        assert br.witnesses["lower"] == 1.0 + 3e-12 and br.witnesses["upper"] == 1.0
+        assert br.witnesses["route"] == "sdp"
 
 
 class TestDiamond:
@@ -115,7 +135,7 @@ class TestDiamond:
             assert br.status == "exact"
             assert len(calls) == br.witnesses["sdp_iterations"] <= 20
 
-    @pytest.mark.parametrize("make", [random_superop, random_cptp])
+    @pytest.mark.parametrize("make", [random_superop, cptp_difference])
     def test_lmi_is_one_complex_block(self, monkeypatch, rng, make):
         # the Hermitian LMI goes to the core as complex triples, not through
         # the real embedding: one block of complex size 2·n² for n = 3
@@ -152,6 +172,80 @@ class TestDiamond:
         monkeypatch.setattr(diamond_mod, "sdp_solve", lambda p, rel_gap: near)
         br = diamond_norm(transpose_map(2))
         assert br.status == "exact" and br.lower == br.upper == 2.0
+
+
+def random_cp(rng, n, rank=2):
+    """CP map with `rank` random Kraus operators: Choi matrix V·V†, not trace preserving."""
+    v = rand_complex(rng, n * n, rank)
+    return SuperOp.from_big_choi(v @ v.conj().T, (n,), (n,))
+
+
+def _no_sdp(*a, **kw):
+    raise AssertionError("SDP solved for a map with a closed form")
+
+
+def _closed_form(monkeypatch, norm):
+    """norm() with the SDP patched to fail: it must come from the closed form."""
+    with monkeypatch.context() as mp:
+        mp.setattr(diamond_mod, "sdp_solve", _no_sdp)
+        br = norm()
+    assert br.status == "exact" and br.witnesses["route"] == "closed form"
+    return br
+
+
+def _overlaps_sdp(br, s):
+    """The bracket overlaps `_diamond_sdp`'s on the same map."""
+    sdp = diamond_mod._diamond_sdp(s.big_choi(), sum(s.dom_shape), sum(s.cod_shape), 1e-8)
+    assert sdp.lower <= br.upper and br.lower <= sdp.upper
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_cptp_diamond_encloses_one(self, monkeypatch, rng, n):
+        s = random_cptp(rng, n)
+        br = _closed_form(monkeypatch, lambda: diamond_norm(s))
+        assert br.lower <= 1.0 <= br.upper and br.width <= 1e-11
+        assert type(br.lower) is float and type(br.upper) is float  # JSON-ready, like the SDP's
+        _overlaps_sdp(br, s)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_cp_cb_encloses_unit_image(self, monkeypatch, rng, n):
+        # operator picture: ‖Φ‖_cb = ‖Φ(1)‖ for a CP map
+        s = random_cp(rng, n)
+        want = s.apply(BlockMatrix.identity(s.dom_shape)).op_norm()
+        br = _closed_form(monkeypatch, lambda: cb_norm(s, "operator"))
+        assert br.lower <= want * (1 + 1e-14) and want * (1 - 1e-14) <= br.upper
+        _overlaps_sdp(br, s.adjoint())
+
+    def test_block_map_encloses_one(self, monkeypatch, rng):
+        s = random_cptp(rng, 2).direct_sum(random_cptp(rng, 3))
+        br = _closed_form(monkeypatch, lambda: diamond_norm(s))
+        assert br.lower <= 1.0 <= br.upper
+        _overlaps_sdp(br, s)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_negative_shift_falls_back_to_sdp(self, monkeypatch, rng, n):
+        # J − δI is not CP: the 2εL term makes the closed form too wide.  The
+        # SDP's attained primal value (a feasible point, certificate or not)
+        # lies in both brackets.
+        j = random_cptp(rng, n).big_choi() - 1e-6 * np.eye(n * n)
+        lo, hi = diamond_mod._closed_form_bracket(j, n, n)
+        assert hi - lo > 1e-6
+        seen = []
+        solve = diamond_mod.sdp_solve
+        monkeypatch.setattr(diamond_mod, "sdp_solve", lambda p, rel_gap: seen.append(solve(p, rel_gap)) or seen[-1])
+        br = diamond_norm(SuperOp.from_big_choi(j, (n,), (n,)))
+        (res,) = seen
+        assert br.witnesses["route"] == "sdp"
+        assert lo <= -res.value <= hi and br.lower <= -res.value <= br.upper
+        if br.status != "unknown":
+            assert lo <= br.upper and br.lower <= hi
+
+    def test_anti_hermitian_defect_stays_closed_form(self, monkeypatch, rng):
+        b = rand_complex(rng, 9)
+        j = random_cptp(rng, 3).big_choi() + 1e-14 * (b - b.conj().T)
+        s = SuperOp.from_big_choi(j, (3,), (3,))
+        _overlaps_sdp(_closed_form(monkeypatch, lambda: diamond_norm(s)), s)
 
 
 class TestCbNorm:
@@ -311,6 +405,21 @@ class TestOrdering:
         fa, fb = FlatSpace.base(2), FlatSpace.base(3)
         br = inj_norm_flat(elem_coords(u.ravel(), v.ravel()), 1, fa, fb)
         assert br.status == "exact" and abs(br.mid - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("cross, status", [(1e-13, "exact"), (1e-9, "unknown")])
+    def test_proj_crossing(self, monkeypatch, rng, cross, status):
+        # a dual witness above the expansion upper end is a crossing, not clamped
+        w = rand_complex(rng, 1, 16).ravel()
+        caps = BracketCaps(witnesses=0)
+        upper = proj_bracket_flat(w, 1, F2, F2, caps=caps).upper
+        monkeypatch.setattr(brackets_mod, "_rank1_witness_lower", lambda *a: upper + cross)
+        br = proj_bracket_flat(w, 1, F2, F2, caps=caps)
+        assert br.status == status
+        if status == "unknown":
+            assert br.witnesses["reason"] == "crossed bracket"
+            assert br.witnesses["lower"] == upper + cross and br.witnesses["upper"] == upper
+        else:
+            assert br.lower == br.upper == upper + cross
 
     def test_proj_scalar_unit(self):
         f1 = FlatSpace.base(1, 1)

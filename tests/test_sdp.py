@@ -23,6 +23,13 @@ def real_embed_herm(h: np.ndarray) -> np.ndarray:
     return np.block([[a, -b], [b, a]])
 
 
+def herm_basis_stack(hb: HermBasis) -> np.ndarray:
+    """The (n², n, n) stack of basis matrices, built from the index triples."""
+    mats = np.zeros((len(hb), hb.n, hb.n), dtype=np.complex128)
+    mats[hb.param, hb.row, hb.col] = hb.val
+    return mats
+
+
 def lmi_opnorm_problem(a):
     """‖a‖ = min t s.t. [[tI, a], [a*, tI]] ⪰ 0 — an independent SDP route."""
     n, m = a.shape
@@ -49,7 +56,7 @@ class TestSolver:
 
     def test_max_trace(self):
         hb = HermBasis(2)
-        fs = [np.array([real_embed_herm(h) for h in hb.mats])]
+        fs = [np.array([real_embed_herm(h) for h in herm_basis_stack(hb)])]
         eq_a = np.zeros((1, len(hb)))
         eq_a[0, :2] = 1.0
         res = sdp_solve(
@@ -353,7 +360,7 @@ class TestHermBasis:
         hb = HermBasis(n)
         mats = loop_herm_mats(n)
         assert len(hb) == len(mats) == n * n
-        assert np.array_equal(hb.mats, np.array(mats))
+        assert np.array_equal(herm_basis_stack(hb), np.array(mats))
         x = rng.standard_normal(n * n)
         acc = np.zeros((n, n), dtype=np.complex128)
         for w, m in zip(x, mats):
