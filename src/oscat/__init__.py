@@ -5,7 +5,7 @@ for diamond/cb norms and tensor-norm brackets, von Neumann (co)algebras with
 law suites and duality, the glued category of bipolar pairs, and a session
 CLI.  See README.md for an overview and the tutorial session.
 """
-from .config import BracketCaps, RunConfig
+from .config import RunConfig
 from .errors import (
     InvalidInputError,
     OscatError,

@@ -3,7 +3,7 @@
 Sessions are statement-per-line, `;`-terminated, with `#` comments.  The
 parser is total: any input yields either an AST or a ParseError with line,
 column, and the expected-token set.  Reports are deterministic for a fixed
-(session, seed, tol, caps); wall-clock timings appear only in the text
+(session, seed, tol); wall-clock timings appear only in the text
 format, never in the JSON (which must be byte-identical across runs).
 """
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import BracketCaps, RunConfig
+from .config import RunConfig
 from .errors import OscatError
 from .matcore import (
     BlockMatrix,
@@ -724,6 +724,7 @@ def _run_check(env: _Env, st: Statement, text: str, config: RunConfig) -> Record
     detail = {"failures": [name for name, _ in verdict.failures]}
     if "cb_norm" in verdict.diagnostics:
         detail["cb_norm"] = list(verdict.diagnostics["cb_norm"])
+        detail["cb_route"] = verdict.diagnostics["cb_route"]
     return Record(text, "pass" if verdict.ok else "fail", detail=detail)
 
 
@@ -745,7 +746,7 @@ def _run_norm(env: _Env, st: Statement, text: str, config: RunConfig) -> Record:
         if kind == "haagerup":
             br = haagerup_bracket(*args)
         elif kind == "proj":
-            br = proj_upper(*args, config.caps, config.rng(salt=3))
+            br = proj_upper(*args)
         else:
             br = inj_norm(*args)
     unknown = br.status == "unknown"
@@ -824,7 +825,7 @@ def _config_from_args(args) -> RunConfig:
     tol = args.tol
     if tol is None:
         tol = float(os.environ.get("OSCAT_TOL", "1e-9"))
-    return RunConfig(seed=seed, tol=tol, caps=BracketCaps())
+    return RunConfig(seed=seed, tol=tol)
 
 
 def main(argv=None) -> int:

@@ -28,12 +28,10 @@ def haagerup_bracket(v, level, x_space, y_space):
     )
 
 
-def proj_upper(v, level, x_space, y_space, caps=None, rng=None):
+def proj_upper(v, level, x_space, y_space):
     from ..osx import flat_realization
 
-    return proj_bracket_flat(
-        v, level, flat_realization(x_space), flat_realization(y_space), caps, rng
-    )
+    return proj_bracket_flat(v, level, flat_realization(x_space), flat_realization(y_space))
 
 
 def inj_norm(v, level, x_space, y_space):

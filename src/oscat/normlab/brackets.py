@@ -4,10 +4,12 @@ Spaces enter as flat realizations (completely isometric placements into a
 rectangular matrix space); levelled norms of flat spaces are single operator
 norms.  The Haagerup norm is the cb norm of an elementary-operator map
 (Haagerup's theorem), solved by the certified cb-norm SDP; past the SDP size
-cap it falls back to an SVD factorization and a rank-one dual witness.
-Projective uppers come from explicit expansions and lowers from certified dual
-witnesses.  All bounds are mathematically valid two-sided bounds, so brackets
-can only be loose, never wrong.
+cap it falls back to an SVD factorization.  Projective uppers come from
+explicit expansions.  Every lower end that is not an SDP certificate is the
+exact injective (min) norm, since ‖·‖∨ ≤ ‖·‖_h ≤ ‖·‖∧ (Effros–Ruan,
+*Operator Spaces*, ch. 9); no routine here draws random numbers.  All bounds
+are mathematically valid two-sided bounds, so brackets can only be loose,
+never wrong.
 """
 from __future__ import annotations
 
@@ -15,9 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..config import BracketCaps
 from ..errors import ShapeMismatchError, SizeLimitError
-from ..matcore import op_norm, tr_norm
+from ..matcore import op_norm
 from ..supop import SuperOp
 
 __all__ = [
@@ -92,12 +93,9 @@ class FlatSpace:
     flatten to (k·rows, k·cols); the levelled norm is the flat operator norm.
     """
 
-    def __init__(self, place: np.ndarray, base_rect: tuple[int, int] | None = None):
+    def __init__(self, place: np.ndarray):
         self.place = np.asarray(place, dtype=np.complex128)
         self.dim, self.rows, self.cols = self.place.shape
-        # set for plain M_{n,m} atoms (possibly transposed): enables exact
-        # trace-norm duals for witness certification
-        self.base_rect = base_rect
 
     # -- constructors --------------------------------------------------------
 
@@ -105,12 +103,11 @@ class FlatSpace:
     def base(n: int, m: int | None = None) -> "FlatSpace":
         m = n if m is None else m
         place = np.eye(n * m, dtype=np.complex128).reshape(n * m, n, m)
-        return FlatSpace(place, base_rect=(n, m))
+        return FlatSpace(place)
 
     def opp(self) -> "FlatSpace":
         """Transposed placement realizes the opposite space isometrically."""
-        rect = (self.base_rect[1], self.base_rect[0]) if self.base_rect else None
-        return FlatSpace(self.place.transpose(0, 2, 1), base_rect=rect)
+        return FlatSpace(self.place.transpose(0, 2, 1))
 
     @staticmethod
     def sum_inf(a: "FlatSpace", b: "FlatSpace") -> "FlatSpace":
@@ -128,10 +125,7 @@ class FlatSpace:
         place = place.transpose(0, 1, 2, 3, 5, 4).reshape(
             a.dim * b.dim, a.rows * b.rows, a.cols * b.cols
         )
-        rect = None
-        if a.base_rect and b.base_rect:
-            rect = (a.base_rect[0] * b.base_rect[0], a.base_rect[1] * b.base_rect[1])
-        return FlatSpace(place, base_rect=rect)
+        return FlatSpace(place)
 
     # -- levelled norms -------------------------------------------------------
 
@@ -156,18 +150,6 @@ class FlatSpace:
 
     def rect_norm(self, coords: np.ndarray) -> float:
         return op_norm(self.flatten_rect(coords))
-
-    def dual_norm_base(self, func_coords: np.ndarray) -> float:
-        """Exact dual (level-1) norm of a functional, base atoms only.
-
-        The functional with coordinates w acts as x ↦ Σ_α w_α x_α; on a base
-        M_{n,m} atom its norm is the trace norm of the representing matrix.
-        """
-        if self.base_rect is None:
-            raise ShapeMismatchError("exact duals only for base atoms")
-        n, m = self.base_rect
-        rep = np.einsum("a,arc->rc", np.asarray(func_coords, complex), self.place)
-        return tr_norm(rep)
 
 
 def elem_coords(x_coords: np.ndarray, y_coords: np.ndarray) -> np.ndarray:
@@ -198,50 +180,6 @@ def _svd_factorization(v: np.ndarray, k: int, da: int, db: int):
     return x, y
 
 
-def _rank1_witness_lower(v, k, fa: FlatSpace, fb: FlatSpace):
-    """Dual witness from the dominant singular pair: exact on elementaries.
-
-    Needs base atoms (exact trace-norm duals).  Returns a lower bound datum
-    computed through the self-duality pairing with F = f ⊗ g.
-    """
-    if fa.base_rect is None or fb.base_rect is None:
-        return 0.0
-    da, db = fa.dim, fb.dim
-    w = v.reshape(k, k, da, db).transpose(0, 2, 1, 3).reshape(k * da, k * db)
-    u, s, vh = np.linalg.svd(w, full_matrices=False)
-    if s.size == 0 or s[0] < 1e-15:
-        return 0.0
-    best = 0.0
-    for idx in range(min(2, s.size)):
-        xc = u[:, idx].reshape(k, da)
-        yc = vh[idx, :].reshape(k, db)
-        # attaining functionals of the dominant level-1 slices
-        for i in range(k):
-            for j in range(k):
-                fx, fy = _attaining_functional(xc[i], fa), _attaining_functional(yc[j], fb)
-                if fx is None or fy is None:
-                    continue
-                fmat = np.outer(fx, fy).ravel()
-                g = np.einsum("uvz,z->uv", v, fmat)
-                nf = fa.dual_norm_base(fx)
-                ng = fb.dual_norm_base(fy)
-                if nf > 1e-14 and ng > 1e-14:
-                    best = max(best, op_norm(g) / (nf * ng))
-    return best
-
-
-def _attaining_functional(x_coords, fs: FlatSpace):
-    """Coordinates of a norm-attaining functional for a level-1 element."""
-    n, m = fs.base_rect
-    flat = np.einsum("a,arc->rc", x_coords, fs.place)
-    if op_norm(flat) < 1e-15:
-        return None
-    u, s, vh = np.linalg.svd(flat)
-    rep = np.outer(vh[0].conj(), u[:, 0].conj())  # cols×rows with tr(rep·flat) = σ₁
-    # functional coordinates: w_α = F(e_α) = tr(rep · place[α])
-    return np.einsum("cr,arc->a", rep, fs.place)
-
-
 def haagerup_bracket_flat(v, level: int, fa: FlatSpace, fb: FlatSpace) -> NormBracket:
     """‖v‖ in M_k(X ⊗_h Y) as one operator-picture cb norm (Haagerup's theorem).
 
@@ -249,7 +187,7 @@ def haagerup_bracket_flat(v, level: int, fa: FlatSpace, fb: FlatSpace) -> NormBr
     the flat placements A_a, B_b the norm is the cb norm of
     φ(x) = Σ v[i,j,a,b]·(e_i ⊗ A_a)·x·(B_b ⊗ e_jᵀ), zero-padded to M_p → M_q.
     Past the SDP size cap the SVD factorization gives the upper end and the
-    rank-one dual witness the lower end.
+    injective norm the lower end.
     """
     from .diamond import cb_norm
 
@@ -270,22 +208,18 @@ def haagerup_bracket_flat(v, level: int, fa: FlatSpace, fb: FlatSpace) -> NormBr
         x, y = _svd_factorization(v, k, da, db)
         upper = fa.rect_norm(x) * fb.rect_norm(y)
         wit = {"x": x, "y": y, "route": "sdp size cap", "reason": "sdp size cap"}
-        return NormBracket.from_bounds(_rank1_witness_lower(v, k, fa, fb), upper, wit)
+        return NormBracket.from_bounds(inj_norm_flat(v, k, fa, fb).upper, upper, wit)
 
 
 # ---------------------------------------------------------------------------
 # projective bracket and injective norm
 
-def proj_bracket_flat(
-    v,
-    level: int,
-    fa: FlatSpace,
-    fb: FlatSpace,
-    caps: BracketCaps | None = None,
-    rng: np.random.Generator | None = None,
-) -> NormBracket:
-    caps = caps or BracketCaps()
-    rng = rng or np.random.default_rng(0)
+def proj_bracket_flat(v, level: int, fa: FlatSpace, fb: FlatSpace) -> NormBracket:
+    """‖v‖ in M_k(X ⊗̂ Y): expansion upper end, injective-norm lower end.
+
+    The injective norm dominates every rank-one dual witness f ⊗ g, because
+    f ⊗ g is completely contractive on X ⊗min Y when f and g are.
+    """
     k, da, db = level, fa.dim, fb.dim
     v = _tensor_coords_reshape(v, k, da, db)
     if np.max(np.abs(v)) < 1e-300:
@@ -313,25 +247,19 @@ def proj_bracket_flat(
     if total > 0:
         uppers.append(total)
     upper = min(uppers) if uppers else np.inf
-
-    # lower: rank-1 dual functionals, exact injective-ball membership
-    lower = 0.0
-    if fa.base_rect is not None and fb.base_rect is not None:
-        lower = _rank1_witness_lower(v, k, fa, fb)
-        for _ in range(caps.witnesses):
-            fx = rng.standard_normal(da) + 1j * rng.standard_normal(da)
-            fy = rng.standard_normal(db) + 1j * rng.standard_normal(db)
-            nf, ng = fa.dual_norm_base(fx), fb.dual_norm_base(fy)
-            if nf < 1e-14 or ng < 1e-14:
-                continue
-            g = np.einsum("uvz,z->uv", v, np.outer(fx, fy).ravel())
-            lower = max(lower, op_norm(g) / (nf * ng))
-    return NormBracket.from_bounds(lower, upper)
+    return NormBracket.from_bounds(inj_norm_flat(v, k, fa, fb).upper, upper)
 
 
 def inj_norm_flat(v, level: int, fa: FlatSpace, fb: FlatSpace) -> NormBracket:
-    """Exact: the completely injective tensor of flat spaces is their kron."""
-    k = level
-    v = _tensor_coords_reshape(v, k, fa.dim, fb.dim)
-    val = FlatSpace.tens_min(fa, fb).level_norm(v)
-    return NormBracket.exactly(val)
+    """Exact: the completely injective tensor of flat spaces is their kron.
+
+    v is contracted with one placement at a time, so memory stays near the
+    size of the flat matrix; `FlatSpace.tens_min` would build the whole
+    (da·db, ra·rb, ca·cb) placement to flatten one element.
+    """
+    k, da, db = level, fa.dim, fb.dim
+    v = _tensor_coords_reshape(v, k, da, db).reshape(k, k, da, db)
+    half = np.einsum("ijab,arc->ijbrc", v, fa.place)
+    flat = np.einsum("ijbrc,bsd->irsjcd", half, fb.place)
+    flat = flat.reshape(k * fa.rows * fb.rows, k * fa.cols * fb.cols)
+    return NormBracket.exactly(op_norm(flat))

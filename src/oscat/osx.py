@@ -317,7 +317,7 @@ def norm_at(e: SpaceElement, config: RunConfig | None = None) -> NormBracket:
         if hit is not None:
             _NORM_CACHE.move_to_end(key)
             return hit
-    out = _norm_dispatch(space, e.level, coords, config)
+    out = _norm_dispatch(space, e.level, coords)
     if key is not None:
         _NORM_CACHE[key] = out
         if len(_NORM_CACHE) > NORM_CACHE_SIZE:
@@ -325,7 +325,7 @@ def norm_at(e: SpaceElement, config: RunConfig | None = None) -> NormBracket:
     return out
 
 
-def _norm_dispatch(space, k, coords, config) -> NormBracket:
+def _norm_dispatch(space, k, coords) -> NormBracket:
     # exact flat cases
     try:
         fs = _flat(space)
@@ -336,16 +336,16 @@ def _norm_dispatch(space, k, coords, config) -> NormBracket:
 
     if space.kind == "conj":
         # conjugate spaces carry the same matrix norms on the same elements
-        return _norm_dispatch(space.args[0], k, coords, config)
+        return _norm_dispatch(space.args[0], k, coords)
 
     if space.kind == "opp":
         # ‖[x_ij]‖ in X_o equals ‖[x_ji]‖ in X: transpose the outer indices
-        return _norm_dispatch(space.args[0], k, coords.transpose(1, 0, 2), config)
+        return _norm_dispatch(space.args[0], k, coords.transpose(1, 0, 2))
 
     if space.kind == "sum_inf":
         da = dim(space.args[0])
-        ba = _norm_dispatch(space.args[0], k, coords[:, :, :da], config)
-        bb = _norm_dispatch(space.args[1], k, coords[:, :, da:], config)
+        ba = _norm_dispatch(space.args[0], k, coords[:, :, :da])
+        bb = _norm_dispatch(space.args[1], k, coords[:, :, da:])
         return NormBracket.from_bounds(
             max(ba.lower, bb.lower), max(ba.upper, bb.upper)
         )
@@ -371,8 +371,8 @@ def _norm_dispatch(space, k, coords, config) -> NormBracket:
             # the trace pairing identifies both sides coordinate-wise
             return dual_level_norm(coords, duals_alg, k)
         da = dim(space.args[0])
-        ba = _norm_dispatch(space.args[0], k, coords[:, :, :da], config)
-        bb = _norm_dispatch(space.args[1], k, coords[:, :, da:], config)
+        ba = _norm_dispatch(space.args[0], k, coords[:, :, :da])
+        bb = _norm_dispatch(space.args[1], k, coords[:, :, da:])
         if k == 1:
             return NormBracket.from_bounds(ba.lower + bb.lower, ba.upper + bb.upper)
         return NormBracket.from_bounds(
@@ -393,7 +393,7 @@ def _norm_dispatch(space, k, coords, config) -> NormBracket:
             fa, fb = _flat(a), _flat(b)
         except UnsupportedSpaceError:
             return NormBracket.unknown()
-        return proj_bracket_flat(coords, k, fa, fb, config.caps, config.rng(salt=13))
+        return proj_bracket_flat(coords, k, fa, fb)
 
     return NormBracket.unknown()
 

@@ -483,6 +483,7 @@ def certify_morphism(
             picture = "operator" if mode == "cpu" else "trace"
             br: NormBracket = cb_norm(f, picture)
             v.diagnostics["cb_norm"] = (br.lower, br.upper)
+            v.diagnostics["cb_route"] = br.witnesses["route"]
             if br.status == "exact" and abs(br.mid - 1.0) > 1e-6:
                 v.ok = False
                 v.failures.append(("cb_norm_one", br.mid - 1.0))

@@ -17,7 +17,6 @@ from oscat.normlab.diamond import (
     diamond_seesaw_lower,
     dual_level_norm,
 )
-from oscat.config import BracketCaps
 from oscat.matcore import BlockMatrix
 from oscat.normlab import brackets as brackets_mod
 from oscat.normlab import diamond as diamond_mod
@@ -374,6 +373,7 @@ class TestHaagerup:
                 br = self._capped(mp, v, k)
             assert br.witnesses["reason"] == "sdp size cap"
             assert br.status != "unknown"
+            assert br.lower == inj_norm_flat(v, k, F2, F2).upper
             assert br.lower <= exact.lower + 1e-9 and exact.upper <= br.upper + 1e-9
 
     def test_factorization_witness_reconstructs(self, monkeypatch, rng):
@@ -394,11 +394,32 @@ class TestOrdering:
             w = rand_complex(rng, 1, k * k * 16).ravel().reshape(k, k, 16)
             bi = inj_norm_flat(w, k, F2, F2)
             bh = haagerup_bracket_flat(w, k, F2, F2)
-            bp = proj_bracket_flat(w, k, F2, F2, rng=np.random.default_rng(trial))
+            bp = proj_bracket_flat(w, k, F2, F2)
             assert bh.status == "exact"
+            assert bp.status == "bracket" and bp.lower == bi.upper
             assert bi.upper <= bh.lower + 1e-6
             assert bh.upper <= bp.upper + 1e-6
             assert bi.mid <= bp.upper + 1e-6
+
+    def test_inj_flattens_without_min_placement(self, rng):
+        # M(8) ⊗min M(8): the (4096, 64, 64) placement of FlatSpace.tens_min
+        # would take 256 MiB; the flat 64×64 matrix takes 64 KiB
+        import tracemalloc
+
+        n = 8
+        coords = rand_complex(rng, 1, n ** 4).ravel()
+        want = op_norm(
+            coords.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+        )
+        fn = FlatSpace.base(n)
+        tracemalloc.start()
+        try:
+            br = inj_norm_flat(coords, 1, fn, fn)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert br.status == "exact" and abs(br.upper - want) <= 1e-12 * want
+        assert peak < 8 * 2 ** 20
 
     def test_inj_exact_on_elementary(self, rng):
         u, v = rand_unitary(rng, 2), rand_unitary(rng, 3)
@@ -408,12 +429,13 @@ class TestOrdering:
 
     @pytest.mark.parametrize("cross, status", [(1e-13, "exact"), (1e-9, "unknown")])
     def test_proj_crossing(self, monkeypatch, rng, cross, status):
-        # a dual witness above the expansion upper end is a crossing, not clamped
+        # an injective lower end above the expansion upper end is a crossing, not clamped
         w = rand_complex(rng, 1, 16).ravel()
-        caps = BracketCaps(witnesses=0)
-        upper = proj_bracket_flat(w, 1, F2, F2, caps=caps).upper
-        monkeypatch.setattr(brackets_mod, "_rank1_witness_lower", lambda *a: upper + cross)
-        br = proj_bracket_flat(w, 1, F2, F2, caps=caps)
+        upper = proj_bracket_flat(w, 1, F2, F2).upper
+        monkeypatch.setattr(
+            brackets_mod, "inj_norm_flat", lambda *a: NormBracket.exactly(upper + cross)
+        )
+        br = proj_bracket_flat(w, 1, F2, F2)
         assert br.status == status
         if status == "unknown":
             assert br.witnesses["reason"] == "crossed bracket"
@@ -427,10 +449,11 @@ class TestOrdering:
         assert abs(br.lower - 1.0) <= 1e-9 and abs(br.upper - 1.0) <= 1e-9
 
     def test_appendix_cross_check(self, rng):
-        # factorization uppers vs independently recomputed dual-pairing lowers
+        # factorization uppers vs independently recomputed dual pairings; the
+        # injective lower end dominates every rank-one functional
         for trial in range(10):
             w = rand_complex(rng, 1, 16).ravel()
-            bp = proj_bracket_flat(w, 1, F2, F2, rng=np.random.default_rng(trial))
+            bp = proj_bracket_flat(w, 1, F2, F2)
             best = 0.0
             r2 = np.random.default_rng(1000 + trial)
             for _ in range(50):
@@ -439,7 +462,7 @@ class TestOrdering:
                     np.einsum("z,z->", np.outer(_func(f), _func(g)).ravel(), w)
                 )
                 best = max(best, val / (tr_norm(f) * tr_norm(g)))
-            assert best <= bp.upper + 1e-9
+            assert best <= bp.lower + 1e-9
 
 
 def _func(rep):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oscat import osx
-from oscat.config import BracketCaps, RunConfig
+from oscat.config import RunConfig
 from oscat.errors import UnsupportedSpaceError
 from oscat.matcore import kron, op_norm, rand_complex, rand_unitary, tr_norm
 from oscat.osx import (
@@ -178,21 +178,21 @@ class TestNormAt:
         assert norm_at(els[1], config) is not first[1]
         osx._NORM_CACHE.clear()
 
-    def test_norm_cache_keyed_on_caps(self):
-        # a low-caps entry must not be served to a later default-caps call:
-        # the cache is keyed on the whole RunConfig, caps included
+    def test_norm_cache_keyed_on_seed_and_tol(self):
+        # the cache is keyed on (seed, tol); no tensor bracket depends on the seed
         rng = np.random.default_rng(0)
         coords = rng.standard_normal((2, 2, 16)) + 1j * rng.standard_normal((2, 2, 16))
-        el = SpaceElement(tens_h(M(2), M(2)), 2, coords)
-        low_caps = BracketCaps(witnesses=4, ascent_steps=2)
+        for space in (tens_h(M(2), M(2)), tens_proj(M(2), M(2))):
+            el = SpaceElement(space, 2, coords)
+            osx._NORM_CACHE.clear()
+            first = norm_at(el, RunConfig(seed=1))
+            assert norm_at(el, RunConfig(seed=1)) is first
+            other = norm_at(el, RunConfig(seed=2))
+            loose = norm_at(el, RunConfig(seed=1, tol=1e-6))
+            assert len(osx._NORM_CACHE) == 3
+            assert other is not first and loose is not first
+            assert (other.lower, other.upper) == (first.lower, first.upper)
         osx._NORM_CACHE.clear()
-        low = norm_at(el, RunConfig(caps=low_caps))
-        after = norm_at(el, RunConfig())
-        assert len(osx._NORM_CACHE) == 2
-        assert after is not low
-        osx._NORM_CACHE.clear()
-        fresh = norm_at(el, RunConfig())
-        assert (after.lower, after.upper) == (fresh.lower, fresh.upper)
 
 
 class TestFlatRealization:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_cptp, random_superop
-from oscat.config import RunConfig, BracketCaps
+from oscat.config import RunConfig
 from oscat.errors import ShapeMismatchError
 from oscat.matcore import BlockMatrix, kron, op_norm, rand_complex, rand_hermitian, rand_unitary
 from oscat.osx import M, normalize_space, tens_proj
@@ -330,13 +330,21 @@ class TestQuantumSwitch:
         assert membership(target, out.ravel()) == "yes"
 
     def test_report_structure(self):
-        cfg = RunConfig(seed=11, caps=BracketCaps(ascent_steps=40))
-        _, report = quantum_switch(2, cfg)
-        assert [c["verdict"] for c in report["claims"][:2]] == ["pass", "pass"]
-        assert report["claims"][2]["verdict"] in ("pass", "unknown")
-        if report["claims"][2]["verdict"] == "pass":
-            assert report["claims"][2]["evidence"]["best_ratio"] > 1.02
-            assert "h_violation_witness" in report
+        _, report = quantum_switch(2, RunConfig(seed=11))
+        assert [c["verdict"] for c in report["claims"]] == ["pass", "pass", "pass"]
+        assert report["claims"][2]["evidence"]["ratio"] == 2
+        assert "h_violation_witness" in report
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_haagerup_violation_is_n(self, n):
+        # v = Σ e_i1 ⊗ e_1i: ‖v‖_h = 1 exactly and ‖qsw(v)‖ = n
+        _, report = quantum_switch(n)
+        claim = report["claims"][2]
+        ev = claim["evidence"]
+        assert claim["verdict"] == ("unknown" if n == 1 else "pass")
+        assert abs(ev["ratio"] - n) <= 1e-9 and abs(ev["h_upper"] - 1.0) <= 1e-12
+        lo, hi = ev["h_bracket"]
+        assert ev["h_status"] == "exact" and lo <= 1.0 <= hi
 
 
 class TestSerialization:
