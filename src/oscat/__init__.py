@@ -30,9 +30,6 @@ from .normlab import (
     SdpProblem,
     cb_norm,
     diamond_norm,
-    haagerup_bracket,
-    inj_norm,
-    proj_upper,
     sdp_solve,
 )
 from .osx import (

@@ -14,8 +14,9 @@ import numpy as np
 
 from .config import RunConfig
 from .matcore import BlockMatrix, op_norm, rand_complex, rand_hermitian, rand_unitary, tr_norm
-from .normlab.brackets import FlatSpace, elem_coords, haagerup_bracket_flat, inj_norm_flat, proj_bracket_flat
+from .normlab.brackets import elem_coords
 from .normlab.diamond import _diamond_sdp, cb_norm, diamond_norm, diamond_seesaw_lower
+from .osx import M, SpaceElement, norm_at, tens_h, tens_min, tens_proj
 from .qglue import (
     density_ops,
     generators,
@@ -352,23 +353,19 @@ def criterion_7(config: RunConfig) -> AcceptanceResult:
 def criterion_8(config: RunConfig) -> AcceptanceResult:
     """Norm ordering inj ≤ h ≤ proj and Haagerup primal/dual agreement."""
     rng = config.rng(salt=8)
-    f2 = FlatSpace.base(2, 2)
+    spaces = [tens(M(2), M(2)) for tens in (tens_min, tens_h, tens_proj)]
     crossings = 0
     for trial in range(50):
         k = 1 + trial % 2
         w = rand_complex(rng, 1, k * k * 16).ravel().reshape(k, k, 16)
-        bi = inj_norm_flat(w, k, f2, f2)
-        bh = haagerup_bracket_flat(w, k, f2, f2)
-        bp = proj_bracket_flat(w, k, f2, f2)
+        bi, bh, bp = (norm_at(SpaceElement(sp, k, w), config) for sp in spaces)
         if bi.upper > bh.upper + 1e-6 or bh.lower > bp.upper + 1e-6:
-            crossings += 1
-        if bi.mid > bh.upper + 1e-6 or bh.lower > bp.upper + 1e-6:
             crossings += 1
     bad_width = 0
     for trial in range(20):
         x, y = rand_complex(rng, 2), rand_complex(rng, 2)
         w = elem_coords(x.ravel(), y.ravel()) + 0.05 * rand_complex(rng, 1, 16).ravel()
-        bh = haagerup_bracket_flat(w, 1, f2, f2)
+        bh = norm_at(SpaceElement(spaces[1], 1, w), config)
         if (bh.upper - bh.lower) > 0.10 * max(bh.upper, 1e-12):
             bad_width += 1
     ok = crossings == 0 and bad_width == 0

@@ -25,9 +25,8 @@ from .matcore import (
     parse_matrix_literal,
     tr_norm,
 )
-from .normlab import haagerup_bracket, inj_norm, proj_upper
 from .normlab.diamond import cb_norm, diamond_norm
-from .osx import SpaceExpr, parse_space
+from .osx import SpaceElement, SpaceExpr, format_space, norm_at, normalize_space, parse_space
 from .qglue import (
     QObject,
     check_morphism,
@@ -615,29 +614,32 @@ def _split_blocks(mat: np.ndarray, shape) -> BlockMatrix:
     raise OscatError("matrix does not fit the block shape")
 
 
-def _element_level(mat: np.ndarray, space: SpaceExpr):
-    """Infer the level of a flat literal for a two-factor tensor space."""
-    from .osx import normalize_space
+def _factor_shape(x: SpaceExpr) -> tuple[int, int]:
+    """Literal shape of one tensor factor.
 
-    sp = normalize_space(space)
-    if sp.kind not in ("tens_h", "tens_proj", "tens_min"):
-        raise OscatError("norm brackets need a tensor space X (*h|*proj|*min) Y")
-    a, b = sp.args
-    if a.kind != "base" or b.kind != "base":
-        raise OscatError("tensor norms need base matrix factors")
-    rows = a.args[0] * b.args[0]
-    cols = a.args[1] * b.args[1]
+    M(n,m) is n×m; dual(M(n,m)), T(n) included, is written by its m×n
+    trace-pairing representing matrices.
+    """
+    if x.kind == "base":
+        return x.args
+    if x.kind == "dual" and x.args[0].kind == "base":
+        n, m = x.args[0].args
+        return m, n
+    raise OscatError("tensor norms need M(n,m) or T(n) factors")
+
+
+def _element_level(mat: np.ndarray, sp: SpaceExpr):
+    """Level and coordinates of a flat literal in a normalized two-factor tensor."""
+    (na, ma), (nb, mb) = _factor_shape(sp.args[0]), _factor_shape(sp.args[1])
+    rows, cols = na * nb, ma * mb
     if mat.shape[0] % rows or mat.shape[1] % cols:
         raise OscatError(f"literal shape {mat.shape} does not tile {rows}x{cols}")
     k = mat.shape[0] // rows
     if mat.shape != (k * rows, k * cols):
         raise OscatError("literal is not square at a single level")
     # flat (k·rows, k·cols) → tensor coords (k,k,dimA·dimB)
-    na, ma = a.args
-    nb, mb = b.args
     t = mat.reshape(k, na, nb, k, ma, mb).transpose(0, 3, 1, 4, 2, 5)
-    coords = t.reshape(k, k, na * ma * nb * mb)
-    return sp, k, coords
+    return k, t.reshape(k, k, na * ma * nb * mb)
 
 
 def run_session(ast: SessionAst, config: RunConfig | None = None) -> Report:
@@ -728,6 +730,14 @@ def _run_check(env: _Env, st: Statement, text: str, config: RunConfig) -> Record
     return Record(text, "pass" if verdict.ok else "fail", detail=detail)
 
 
+# norm kind → the top tensor its space must have, and how the grammar writes it
+_NORM_TENSORS = {
+    "haagerup": ("tens_h", "(*h)"),
+    "proj": ("tens_proj", "(*proj)"),
+    "inj": ("tens_min", "(*min)"),
+}
+
+
 def _run_norm(env: _Env, st: Statement, text: str, config: RunConfig) -> Record:
     kind = st.get("kind")
     if kind in ("op", "tr"):
@@ -740,15 +750,12 @@ def _run_norm(env: _Env, st: Statement, text: str, config: RunConfig) -> Record:
         br = cb_norm(env.lookup("maps", st.get("arg")), st.get("picture"))
     else:
         mat = parse_matrix_literal(st.get("arg"))
-        space = parse_space(st.get("space"), names=env.spaces)
-        sp, level, coords = _element_level(mat, space)
-        args = (coords, level, sp.args[0], sp.args[1])
-        if kind == "haagerup":
-            br = haagerup_bracket(*args)
-        elif kind == "proj":
-            br = proj_upper(*args)
-        else:
-            br = inj_norm(*args)
+        sp = normalize_space(parse_space(st.get("space"), names=env.spaces))
+        tensor, op = _NORM_TENSORS[kind]
+        if sp.kind != tensor:
+            raise OscatError(f"norm {kind} needs a {op} space, got {format_space(sp)}")
+        level, coords = _element_level(mat, sp)
+        br = norm_at(SpaceElement(sp, level, coords), config)
     unknown = br.status == "unknown"
     detail = {"norm_status": br.status}
     for key in ("route", "reason"):

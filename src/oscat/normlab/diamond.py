@@ -265,21 +265,13 @@ def dual_level_norm(coords: np.ndarray, dom_shape, level: int, rel_gap: float = 
     if k == 1:
         rep = BlockMatrix.from_vector(coords[0, 0], dom_shape)
         return NormBracket.exactly(functional_norm(rep, "operator"))
-    reps = [
-        [BlockMatrix.from_vector(coords[i, j], dom_shape) for j in range(k)]
-        for i in range(k)
-    ]
-
-    def act(b: BlockMatrix) -> BlockMatrix:
-        out = np.empty((k, k), dtype=np.complex128)
-        for i in range(k):
-            for j in range(k):
-                out[i, j] = sum(
-                    np.trace(r @ x) for r, x in zip(reps[i][j].blocks, b.blocks)
-                )
-        return BlockMatrix([out])
-
-    phi = SuperOp.from_action(act, dom_shape, (k,))
+    # block i maps vec(b_i) to [tr(r_ij b_i)]: row (i, j) is vec(r_ijᵀ)
+    blocks, off = [], 0
+    for n in dom_shape:
+        reps = coords[:, :, off : off + n * n].reshape(k * k, n, n)
+        blocks.append([reps.transpose(0, 2, 1).reshape(k * k, n * n)])
+        off += n * n
+    phi = SuperOp.from_transfer_blocks(blocks, dom_shape, (k,))
     return cb_norm(phi, "operator", rel_gap)
 
 

@@ -4,8 +4,8 @@ Spaces are expression trees over the constructors base / dual / conjugate /
 opposite / ℓ∞-sum / ℓ¹-sum / three tensors.  Elements carry level-k
 coordinates over the shared canonical basis (all tensor constructors have the
 same underlying vector space).  The norm oracle dispatches per constructor
-and returns NormBracket values; an unsupported nesting yields status unknown,
-never a wrong number.
+and returns NormBracket values; an unsupported nesting yields status unknown
+with a reason naming the space, never a wrong number.
 """
 from __future__ import annotations
 
@@ -22,6 +22,7 @@ from .normlab.brackets import (
     FlatSpace,
     NormBracket,
     haagerup_bracket_flat,
+    inj_norm_flat,
     proj_bracket_flat,
 )
 from .normlab.diamond import dual_level_norm
@@ -325,7 +326,27 @@ def norm_at(e: SpaceElement, config: RunConfig | None = None) -> NormBracket:
     return out
 
 
+def _no_route(space) -> NormBracket:
+    return NormBracket.unknown({"reason": f"no route for {format_space(space)}"})
+
+
 def _norm_dispatch(space, k, coords) -> NormBracket:
+    if space.kind in ("tens_h", "tens_proj", "tens_min"):
+        # two flat factors; a top-level min tensor is flattened one element at
+        # a time instead of through FlatSpace.tens_min's whole placement.  The
+        # routes are looked up per call, so a rebound route (as perfbench's
+        # tracer installs) is the one that runs.
+        try:
+            fa, fb = _flat(space.args[0]), _flat(space.args[1])
+        except UnsupportedSpaceError:
+            return _no_route(space)
+        route = {
+            "tens_h": haagerup_bracket_flat,
+            "tens_proj": proj_bracket_flat,
+            "tens_min": inj_norm_flat,
+        }[space.kind]
+        return route(coords, k, fa, fb)
+
     # exact flat cases
     try:
         fs = _flat(space)
@@ -342,14 +363,6 @@ def _norm_dispatch(space, k, coords) -> NormBracket:
         # ‖[x_ij]‖ in X_o equals ‖[x_ji]‖ in X: transpose the outer indices
         return _norm_dispatch(space.args[0], k, coords.transpose(1, 0, 2))
 
-    if space.kind == "sum_inf":
-        da = dim(space.args[0])
-        ba = _norm_dispatch(space.args[0], k, coords[:, :, :da])
-        bb = _norm_dispatch(space.args[1], k, coords[:, :, da:])
-        return NormBracket.from_bounds(
-            max(ba.lower, bb.lower), max(ba.upper, bb.upper)
-        )
-
     if space.kind == "dual":
         inner = space.args[0]
         shape = _algebra_shape(inner)
@@ -363,39 +376,28 @@ def _norm_dispatch(space, k, coords) -> NormBracket:
             padded = np.zeros((k, k, p, p), dtype=np.complex128)
             padded[:, :, :m, :n] = coords.reshape(k, k, m, n)
             return dual_level_norm(padded.reshape(k, k, p * p), (p,), k)
-        return NormBracket.unknown()
+        return _no_route(space)
 
     if space.kind == "sum_1":
         duals_alg = _algebra_shape(normalize_space(dual(space)))
         if duals_alg is not None:
             # the trace pairing identifies both sides coordinate-wise
             return dual_level_norm(coords, duals_alg, k)
+
+    if space.kind in ("sum_inf", "sum_1"):
         da = dim(space.args[0])
         ba = _norm_dispatch(space.args[0], k, coords[:, :, :da])
         bb = _norm_dispatch(space.args[1], k, coords[:, :, da:])
+        for part in (ba, bb):
+            if part.status == "unknown":  # its infinite upper end would pass for exact
+                return part
+        if space.kind == "sum_inf":
+            return NormBracket.from_bounds(max(ba.lower, bb.lower), max(ba.upper, bb.upper))
         if k == 1:
             return NormBracket.from_bounds(ba.lower + bb.lower, ba.upper + bb.upper)
-        return NormBracket.from_bounds(
-            max(ba.lower, bb.lower), ba.upper + bb.upper
-        )
+        return NormBracket.from_bounds(max(ba.lower, bb.lower), ba.upper + bb.upper)
 
-    if space.kind == "tens_h":
-        a, b = space.args
-        try:
-            fa, fb = _flat(a), _flat(b)
-        except UnsupportedSpaceError:
-            return NormBracket.unknown()
-        return haagerup_bracket_flat(coords, k, fa, fb)
-
-    if space.kind == "tens_proj":
-        a, b = space.args
-        try:
-            fa, fb = _flat(a), _flat(b)
-        except UnsupportedSpaceError:
-            return NormBracket.unknown()
-        return proj_bracket_flat(coords, k, fa, fb)
-
-    return NormBracket.unknown()
+    return _no_route(space)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 from .config import RunConfig
 from .errors import ShapeMismatchError
 from .matcore import BlockMatrix, axis_perm, kron, op_norm, rand_complex, rand_unitary
-from .normlab.brackets import FlatSpace, NormBracket, haagerup_bracket_flat
+from .normlab.brackets import FlatSpace, NormBracket
 from .normlab.diamond import cb_norm
 from .osx import (
     M,
@@ -31,6 +31,7 @@ from .osx import (
     normalize_space,
     sum_1,
     sum_inf,
+    tens_h,
     tens_min,
     tens_proj,
 )
@@ -403,21 +404,13 @@ def _closure_membership(s: SetSpec, x, tol, config) -> str:
     for g in gens:
         if np.max(np.abs(g - x)) <= tol:
             return "yes"
-    # no-certificates from known polar members
-    if s.kind == "tensor_bipolar":
-        fa, _ = generators(polar(s.payload[0]))
-        fb, _ = generators(polar(s.payload[1]))
-        for f1 in fa:
-            for f2 in fb:
-                if abs(pairing(s.space, np.outer(f1, f2).ravel(), x) - 1) > max(tol, 1e-7):
-                    return "no"
-    if s.kind == "par_polar":
-        fa, _ = generators(polar(s.payload[0]))
-        fb, _ = generators(polar(s.payload[1]))
-        for f1 in fa:
-            for f2 in fb:
-                if abs(pairing(s.space, np.outer(f1, f2).ravel(), x) - 1) > max(tol, 1e-7):
-                    return "no"
+    # no-certificates from known polar members f1 ⊗ f2
+    fa, _ = generators(polar(s.payload[0]))
+    fb, _ = generators(polar(s.payload[1]))
+    for f1 in fa:
+        for f2 in fb:
+            if abs(pairing(s.space, np.outer(f1, f2).ravel(), x) - 1) > max(tol, 1e-7):
+                return "no"
     if _norm_leq_one(s.space, x, tol, config) == "no":
         return "no"
     return "unknown"
@@ -646,7 +639,7 @@ def quantum_switch(n: int, config: RunConfig | None = None):
     y = x.reshape(n, n, n).transpose(0, 2, 1).reshape(n, 1, n * n)
     h_upper = fn.rect_norm(x) * fn.rect_norm(y)
     coords = np.einsum("ila,ljb->ijab", x, y).reshape(1, 1, n ** 4)
-    h = haagerup_bracket_flat(coords, 1, fn, fn)
+    h = norm_at(SpaceElement(tens_h(M(n), M(n)), 1, coords), config)
     qsw_norm = op_norm(_qsw_apply(transfers[1], coords, 1, n))
     ratio = qsw_norm / h_upper
     found = ratio > 1.02

@@ -1,7 +1,9 @@
 import json
 import random
+from collections import OrderedDict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from oscat.cli import (
@@ -13,6 +15,7 @@ from oscat.cli import (
     run_session,
 )
 from oscat.config import RunConfig
+from oscat.osx import M, SpaceElement, norm_at, tens_h, tens_min, tens_proj
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 TUTORIAL = Path(__file__).parents[1] / "src" / "oscat" / "data" / "tutorial.oscat"
@@ -151,7 +154,10 @@ class TestRunner:
 
     def test_haagerup_size_cap_carries_reason(self, monkeypatch):
         import oscat.normlab.sdp as sdp_mod
+        import oscat.osx as osx
 
+        # a cached bracket from an earlier run of the same element would hide the cap
+        monkeypatch.setattr(osx, "_NORM_CACHE", OrderedDict())
         monkeypatch.setattr(sdp_mod, "MAX_PSD_DIM", 4)
         rep = run_session(parse_session(
             "norm haagerup [[0,0,1,0],[0,0,0,0],[0,1,0,0],[0,0,0,0]] in M(2) (*h) M(2);"
@@ -184,6 +190,47 @@ class TestRunner:
         assert rep.records[0].status == "fail"
         assert "coassociativity" in rep.records[0].detail["failures"]
         assert rep.records[1].status == "pass"
+
+
+SWAP = "[[1,0,0,0],[0,0,1,0],[0,1,0,0],[0,0,0,1]]"
+NORM_KINDS = {"haagerup": ("(*h)", tens_h), "proj": ("(*proj)", tens_proj), "inj": ("(*min)", tens_min)}
+
+
+def _swap_coords():
+    # Σ_ij e_ij ⊗ e_ji over the canonical basis of M(2) ⊗ M(2)
+    unit = np.eye(2)
+    return sum(
+        np.outer(np.outer(unit[i], unit[j]).ravel(), np.outer(unit[j], unit[i]).ravel()).ravel()
+        for i in range(2) for j in range(2)
+    )
+
+
+class TestTensorNorms:
+    @pytest.mark.parametrize("kind", sorted(NORM_KINDS))
+    @pytest.mark.parametrize("op", sorted(op for op, _ in NORM_KINDS.values()))
+    def test_kind_must_match_top_tensor(self, kind, op, config):
+        rec = run_session(parse_session(f"norm {kind} {SWAP} in M(2) {op} M(2);"), config).records[0]
+        want_op, tens = NORM_KINDS[kind]
+        if op != want_op:
+            assert rec.status == "fail" and rec.value is None
+            assert f"needs a {want_op} space" in rec.detail["error"]
+            return
+        br = norm_at(SpaceElement(tens(M(2), M(2)), 1, _swap_coords()), config)
+        assert rec.status == "pass" and rec.bracket == (br.lower, br.upper)
+        assert rec.detail["norm_status"] == br.status
+
+    def test_swap_has_unit_min_norm(self, config):
+        rec = run_session(parse_session(f"norm inj {SWAP} in M(2) (*min) M(2);"), config).records[0]
+        assert rec.status == "pass" and abs(rec.value - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("kind", sorted(NORM_KINDS))
+    def test_trace_class_factors_are_unknown_with_reason(self, kind, config):
+        op = NORM_KINDS[kind][0]
+        rep = run_session(parse_session(f"norm {kind} {SWAP} in T(2) {op} T(2);"), config)
+        rec = rep.records[0]
+        assert rec.status == "unknown" and rec.value is None
+        assert rec.detail["reason"] == f"no route for (T(2) {op} T(2))"
+        assert rep.exit_code == 2
 
 
 class TestDeterminism:

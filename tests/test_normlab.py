@@ -302,6 +302,17 @@ class TestDualLevelNorms:
         assert abs(dual_level_norm(ident, (2,), 2).mid - 1.0) <= 1e-6
         assert abs(dual_level_norm(trans, (2,), 2).mid - 2.0) <= 1e-4
 
+    def test_matrix_units_level2_two_blocks(self):
+        # the same patterns in the M_2 block of M_2 ⊕∞ M_1, zeros in the M_1 block
+        ident = np.zeros((2, 2, 5), dtype=complex)
+        trans = np.zeros((2, 2, 5), dtype=complex)
+        for i in range(2):
+            for j in range(2):
+                ident[i, j, :4] = _unit(2, j, i)
+                trans[i, j, :4] = _unit(2, i, j)
+        assert abs(dual_level_norm(ident, (2, 1), 2).mid - 1.0) <= 1e-6
+        assert abs(dual_level_norm(trans, (2, 1), 2).mid - 2.0) <= 1e-4
+
 
 def _unit(n, i, j):
     return np.outer(np.eye(n)[i], np.eye(n)[j]).ravel()

@@ -160,6 +160,34 @@ class TestNormAt:
         br = norm_at(SpaceElement(deep, 1, np.zeros(64, complex) + 1), config)
         assert br.status in ("unknown", "bracket", "upper_only")
 
+    def test_min_tensor_skips_whole_placement(self, monkeypatch, rng, config):
+        # M(8) ⊗min M(8): FlatSpace.tens_min's (4096, 64, 64) placement would
+        # take 256 MiB; the flat 64×64 matrix takes 64 KiB
+        import tracemalloc
+        from collections import OrderedDict
+
+        monkeypatch.setattr(osx, "_NORM_CACHE", OrderedDict())
+        n = 8
+        coords = rand_complex(rng, 1, n ** 4).ravel()
+        want = op_norm(coords.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n))
+        el = SpaceElement(tens_min(M(n), M(n)), 1, coords)
+        tracemalloc.start()
+        try:
+            br = norm_at(el, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert br.status == "exact" and abs(br.upper - want) <= 1e-12 * want
+        assert peak < 4 * 2 ** 20
+
+    @pytest.mark.parametrize("op", ["(+inf)", "(+1)"])
+    def test_sum_with_unknown_part_is_unknown(self, op, config):
+        # the unknown part's infinite upper end must not become an exact bracket
+        sp = parse_space(f"(T(2) (*h) T(2)) {op} M(1)")
+        br = norm_at(SpaceElement(sp, 1, np.ones(17, complex)), config)
+        assert br.status == "unknown"
+        assert br.witnesses["reason"] == "no route for (T(2) (*h) T(2))"
+
     def test_norm_cache_hit(self, rng, config):
         u = rand_unitary(rng, 2)
         el = SpaceElement(M(2), 1, u.ravel())
