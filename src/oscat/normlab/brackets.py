@@ -3,13 +3,13 @@
 Spaces enter as flat realizations (completely isometric placements into a
 rectangular matrix space); levelled norms of flat spaces are single operator
 norms.  The Haagerup norm is the cb norm of an elementary-operator map
-(Haagerup's theorem), solved by the certified cb-norm SDP; past the SDP size
-cap it falls back to an SVD factorization.  Projective uppers come from
-explicit expansions.  Every lower end that is not an SDP certificate is the
-exact injective (min) norm, since ‖·‖∨ ≤ ‖·‖_h ≤ ‖·‖∧ (Effros–Ruan,
-*Operator Spaces*, ch. 9); no routine here draws random numbers.  All bounds
-are mathematically valid two-sided bounds, so brackets can only be loose,
-never wrong.
+(Haagerup's theorem), decided by the certified cb norm (in closed form for
+elementary tensors, else by SDP); past the SDP size cap it falls back to an
+SVD factorization.  Projective uppers come from explicit expansions.  Every
+lower end that is not a cb-norm bracket is the exact injective (min) norm,
+since ‖·‖∨ ≤ ‖·‖_h ≤ ‖·‖∧ (Effros–Ruan, *Operator Spaces*, ch. 9); no
+routine here draws random numbers.  All bounds are mathematically valid
+two-sided bounds, so brackets can only be loose, never wrong.
 """
 from __future__ import annotations
 
@@ -56,9 +56,12 @@ class NormBracket:
 
         Ends that cross by more than 1e-12·(1 + |hi|) cannot both be right:
         the result is `unknown`, with both values as witnesses.  A smaller
-        crossing is rounding, and the upper end is raised to the lower.
+        crossing is rounding, and the upper end is raised to the lower.  An
+        upper end that is not finite bounds nothing: `unknown` too.
         """
         witnesses = witnesses or {}
+        if not np.isfinite(hi):
+            return NormBracket.unknown({**witnesses, "reason": "no finite upper end", "lower": lo})
         if lo - hi > 1e-12 * (1.0 + abs(hi)):
             crossed = {"reason": "crossed bracket", "lower": lo, "upper": hi}
             return NormBracket.unknown({**witnesses, **crossed})
@@ -173,7 +176,7 @@ def _svd_factorization(v: np.ndarray, k: int, da: int, db: int):
     """Exact v = x ⊙ y from the SVD of the (k·da, k·db) unfolding."""
     w = v.reshape(k, k, da, db).transpose(0, 2, 1, 3).reshape(k * da, k * db)
     u, s, vh = np.linalg.svd(w, full_matrices=False)
-    keep = s > max(1e-14, 1e-14 * s[0])
+    keep = s > 1e-14 * s[0]
     rs = np.sqrt(s[keep])
     x = (u[:, keep] * rs).reshape(k, da, -1).transpose(0, 2, 1)
     y = (rs[:, None] * vh[keep, :]).reshape(-1, k, db)
@@ -231,7 +234,7 @@ def proj_bracket_flat(v, level: int, fa: FlatSpace, fb: FlatSpace) -> NormBracke
     m1 = v.reshape(k * k * da, db)
     u, s, vh = np.linalg.svd(m1, full_matrices=False)
     total = 0.0
-    for l in range(np.sum(s > 1e-14)):
+    for l in range(np.count_nonzero(s)):
         a_l = (u[:, l] * s[l]).reshape(k, k, da)
         y_l = vh[l, :]
         total += fa.level_norm(a_l) * fb.level_norm(y_l.reshape(1, 1, db))
@@ -240,7 +243,7 @@ def proj_bracket_flat(v, level: int, fa: FlatSpace, fb: FlatSpace) -> NormBracke
     m2 = v.transpose(2, 0, 1).reshape(da, k * k * db)
     u, s, vh = np.linalg.svd(m2.T, full_matrices=False)
     total = 0.0
-    for l in range(np.sum(s > 1e-14)):
+    for l in range(np.count_nonzero(s)):
         b_l = (u[:, l] * s[l]).reshape(k, k, db)
         x_l = vh[l, :]
         total += fa.level_norm(x_l.reshape(1, 1, da)) * fb.level_norm(b_l)

@@ -1,21 +1,24 @@
 """Completely bounded norms of superoperators.
 
 The trace-picture cb norm (diamond norm) of a map with Choi matrix J is tried
-first in closed form.  For a completely positive map ‖Φ‖⋄ = ‖Φ*(1)‖ =
-λ_max(Tr_L J) (Watrous, *The Theory of Quantum Information*, 2018, §3.3), and
-the same eigenproblem brackets every map: with H, A the Hermitian and
-anti-Hermitian parts of J and ε = max(0, −λ_min(H)),
-
-    ψ*(Tr_L H)ψ ≤ ‖Φ‖⋄ ≤ λ_max(Tr_L H) + 2εL + ‖A‖₁,
-
-ψ the top eigenvector of Tr_L H.  Rounding is charged against both ends, so
-the bracket encloses the norm of the map the given J describes.  When it is
-not within the requested gap (a map that is not CP) the standard two-block
-SDP over J decides.  The operator-picture cb norm is the diamond norm of the
-trace-pairing adjoint, so for a CP map it is ‖Φ(1)‖ (Paulsen, *Completely
-Bounded Maps and Operator Algebras*, Prop. 3.6).  Scalar domains/codomains
-take the closed-form shortcut (cb-norm = operator norm there), and block maps
-are flattened through the completely isometric block-diagonal embeddings.
+first in closed form, from one SVD J = U·Σ·V*.  Y0 = UΣU* and Y1 = VΣV*
+(shifted by the SVD residual) are feasible for Watrous's dual SDP
+(*Simpler semidefinite programs for completely bounded norms*,
+arXiv:1207.5726; *The Theory of Quantum Information*, 2018, §3.3), and
+rescaling the pair gives the upper end √(λ_max(Tr_L Y0)·λ_max(Tr_L Y1)).
+The lower end is the larger of ‖J‖₁/K (the maximally entangled input) and
+‖Φ(x̄·yᵀ)‖₁ for the two top eigenvectors.  Rounding is charged against both
+ends, so the bracket encloses the norm of the map the given J describes.  It
+is tight for CP maps (λ_max(Tr_L J)), for maps with Tr_L|J| ∝ I such as
+transposes and differences of Pauli- or Weyl-covariant channels (‖J‖₁/K),
+and for elementary operators x ↦ a·x·b (‖a‖·‖b‖, the Haagerup norm of an
+elementary tensor).  When it is not within the requested gap the standard
+two-block SDP over J decides.  The operator-picture cb norm is the diamond
+norm of the trace-pairing adjoint, so for a CP map it is ‖Φ(1)‖ (Paulsen,
+*Completely Bounded Maps and Operator Algebras*, Prop. 3.6).  Scalar
+domains/codomains take the closed-form shortcut (cb-norm = operator norm
+there), and block maps are flattened through the completely isometric
+block-diagonal embeddings.
 Every bracket names its `route` in the witnesses.
 """
 from __future__ import annotations
@@ -74,51 +77,73 @@ def _gamma(n: int) -> float:
 
 
 def _eig_charge(m: np.ndarray) -> float:
-    """How far an `eigh` eigenvalue of the n×n Hermitian m can be from the exact one.
+    """How far an `eigh` eigenvalue or `svd` singular value of the n×n m can be off.
 
-    The computed eigenvalues are exact for some m + E with ‖E‖₂ ≤ γ_{n²}·‖m‖_F
-    (Householder reduction, Higham, *Accuracy and Stability*, §19.3; LAPACK
-    quotes p(n)·ε·‖m‖₂), and Weyl's inequality moves each by at most ‖E‖₂.
+    The computed values are exact for some m + E with ‖E‖₂ ≤ γ_{n²}·‖m‖_F
+    (Householder reduction or Golub–Kahan bidiagonalization, Higham,
+    *Accuracy and Stability*, §19.3; LAPACK quotes p(n)·ε·‖m‖₂), and Weyl's
+    inequality, for eigenvalues of Hermitian m or for singular values, moves
+    each by at most ‖E‖₂.
     """
     n = m.shape[0]
     return _gamma(n * n) * float(np.linalg.norm(m))
 
 
 def _closed_form_bracket(J: np.ndarray, K: int, L: int) -> tuple[float, float]:
-    """Certified (lower, upper) for ‖Φ‖⋄ from one eigenproblem on Tr_L H.
+    """Certified (lower, upper) for ‖Φ‖⋄ from one SVD J = U·Σ·V*.
 
-    Lower: σ = ψ̄ψᵀ has unit trace, so |tr Φ(σ)| ≥ Re ψ*(Tr_L J)ψ = ψ*(Tr_L H)ψ
-    bounds every map.  Upper: H + εI ⪰ 0 and the map with Choi matrix I has
-    diamond norm L, so ‖Φ_H‖⋄ ≤ λ_max(Tr_L H) + 2εL; and ‖Φ_A‖⋄ ≤ ‖A‖₁ ≤
-    √(LK)·‖A‖_F.  The split J = h + (J − h) is exact for the computed h, which
-    is exactly Hermitian; the computed a is J − h to one rounding per entry.
-    Charged rounding: Tr_L by γ_{2L} on Tr_L|J| (complex sums), the Rayleigh
-    quotient by its two K-term complex products, ‖ψ‖² and the quotient,
-    eigenvalues by `_eig_charge`; the few extra roundings counted in each γ
-    cover the charges and the final sums.  Only for a CP map (ε, A ≈ 0) is
-    the bracket tight.
+    Upper: with r ≥ ‖J − UΣV*‖₂, Y0 = UΣU* + rI and Y1 = VΣV* + rI are
+    feasible for Watrous's dual, min ½(‖Tr_L Y0‖ + ‖Tr_L Y1‖) s.t.
+    [[Y0, −J], [−J*, Y1]] ⪰ 0: the block is [U; −V]·Σ·[U; −V]* plus an
+    r-shift that absorbs the residual, for any computed factors.  Scaling
+    (Y0, Y1) → (t·Y0, Y1/t) keeps it feasible, so ‖Φ‖⋄ ≤ √(a·b) with
+    a = λ_max(Tr_L Y0), b = λ_max(Tr_L Y1).
+    Lower: the larger of ‖J‖₁/K (the maximally entangled input) and
+    ‖Φ(x̄·yᵀ)‖₁/(‖x‖·‖y‖), x and y the top eigenvectors of Tr_L(UΣU*) and
+    Tr_L(VΣV*); J[(l,a),(l′,b)] = Φ(E_ab)[l,l′].
+    The bracket is tight for CP maps (U = V, a = b = λ_max(Tr_L J)), for
+    maps with Tr_L|J| ∝ I such as transposes and differences of Pauli- or
+    Weyl-covariant channels (both ends ‖J‖₁/K), and for rank-one J, the
+    elementary operators x ↦ a·x·b (both ends ‖a‖·‖b‖).  Charged rounding:
+    γ_n for each n-term sum of complex products (entrywise against the same
+    sums of absolute values), `_eig_charge` for each `eigh` and `svd`; the few
+    extra roundings counted in each γ cover the charges and the final sums.
+    See Watrous, *Simpler semidefinite programs for completely bounded norms*
+    (arXiv:1207.5726), and *The Theory of Quantum Information* (2018), §3.3.
     """
     d = L * K
-    h = (J + J.conj().T) * 0.5
-    a = J - h
-    tabs = np.einsum("lalb->ab", np.abs(J).reshape(L, K, L, K))
-    th = np.einsum("lalb->ab", h.reshape(L, K, L, K))
-    lam, vec = np.linalg.eigh(th)
-    psi = vec[:, -1]
-    nrm = float(np.vdot(psi, psi).real)
-    ray = float(np.vdot(psi, th @ psi).real) / nrm
-    ap = np.abs(psi)
-    lower = ray - _gamma(2 * L + 6 * K + 12) * float(ap @ tabs @ ap) / nrm
-    eps = max(0.0, _eig_charge(h) - float(np.linalg.eigvalsh(h)[0]))
-    terms = (
-        float(lam[-1]),
-        _eig_charge(th),
-        _gamma(2 * L + 2) * float(np.linalg.norm(tabs)),
-        2.0 * L * eps,
-        float(np.sqrt(d) * np.linalg.norm(a)) * (1.0 + _gamma(2 * d * d + 4)),
-    )
-    upper = sum(terms) + _gamma(len(terms)) * sum(abs(t) for t in terms)
-    return lower, upper
+    u, s, vh = np.linalg.svd(J)
+    # r ≥ ‖J − UΣV*‖₂: the computed residual plus the rounding of UΣV*
+    res = float(np.linalg.norm(J - (u * s) @ vh))
+    res_abs = float(np.linalg.norm((np.abs(u) * s) @ np.abs(vh)))
+    r = (res + _gamma(2 * d + 8) * res_abs) * (1.0 + _gamma(2 * d * d + d + 8))
+
+    ends, tops = [], []
+    sl = np.tile(s, L)
+    for w in (u, vh.conj().T):
+        # Tr_L(W·Σ·W*) = rows·Σ·rows*, rows the (K, L·d) regrouping of W; each
+        # entry is an L·d-term sum, off by at most γ·(|rows|·Σ·|rows|ᵀ)
+        rows = w.reshape(L, K, d).transpose(1, 0, 2).reshape(K, L * d)
+        m = (rows * sl) @ rows.conj().T
+        m_abs = (np.abs(rows) * sl) @ np.abs(rows).T
+        lam, vec = np.linalg.eigh(m)
+        # m is Tr_L of a PSD matrix, so its top eigenvalue is at least 0
+        top = max(0.0, float(lam[-1])) + _eig_charge(m)
+        top += _gamma(L * d + 4) * float(np.linalg.norm(m_abs))
+        ends.append((top + r * L) * (1.0 + _gamma(4)))
+        tops.append(vec[:, -1])
+    upper = float(np.sqrt(ends[0] * ends[1])) * (1.0 + _gamma(4))
+
+    lower_me = (float(s.sum()) * (1.0 - _gamma(d + 2)) - d * _eig_charge(J)) / K * (1.0 - _gamma(2))
+    # Φ(x̄·yᵀ): K²-term sums of triple products, off by at most γ·|J|(|x|, |y|)
+    x, y = tops
+    J4 = J.reshape(L, K, L, K)
+    img = np.einsum("lamb,a,b->lm", J4, x.conj(), y)
+    img_abs = np.einsum("lamb,a,b->lm", np.abs(J4), np.abs(x), np.abs(y))
+    tn = float(np.linalg.svd(img, compute_uv=False).sum()) * (1.0 - _gamma(L + 2))
+    tn -= L * _eig_charge(img) + L**0.5 * _gamma(K * K + 8) * float(np.linalg.norm(img_abs))
+    lower_xy = tn / (float(np.linalg.norm(x)) * float(np.linalg.norm(y))) * (1.0 - _gamma(4 * K + 8))
+    return max(lower_me, lower_xy), upper
 
 
 def _diamond_sdp(J: np.ndarray, K: int, L: int, rel_gap: float) -> NormBracket:
@@ -212,8 +237,9 @@ def diamond_norm(s: SuperOp, rel_gap: float = 1e-8) -> NormBracket:
 
     The closed-form bracket of `_closed_form_bracket` is returned when its
     width is within rel_gap·(1 + lower), which holds for completely positive
-    maps, where ‖Φ‖⋄ = λ_max(Tr_L J) with rounding charged against both ends;
-    any other map goes to the SDP.  `witnesses["route"]` says which.
+    maps, transposes, differences of Pauli- or Weyl-covariant channels and
+    elementary operators x ↦ a·x·b; any other map goes to the SDP.
+    `witnesses["route"]` says which.
     """
     K, L = sum(s.dom_shape), sum(s.cod_shape)
     closed = {"route": "closed form"}

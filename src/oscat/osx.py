@@ -389,7 +389,7 @@ def _norm_dispatch(space, k, coords) -> NormBracket:
         ba = _norm_dispatch(space.args[0], k, coords[:, :, :da])
         bb = _norm_dispatch(space.args[1], k, coords[:, :, da:])
         for part in (ba, bb):
-            if part.status == "unknown":  # its infinite upper end would pass for exact
+            if part.status == "unknown":  # passed on whole, with its reason
                 return part
         if space.kind == "sum_inf":
             return NormBracket.from_bounds(max(ba.lower, bb.lower), max(ba.upper, bb.upper))

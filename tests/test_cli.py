@@ -18,6 +18,8 @@ from oscat.config import RunConfig
 from oscat.osx import M, SpaceElement, norm_at, tens_h, tens_min, tens_proj
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+# real and not symmetric: no closed form decides its diamond, cb or Haagerup norm
+NON_HERMITIAN_CHOI = "[[1,2,0,1],[0,1,3,0],[1,0,0,2],[2,1,0,1]]"
 TUTORIAL = Path(__file__).parents[1] / "src" / "oscat" / "data" / "tutorial.oscat"
 
 
@@ -146,7 +148,8 @@ class TestRunner:
             diamond_mod, "sdp_solve",
             lambda p, rel_gap: SdpResult(status="numerical_failure", message="barrier stalled"),
         )
-        rep = run_session(parse_session(f"map t = transpose(2);\nnorm {kind};"))
+        # a fixed non-Hermitian map: its closed-form bracket is too wide, so the SDP runs
+        rep = run_session(parse_session(f"map t = choi([2] -> [2], {NON_HERMITIAN_CHOI});\nnorm {kind};"))
         rec = rep.records[0]
         assert rec.status == "unknown" and rec.value is None
         assert rec.detail["reason"] == "sdp numerical_failure: barrier stalled"
@@ -156,16 +159,29 @@ class TestRunner:
         import oscat.normlab.sdp as sdp_mod
         import oscat.osx as osx
 
-        # a cached bracket from an earlier run of the same element would hide the cap
+        # a non-elementary element that the closed form leaves to the SDP; the
+        # uncapped SDP value is the reference.  A cached bracket from an earlier
+        # run of the same element would hide the cap.
+        session = parse_session(f"norm haagerup {NON_HERMITIAN_CHOI} in M(2) (*h) M(2);")
+        monkeypatch.setattr(osx, "_NORM_CACHE", OrderedDict())
+        ref = run_session(session).records[0]
+        assert ref.detail["route"] == "sdp"
         monkeypatch.setattr(osx, "_NORM_CACHE", OrderedDict())
         monkeypatch.setattr(sdp_mod, "MAX_PSD_DIM", 4)
-        rep = run_session(parse_session(
-            "norm haagerup [[0,0,1,0],[0,0,0,0],[0,1,0,0],[0,0,0,0]] in M(2) (*h) M(2);"
-        ))
+        rep = run_session(session)
         rec = rep.records[0]
         assert rec.status == "pass" and rec.detail["reason"] == "sdp size cap"
         lo, hi = rec.bracket
-        assert lo <= 1.0 <= hi
+        assert lo <= ref.value <= hi
+
+    def test_tiny_proj_element_has_finite_bracket(self):
+        rep = run_session(parse_session(
+            "norm proj [[1e-20,0,0,0],[0,0,0,0],[0,0,0,0],[0,0,0,0]] in M(2) (*proj) M(2);"
+        ))
+        rec = rep.records[0]
+        assert rec.status == "pass" and rec.detail["norm_status"] == "exact"
+        lo, hi = rec.bracket
+        assert np.isfinite(hi) and lo <= 1e-20 <= hi
 
     def test_assert_laws_passes_on_canonical(self):
         ast = parse_session("coalg C = [2];\nassert laws C;")

@@ -27,6 +27,11 @@ from oscat.supop import SuperOp, conjugation, identity_map, trace_map, transpose
 F2 = FlatSpace.base(2, 2)
 
 
+def sdp_bound_map():
+    """A fixed random non-Hermitian map: its closed-form bracket is too wide, so the SDP runs."""
+    return random_superop(np.random.default_rng(12), 2)
+
+
 def cptp_difference(rng, n):
     """Φ₁ − Φ₂ for two random channels: Hermitian-preserving, not CP."""
     j = random_cptp(rng, n).big_choi() - random_cptp(rng, n).big_choi()
@@ -58,6 +63,11 @@ class TestNormBracket:
         br = NormBracket.from_bounds(1.0 + 3e-12, 1.0, {"route": "sdp"})
         assert br.status == "unknown" and br.witnesses["reason"] == "crossed bracket"
         assert br.witnesses["lower"] == 1.0 + 3e-12 and br.witnesses["upper"] == 1.0
+        assert br.witnesses["route"] == "sdp"
+
+    def test_infinite_upper_is_unknown(self):
+        br = NormBracket.from_bounds(1.0, np.inf, {"route": "sdp"})
+        assert br.status == "unknown" and br.witnesses["reason"] == "no finite upper end"
         assert br.witnesses["route"] == "sdp"
 
 
@@ -109,8 +119,9 @@ class TestDiamond:
         assert abs(br.mid - 1.0) <= 1e-6
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_transpose_bracket_contains_n(self, n):
-        br = diamond_norm(transpose_map(n))
+    def test_transpose_bracket_contains_n(self, monkeypatch, n):
+        # |J| = I for the swap, so Tr_L|J| = n·I and both closed-form ends are ‖J‖₁/n = n
+        br = _closed_form(monkeypatch, lambda: diamond_norm(transpose_map(n)))
         assert br.status == "exact" and br.lower <= n <= br.upper
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -161,7 +172,7 @@ class TestDiamond:
         # dual value above the primal value: upper end -dual below lower end -value
         crossed = SdpResult(status="optimal", value=-2.0, dual_value=-1.5, gap=-0.5)
         monkeypatch.setattr(diamond_mod, "sdp_solve", lambda p, rel_gap: crossed)
-        br = diamond_norm(transpose_map(2))
+        br = diamond_norm(sdp_bound_map())
         assert br.status == "unknown" and br.witnesses["reason"] == "crossed certificate"
         assert br.witnesses["value"] == -2.0 and br.witnesses["dual_value"] == -1.5
 
@@ -169,7 +180,7 @@ class TestDiamond:
         # a crossing within 1e-12·(1+|value|) is rounding, not a bug
         near = SdpResult(status="optimal", value=-2.0, dual_value=-2.0 + 2e-12, gap=-2e-12)
         monkeypatch.setattr(diamond_mod, "sdp_solve", lambda p, rel_gap: near)
-        br = diamond_norm(transpose_map(2))
+        br = diamond_norm(sdp_bound_map())
         assert br.status == "exact" and br.lower == br.upper == 2.0
 
 
@@ -177,6 +188,12 @@ def random_cp(rng, n, rank=2):
     """CP map with `rank` random Kraus operators: Choi matrix V·V†, not trace preserving."""
     v = rand_complex(rng, n * n, rank)
     return SuperOp.from_big_choi(v @ v.conj().T, (n,), (n,))
+
+
+def elementary_map(a, b):
+    """x ↦ a·x·b from M_k to M_l, for a of shape (l, k) and b of shape (k, l)."""
+    l, k = a.shape
+    return SuperOp.from_action(lambda x: BlockMatrix([a @ x.blocks[0] @ b]), (k,), (l,))
 
 
 def _no_sdp(*a, **kw):
@@ -224,12 +241,12 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_negative_shift_falls_back_to_sdp(self, monkeypatch, rng, n):
-        # J − δI is not CP: the 2εL term makes the closed form too wide.  The
-        # SDP's attained primal value (a feasible point, certificate or not)
-        # lies in both brackets.
+        # J − δI is not CP: its closed form is wider than rel_gap·(1 + lo), so
+        # the SDP decides.  The SDP's attained primal value (a feasible point,
+        # certificate or not) lies in both brackets.
         j = random_cptp(rng, n).big_choi() - 1e-6 * np.eye(n * n)
         lo, hi = diamond_mod._closed_form_bracket(j, n, n)
-        assert hi - lo > 1e-6
+        assert hi - lo > 1e-8 * (1.0 + lo)
         seen = []
         solve = diamond_mod.sdp_solve
         monkeypatch.setattr(diamond_mod, "sdp_solve", lambda p, rel_gap: seen.append(solve(p, rel_gap)) or seen[-1])
@@ -245,6 +262,89 @@ class TestClosedForm:
         j = random_cptp(rng, 3).big_choi() + 1e-14 * (b - b.conj().T)
         s = SuperOp.from_big_choi(j, (3,), (3,))
         _overlaps_sdp(_closed_form(monkeypatch, lambda: diamond_norm(s)), s)
+
+    @pytest.mark.parametrize("n, seed", [(2, 0), (2, 1), (3, 0)])
+    def test_weyl_channel_difference(self, monkeypatch, n, seed):
+        # Φ_p − Φ_q for Weyl-covariant channels Φ_p(x) = Σ p_ab·W_ab x W_ab*,
+        # W_ab = XᵃZᵇ (the Pauli channels at n = 2): ‖·‖⋄ = Σ|p_ab − q_ab|
+        r = np.random.default_rng(seed)
+        p, q = r.dirichlet(np.ones(n * n)), r.dirichlet(np.ones(n * n))
+        shift = np.roll(np.eye(n), 1, axis=0)
+        clock = np.diag(np.exp(2j * np.pi * np.arange(n) / n))
+        weyl = [np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b)
+                for a in range(n) for b in range(n)]
+        j = sum((a - b) * conjugation(w).big_choi() for a, b, w in zip(p, q, weyl))
+        want = float(np.abs(p - q).sum())
+        br = _closed_form(monkeypatch, lambda: diamond_norm(SuperOp.from_big_choi(j, (n,), (n,))))
+        assert br.lower <= want * (1 + 1e-14) and want * (1 - 1e-14) <= br.upper
+
+    @pytest.mark.parametrize("k, l", [(2, 2), (3, 3), (2, 3)])
+    def test_elementary_operator(self, monkeypatch, rng, k, l):
+        # x ↦ a·x·b, M_k → M_l: J is rank one and ‖·‖⋄ = ‖a‖·‖b‖
+        a, b = rand_complex(rng, l, k), rand_complex(rng, k, l)
+        want = op_norm(a) * op_norm(b)
+        br = _closed_form(monkeypatch, lambda: diamond_norm(elementary_map(a, b)))
+        assert br.lower <= want * (1 + 1e-13) and want * (1 - 1e-13) <= br.upper
+
+    @pytest.mark.parametrize("scale", [1 + 1e-10, 1 - 1e-10])
+    def test_svd_residual_charged(self, monkeypatch, rng, scale):
+        # factors off by a relative 1e-10: only the residual term r keeps the
+        # upper end above the norm when they shrink
+        svd = np.linalg.svd
+
+        def skewed(m, *a, **kw):
+            out = svd(m, *a, **kw)
+            if kw.get("compute_uv", True) is False:
+                return out
+            u, s, vh = out
+            return u * scale, s, vh * scale
+
+        a, b = rand_complex(rng, 3, 2), rand_complex(rng, 2, 3)
+        cases = [
+            (transpose_map(3), 3.0),
+            (random_cptp(rng, 3), 1.0),
+            (elementary_map(a, b), op_norm(a) * op_norm(b)),
+        ]
+        monkeypatch.setattr(np.linalg, "svd", skewed)
+        for s, want in cases:
+            lo, hi = diamond_mod._closed_form_bracket(s.big_choi(), sum(s.dom_shape), sum(s.cod_shape))
+            assert lo <= want * (1 + 1e-13) and want * (1 - 1e-13) <= hi
+
+
+def _sweep_choi(rng, kind, k, l):
+    """Choi matrix (output factor first) of a random map M_k → M_l of one kind."""
+    d = k * l
+    if kind == "random":
+        return rand_complex(rng, d, d)
+    if kind == "cp":
+        v = rand_complex(rng, d, 2)
+        return v @ v.conj().T
+    if kind == "hermitian":
+        g = rand_complex(rng, d, d)
+        return (g + g.conj().T) / 2
+    if kind == "cp difference":
+        v, w = rand_complex(rng, d, 2), rand_complex(rng, d, 2)
+        return v @ v.conj().T - w @ w.conj().T
+    a, b = rand_complex(rng, l, k), rand_complex(rng, k, l)  # x ↦ a·x·b
+    return np.einsum("xa,by->xayb", a, b).reshape(d, d)
+
+
+SWEEP_KINDS = ("random", "cp", "hermitian", "cp difference", "elementary")
+
+
+@pytest.mark.parametrize("kind", SWEEP_KINDS)
+def test_closed_form_overlaps_sdp_sweep(kind):
+    # 5 kinds × 24 seeded maps, domain and codomain sizes 2..4 but not both 4
+    sizes = [(k, l) for k in (2, 3, 4) for l in (2, 3, 4) if k + l < 8]
+    for seed in range(24):
+        r = np.random.default_rng([seed, SWEEP_KINDS.index(kind)])
+        k, l = sizes[seed % len(sizes)]
+        j = _sweep_choi(r, kind, k, l)
+        lo, hi = diamond_mod._closed_form_bracket(j, k, l)
+        sdp = diamond_mod._diamond_sdp(j, k, l, 1e-8)
+        assert sdp.status != "unknown" and sdp.lower <= hi and lo <= sdp.upper, (kind, seed, lo, hi, sdp)
+        if kind in ("cp", "elementary"):
+            assert hi - lo <= 1e-8 * (1.0 + lo), (kind, seed, lo, hi)
 
 
 class TestCbNorm:
@@ -326,11 +426,12 @@ class TestHaagerup:
         assert br.upper <= 1 + 1e-6 and br.lower >= 1 - 1e-6
 
     @pytest.mark.parametrize("shapes", [((2, 2), (2, 2)), ((3, 3), (3, 3)), ((2, 3), (3, 2))])
-    def test_elementary_is_product_of_norms(self, rng, shapes):
+    def test_elementary_is_product_of_norms(self, monkeypatch, rng, shapes):
+        # the cb norm of x ↦ a·x·b: rank-one Choi matrix, decided in closed form
         (n1, m1), (n2, m2) = shapes
         a, b = rand_complex(rng, n1, m1), rand_complex(rng, n2, m2)
         fa, fb = FlatSpace.base(n1, m1), FlatSpace.base(n2, m2)
-        br = haagerup_bracket_flat(elem_coords(a.ravel(), b.ravel()), 1, fa, fb)
+        br = _closed_form(monkeypatch, lambda: haagerup_bracket_flat(elem_coords(a.ravel(), b.ravel()), 1, fa, fb))
         want = op_norm(a) * op_norm(b)
         assert br.status == "exact"
         assert abs(br.lower - want) <= 1e-7 * want and abs(br.upper - want) <= 1e-7 * want

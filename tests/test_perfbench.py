@@ -28,3 +28,20 @@ def test_first_items_check(workloads, name):
     for item in workloads.build(name, 1).items[:3]:
         errors, _ = item.check(item.run())
         assert errors == [], (item.kind, errors)
+
+
+def test_diamond_closed_form_items_skip_sdp(workloads, monkeypatch):
+    # transposes and CPTP maps have a closed form: the benchmark's own inputs
+    # must reach it, not the SDP
+    import oscat.normlab.diamond as diamond_mod
+
+    def no_sdp(*a, **kw):
+        raise AssertionError("SDP solved for a map with a closed form")
+
+    monkeypatch.setattr(diamond_mod, "sdp_solve", no_sdp)
+    items = [it for it in workloads.build("diamond", 1).items
+             if it.kind.split("-")[1] in ("transpose", "cptp")]
+    assert len(items) > 0
+    for item in items:
+        errors, _ = item.check(item.run())
+        assert errors == [], (item.kind, errors)
