@@ -743,6 +743,8 @@ def _run_norm(env: _Env, st: Statement, text: str, config: RunConfig) -> Record:
     if kind in ("op", "tr"):
         mat = parse_matrix_literal(st.get("arg"))
         val = op_norm(mat) if kind == "op" else tr_norm(mat)
+        if not np.isfinite(val):
+            raise OscatError(f"norm {kind} is not finite ({val}) in floating point")
         return Record(text, "pass", value=val)
     if kind == "diamond":
         br = diamond_norm(env.lookup("maps", st.get("arg")))

@@ -1,9 +1,9 @@
 """Run-wide configuration: seed and tolerance.
 
-No norm routine draws random numbers: every bracket depends only on its
-input.  The seed feeds the sampled claims of the quantum-switch report and
-the acceptance battery through ``RunConfig.rng``; results are deterministic
-for a fixed (seed, tol).
+Nothing outside the acceptance battery draws random numbers: every bracket
+and every quantum-switch claim depends only on its input.  The seed feeds
+only the acceptance battery, through ``RunConfig.rng``; results are
+deterministic for a fixed (seed, tol).
 """
 from __future__ import annotations
 

@@ -30,7 +30,6 @@ __all__ = [
     "BlockMatrix",
     "rand_complex",
     "rand_hermitian",
-    "rand_psd",
     "rand_unitary",
     "parse_matrix_literal",
     "format_matrix_literal",
@@ -239,7 +238,7 @@ class BlockMatrix:
 
 
 # ---------------------------------------------------------------------------
-# seeded random generators (tests, witness searches)
+# seeded random generators (tests and the acceptance battery)
 
 def rand_complex(rng: np.random.Generator, rows: int, cols: int | None = None) -> np.ndarray:
     cols = rows if cols is None else cols
@@ -249,14 +248,6 @@ def rand_complex(rng: np.random.Generator, rows: int, cols: int | None = None) -
 def rand_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
     a = rand_complex(rng, n)
     return (a + a.conj().T) / 2
-
-
-def rand_psd(rng: np.random.Generator, n: int, trace: float | None = None) -> np.ndarray:
-    a = rand_complex(rng, n)
-    p = a @ a.conj().T
-    if trace is not None:
-        p *= trace / np.trace(p).real
-    return p
 
 
 def rand_unitary(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -41,10 +41,14 @@ class NormBracket:
     witnesses: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        if self.lower > self.upper + 1e-12:
+        # both tests are written so that a NaN end fails them
+        if not (self.lower <= self.upper + 1e-12):
             raise ValueError(f"crossed bracket [{self.lower}, {self.upper}]")
-        if self.status == "exact" and self.upper - self.lower > 1e-6 * max(1.0, self.upper):
-            raise ValueError("exact status requires a tight bracket")
+        tight = self.upper - self.lower <= 1e-6 * max(1.0, self.upper)
+        if self.status == "exact" and not (tight and np.isfinite(self.upper)):
+            raise ValueError(
+                f"exact status needs a tight finite bracket, got [{self.lower}, {self.upper}]"
+            )
 
     @staticmethod
     def exactly(v: float, witnesses: dict | None = None) -> "NormBracket":

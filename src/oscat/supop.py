@@ -374,25 +374,6 @@ class SuperOp:
                 out[(i, j)] = ops
         return out
 
-    # -- serialization -------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        from .matcore import format_matrix_literal
-
-        return {
-            "dom": list(self.dom_shape),
-            "cod": list(self.cod_shape),
-            "choi": format_matrix_literal(self.big_choi()),
-        }
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "SuperOp":
-        from .matcore import parse_matrix_literal
-
-        return SuperOp.from_big_choi(
-            parse_matrix_literal(d["choi"]), d["dom"], d["cod"]
-        )
-
     def allclose(self, other: "SuperOp", tol: float = 1e-12) -> bool:
         if self.dom_shape != other.dom_shape or self.cod_shape != other.cod_shape:
             return False

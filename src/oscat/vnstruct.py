@@ -36,10 +36,6 @@ __all__ = [
     "abstract_positive_functional",
     "MorphismVerdict",
     "certify_morphism",
-    "structure_to_json_dict",
-    "structure_from_json_dict",
-    "morphism_claim",
-    "certify_claim",
     "tensor_algebra",
     "direct_sum_algebra",
     "tensor_coalgebra",
@@ -581,46 +577,6 @@ def _check_coalg_hom(f, co_c: VnCoalgebra, co_d: VnCoalgebra, tol, v) -> Morphis
         inv_err=errs["involutive"],
     )
     return v
-
-
-# ---------------------------------------------------------------------------
-# serialization: structures as {kind, shape}, morphism claims as
-# {choi, src, dst, mode}
-
-def structure_to_json_dict(structure) -> dict:
-    if isinstance(structure, VnAlgebra):
-        return {"kind": "algebra", "shape": list(structure.shape)}
-    if isinstance(structure, VnCoalgebra):
-        return {"kind": "coalgebra", "shape": list(structure.shape)}
-    raise TypeError("expected a VnAlgebra or VnCoalgebra")
-
-
-def structure_from_json_dict(d: dict):
-    if d["kind"] == "algebra":
-        return make_algebra(d["shape"])
-    if d["kind"] == "coalgebra":
-        return make_coalgebra(d["shape"])
-    raise ValueError(f"unknown structure kind {d['kind']!r}")
-
-
-def morphism_claim(f: SuperOp, src, dst, mode: str) -> dict:
-    from .matcore import format_matrix_literal
-
-    return {
-        "choi": format_matrix_literal(f.big_choi()),
-        "src": structure_to_json_dict(src),
-        "dst": structure_to_json_dict(dst),
-        "mode": mode,
-    }
-
-
-def certify_claim(claim: dict, tol: float = 1e-9) -> MorphismVerdict:
-    from .matcore import parse_matrix_literal
-
-    src = structure_from_json_dict(claim["src"])
-    dst = structure_from_json_dict(claim["dst"])
-    f = SuperOp.from_big_choi(parse_matrix_literal(claim["choi"]), src.shape, dst.shape)
-    return certify_morphism(f, src, dst, claim["mode"], tol)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
+from oscat.acceptance import random_cptp, random_superop  # noqa: F401  (re-exported to tests)
 from oscat.config import RunConfig
-from oscat.matcore import BlockMatrix, rand_complex
-from oscat.supop import SuperOp, partial_trace
 
 
 @pytest.fixture
@@ -14,20 +13,3 @@ def rng():
 @pytest.fixture
 def config():
     return RunConfig(seed=20240817)
-
-
-def random_cptp(rng, n, env=None) -> SuperOp:
-    """Channel from a random Stinespring isometry; exactly CPTP."""
-    env = env or n
-    v = np.linalg.qr(rand_complex(rng, n * env, n))[0][:, :n]
-
-    def act(x):
-        big = v @ x.blocks[0] @ v.conj().T
-        return BlockMatrix([partial_trace(big, (n, env), 1)])
-
-    return SuperOp.from_action(act, (n,), (n,))
-
-
-def random_superop(rng, n, m=None) -> SuperOp:
-    m = m or n
-    return SuperOp.from_transfer_blocks([[rand_complex(rng, m * m, n * n)]], (n,), (m,))

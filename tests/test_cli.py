@@ -183,6 +183,16 @@ class TestRunner:
         lo, hi = rec.bracket
         assert np.isfinite(hi) and lo <= 1e-20 <= hi
 
+    @pytest.mark.parametrize("text", [
+        "norm inj [[1e308,1e308,0,0],[1e308,1e308,0,0],[0,0,0,0],[0,0,0,0]] in M(2) (*min) M(2);",
+        "norm op [[1e308,1e308],[1e308,1e308]];",
+        "norm tr [[1e308,1e308],[1e308,1e308]];",
+    ])
+    def test_overflowing_norm_is_a_fail_record(self, text):
+        rep = run_session(parse_session(text + "\nnorm op [[2]];"))
+        assert [r.status for r in rep.records] == ["fail", "pass"]
+        assert "error" in rep.records[0].detail and rep.records[0].value is None
+
     def test_assert_laws_passes_on_canonical(self):
         ast = parse_session("coalg C = [2];\nassert laws C;")
         rep = run_session(ast)

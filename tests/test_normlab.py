@@ -46,6 +46,13 @@ class TestNormBracket:
     def test_exact_requires_tight(self):
         with pytest.raises(ValueError):
             NormBracket(0.0, 1.0, "exact")
+        with pytest.raises(ValueError):
+            NormBracket(1.0, np.inf, "exact")
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_exactly_rejects_non_finite(self, value):
+        with pytest.raises(ValueError):
+            NormBracket.exactly(value)
 
     def test_statuses(self):
         assert NormBracket.from_bounds(1.0, 1.0).status == "exact"

@@ -1,7 +1,12 @@
+from collections import OrderedDict
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import random_cptp, random_superop
+from oscat import osx, qglue
+from oscat.cli import emit_report, parse_session, run_session
 from oscat.config import RunConfig
 from oscat.errors import ShapeMismatchError
 from oscat.matcore import BlockMatrix, kron, op_norm, rand_complex, rand_hermitian, rand_unitary
@@ -27,6 +32,8 @@ from oscat.qglue import (
 )
 from oscat.supop import SuperOp, conjugation, identity_map, transpose_map
 from oscat.vnstruct import dualize, make_algebra, make_coalgebra
+
+TUTORIAL = Path(__file__).parents[1] / "src" / "oscat" / "data" / "tutorial.oscat"
 
 
 class TestMembership:
@@ -334,6 +341,63 @@ class TestQuantumSwitch:
         assert [c["verdict"] for c in report["claims"]] == ["pass", "pass", "pass"]
         assert report["claims"][2]["evidence"]["ratio"] == 2
         assert "h_violation_witness" in report
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_map_matches_reference_loop(self, n):
+        d = n * n
+        grid = np.zeros(((2 * n) ** 2, d * d), dtype=complex)
+        for i, j, k, l in np.ndindex(n, n, n, n):
+            out = np.zeros((2 * n, 2 * n), dtype=complex)
+            if j == k:
+                out[i, l] += 1.0
+            if l == i:
+                out[n + k, n + j] += 1.0
+            grid[:, (i * n + k) * d + (j * n + l)] = out.ravel()
+        assert np.array_equal(quantum_switch_map(n).transfer_block(0, 0), grid)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_exact_claims_on_matrix_units(self, n):
+        _, report = quantum_switch(n)
+        exact, contraction, _ = report["claims"]
+        assert exact["verdict"] == contraction["verdict"] == "pass"
+        assert exact["evidence"] == {"basis_pairs": n**4, "mismatches": 0}
+        ev = contraction["evidence"]
+        assert ev["mismatches"] == 0 and ev["qsw_norm"] == n
+        assert ev["proj_bracket"][1] >= n * (1 - 1e-9)
+
+    @pytest.mark.parametrize("entry", [(0, 0), (5, 9), (-1, -1)])
+    def test_perturbed_map_fails_claims(self, monkeypatch, entry):
+        def bumped(n):
+            transfer = quantum_switch_map(n).transfer_block(0, 0)
+            transfer[entry] += 1.0
+            return SuperOp.from_transfer_blocks([[transfer]], (n * n,), (2 * n,))
+
+        monkeypatch.setattr(qglue, "quantum_switch_map", bumped)
+        _, report = quantum_switch(2)
+        exact, contraction, _ = report["claims"]
+        assert exact["verdict"] == contraction["verdict"] == "fail"
+        assert exact["evidence"]["mismatches"] >= 1
+
+    def test_no_random_draws(self, monkeypatch):
+        def no_draws(*a, **kw):
+            raise AssertionError("random numbers drawn")
+
+        monkeypatch.setattr(RunConfig, "rng", no_draws)
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        monkeypatch.setattr(osx, "_NORM_CACHE", OrderedDict())
+        for n in (1, 2, 3, 4):
+            quantum_switch(n, RunConfig(seed=n))
+        rep = run_session(parse_session(TUTORIAL.read_text()), RunConfig(seed=5))
+        assert rep.exit_code == 0
+
+    def test_demo_records_seed_free(self):
+        reports = [
+            emit_report(run_session(parse_session("demo qswitch 3;"), RunConfig(seed=s)), "json")
+            for s in (0, 7)
+        ]
+        assert reports[0] != reports[1]  # the config block names the seed
+        tails = [r[r.index(b'"records"'):] for r in reports]
+        assert tails[0] == tails[1]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_haagerup_violation_is_n(self, n):

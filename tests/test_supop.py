@@ -50,10 +50,6 @@ class TestChoiRoundtrip:
         s2 = SuperOp.from_big_choi(s.big_choi(), s.dom_shape, s.cod_shape)
         assert s2.allclose(s, tol=0)
 
-    def test_json_roundtrip(self, rng):
-        s = random_cptp(rng, 2)
-        assert SuperOp.from_json_dict(s.to_json_dict()).allclose(s, tol=1e-12)
-
 
 class TestAdjoint:
     def test_unitary_conjugation_heisenberg(self, rng):

@@ -510,25 +510,6 @@ class TestMorphisms:
             assert counital == s.classify().tp
 
 
-class TestSerialization:
-    def test_structure_roundtrip(self):
-        from oscat.vnstruct import structure_from_json_dict, structure_to_json_dict
-
-        alg = make_algebra([2, 3])
-        d = structure_to_json_dict(alg)
-        assert d == {"kind": "algebra", "shape": [2, 3]}
-        assert structure_from_json_dict(d).shape == (2, 3)
-
-    def test_morphism_claim_roundtrip(self, rng):
-        from oscat.vnstruct import certify_claim, morphism_claim
-
-        u = rand_unitary(rng, 2)
-        co = make_coalgebra([2])
-        claim = morphism_claim(conjugation(u), co, co, "cptp")
-        assert set(claim) == {"choi", "src", "dst", "mode"}
-        assert certify_claim(claim).ok
-
-
 class TestTensorStructures:
     def test_tensor_algebra_composite_equals_canonical(self):
         a, b = make_algebra([2]), make_algebra([2])
