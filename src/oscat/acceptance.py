@@ -63,7 +63,7 @@ def random_cptp(rng, n, env=None) -> SuperOp:
 def random_superop(rng, n, m=None) -> SuperOp:
     m = m or n
     k = rand_complex(rng, m * m, n * n)
-    return SuperOp.from_transfer_blocks([[k]], (n,), (m,))
+    return SuperOp((n,), (m,), k)
 
 
 # ---------------------------------------------------------------------------

@@ -651,7 +651,7 @@ def run_session(ast: SessionAst, config: RunConfig | None = None) -> Report:
         text = format_session(SessionAst((st,))).strip()
         t0 = time.perf_counter()
         try:
-            recs = _execute(env, st, config)
+            recs = _execute(env, st, text, config)
         except (OscatError, ValueError, np.linalg.LinAlgError) as exc:
             recs = [Record(text, "fail", detail={"error": str(exc)})]
         except MemoryError as exc:
@@ -666,8 +666,7 @@ def run_session(ast: SessionAst, config: RunConfig | None = None) -> Report:
     )
 
 
-def _execute(env: _Env, st: Statement, config: RunConfig) -> list[Record]:
-    text = format_session(SessionAst((st,))).strip()
+def _execute(env: _Env, st: Statement, text: str, config: RunConfig) -> list[Record]:
     if st.kind == "space":
         expr = parse_space(st.get("text"), names=env.spaces)
         env.define(st.get("name"), "spaces", expr)

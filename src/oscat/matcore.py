@@ -2,12 +2,13 @@
 
 Everything downstream works with plain complex128 ndarrays; this module owns
 validation, the two base norms (operator and trace), PSD certification,
-Kronecker products, block-diagonal direct sums, the one coordinate-reordering
-helper, and the shared matrix literal text format.  Eigen/SVD work is
+Kronecker products, block-diagonal direct sums, the coordinate-reordering
+helpers, and the shared matrix literal text format.  Eigen/SVD work is
 delegated to LAPACK through numpy.
 """
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -27,6 +28,10 @@ __all__ = [
     "kron",
     "direct_sum",
     "axis_perm",
+    "block_shape",
+    "block_offsets",
+    "blockwise_transpose",
+    "pair_reindex",
     "BlockMatrix",
     "rand_complex",
     "rand_hermitian",
@@ -142,6 +147,70 @@ def axis_perm(dims, order) -> np.ndarray:
     """
     dims = tuple(int(k) for k in dims)
     return np.arange(math.prod(dims)).reshape(dims).transpose(order).ravel()
+
+
+def block_shape(shape) -> tuple[int, ...]:
+    """Validated block-size tuple of a block-diagonal space."""
+    shape = tuple(int(k) for k in shape)
+    if any(k < 0 for k in shape):
+        raise ShapeMismatchError("block sizes must be >= 0")
+    return shape
+
+
+def _per_shape(fn):
+    """Memoize fn per tuple of block shapes; the cached index arrays are read-only."""
+
+    @functools.cache
+    def cached(*shapes):
+        idx = fn(*shapes)
+        idx.flags.writeable = False
+        return idx
+
+    @functools.wraps(fn)
+    def wrapper(*shapes):
+        return cached(*map(tuple, shapes))
+
+    return wrapper
+
+
+def block_offsets(shape):
+    """(coordinate offset, size) of each block of BlockMatrix.to_vector."""
+    off = 0
+    for k in shape:
+        yield off, k
+        off += k * k
+
+
+@_per_shape
+def blockwise_transpose(shape) -> np.ndarray:
+    """Index array t with vec(x)[t] = vec(xᵀ) blockwise, over to_vector coordinates.
+
+    It is an involution, and it is also the trace pairing:
+    ⟨f, x⟩ = f_vec[t] · x_vec.
+    """
+    parts = [np.zeros(0, dtype=np.intp)]
+    for off, k in block_offsets(shape):
+        parts.append(off + axis_perm((k, k), (1, 0)))
+    return np.concatenate(parts)
+
+
+@_per_shape
+def pair_reindex(a_shape, b_shape) -> np.ndarray:
+    """Index array r taking kron(vec(x), vec(y)) to the pair-block coordinates.
+
+    The pair shape lists k_i·l_j for (i, j) lexicographically, and
+    e_pq^(i) ⊗ e_rs^(j) ↦ E_{(p,r),(q,s)} in block (i, j): with v over
+    V(A)⊗V(B), v[r] is its vector over V(⊕_{ij} M_{k_i·l_j}).
+    """
+    db = sum(k * k for k in b_shape)
+    src = [np.zeros(0, dtype=np.intp)]
+    for a_off, ka in block_offsets(a_shape):
+        for b_off, kb in block_offsets(b_shape):
+            # block (i,j) lists its (p,r),(q,s) coordinates in order; local
+            # index (p,q,r,s) sits at (a_off + pq)·db + b_off + rs in V(A)⊗V(B)
+            idx = axis_perm((ka, ka, kb, kb), (0, 2, 1, 3))
+            src.append((a_off + idx // (kb * kb)) * db + b_off + idx % (kb * kb))
+    return np.concatenate(src)
 
 
 @dataclass(frozen=True)

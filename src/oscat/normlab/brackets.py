@@ -208,7 +208,7 @@ def haagerup_bracket_flat(v, level: int, fa: FlatSpace, fb: FlatSpace) -> NormBr
         "ijab,arc,bst->irjtcs", v.reshape(k, k, da, db), fa.place, fb.place
     )
     q = k * m
-    phi = SuperOp.from_transfer_blocks([[t.reshape(q * q, p * p)]], (p,), (q,))
+    phi = SuperOp((p,), (q,), t.reshape(q * q, p * p))
     try:
         return cb_norm(phi, "operator")
     except SizeLimitError:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ShapeMismatchError
-from ..matcore import BlockMatrix, op_norm, tr_norm
+from ..matcore import BlockMatrix, blockwise_transpose, op_norm, tr_norm
 from ..supop import SuperOp
 from .brackets import NormBracket
 from .sdp import HermBasis, SdpProblem, lmi_triples, sdp_solve
@@ -48,12 +48,8 @@ def functional_rep(s: SuperOp) -> BlockMatrix:
     """
     if tuple(s.cod_shape) != (1,):
         raise ShapeMismatchError("functional_rep needs codomain shape [1]")
-    reps = []
-    for i, k in enumerate(s.dom_shape):
-        # s(E_ab) = tr(r E_ab) = r[b,a]
-        kt = s.transfer_block(i, 0).reshape(k, k)  # entry (a,b): s(E_ab)
-        reps.append(kt.T.copy())
-    return BlockMatrix(reps)
+    # s(E_ab) = tr(r E_ab) = r[b,a]
+    return BlockMatrix.from_vector(s.transfer[0][blockwise_transpose(s.dom_shape)], s.dom_shape)
 
 
 def functional_norm(rep: BlockMatrix, picture: str) -> float:
@@ -291,13 +287,8 @@ def dual_level_norm(coords: np.ndarray, dom_shape, level: int, rel_gap: float = 
     if k == 1:
         rep = BlockMatrix.from_vector(coords[0, 0], dom_shape)
         return NormBracket.exactly(functional_norm(rep, "operator"))
-    # block i maps vec(b_i) to [tr(r_ij b_i)]: row (i, j) is vec(r_ijᵀ)
-    blocks, off = [], 0
-    for n in dom_shape:
-        reps = coords[:, :, off : off + n * n].reshape(k * k, n, n)
-        blocks.append([reps.transpose(0, 2, 1).reshape(k * k, n * n)])
-        off += n * n
-    phi = SuperOp.from_transfer_blocks(blocks, dom_shape, (k,))
+    # b ↦ [tr(r_ij b)]: row (i, j) of the transfer matrix is vec(r_ijᵀ)
+    phi = SuperOp(dom_shape, (k,), coords.reshape(k * k, dim)[:, blockwise_transpose(dom_shape)])
     return cb_norm(phi, "operator", rel_gap)
 
 

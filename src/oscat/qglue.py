@@ -553,7 +553,7 @@ def quantum_switch_map(n: int) -> SuperOp:
     grid = np.zeros((2 * n, 2 * n) + (n,) * 4)
     grid[:n, :n] = np.einsum("pi,ql,jk->pqikjl", eye, eye, eye)
     grid[n:, n:] = np.einsum("pk,qj,li->pqikjl", eye, eye, eye)
-    return SuperOp.from_transfer_blocks([[grid.reshape(4 * n * n, n**4)]], (n * n,), (2 * n,))
+    return SuperOp((n * n,), (2 * n,), grid.reshape(4 * n * n, n**4))
 
 
 def _tensor_to_kron_layout(coords, n):
@@ -591,7 +591,6 @@ def quantum_switch(n: int, config: RunConfig | None = None):
     """
     config = config or RunConfig()
     qsw = quantum_switch_map(n)
-    transfer = qsw.transfer_block(0, 0)
     report = {"n": n, "claims": []}
 
     # (i) exact output on every pair of matrix units
@@ -601,7 +600,7 @@ def quantum_switch(n: int, config: RunConfig | None = None):
     want[..., :n, :n] = xy
     want[..., n:, n:] = xy.transpose(1, 0, 2, 3)
     krons = np.einsum("xab,ycd->xyacbd", units, units).reshape(n**4, n**4)
-    got = (krons @ transfer.T).reshape(want.shape)
+    got = (krons @ qsw.transfer.T).reshape(want.shape)
     mismatches = int(np.count_nonzero((got != want).any(axis=(2, 3))))
     report["claims"].append(
         {

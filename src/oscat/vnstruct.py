@@ -18,7 +18,13 @@ import numpy as np
 
 from .config import DIM_CAP
 from .errors import ShapeMismatchError, SizeLimitError
-from .matcore import BlockMatrix, axis_perm
+from .matcore import (
+    BlockMatrix,
+    axis_perm,
+    block_offsets,
+    block_shape,
+    blockwise_transpose,
+)
 from .normlab.brackets import NormBracket
 from .normlab.diamond import cb_norm
 from .supop import SuperOp
@@ -46,26 +52,6 @@ __all__ = [
 
 def _shape_dim(shape) -> int:
     return sum(k * k for k in shape)
-
-
-def _blocks(shape):
-    """(coordinate offset, size) of each block."""
-    off = 0
-    for k in shape:
-        yield off, k
-        off += k * k
-
-
-def _transpose_idx(shape) -> np.ndarray:
-    """Index array t with vec(x)[t] = vec(xᵀ) blockwise.
-
-    It is an involution, and it is also the trace pairing:
-    ⟨f, x⟩ = f_vec[t] · x_vec.
-    """
-    idx = np.arange(_shape_dim(shape))
-    for off, k in _blocks(shape):
-        idx[off : off + k * k] = off + axis_perm((k, k), (1, 0))
-    return idx
 
 
 def trace_pairing(f: BlockMatrix, x: BlockMatrix) -> complex:
@@ -132,9 +118,7 @@ class VnCoalgebra:
 
 def _structure_shape(shape) -> tuple[int, ...]:
     """Validated block shape whose d × d² structure matrix fits DIM_CAP."""
-    shape = tuple(int(k) for k in shape)
-    if any(k < 0 for k in shape):
-        raise ShapeMismatchError("block sizes must be >= 0")
+    shape = block_shape(shape)
     d = _shape_dim(shape)
     if d * d > DIM_CAP:
         raise SizeLimitError(f"structure matrix {d}x{d * d} exceeds cap {DIM_CAP}")
@@ -143,7 +127,7 @@ def _structure_shape(shape) -> tuple[int, ...]:
 
 def _unit_products(shape):
     """Coordinate triples (il, ij, jl) of every nonzero product e_ij·e_jl = e_il."""
-    for off, n in _blocks(shape):
+    for off, n in block_offsets(shape):
         i, j, l = np.indices((n, n, n)).reshape(3, -1)
         yield off + i * n + l, off + i * n + j, off + j * n + l
 
@@ -154,7 +138,7 @@ def make_algebra(shape) -> VnAlgebra:
     mult = np.zeros((d, d, d), dtype=np.complex128)
     for il, ij, jl in _unit_products(shape):
         mult[il, ij, jl] = 1.0
-    inv = np.eye(d)[_transpose_idx(shape)]
+    inv = np.eye(d)[blockwise_transpose(shape)]
     return VnAlgebra(
         shape, BlockMatrix.identity(shape).to_vector(), mult.reshape(d, d * d), inv
     )
@@ -167,7 +151,7 @@ def make_coalgebra(shape) -> VnCoalgebra:
     comult = np.zeros((d, d, d), dtype=np.complex128)
     for ij, ik, kj in _unit_products(shape):
         comult[kj, ik, ij] = 1.0
-    inv = np.eye(d)[_transpose_idx(shape)]
+    inv = np.eye(d)[blockwise_transpose(shape)]
     return VnCoalgebra(
         shape, BlockMatrix.identity(shape).to_vector(), comult.reshape(d * d, d), inv
     )
@@ -226,7 +210,7 @@ def _kadison_residual(alg: VnAlgebra) -> float:
     mult = np.zeros_like(m)
     inv = np.zeros((d, d), dtype=np.complex128)
     res = 0.0
-    for off, k in _blocks(alg.shape):
+    for off, k in block_offsets(alg.shape):
         s, eye = slice(off, off + k * k), np.eye(k)
         u = alg.unit_vec[s].reshape(k, k)
         res = max(res, _maxabs(u @ u.conj().T - eye))
@@ -243,7 +227,7 @@ def _kadison_residual(alg: VnAlgebra) -> float:
 def _cstar_witness(alg: VnAlgebra) -> tuple[BlockMatrix, float]:
     """The candidate x with the largest |‖x*x‖ − ‖x‖²|: unit, e_ij, e_ij + e_ji."""
     d = alg.dim
-    t = _transpose_idx(alg.shape)
+    t = blockwise_transpose(alg.shape)
     a, e = np.flatnonzero(t > np.arange(d)), np.eye(d)
     xs = np.vstack([alg.unit_vec, e, e[a] + e[t[a]]])
     adj = xs.conj() @ alg.inv_mat.T  # rows i(x)
@@ -313,7 +297,7 @@ def _coalg_cq_composite(co: VnCoalgebra, e_rep: BlockMatrix) -> BlockMatrix:
     on T_n with e = tr(a·) this reproduces tr(a*a ·).
     """
     d = co.dim
-    t = _transpose_idx(co.shape)
+    t = blockwise_transpose(co.shape)
     ev = e_rep.to_vector()[t]  # ev[p] = e(basis_p)
     evj = co.inv_mat.T @ ev  # evj[p] = e(j(basis_p)); basis coords are real
     dv = co.comult_mat.reshape(d, d, d)  # (first slot, second slot, input)
@@ -362,7 +346,7 @@ def dualize(structure):
     if not isinstance(structure, (VnAlgebra, VnCoalgebra)):
         raise TypeError("dualize wants a VnAlgebra or VnCoalgebra")
     d = structure.dim
-    t = _transpose_idx(structure.shape)
+    t = blockwise_transpose(structure.shape)
     inv = structure.inv_mat.conj().T[np.ix_(t, t)]
     if isinstance(structure, VnAlgebra):
         m = structure.mult_mat.reshape(d, d, d)[np.ix_(t, t, t)]
@@ -491,17 +475,6 @@ def certify_morphism(
     raise ValueError(f"unknown morphism mode {mode!r}")
 
 
-def _transfer(f: SuperOp) -> np.ndarray:
-    """Matrix T of f on the block coordinates: T[:, a] = vec(f(e_a))."""
-    dom = np.cumsum((0,) + tuple(k * k for k in f.dom_shape))
-    cod = np.cumsum((0,) + tuple(l * l for l in f.cod_shape))
-    out = np.zeros((cod[-1], dom[-1]), dtype=np.complex128)
-    for i in range(len(f.dom_shape)):
-        for j in range(len(f.cod_shape)):
-            out[cod[j] : cod[j + 1], dom[i] : dom[i + 1]] = f.transfer_block(i, j)
-    return out
-
-
 def _col_norms(cols: np.ndarray, shape, picture: str) -> np.ndarray:
     """BlockMatrix norm of each column of cols (coordinate vectors over shape).
 
@@ -509,7 +482,7 @@ def _col_norms(cols: np.ndarray, shape, picture: str) -> np.ndarray:
     sum over blocks of the trace norm.  All columns are batched per block.
     """
     per_col = np.zeros(cols.shape[1])
-    for off, k in _blocks(shape):
+    for off, k in block_offsets(shape):
         if k == 0:
             continue
         sv = np.linalg.svd(cols[off : off + k * k].T.reshape(-1, k, k), compute_uv=False)
@@ -534,7 +507,7 @@ def _flag(v: MorphismVerdict, errs: dict, tol) -> None:
 
 def _check_alg_hom(f, alg_a: VnAlgebra, alg_b: VnAlgebra, tol, v) -> MorphismVerdict:
     da, db = alg_a.dim, alg_b.dim
-    t = _transfer(f)
+    t = f.transfer
     mu_b = alg_b.mult_mat.reshape(db, db, db)
     # f(1) = 1,  T·μ_A = μ_B·(T⊗T),  T·P_A = P_B·conj(T); each column is one
     # basis element (pair), measured in the blockwise operator norm
@@ -554,9 +527,9 @@ def _check_alg_hom(f, alg_a: VnAlgebra, alg_b: VnAlgebra, tol, v) -> MorphismVer
 
 def _check_coalg_hom(f, co_c: VnCoalgebra, co_d: VnCoalgebra, tol, v) -> MorphismVerdict:
     dc, dd = co_c.dim, co_d.dim
-    t = _transfer(f)
-    eps_c = co_c.counit_vec[_transpose_idx(co_c.shape)]
-    eps_d = co_d.counit_vec[_transpose_idx(co_d.shape)]
+    t = f.transfer
+    eps_c = co_c.counit_vec[blockwise_transpose(co_c.shape)]
+    eps_d = co_d.counit_vec[blockwise_transpose(co_d.shape)]
     delta_c = co_c.comult_mat.reshape(dc, dc, dc)
     # ε_D·T = ε_C,  δ_D·T = (T⊗T)·δ_C (both entrywise),  T·P_C = P_D·conj(T)
     # (blockwise trace norm per basis element)
@@ -595,24 +568,11 @@ def _pair_shape(a_shape, b_shape) -> tuple[int, ...]:
     return tuple(ka * kb for ka in a_shape for kb in b_shape)
 
 
-def _tensor_reindex(a_shape, b_shape) -> np.ndarray:
-    """Basis bijection  V(A)⊗V(B) → V(⊕_{ij} M_{k_i·l_j})  (coordinate map).
-
-    e_pq^(i) ⊗ e_rs^(j) ↦ E_{(p,r),(q,s)} in block (i,j).
-    """
-    db = _shape_dim(b_shape)
-    src = [np.zeros(0, int)]
-    for a_off, ka in _blocks(a_shape):
-        for b_off, kb in _blocks(b_shape):
-            # block (i,j) lists its (p,r),(q,s) coordinates in order; local
-            # index (p,q,r,s) sits at (a_off + pq)·db + b_off + rs in V(A)⊗V(B)
-            idx = axis_perm((ka, ka, kb, kb), (0, 2, 1, 3))
-            src.append((a_off + idx // (kb * kb)) * db + b_off + idx % (kb * kb))
-    return np.eye(_shape_dim(a_shape) * db)[np.concatenate(src)]
-
-
 def tensor_algebra(a: VnAlgebra, b: VnAlgebra) -> VnAlgebra:
-    """A ⊗̌ B realized on the pairwise block shape via the basis bijection."""
+    """A ⊗̌ B realized on the pairwise block shape via the basis bijection.
+
+    The bijection V(A)⊗V(B) → V(⊕_{ij} M_{k_i·l_j}) is `matcore.pair_reindex`.
+    """
     return make_algebra(_pair_shape(a.shape, b.shape))
 
 

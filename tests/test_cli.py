@@ -109,6 +109,14 @@ class TestRunner:
         assert [r.status for r in rep.records] == ["fail", "pass", "fail"]
         assert "exceeds cap" in rep.records[0].detail["error"]
 
+    def test_negative_block_size_fails_at_the_map(self):
+        # the definition itself is the fail record, not a later use of the map
+        rep = run_session(parse_session("map f = identity([-1]);\nnorm op [[2]];\ncheck cp f;"))
+        assert [r.status for r in rep.records] == ["fail", "pass", "fail"]
+        assert rep.records[0].command == "map f = identity([-1]);"
+        assert rep.records[0].detail["error"] == "block sizes must be >= 0"
+        assert rep.records[2].detail["error"] == "undefined name 'f'"
+
     def test_memory_error_is_a_fail_record(self, monkeypatch):
         # a layer that runs out of memory fails its statement; later ones still run
         import oscat.cli as cli_mod

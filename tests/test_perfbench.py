@@ -19,6 +19,30 @@ def workloads(monkeypatch):
     return workloads
 
 
+def test_traced_entry_points_resolve(monkeypatch):
+    # read-only: every entry point the tracer wraps still exists in the form
+    # it wraps (module function, class method, or the staticmethod
+    # SuperOp.from_action), so `--trace 1` cannot break on a rename
+    import importlib
+    import inspect
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    for layer, (home, names) in tracing.LAYERS.items():
+        mod = importlib.import_module(home)
+        for name in names:
+            if "." in name:
+                cls_name, meth = name.split(".")
+                raw = vars(getattr(mod, cls_name)).get(meth)
+                if meth == "from_action":
+                    assert isinstance(raw, staticmethod), (layer, name)
+                else:
+                    assert inspect.isfunction(raw), (layer, name)
+            else:
+                assert inspect.isfunction(getattr(mod, name, None)), (layer, name)
+
+
 def test_probe(workloads):
     workloads.probe(0)
 

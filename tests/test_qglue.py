@@ -353,7 +353,7 @@ class TestQuantumSwitch:
             if l == i:
                 out[n + k, n + j] += 1.0
             grid[:, (i * n + k) * d + (j * n + l)] = out.ravel()
-        assert np.array_equal(quantum_switch_map(n).transfer_block(0, 0), grid)
+        assert np.array_equal(quantum_switch_map(n).transfer, grid)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_exact_claims_on_matrix_units(self, n):
@@ -368,9 +368,9 @@ class TestQuantumSwitch:
     @pytest.mark.parametrize("entry", [(0, 0), (5, 9), (-1, -1)])
     def test_perturbed_map_fails_claims(self, monkeypatch, entry):
         def bumped(n):
-            transfer = quantum_switch_map(n).transfer_block(0, 0)
+            transfer = quantum_switch_map(n).transfer
             transfer[entry] += 1.0
-            return SuperOp.from_transfer_blocks([[transfer]], (n * n,), (2 * n,))
+            return SuperOp((n * n,), (2 * n,), transfer)
 
         monkeypatch.setattr(qglue, "quantum_switch_map", bumped)
         _, report = quantum_switch(2)

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_cptp, random_superop
-from oscat.errors import ShapeMismatchError
-from oscat.matcore import kron, op_norm, rand_complex, rand_unitary, tr_norm
+from oscat.errors import ShapeMismatchError, SizeLimitError
+from oscat.matcore import BlockMatrix, kron, op_norm, rand_complex, rand_unitary, tr_norm
 from oscat.supop import (
     SuperOp,
     conjugation,
@@ -230,9 +230,66 @@ class TestFunctionalMaps:
         assert abs(functional_norm(rep, "operator") - 5.0) < 1e-12
         assert abs(functional_norm(rep, "trace") - 1.0) < 1e-12
 
-    def test_kraus_roundtrip(self, rng):
-        s = random_cptp(rng, 2)
-        ops = s.kraus()[(0, 0)]
-        x = rand_complex(rng, 2)
-        out = sum(k @ x @ k.conj().T for k in ops)
-        assert np.allclose(out, s(x), atol=1e-10)
+
+# multi-block shapes, one with a zero-size block
+MULTI_BLOCK = [((2, 1), (1, 2)), ((1, 2), (3,)), ((1, 0, 2), (2,))]
+
+
+def _random_map(rng, dom, cod) -> SuperOp:
+    t = rand_complex(rng, sum(l * l for l in cod), sum(k * k for k in dom))
+    return SuperOp.from_action(
+        lambda x: BlockMatrix.from_vector(t @ x.to_vector(), cod), dom, cod
+    )
+
+
+def _random_element(rng, shape) -> BlockMatrix:
+    return BlockMatrix([rand_complex(rng, k) for k in shape])
+
+
+def _pairing(x: BlockMatrix, y: BlockMatrix) -> complex:
+    return complex(sum(np.trace(a @ b) for a, b in zip(x.blocks, y.blocks)))
+
+
+class TestMultiBlock:
+    @pytest.mark.parametrize("dom,cod", MULTI_BLOCK)
+    def test_adjoint_trace_pairing(self, dom, cod, rng):
+        s = _random_map(rng, dom, cod)
+        sa = s.adjoint()
+        assert (sa.dom_shape, sa.cod_shape) == (cod, dom)
+        for _ in range(5):
+            x, y = _random_element(rng, dom), _random_element(rng, cod)
+            assert abs(_pairing(s.apply(x), y) - _pairing(x, sa.apply(y))) < 1e-12
+
+    @pytest.mark.parametrize("dom,cod", MULTI_BLOCK)
+    def test_tensor_on_pair_blocks_is_blockwise_kron(self, dom, cod, rng):
+        s, t = _random_map(rng, dom, cod), _random_map(rng, cod, (2, 1))
+        st = s.tensor(t)
+        assert st.dom_shape == tuple(a * b for a in dom for b in cod)
+        assert st.cod_shape == tuple(a * b for a in cod for b in (2, 1))
+        x, y = _random_element(rng, dom), _random_element(rng, cod)
+        got = st.apply(BlockMatrix([np.kron(a, b) for a in x.blocks for b in y.blocks]))
+        sx, ty = s.apply(x), t.apply(y)
+        want = BlockMatrix([np.kron(a, b) for a in sx.blocks for b in ty.blocks])
+        assert got.allclose(want, tol=1e-12)
+
+    @pytest.mark.parametrize("dom,cod", MULTI_BLOCK)
+    def test_amplify_matches_per_block_loop(self, dom, cod, rng):
+        k = 2
+        s = _random_map(rng, dom, cod)
+        amp = s.amplify(k)
+        assert amp.dom_shape == tuple(k * n for n in dom)
+        x = _random_element(rng, amp.dom_shape)
+        # entry (u, v) of the M_k matrix over dom is one element of dom
+        want = [np.zeros((k * m, k * m), dtype=complex) for m in cod]
+        for u in range(k):
+            for v in range(k):
+                xuv = BlockMatrix(
+                    [b.reshape(k, n, k, n)[u, :, v, :] for b, n in zip(x.blocks, dom)]
+                )
+                for w, y, m in zip(want, s.apply(xuv).blocks, cod):
+                    w.reshape(k, m, k, m)[u, :, v, :] = y
+        assert amp.apply(x).allclose(BlockMatrix(want), tol=1e-12)
+
+    def test_amplify_past_cap_raises_before_allocating(self):
+        with pytest.raises(SizeLimitError):
+            identity_map((2,)).amplify(2049)

@@ -5,7 +5,14 @@ import pytest
 
 from conftest import random_cptp, random_superop
 from oscat.errors import SizeLimitError
-from oscat.matcore import BlockMatrix, rand_complex, rand_hermitian, rand_unitary
+from oscat.matcore import (
+    BlockMatrix,
+    blockwise_transpose,
+    pair_reindex,
+    rand_complex,
+    rand_hermitian,
+    rand_unitary,
+)
 from oscat.supop import SuperOp, conjugation, depolarizing, identity_map, transpose_map
 from oscat.vnstruct import (
     VnAlgebra,
@@ -23,8 +30,6 @@ from oscat.vnstruct import (
     tensor_coalgebra,
     tensor_coalgebra_structure_composite,
     trace_pairing,
-    _tensor_reindex,
-    _transpose_idx,
 )
 
 SHAPES = ([1], [2], [3], [2, 1], [2, 2])
@@ -145,7 +150,7 @@ class TestConstruction:
                 for j in range(k):
                     want[off + j * k + i, off + i * k + j] = 1.0
             off += k * k
-        assert np.array_equal(np.eye(d)[_transpose_idx(shape)], want)
+        assert np.array_equal(np.eye(d)[blockwise_transpose(shape)], want)
         assert np.array_equal(make_algebra(shape).inv_mat, want)
 
     def test_structure_size_cap(self):
@@ -271,7 +276,7 @@ class TestDuality:
         alg = _unitary_twist(shape, rng)
         co = dualize(alg)
         assert check_laws(co).passed
-        t = _transpose_idx(shape)
+        t = blockwise_transpose(shape)
         assert np.array_equal(co.inv_mat, alg.inv_mat.conj().T[np.ix_(t, t)])
         if max(shape) > 1:
             copied = replace(co, inv_mat=alg.inv_mat)
@@ -415,9 +420,8 @@ class TestMorphisms:
     def test_hom_errors_match_basis_loops(self, dom, cod, rng):
         # the whole-tensor identities against the diagrams checked one basis
         # element (pair) at a time
-        f = SuperOp.from_transfer_blocks(
-            [[rand_complex(rng, l * l, k * k) for l in cod] for k in dom], dom, cod
-        )
+        blocks = [[rand_complex(rng, l * l, k * k) for l in cod] for k in dom]
+        f = SuperOp(dom, cod, np.block([list(row) for row in zip(*blocks)]))
         alg_a, alg_b = make_algebra(dom), make_algebra(cod)
         co_c, co_d = make_coalgebra(dom), make_coalgebra(cod)
         basis = [BlockMatrix.from_vector(e, dom) for e in np.eye(alg_a.dim)]
@@ -514,7 +518,7 @@ class TestTensorStructures:
     def test_tensor_algebra_composite_equals_canonical(self):
         a, b = make_algebra([2]), make_algebra([2])
         unit_t, mult_t, inv_t = tensor_algebra_structure_composite(a, b)
-        r = _tensor_reindex(a.shape, b.shape)
+        r = np.eye(a.dim * b.dim)[pair_reindex(a.shape, b.shape)]
         canon = tensor_algebra(a, b)
         assert canon.shape == (4,)
         assert np.allclose(r @ unit_t, canon.unit_vec)
@@ -524,7 +528,7 @@ class TestTensorStructures:
     def test_tensor_coalgebra_composite_equals_canonical(self):
         c, d = make_coalgebra([2]), make_coalgebra([2])
         cu, cm, ci = tensor_coalgebra_structure_composite(c, d)
-        r = _tensor_reindex(c.shape, d.shape)
+        r = np.eye(c.dim * d.dim)[pair_reindex(c.shape, d.shape)]
         canon = tensor_coalgebra(c, d)
         assert np.allclose(r @ cu, canon.counit_vec)
         assert np.allclose(np.kron(r, r) @ cm, canon.comult_mat @ r)
