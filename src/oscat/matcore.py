@@ -29,7 +29,9 @@ __all__ = [
     "direct_sum",
     "axis_perm",
     "block_shape",
+    "block_dim",
     "block_offsets",
+    "block_embedding",
     "blockwise_transpose",
     "pair_reindex",
     "BlockMatrix",
@@ -157,10 +159,19 @@ def block_shape(shape) -> tuple[int, ...]:
     return shape
 
 
-def _per_shape(fn):
-    """Memoize fn per tuple of block shapes; the cached index arrays are read-only."""
+def block_dim(shape) -> int:
+    """Dimension Σk² of the block-diagonal space ⊕M_k."""
+    return sum(k * k for k in shape)
 
-    @functools.cache
+
+def _per_shape(fn):
+    """Memoize fn per tuple of block shapes; the cached index arrays are read-only.
+
+    The cache is bounded: a session touches few shapes, and each entry holds
+    an index array as long as the space it describes.
+    """
+
+    @functools.lru_cache(maxsize=64)
     def cached(*shapes):
         idx = fn(*shapes)
         idx.flags.writeable = False
@@ -179,6 +190,18 @@ def block_offsets(shape):
     for k in shape:
         yield off, k
         off += k * k
+
+
+@_per_shape
+def block_embedding(shape) -> np.ndarray:
+    """Flat index in M_K (K = Σk) of each to_vector coordinate of ⊕M_k."""
+    K = sum(shape)
+    parts, row = [np.zeros(0, dtype=np.intp)], 0
+    for k in shape:
+        rows = np.arange(row, row + k)
+        parts.append((rows[:, None] * K + rows[None, :]).ravel())
+        row += k
+    return np.concatenate(parts)
 
 
 @_per_shape
@@ -202,7 +225,7 @@ def pair_reindex(a_shape, b_shape) -> np.ndarray:
     e_pq^(i) ⊗ e_rs^(j) ↦ E_{(p,r),(q,s)} in block (i, j): with v over
     V(A)⊗V(B), v[r] is its vector over V(⊕_{ij} M_{k_i·l_j}).
     """
-    db = sum(k * k for k in b_shape)
+    db = block_dim(b_shape)
     src = [np.zeros(0, dtype=np.intp)]
     for a_off, ka in block_offsets(a_shape):
         for b_off, kb in block_offsets(b_shape):
@@ -235,7 +258,7 @@ class BlockMatrix:
 
     @property
     def dim(self) -> int:
-        return sum(k * k for k in self.shape)
+        return block_dim(self.shape)
 
     @staticmethod
     def zeros(shape) -> "BlockMatrix":

@@ -13,7 +13,6 @@ defines the adjoint.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +21,9 @@ from .errors import ShapeMismatchError, SizeLimitError
 from .config import DIM_CAP
 from .matcore import (
     BlockMatrix,
+    block_dim,
+    block_embedding,
+    block_offsets,
     block_shape,
     blockwise_transpose,
     cmatrix,
@@ -52,24 +54,6 @@ def partial_trace(m: np.ndarray, dims: tuple[int, int], axis: int) -> np.ndarray
     return np.einsum("aibi->ab", m4)
 
 
-def _dim(shape) -> int:
-    return sum(k * k for k in shape)
-
-
-@functools.cache
-def _embedding(shape: tuple[int, ...]) -> np.ndarray:
-    """Flat index in M_K (K = Σk) of each block coordinate; read-only, per shape."""
-    K = sum(shape)
-    parts, off = [np.zeros(0, dtype=np.intp)], 0
-    for k in shape:
-        rows = np.arange(off, off + k)
-        parts.append((rows[:, None] * K + rows[None, :]).ravel())
-        off += k
-    idx = np.concatenate(parts)
-    idx.flags.writeable = False
-    return idx
-
-
 @dataclass(frozen=True)
 class ChannelFlags:
     cp: bool
@@ -92,7 +76,7 @@ class SuperOp:
     def __init__(self, dom_shape, cod_shape, transfer):
         dom_shape, cod_shape = block_shape(dom_shape), block_shape(cod_shape)
         transfer = cmatrix(transfer)
-        want = (_dim(cod_shape), _dim(dom_shape))
+        want = (block_dim(cod_shape), block_dim(dom_shape))
         if transfer.shape != want:
             raise ShapeMismatchError(
                 f"transfer matrix has shape {transfer.shape}, want {want[0]}x{want[1]}"
@@ -110,8 +94,8 @@ class SuperOp:
         `action` maps BlockMatrix → BlockMatrix.
         """
         dom_shape, cod_shape = block_shape(dom_shape), block_shape(cod_shape)
-        basis = np.eye(_dim(dom_shape))
-        transfer = np.zeros((_dim(cod_shape), basis.shape[0]), dtype=np.complex128)
+        basis = np.eye(block_dim(dom_shape))
+        transfer = np.zeros((block_dim(cod_shape), basis.shape[0]), dtype=np.complex128)
         for a, e in enumerate(basis):
             out = action(BlockMatrix.from_vector(e, dom_shape))
             if tuple(out.shape) != cod_shape:
@@ -128,7 +112,8 @@ class SuperOp:
         """
         K, L = sum(self.dom_shape), sum(self.cod_shape)
         big = np.zeros((L * L, K * K), dtype=np.complex128)
-        big[np.ix_(_embedding(self.cod_shape), _embedding(self.dom_shape))] = self.transfer
+        sectors = np.ix_(block_embedding(self.cod_shape), block_embedding(self.dom_shape))
+        big[sectors] = self.transfer
         return big.reshape(L, L, K, K).transpose(0, 2, 1, 3).reshape(L * K, L * K)
 
     @staticmethod
@@ -140,7 +125,7 @@ class SuperOp:
         if J.shape != (L * K, L * K):
             raise ShapeMismatchError("big choi has wrong dimensions")
         big = J.reshape(L, K, L, K).transpose(0, 2, 1, 3).reshape(L * L, K * K)
-        sectors = np.ix_(_embedding(cod_shape), _embedding(dom_shape))
+        sectors = np.ix_(block_embedding(cod_shape), block_embedding(dom_shape))
         outside = np.ones(big.shape, dtype=bool)
         outside[sectors] = False
         if float(np.abs(big[outside]).max(initial=0.0)) > tol:
@@ -207,11 +192,23 @@ class SuperOp:
     # -- classification ------------------------------------------------------
 
     def classify(self, tol: float = 1e-9) -> ChannelFlags:
-        # big_choi is a permuted direct sum of the (dom, cod) block Chois, so
-        # its spectrum is theirs
-        J = self.big_choi()
-        herm_defect = op_norm(J - J.conj().T)
-        min_eig = float(np.linalg.eigvalsh((J + J.conj().T) / 2)[0]) if J.size else 0.0
+        # big_choi is a permuted direct sum of the Chois of the (dom block,
+        # cod block) sectors, so its spectrum is theirs; testing them one by
+        # one keeps the cost Σ(l·k)³ instead of (Σl·Σk)³
+        herm_defect, min_eig = 0.0, np.inf
+        for row, l in block_offsets(self.cod_shape):
+            for col, k in block_offsets(self.dom_shape):
+                t = self.transfer[row : row + l * l, col : col + k * k]
+                if not t.size:
+                    continue
+                if not t.any():  # a zero sector: Hermitian, spectrum {0}
+                    min_eig = min(min_eig, 0.0)
+                    continue
+                J = t.reshape(l, l, k, k).transpose(0, 2, 1, 3).reshape(l * k, l * k)
+                herm_defect = max(herm_defect, op_norm(J - J.conj().T))
+                min_eig = min(min_eig, float(np.linalg.eigvalsh((J + J.conj().T) / 2)[0]))
+        if min_eig == np.inf:
+            min_eig = 0.0
         herm_preserving = herm_defect <= tol
         cp = herm_preserving and min_eig >= -tol
 
@@ -246,12 +243,12 @@ class SuperOp:
 
 def identity_map(shape) -> SuperOp:
     shape = block_shape(shape)
-    return SuperOp(shape, shape, np.eye(_dim(shape)))
+    return SuperOp(shape, shape, np.eye(block_dim(shape)))
 
 
 def zero_map(dom_shape, cod_shape) -> SuperOp:
     dom_shape, cod_shape = block_shape(dom_shape), block_shape(cod_shape)
-    return SuperOp(dom_shape, cod_shape, np.zeros((_dim(cod_shape), _dim(dom_shape))))
+    return SuperOp(dom_shape, cod_shape, np.zeros((block_dim(cod_shape), block_dim(dom_shape))))
 
 
 def transpose_map(n: int) -> SuperOp:

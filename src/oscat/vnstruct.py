@@ -21,6 +21,7 @@ from .errors import ShapeMismatchError, SizeLimitError
 from .matcore import (
     BlockMatrix,
     axis_perm,
+    block_dim,
     block_offsets,
     block_shape,
     blockwise_transpose,
@@ -50,10 +51,6 @@ __all__ = [
 ]
 
 
-def _shape_dim(shape) -> int:
-    return sum(k * k for k in shape)
-
-
 def trace_pairing(f: BlockMatrix, x: BlockMatrix) -> complex:
     """Bilinear pairing ⟨f, x⟩ = Σ_i tr(f_i x_i)."""
     f._check(x)
@@ -74,7 +71,7 @@ class VnAlgebra:
 
     @property
     def dim(self) -> int:
-        return _shape_dim(self.shape)
+        return block_dim(self.shape)
 
     def unit(self) -> BlockMatrix:
         return BlockMatrix.from_vector(self.unit_vec, self.shape)
@@ -102,7 +99,7 @@ class VnCoalgebra:
 
     @property
     def dim(self) -> int:
-        return _shape_dim(self.shape)
+        return block_dim(self.shape)
 
     def counit(self, x: BlockMatrix) -> complex:
         rep = BlockMatrix.from_vector(self.counit_vec, self.shape)
@@ -119,7 +116,7 @@ class VnCoalgebra:
 def _structure_shape(shape) -> tuple[int, ...]:
     """Validated block shape whose d × d² structure matrix fits DIM_CAP."""
     shape = block_shape(shape)
-    d = _shape_dim(shape)
+    d = block_dim(shape)
     if d * d > DIM_CAP:
         raise SizeLimitError(f"structure matrix {d}x{d * d} exceeds cap {DIM_CAP}")
     return shape
@@ -134,7 +131,7 @@ def _unit_products(shape):
 
 def make_algebra(shape) -> VnAlgebra:
     shape = _structure_shape(shape)
-    d = _shape_dim(shape)
+    d = block_dim(shape)
     mult = np.zeros((d, d, d), dtype=np.complex128)
     for il, ij, jl in _unit_products(shape):
         mult[il, ij, jl] = 1.0
@@ -147,7 +144,7 @@ def make_algebra(shape) -> VnAlgebra:
 def make_coalgebra(shape) -> VnCoalgebra:
     """⊕T_{k_i}: counit = blockwise trace, δ(e_ij) = Σ_k e_kj ⊗ e_ik per block."""
     shape = _structure_shape(shape)
-    d = _shape_dim(shape)
+    d = block_dim(shape)
     comult = np.zeros((d, d, d), dtype=np.complex128)
     for ij, ik, kj in _unit_products(shape):
         comult[kj, ik, ij] = 1.0

@@ -117,6 +117,22 @@ class TestRunner:
         assert rep.records[0].detail["error"] == "block sizes must be >= 0"
         assert rep.records[2].detail["error"] == "undefined name 'f'"
 
+    def test_checks_on_many_blocks_stay_per_sector(self):
+        # 64 one-by-one blocks: the CP test works sector by sector, never on
+        # the 4096 x 4096 big Choi matrix (268 MB)
+        import tracemalloc
+
+        ones = ",".join(["1"] * 64)
+        text = f"map f = identity([{ones}]);\ncheck cp f;\ncheck tp f;\ncheck unital f;"
+        tracemalloc.start()
+        try:
+            rep = run_session(parse_session(text))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [r.status for r in rep.records] == ["pass"] * 3
+        assert peak < 16 * 2**20
+
     def test_memory_error_is_a_fail_record(self, monkeypatch):
         # a layer that runs out of memory fails its statement; later ones still run
         import oscat.cli as cli_mod
