@@ -358,14 +358,14 @@ def criterion_8(config: RunConfig) -> AcceptanceResult:
     for trial in range(50):
         k = 1 + trial % 2
         w = rand_complex(rng, 1, k * k * 16).ravel().reshape(k, k, 16)
-        bi, bh, bp = (norm_at(SpaceElement(sp, k, w), config) for sp in spaces)
+        bi, bh, bp = (norm_at(SpaceElement(sp, k, w)) for sp in spaces)
         if bi.upper > bh.upper + 1e-6 or bh.lower > bp.upper + 1e-6:
             crossings += 1
     bad_width = 0
     for trial in range(20):
         x, y = rand_complex(rng, 2), rand_complex(rng, 2)
         w = elem_coords(x.ravel(), y.ravel()) + 0.05 * rand_complex(rng, 1, 16).ravel()
-        bh = norm_at(SpaceElement(spaces[1], 1, w), config)
+        bh = norm_at(SpaceElement(spaces[1], 1, w))
         if (bh.upper - bh.lower) > 0.10 * max(bh.upper, 1e-12):
             bad_width += 1
     ok = crossings == 0 and bad_width == 0
@@ -380,7 +380,7 @@ def criterion_9(config: RunConfig) -> AcceptanceResult:
     """Quantum switch: exactness, projective evidence, Haagerup violation of ratio n."""
     results, ratios = {}, {}
     for n in (2, 3):
-        _, report = quantum_switch(n, config)
+        _, report = quantum_switch(n)
         results[n] = [c["verdict"] for c in report["claims"]]
         ratios[n] = report["claims"][2]["evidence"]["ratio"]
     ok = all(results[n] == ["pass"] * 3 and abs(ratios[n] - n) <= 1e-9 for n in (2, 3))

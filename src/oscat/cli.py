@@ -525,8 +525,7 @@ class Report:
 
 
 class _Env:
-    def __init__(self, config: RunConfig):
-        self.config = config
+    def __init__(self):
         self.spaces: dict[str, SpaceExpr] = {}
         self.algs: dict = {}
         self.coalgs: dict = {}
@@ -645,7 +644,7 @@ def _element_level(mat: np.ndarray, sp: SpaceExpr):
 def run_session(ast: SessionAst, config: RunConfig | None = None) -> Report:
     """Execute statements in order; failures do not abort later commands."""
     config = config or RunConfig()
-    env = _Env(config)
+    env = _Env()
     records: list[Record] = []
     for st in ast.statements:
         text = format_session(SessionAst((st,))).strip()
@@ -686,9 +685,9 @@ def _execute(env: _Env, st: Statement, text: str, config: RunConfig) -> list[Rec
     if st.kind == "check":
         return [_run_check(env, st, text, config)]
     if st.kind == "norm":
-        return [_run_norm(env, st, text, config)]
+        return [_run_norm(env, st, text)]
     if st.kind == "demo":
-        return _run_demo(env, st, text, config)
+        return _run_demo(env, st, text)
     if st.kind == "assert":
         return [_run_assert(env, st, text, config)]
     raise OscatError(f"unknown statement kind {st.kind}")
@@ -709,7 +708,7 @@ def _run_check(env: _Env, st: Statement, text: str, config: RunConfig) -> Record
     if kind == "morphism":
         a = env.lookup("objs", st.get("src"))
         b = env.lookup("objs", st.get("dst"))
-        res = check_morphism(f, a, b, config.tol, config)
+        res = check_morphism(f, a, b, config.tol)
         status = {"valid": "pass", "invalid": "fail", "unknown": "unknown"}[res.verdict]
         return Record(text, status, detail={"reason": res.reason})
     mode = {"cpu": "cpu", "cptp": "cptp", "alghom": "alg_hom", "coalghom": "coalg_hom"}[kind]
@@ -737,7 +736,7 @@ _NORM_TENSORS = {
 }
 
 
-def _run_norm(env: _Env, st: Statement, text: str, config: RunConfig) -> Record:
+def _run_norm(env: _Env, st: Statement, text: str) -> Record:
     kind = st.get("kind")
     if kind in ("op", "tr"):
         mat = parse_matrix_literal(st.get("arg"))
@@ -756,7 +755,7 @@ def _run_norm(env: _Env, st: Statement, text: str, config: RunConfig) -> Record:
         if sp.kind != tensor:
             raise OscatError(f"norm {kind} needs a {op} space, got {format_space(sp)}")
         level, coords = _element_level(mat, sp)
-        br = norm_at(SpaceElement(sp, level, coords), config)
+        br = norm_at(SpaceElement(sp, level, coords))
     unknown = br.status == "unknown"
     detail = {"norm_status": br.status}
     for key in ("route", "reason"):
@@ -768,8 +767,8 @@ def _run_norm(env: _Env, st: Statement, text: str, config: RunConfig) -> Record:
     )
 
 
-def _run_demo(env: _Env, st: Statement, text: str, config: RunConfig) -> list[Record]:
-    _, report = quantum_switch(st.get("n"), config)
+def _run_demo(env: _Env, st: Statement, text: str) -> list[Record]:
+    _, report = quantum_switch(st.get("n"))
     out = []
     for claim in report["claims"]:
         rec = Record(

@@ -1,8 +1,10 @@
 """Run-wide configuration: seed and tolerance.
 
-Nothing outside the acceptance battery draws random numbers: every bracket
-and every quantum-switch claim depends only on its input.  The seed feeds
-only the acceptance battery, through ``RunConfig.rng``; results are
+Nothing outside the acceptance battery draws random numbers, and nothing
+keeps state between calls: every bracket and every quantum-switch claim is a
+function of its input alone.  The seed feeds only the acceptance battery,
+through ``RunConfig.rng``; the tolerance sets the pass/fail checks (CP, TP,
+unital, laws, morphisms, membership), not the norm brackets.  Results are
 deterministic for a fixed (seed, tol).
 """
 from __future__ import annotations
@@ -29,7 +31,7 @@ class BracketCaps:
 class RunConfig:
     seed: int = 0
     tol: float = DEFAULT_TOL
-    # outside equality and hashing, so it never splits the norm cache
+    # unread by oscat (see BracketCaps), and kept out of equality and hashing
     caps: BracketCaps = field(default_factory=BracketCaps, compare=False)
 
     def rng(self, salt: int = 0) -> np.random.Generator:

@@ -236,7 +236,7 @@ def pair_reindex(a_shape, b_shape) -> np.ndarray:
     return np.concatenate(src)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockMatrix:
     """Element of a block-diagonal space ⊕ M_{k_i}: ordered square blocks.
 

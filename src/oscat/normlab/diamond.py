@@ -15,10 +15,11 @@ and for elementary operators x ↦ a·x·b (‖a‖·‖b‖, the Haagerup norm 
 elementary tensor).  When it is not within the requested gap the standard
 two-block SDP over J decides.  The operator-picture cb norm is the diamond
 norm of the trace-pairing adjoint, so for a CP map it is ‖Φ(1)‖ (Paulsen,
-*Completely Bounded Maps and Operator Algebras*, Prop. 3.6).  Scalar
-domains/codomains take the closed-form shortcut (cb-norm = operator norm
-there), and block maps are flattened through the completely isometric
-block-diagonal embeddings.
+*Completely Bounded Maps and Operator Algebras*, Prop. 3.6); it takes no
+other path.  A domain or codomain of dimension one takes the closed-form
+shortcut (the norm of the image element or of the functional), and block
+maps are flattened through the completely isometric block-diagonal
+embeddings.
 Every bracket names its `route` in the witnesses.
 """
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ShapeMismatchError
-from ..matcore import BlockMatrix, blockwise_transpose, op_norm, tr_norm
+from ..matcore import BlockMatrix, block_dim, blockwise_transpose, tr_norm
 from ..supop import SuperOp
 from .brackets import NormBracket
 from .sdp import HermBasis, SdpProblem, lmi_triples, sdp_solve
@@ -34,7 +35,6 @@ from .sdp import HermBasis, SdpProblem, lmi_triples, sdp_solve
 __all__ = [
     "diamond_norm",
     "cb_norm",
-    "functional_norm",
     "functional_rep",
     "dual_level_norm",
     "diamond_seesaw_lower",
@@ -42,28 +42,14 @@ __all__ = [
 
 
 def functional_rep(s: SuperOp) -> BlockMatrix:
-    """Representing matrices of a functional-shaped map (codomain [1]).
+    """Representing matrices of a functional-shaped map (codomain of dimension 1).
 
     The blocks r_i satisfy s(x) = Σ_i tr(r_i x_i).
     """
-    if tuple(s.cod_shape) != (1,):
-        raise ShapeMismatchError("functional_rep needs codomain shape [1]")
+    if block_dim(s.cod_shape) != 1:
+        raise ShapeMismatchError("functional_rep needs a codomain of dimension 1")
     # s(E_ab) = tr(r E_ab) = r[b,a]
     return BlockMatrix.from_vector(s.transfer[0][blockwise_transpose(s.dom_shape)], s.dom_shape)
-
-
-def functional_norm(rep: BlockMatrix, picture: str) -> float:
-    """Norm of the functional x ↦ Σ tr(r_i x_i) on ⊕M (operator) or ⊕T (trace).
-
-    Operator picture: the unit ball is the ℓ∞ product of operator-norm balls,
-    so the norm is Σ_i ‖r_i‖_tr.  Trace picture: the ball is the convex hull
-    of the block trace-norm balls, giving max_i ‖r_i‖.
-    """
-    if picture == "operator":
-        return sum(tr_norm(b) for b in rep.blocks)
-    if picture == "trace":
-        return max((op_norm(b) for b in rep.blocks), default=0.0)
-    raise ValueError(f"unknown picture {picture!r}")
 
 
 def _gamma(n: int) -> float:
@@ -246,7 +232,9 @@ def diamond_norm(s: SuperOp, rel_gap: float = 1e-8) -> NormBracket:
         img = s.apply(BlockMatrix.identity(s.dom_shape))
         return NormBracket.exactly(img.tr_norm(), closed)
     if L == 1:
-        return NormBracket.exactly(functional_norm(functional_rep(s), "trace"), closed)
+        # a functional on ⊕T: its ball is the hull of the block trace-norm
+        # balls, so the norm is max_i ‖r_i‖
+        return NormBracket.exactly(functional_rep(s).op_norm(), closed)
     J = s.big_choi()
     lower, upper = _closed_form_bracket(J, K, L)
     if upper - lower <= rel_gap * (1.0 + abs(lower)):
@@ -255,20 +243,15 @@ def diamond_norm(s: SuperOp, rel_gap: float = 1e-8) -> NormBracket:
 
 
 def cb_norm(s: SuperOp, picture: str, rel_gap: float = 1e-8) -> NormBracket:
-    """cb norm in the stated picture; scalar ends short-circuit to op norms."""
-    K, L = sum(s.dom_shape), sum(s.cod_shape)
+    """cb norm of s viewed ⊕T → ⊕T ("trace") or ⊕M → ⊕M ("operator").
+
+    The operator-picture norm is the diamond norm of the trace-pairing
+    adjoint (Watrous 2018, §3.3; Paulsen, Prop. 3.6).
+    """
     if picture == "trace":
         return diamond_norm(s, rel_gap)
     if picture != "operator":
         raise ValueError(f"unknown picture {picture!r}")
-    closed = {"route": "closed form"}
-    if K == 0 or L == 0:
-        return NormBracket.exactly(0.0, closed)
-    if K == 1:
-        img = s.apply(BlockMatrix.identity(s.dom_shape))
-        return NormBracket.exactly(img.op_norm(), closed)
-    if L == 1:
-        return NormBracket.exactly(functional_norm(functional_rep(s), "operator"), closed)
     return diamond_norm(s.adjoint(), rel_gap)
 
 
@@ -284,9 +267,6 @@ def dual_level_norm(coords: np.ndarray, dom_shape, level: int, rel_gap: float = 
     dim = sum(n * n for n in dom_shape)
     if coords.shape != (k, k, dim):
         raise ShapeMismatchError(f"coords shape {coords.shape} for level {k}")
-    if k == 1:
-        rep = BlockMatrix.from_vector(coords[0, 0], dom_shape)
-        return NormBracket.exactly(functional_norm(rep, "operator"))
     # b ↦ [tr(r_ij b)]: row (i, j) of the transfer matrix is vec(r_ijᵀ)
     phi = SuperOp(dom_shape, (k,), coords.reshape(k * k, dim)[:, blockwise_transpose(dom_shape)])
     return cb_norm(phi, "operator", rel_gap)

@@ -10,12 +10,10 @@ with a reason naming the space, never a wrong number.
 from __future__ import annotations
 
 import re
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig
 from .errors import ShapeMismatchError, UnsupportedSpaceError
 from .matcore import axis_perm
 from .normlab.brackets import (
@@ -121,7 +119,7 @@ def dim(x: SpaceExpr) -> int:
     raise UnsupportedSpaceError(f"unknown space kind {x.kind}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpaceElement:
     """Level-k element: coords indexed (row, col, basis) with shape (k,k,dim)."""
 
@@ -302,28 +300,13 @@ def _algebra_shape(x: SpaceExpr) -> tuple[int, ...] | None:
 # ---------------------------------------------------------------------------
 # norm oracle
 
-# least recently used first; an insert past NORM_CACHE_SIZE evicts the oldest
-NORM_CACHE_SIZE = 256
-_NORM_CACHE: OrderedDict = OrderedDict()
+def norm_at(e: SpaceElement, config=None) -> NormBracket:
+    """Norm bracket of e at its level; a pure function of (space, level, coords).
 
-
-def norm_at(e: SpaceElement, config: RunConfig | None = None) -> NormBracket:
-    config = config or RunConfig()
-    space = normalize_space(e.space)
-    coords = e.coords
-    key = None
-    if coords.size <= 4096:
-        key = (format_space(space), e.level, coords.tobytes(), config)
-        hit = _NORM_CACHE.get(key)
-        if hit is not None:
-            _NORM_CACHE.move_to_end(key)
-            return hit
-    out = _norm_dispatch(space, e.level, coords)
-    if key is not None:
-        _NORM_CACHE[key] = out
-        if len(_NORM_CACHE) > NORM_CACHE_SIZE:
-            _NORM_CACHE.popitem(last=False)
-    return out
+    No route depends on the seed or the tolerance.  `config` is accepted and
+    not read, so that callers which still pass a `RunConfig` keep binding.
+    """
+    return _norm_dispatch(normalize_space(e.space), e.level, e.coords)
 
 
 def _no_route(space) -> NormBracket:
@@ -365,12 +348,9 @@ def _norm_dispatch(space, k, coords) -> NormBracket:
 
     if space.kind == "dual":
         inner = space.args[0]
-        shape = _algebra_shape(inner)
-        if shape is not None:
-            return dual_level_norm(coords, shape, k)
         if inner.kind == "base":
-            # rect dual: coords are the m×n representing matrices; pad into
-            # M_p (p = max) where the cb norm is unchanged
+            # coords are the m×n representing matrices; pad into M_p
+            # (p = max(n, m), p = n when square) where the cb norm is unchanged
             n, m = inner.args
             p = max(n, m)
             padded = np.zeros((k, k, p, p), dtype=np.complex128)
@@ -403,7 +383,7 @@ def _norm_dispatch(space, k, coords) -> NormBracket:
 # ---------------------------------------------------------------------------
 # canonical maps (coordinate actions)
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CanonicalMap:
     name: str
     src: SpaceExpr

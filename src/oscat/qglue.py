@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import RunConfig
 from .errors import ShapeMismatchError
-from .matcore import BlockMatrix, axis_perm, op_norm
+from .matcore import BlockMatrix, axis_perm, op_norm, psd_check
 from .normlab.brackets import FlatSpace, NormBracket
 from .normlab.diamond import cb_norm
 from .osx import (
@@ -274,11 +273,8 @@ def polar(s: SetSpec) -> SetSpec:
 # ---------------------------------------------------------------------------
 # membership
 
-def membership(
-    s: SetSpec, x_coords, tol: float = 1e-9, config: RunConfig | None = None
-) -> str:
+def membership(s: SetSpec, x_coords, tol: float = 1e-9) -> str:
     """Three-valued membership: 'yes' | 'no' | 'unknown'."""
-    config = config or RunConfig()
     x = np.asarray(x_coords, dtype=np.complex128).ravel()
     if x.size != dim(s.space):
         raise ShapeMismatchError("element dimension does not match the carrier")
@@ -286,7 +282,7 @@ def membership(
     if s.kind == "empty":
         return "no"
     if s.kind == "full_ball":
-        return _norm_leq_one(s.space, x, tol, config)
+        return _norm_leq_one(s.space, x, tol)
     if s.kind == "unit_set":
         ref = BlockMatrix.identity(s.payload[0]).to_vector()
         return "yes" if _close_block(x, ref, s.payload[0], tol) else "no"
@@ -298,31 +294,24 @@ def membership(
         b = BlockMatrix.from_vector(x, shape)
         if abs(b.trace() - 1) > tol:
             return "no"
-        for blk in b.blocks:
-            if blk.size == 0:
-                continue
-            if op_norm(blk - blk.conj().T) > tol:
-                return "no"
-            if np.linalg.eigvalsh((blk + blk.conj().T) / 2)[0] < -tol:
-                return "no"
-        return "yes"
+        return "yes" if all(psd_check(blk, tol) for blk in b.blocks) else "no"
     if s.kind == "finite":
         for e in s.payload[0]:
             if np.max(np.abs(e - x)) <= tol:
                 return "yes"
         return "no"
     if s.kind == "polar_of":
-        return _polar_membership(s, x, tol, config)
+        return _polar_membership(s, x, tol)
     if s.kind in ("product", "sum_polar"):
         a, b = s.payload
         da = dim(a.space)
-        ra = membership(a, x[:da], tol, config)
-        rb = membership(b, x[da:], tol, config)
+        ra = membership(a, x[:da], tol)
+        rb = membership(b, x[da:], tol)
         if "no" in (ra, rb):
             return "no"
         return "yes" if ra == rb == "yes" else "unknown"
     if s.kind in ("tensor_bipolar", "par_polar"):
-        return _closure_membership(s, x, tol, config)
+        return _closure_membership(s, x, tol)
     raise ValueError(f"unknown SetSpec kind {s.kind!r}")
 
 
@@ -332,12 +321,12 @@ def _close_block(x, ref, shape, tol) -> bool:
 
 def _ball_norm_decidable(space: SpaceExpr) -> bool:
     zero = np.zeros(dim(space), dtype=np.complex128)
-    br = norm_at(SpaceElement(space, 1, zero), RunConfig())
+    br = norm_at(SpaceElement(space, 1, zero))
     return br.status != "unknown"
 
 
-def _norm_leq_one(space, coords, tol, config) -> str:
-    br = norm_at(SpaceElement(space, 1, coords), config)
+def _norm_leq_one(space, coords, tol) -> str:
+    br = norm_at(SpaceElement(space, 1, coords))
     if br.status == "unknown":
         return "unknown"
     if br.upper <= 1 + max(tol, 1e-7):
@@ -347,7 +336,7 @@ def _norm_leq_one(space, coords, tol, config) -> str:
     return "unknown"
 
 
-def _polar_membership(s: SetSpec, f, tol, config) -> str:
+def _polar_membership(s: SetSpec, f, tol) -> str:
     inner = s.payload[0]
     # decidable coproduct-of-H case: z = (α·1, (1-α)·1) with α ∈ [0,1]
     if inner.kind == "sum_polar" and all(
@@ -358,7 +347,7 @@ def _polar_membership(s: SetSpec, f, tol, config) -> str:
     for g in gens:
         if abs(pairing(inner.space, f, g) - 1) > max(tol, 1e-7):
             return "no"
-    ball = _norm_leq_one(s.space, f, tol, config)
+    ball = _norm_leq_one(s.space, f, tol)
     if ball == "no":
         return "no"
     if ball == "yes" and exhaustive:
@@ -366,7 +355,7 @@ def _polar_membership(s: SetSpec, f, tol, config) -> str:
     return "unknown"
 
 
-def _h_plus_membership(inner: SetSpec, z, tol, config=None) -> str:
+def _h_plus_membership(inner: SetSpec, z, tol) -> str:
     """({1_A}° + {1_B}°)° = {(α·1_A, (1−α)·1_B) : α ∈ [0,1]}.
 
     Pairing 1 against all split states forces both components to be scalar
@@ -399,7 +388,7 @@ def _h_plus_membership(inner: SetSpec, z, tol, config=None) -> str:
     return "yes"
 
 
-def _closure_membership(s: SetSpec, x, tol, config) -> str:
+def _closure_membership(s: SetSpec, x, tol) -> str:
     gens, _ = generators(s)
     for g in gens:
         if np.max(np.abs(g - x)) <= tol:
@@ -411,7 +400,7 @@ def _closure_membership(s: SetSpec, x, tol, config) -> str:
         for f2 in fb:
             if abs(pairing(s.space, np.outer(f1, f2).ravel(), x) - 1) > max(tol, 1e-7):
                 return "no"
-    if _norm_leq_one(s.space, x, tol, config) == "no":
+    if _norm_leq_one(s.space, x, tol) == "no":
         return "no"
     return "unknown"
 
@@ -486,10 +475,7 @@ def _carrier_block_type(space: SpaceExpr):
     return None
 
 
-def check_morphism(
-    f: SuperOp, a: QObject, b: QObject, tol: float = 1e-9, config: RunConfig | None = None
-) -> MorphismResult:
-    config = config or RunConfig()
+def check_morphism(f: SuperOp, a: QObject, b: QObject, tol: float = 1e-9) -> MorphismResult:
     src = _carrier_block_type(a.space)
     dst = _carrier_block_type(b.space)
     if src is None or dst is None:
@@ -523,7 +509,7 @@ def check_morphism(
     transported = "yes"
     for g in gens:
         img = f.apply(BlockMatrix.from_vector(g, src[1])).to_vector()
-        r = membership(b.set, img, tol, config)
+        r = membership(b.set, img, tol)
         if r == "no":
             return MorphismResult(
                 "invalid", "set not preserved", {"cb": (br.lower, br.upper)}
@@ -566,11 +552,12 @@ def _reim(arr) -> dict:
     return {"re": arr.real.tolist(), "im": arr.imag.tolist()}
 
 
-def quantum_switch(n: int, config: RunConfig | None = None):
+def quantum_switch(n: int, config=None):
     """qsw with its evidence report: exactness, ⊗̂-contractivity, ⊗_h violation.
 
-    Every claim is decided exactly; nothing is sampled, so the report does not
-    depend on the seed (`config` only keys the norm cache of `norm_at`).
+    Every claim is decided exactly; nothing is sampled, so the report depends
+    only on n.  `config` is accepted and not read, so that callers which still
+    pass a `RunConfig` keep binding.
 
     (i) qsw is bilinear, so its formula holds iff it holds on the n⁴ pairs of
     matrix units: the products E_x·E_y and E_y·E_x are compared entrywise
@@ -589,7 +576,6 @@ def quantum_switch(n: int, config: RunConfig | None = None):
     (iii) v = Σᵢ e_i1 ⊗ e_1i has ‖v‖ₕ = 1 and ‖qsw(v)‖ = n, so qsw is not
     contractive on the Haagerup tensor for n ≥ 2.
     """
-    config = config or RunConfig()
     qsw = quantum_switch_map(n)
     report = {"n": n, "claims": []}
 
@@ -621,7 +607,7 @@ def quantum_switch(n: int, config: RunConfig | None = None):
     qsw_norm = op_norm(qsw(_tensor_to_kron_layout(coords, n)))
 
     # (ii) complete contractivity on ⊗̂ from the decomposition decided in (i)
-    proj = norm_at(SpaceElement(tens_proj(M(n), M(n)), 1, coords), config)
+    proj = norm_at(SpaceElement(tens_proj(M(n), M(n)), 1, coords))
     consistent = proj.upper >= qsw_norm * (1 - 1e-9)
     report["claims"].append(
         {
@@ -642,7 +628,7 @@ def quantum_switch(n: int, config: RunConfig | None = None):
     )
 
     # (iii) closed-form Haagerup violation on the witness
-    h = norm_at(SpaceElement(tens_h(M(n), M(n)), 1, coords), config)
+    h = norm_at(SpaceElement(tens_h(M(n), M(n)), 1, coords))
     ratio = qsw_norm / h_upper
     found = ratio > 1.02
     report["claims"].append(

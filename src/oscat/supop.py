@@ -65,7 +65,7 @@ class ChannelFlags:
     unit_defect: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SuperOp:
     """Linear map between block-matrix spaces: transfer[:, a] = vec(φ(e_a))."""
 

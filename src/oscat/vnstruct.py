@@ -57,7 +57,7 @@ def trace_pairing(f: BlockMatrix, x: BlockMatrix) -> complex:
     return complex(sum(np.trace(a @ b) for a, b in zip(f.blocks, x.blocks)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VnAlgebra:
     """shape + unit vector, multiplication matrix (dim × dim²), involution.
 
@@ -84,7 +84,7 @@ class VnAlgebra:
         return BlockMatrix.from_vector(self.inv_mat @ x.to_vector().conj(), self.shape)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VnCoalgebra:
     """shape + counit vector (as a functional rep), comultiplication, involution.
 

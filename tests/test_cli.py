@@ -1,6 +1,5 @@
 import json
 import random
-from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -163,6 +162,12 @@ class TestRunner:
         lo, hi = rep.records[0].bracket
         assert lo <= 2.0 <= hi and hi - lo < 1e-6
 
+    def test_norm_into_dimension_one_codomain(self):
+        # the trace on M_2 into [0,1]: max ‖I‖ = 1 on T_2, ‖I‖₁ = 2 on M_2
+        text = "map f = choi([2] -> [0,1], [[1,0],[0,1]]);\nnorm diamond f;\nnorm cb f operator;"
+        rep = run_session(parse_session(text))
+        assert [(r.status, r.value) for r in rep.records] == [("pass", 1.0), ("pass", 2.0)]
+
     @pytest.mark.parametrize("kind", ["diamond t", "cb t operator"])
     def test_unknown_norm_carries_reason(self, kind, monkeypatch):
         import oscat.normlab.diamond as diamond_mod
@@ -181,16 +186,12 @@ class TestRunner:
 
     def test_haagerup_size_cap_carries_reason(self, monkeypatch):
         import oscat.normlab.sdp as sdp_mod
-        import oscat.osx as osx
 
         # a non-elementary element that the closed form leaves to the SDP; the
-        # uncapped SDP value is the reference.  A cached bracket from an earlier
-        # run of the same element would hide the cap.
+        # uncapped SDP value is the reference
         session = parse_session(f"norm haagerup {NON_HERMITIAN_CHOI} in M(2) (*h) M(2);")
-        monkeypatch.setattr(osx, "_NORM_CACHE", OrderedDict())
         ref = run_session(session).records[0]
         assert ref.detail["route"] == "sdp"
-        monkeypatch.setattr(osx, "_NORM_CACHE", OrderedDict())
         monkeypatch.setattr(sdp_mod, "MAX_PSD_DIM", 4)
         rep = run_session(session)
         rec = rep.records[0]
@@ -298,6 +299,32 @@ class TestDeterminism:
         golden = (GOLDEN_DIR / "tutorial.json").read_bytes()
         assert got == golden
         assert report.exit_code == 0
+
+    def test_no_hidden_global_state(self):
+        # a result depends only on (session, seed, tol): no module-level dict,
+        # list or set of oscat may grow or change members while one runs
+        # (functools.lru_cache memos of pure index helpers are not counted)
+        import sys
+
+        from oscat.qglue import density_ops, membership
+
+        def snapshot():
+            return {
+                (mod, name): (len(val), [id(x) for x in val])
+                for mod, m in list(sys.modules.items())
+                if mod == "oscat" or mod.startswith("oscat.")
+                for name, val in vars(m).items()
+                if not name.startswith("__") and isinstance(val, (dict, list, set))
+            }
+
+        before = snapshot()
+        run_session(parse_session(TUTORIAL.read_text()), RunConfig(seed=0))
+        coords = np.random.default_rng(41).standard_normal(16)
+        norm_at(SpaceElement(tens_h(M(2), M(2)), 1, coords))
+        membership(density_ops((2,)), np.diag([0.25, 0.75]).ravel())
+        after = snapshot()
+        changed = [key for key in before if before[key] != after.get(key)]
+        assert not changed, f"module-level state changed: {changed}"
 
     def test_no_timing_in_json(self, config):
         rep = run_session(parse_session("norm op [[1]];"), config)

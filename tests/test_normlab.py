@@ -354,6 +354,10 @@ def test_closed_form_overlaps_sdp_sweep(kind):
             assert hi - lo <= 1e-8 * (1.0 + lo), (kind, seed, lo, hi)
 
 
+# block shapes of dimension 1 (one 1×1 block among empty ones) and larger
+SCALAR_END_SHAPES = [(1,), (0, 1), (1, 0), (2,), (2, 1), (1, 0, 2)]
+
+
 class TestCbNorm:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_trace_functional(self, n):
@@ -380,6 +384,34 @@ class TestCbNorm:
         s = SuperOp.from_action(lambda x: BlockMatrix([x.blocks[1][0, 0] * img]), (0, 1), (2,))
         assert abs(diamond_norm(s).mid - 3.0) <= 1e-12
         assert abs(cb_norm(s, "operator").mid - 2.0) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "dom, cod",
+        [(d, c) for d in SCALAR_END_SHAPES for c in SCALAR_END_SHAPES if 1 in (sum(d), sum(c))],
+    )
+    def test_scalar_end_table(self, dom, cod):
+        # K = 1: s is fixed by s(1), whose norm is the largest block op norm
+        # (operator) or the sum of block trace norms (trace).  L = 1: s(x) =
+        # Σ tr(r_i x_i), norm Σ‖r_i‖₁ (operator) or max ‖r_i‖ (trace)
+        rng = np.random.default_rng([*dom, 9, *cod])
+        nd, nc = sum(k * k for k in dom), sum(k * k for k in cod)
+        t = rng.standard_normal((nc, nd)) + 1j * rng.standard_normal((nc, nd))
+        s = SuperOp(dom, cod, t)
+
+        def blocks(vec, shape):
+            offs = np.cumsum([0] + [k * k for k in shape])
+            return [vec[a:b].reshape(k, k) for a, b, k in zip(offs, offs[1:], shape)]
+
+        # a dimension-1 domain or codomain makes t one column or one row
+        parts = blocks(t[:, 0], cod) if sum(dom) == 1 else blocks(t[0], dom)
+        svals = [np.linalg.svd(b, compute_uv=False) for b in parts]
+        big = max(v.max(initial=0.0) for v in svals)
+        tot = sum(float(v.sum()) for v in svals)
+        op_want, tr_want = (big, tot) if sum(dom) == 1 else (tot, big)
+        op, tr = cb_norm(s, "operator"), diamond_norm(s)
+        assert op.status == tr.status == "exact"
+        assert abs(op.mid - op_want) <= 1e-12 * (1 + op_want)
+        assert abs(tr.mid - tr_want) <= 1e-12 * (1 + tr_want)
 
     def test_transpose_operator_picture(self):
         # transpose is its own trace-adjoint, so both pictures give n

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from oscat import osx
 from oscat.config import RunConfig
 from oscat.errors import UnsupportedSpaceError
 from oscat.matcore import kron, op_norm, rand_complex, rand_unitary, tr_norm
@@ -160,13 +159,11 @@ class TestNormAt:
         br = norm_at(SpaceElement(deep, 1, np.zeros(64, complex) + 1), config)
         assert br.status in ("unknown", "bracket", "upper_only")
 
-    def test_min_tensor_skips_whole_placement(self, monkeypatch, rng, config):
+    def test_min_tensor_skips_whole_placement(self, rng, config):
         # M(8) ⊗min M(8): FlatSpace.tens_min's (4096, 64, 64) placement would
         # take 256 MiB; the flat 64×64 matrix takes 64 KiB
         import tracemalloc
-        from collections import OrderedDict
 
-        monkeypatch.setattr(osx, "_NORM_CACHE", OrderedDict())
         n = 8
         coords = rand_complex(rng, 1, n ** 4).ravel()
         want = op_norm(coords.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n))
@@ -188,39 +185,26 @@ class TestNormAt:
         assert br.status == "unknown"
         assert br.witnesses["reason"] == "no route for (T(2) (*h) T(2))"
 
-    def test_norm_cache_hit(self, rng, config):
-        u = rand_unitary(rng, 2)
-        el = SpaceElement(M(2), 1, u.ravel())
-        assert norm_at(el, config) is norm_at(el, config)
-
-    def test_norm_cache_is_bounded_lru(self, monkeypatch, config):
-        monkeypatch.setattr(osx, "NORM_CACHE_SIZE", 3)
-        osx._NORM_CACHE.clear()
-        els = [SpaceElement(M(2), 1, (i + 1.0) * np.eye(2).ravel()) for i in range(4)]
-        first = [norm_at(e, config) for e in els[:3]]
-        assert norm_at(els[0], config) is first[0]  # a repeat hits and becomes the newest entry
-        norm_at(els[3], config)  # past the bound: the least recently used entry goes
-        assert len(osx._NORM_CACHE) == 3
-        assert norm_at(els[0], config) is first[0]
-        assert norm_at(els[2], config) is first[2]
-        assert norm_at(els[1], config) is not first[1]
-        osx._NORM_CACHE.clear()
-
-    def test_norm_cache_keyed_on_seed_and_tol(self):
-        # the cache is keyed on (seed, tol); no tensor bracket depends on the seed
+    def test_brackets_independent_of_config(self):
+        # no route reads the seed or the tolerance
         rng = np.random.default_rng(0)
         coords = rng.standard_normal((2, 2, 16)) + 1j * rng.standard_normal((2, 2, 16))
         for space in (tens_h(M(2), M(2)), tens_proj(M(2), M(2))):
             el = SpaceElement(space, 2, coords)
-            osx._NORM_CACHE.clear()
-            first = norm_at(el, RunConfig(seed=1))
-            assert norm_at(el, RunConfig(seed=1)) is first
-            other = norm_at(el, RunConfig(seed=2))
-            loose = norm_at(el, RunConfig(seed=1, tol=1e-6))
-            assert len(osx._NORM_CACHE) == 3
-            assert other is not first and loose is not first
-            assert (other.lower, other.upper) == (first.lower, first.upper)
-        osx._NORM_CACHE.clear()
+            ends = {
+                (b.lower, b.upper, b.status)
+                for b in (norm_at(el, RunConfig(seed=s, tol=t)) for s in (1, 2) for t in (1e-9, 1e-6))
+            }
+            assert len(ends) == 1
+
+    def test_sdp_bracket_repeats_bit_identically(self):
+        # a non-elementary ⊗h element that the closed form leaves to the SDP
+        rng = np.random.default_rng(3)
+        el = SpaceElement(tens_h(M(2), M(2)), 1, rand_complex(rng, 1, 16).ravel())
+        first, again = norm_at(el), norm_at(el)
+        assert first.witnesses["route"] == "sdp"
+        assert first is not again
+        assert (first.lower, first.upper, first.status) == (again.lower, again.upper, again.status)
 
 
 class TestFlatRealization:

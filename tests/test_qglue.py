@@ -1,11 +1,10 @@
-from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import random_cptp, random_superop
-from oscat import osx, qglue
+from oscat import qglue
 from oscat.cli import emit_report, parse_session, run_session
 from oscat.config import RunConfig
 from oscat.errors import ShapeMismatchError
@@ -337,7 +336,7 @@ class TestQuantumSwitch:
         assert membership(target, out.ravel()) == "yes"
 
     def test_report_structure(self):
-        _, report = quantum_switch(2, RunConfig(seed=11))
+        _, report = quantum_switch(2)
         assert [c["verdict"] for c in report["claims"]] == ["pass", "pass", "pass"]
         assert report["claims"][2]["evidence"]["ratio"] == 2
         assert "h_violation_witness" in report
@@ -384,9 +383,8 @@ class TestQuantumSwitch:
 
         monkeypatch.setattr(RunConfig, "rng", no_draws)
         monkeypatch.setattr(np.random, "default_rng", no_draws)
-        monkeypatch.setattr(osx, "_NORM_CACHE", OrderedDict())
         for n in (1, 2, 3, 4):
-            quantum_switch(n, RunConfig(seed=n))
+            quantum_switch(n)
         rep = run_session(parse_session(TUTORIAL.read_text()), RunConfig(seed=5))
         assert rep.exit_code == 0
 

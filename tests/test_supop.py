@@ -222,13 +222,36 @@ class TestAmplifiedNormOne:
 
 class TestFunctionalMaps:
     def test_trace_map_reps(self):
-        from oscat.normlab.diamond import functional_norm, functional_rep
+        from oscat.normlab.diamond import cb_norm, diamond_norm, functional_rep
 
         tm = trace_map((2, 3))
         rep = functional_rep(tm)
         assert all(np.allclose(b, np.eye(k)) for b, k in zip(rep.blocks, (2, 3)))
-        assert abs(functional_norm(rep, "operator") - 5.0) < 1e-12
-        assert abs(functional_norm(rep, "trace") - 1.0) < 1e-12
+        assert abs(cb_norm(tm, "operator").upper - 5.0) < 1e-12
+        assert abs(diamond_norm(tm).upper - 1.0) < 1e-12
+
+
+def _array_holders():
+    from oscat.osx import M, SpaceElement, canonical_map
+    from oscat.vnstruct import make_algebra, make_coalgebra
+
+    return [
+        lambda: identity_map((2,)),
+        lambda: BlockMatrix.identity((2,)),
+        lambda: SpaceElement(M(2), 1, np.eye(2).ravel()),
+        lambda: canonical_map("double_dual", M(2)),
+        lambda: make_algebra((2,)),
+        lambda: make_coalgebra((2,)),
+    ]
+
+
+@pytest.mark.parametrize("make", _array_holders())
+def test_array_holders_compare_by_identity(make):
+    # ndarray fields: generated == would raise, so equality is identity and
+    # value comparison is `allclose`
+    a, b = make(), make()
+    assert (a == b) is False and a == a
+    assert len({a, b, a}) == 2
 
 
 # multi-block shapes, one with a zero-size block
