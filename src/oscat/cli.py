@@ -146,20 +146,17 @@ class _Scanner:
         self.skip_ws()
         if self.peek() != "[":
             self.error("'['")
-        depth, start = 0, self.pos
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch == "[":
-                depth += 1
-            elif ch == "]":
-                depth -= 1
-                if depth == 0:
-                    self.pos += 1
-                    return self.text[start : self.pos]
-                if depth < 0:
-                    self.error("balanced brackets")
-            self.pos += 1
-        self.error("']'")
+        # jump from one ']' to the next; each '[' in between opens a level
+        depth, start, i = 1, self.pos, self.pos + 1
+        while depth:
+            close = self.text.find("]", i)
+            if close < 0:
+                self.pos = len(self.text)
+                self.error("']'")
+            depth += self.text.count("[", i, close) - 1
+            i = close + 1
+        self.pos = i
+        return self.text[start:i]
 
     def raw_until_semicolon(self) -> tuple[str, int]:
         self.skip_ws()

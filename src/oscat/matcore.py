@@ -1,10 +1,10 @@
 """Dense complex matrix kernel.
 
 Everything downstream works with plain complex128 ndarrays; this module owns
-validation, the two base norms (operator and trace), PSD certification,
-Kronecker products, block-diagonal direct sums, the coordinate-reordering
-helpers, and the shared matrix literal text format.  Eigen/SVD work is
-delegated to LAPACK through numpy.
+validation, the two base norms (operator and trace) and their batched
+blockwise form, PSD certification, Kronecker products, block-diagonal direct
+sums, the coordinate-reordering helpers, and the shared matrix literal text
+format.  Eigen/SVD work is delegated to LAPACK through numpy.
 """
 from __future__ import annotations
 
@@ -32,6 +32,8 @@ __all__ = [
     "block_dim",
     "block_offsets",
     "block_embedding",
+    "block_norms",
+    "unit_vector",
     "blockwise_transpose",
     "pair_reindex",
     "BlockMatrix",
@@ -52,17 +54,17 @@ def cmatrix(data) -> np.ndarray:
         a = a.reshape(1, -1)
     if a.ndim != 2:
         raise InvalidInputError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
+    if not np.isfinite(a).all():  # a complex entry is finite iff both parts are
         raise InvalidInputError("matrix has non-finite entries")
     return a
 
 
 def op_norm(a) -> float:
-    """Largest singular value."""
+    """Largest singular value: one LAPACK call, the value of numpy's matrix 2-norm."""
     a = cmatrix(a)
     if a.size == 0:
         return 0.0
-    return float(np.linalg.norm(a, 2))
+    return float(np.linalg.svd(a, compute_uv=False).max())
 
 
 def tr_norm(a) -> float:
@@ -204,6 +206,32 @@ def block_embedding(shape) -> np.ndarray:
     return np.concatenate(parts)
 
 
+def unit_vector(shape) -> np.ndarray:
+    """vec(1) of ⊕M_k over BlockMatrix.to_vector coordinates."""
+    v = np.zeros(block_dim(shape), dtype=np.complex128)
+    for off, k in block_offsets(shape):
+        v[off : off + k * k : k + 1] = 1.0  # the diagonal of block k
+    return v
+
+
+def block_norms(cols: np.ndarray, shape, picture: str) -> np.ndarray:
+    """BlockMatrix norm of each column of cols (coordinate vectors over shape).
+
+    Operator picture: max over blocks of the operator norm; trace picture:
+    sum over blocks of the trace norm.  All columns are batched per block.
+    """
+    per_col = np.zeros(cols.shape[1])
+    for off, k in block_offsets(shape):
+        if k == 0:
+            continue
+        sv = np.linalg.svd(cols[off : off + k * k].T.reshape(-1, k, k), compute_uv=False)
+        if picture == "operator":
+            per_col = np.maximum(per_col, sv[:, 0])
+        else:
+            per_col = per_col + sv.sum(axis=1)
+    return per_col
+
+
 @_per_shape
 def blockwise_transpose(shape) -> np.ndarray:
     """Index array t with vec(x)[t] = vec(xᵀ) blockwise, over to_vector coordinates.
@@ -259,10 +287,6 @@ class BlockMatrix:
     @property
     def dim(self) -> int:
         return block_dim(self.shape)
-
-    @staticmethod
-    def zeros(shape) -> "BlockMatrix":
-        return BlockMatrix([np.zeros((k, k)) for k in shape])
 
     @staticmethod
     def identity(shape) -> "BlockMatrix":

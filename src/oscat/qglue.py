@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeMismatchError
-from .matcore import BlockMatrix, axis_perm, op_norm, psd_check
+from .matcore import BlockMatrix, axis_perm, op_norm, psd_check, unit_vector
 from .normlab.brackets import FlatSpace, NormBracket
 from .normlab.diamond import cb_norm
 from .osx import (
@@ -190,21 +190,15 @@ def generators(s: SetSpec):
     if s.kind == "empty":
         return [], True
     if s.kind == "unit_set":
-        return [BlockMatrix.identity(s.payload[0]).to_vector()], True
+        return [unit_vector(s.payload[0])], True
     if s.kind == "singleton_unitary":
         return [s.payload[1].to_vector()], True
     if s.kind == "finite":
         return list(s.payload[0]), s.payload[1] in ("as_given", "bipolar")
     if s.kind == "density_ops":
-        shape = s.payload[0]
-        gens = []
-        for b, n in enumerate(shape):
-            for i in range(n):
-                e = BlockMatrix.zeros(shape)
-                blocks = [blk.copy() for blk in e.blocks]
-                blocks[b][i, i] = 1.0
-                gens.append(BlockMatrix(blocks).to_vector())
-        return gens, False  # pure basis states sample the set
+        # the pure basis states e_ii sample the set
+        unit = unit_vector(s.payload[0])
+        return list(np.eye(unit.size, dtype=np.complex128)[np.flatnonzero(unit)]), False
     if s.kind == "tensor_bipolar":
         ga, _ = generators(s.payload[0])
         gb, _ = generators(s.payload[1])
@@ -236,7 +230,7 @@ def generators(s: SetSpec):
             return [], False
         if inner.kind == "density_ops":
             # P_C° = {ε}: the counit, represented by the identity
-            return [BlockMatrix.identity(inner.payload[0]).to_vector()], True
+            return [unit_vector(inner.payload[0])], True
         if inner.kind == "tensor_bipolar":
             a, b = inner.payload
             fa, _ = generators(polar(a))
@@ -284,7 +278,7 @@ def membership(s: SetSpec, x_coords, tol: float = 1e-9) -> str:
     if s.kind == "full_ball":
         return _norm_leq_one(s.space, x, tol)
     if s.kind == "unit_set":
-        ref = BlockMatrix.identity(s.payload[0]).to_vector()
+        ref = unit_vector(s.payload[0])
         return "yes" if _close_block(x, ref, s.payload[0], tol) else "no"
     if s.kind == "singleton_unitary":
         ok = _close_block(x, s.payload[1].to_vector(), s.payload[0], tol)

@@ -23,6 +23,7 @@ from .matcore import (
     BlockMatrix,
     block_dim,
     block_embedding,
+    block_norms,
     block_offsets,
     block_shape,
     blockwise_transpose,
@@ -30,6 +31,7 @@ from .matcore import (
     direct_sum,
     op_norm,
     pair_reindex,
+    unit_vector,
 )
 
 __all__ = [
@@ -192,9 +194,11 @@ class SuperOp:
     # -- classification ------------------------------------------------------
 
     def classify(self, tol: float = 1e-9) -> ChannelFlags:
-        # big_choi is a permuted direct sum of the Chois of the (dom block,
-        # cod block) sectors, so its spectrum is theirs; testing them one by
-        # one keeps the cost Σ(l·k)³ instead of (Σl·Σk)³
+        """CP per (cod, dom) Choi sector: big_choi's spectrum is theirs, at Σ(l·k)³ not (Σl·Σk)³.
+
+        The trace and unit defects are the blockwise operator norms of
+        vec(1_cod)·transfer − vec(1_dom) and transfer·vec(1_dom) − vec(1_cod).
+        """
         herm_defect, min_eig = 0.0, np.inf
         for row, l in block_offsets(self.cod_shape):
             for col, k in block_offsets(self.dom_shape):
@@ -212,20 +216,15 @@ class SuperOp:
         herm_preserving = herm_defect <= tol
         cp = herm_preserving and min_eig >= -tol
 
-        # tr φ(e_a) = vec(1)ᵀ·transfer[:, a] against tr e_a = vec(1)[a]
-        unit_dom = BlockMatrix.identity(self.dom_shape)
-        unit_cod = BlockMatrix.identity(self.cod_shape)
-        traces = unit_cod.to_vector() @ self.transfer - unit_dom.to_vector()
-        trace_defect = BlockMatrix.from_vector(traces, self.dom_shape).op_norm()
-        tp = trace_defect <= tol
-
-        unit_defect = (self.apply(unit_dom) - unit_cod).op_norm()
-        unital = unit_defect <= tol
-
+        unit_dom, unit_cod = unit_vector(self.dom_shape), unit_vector(self.cod_shape)
+        traces = unit_cod @ self.transfer - unit_dom
+        trace_defect = block_norms(traces[:, None], self.dom_shape, "operator")[0]
+        units = self.transfer @ unit_dom - unit_cod
+        unit_defect = block_norms(units[:, None], self.cod_shape, "operator")[0]
         return ChannelFlags(
             cp=bool(cp),
-            tp=bool(tp),
-            unital=bool(unital),
+            tp=bool(trace_defect <= tol),
+            unital=bool(unit_defect <= tol),
             herm_preserving=bool(herm_preserving),
             min_choi_eig=float(min_eig),
             trace_defect=float(trace_defect),
@@ -272,4 +271,4 @@ def depolarizing(n: int) -> SuperOp:
 def trace_map(shape) -> SuperOp:
     """The functional x ↦ Σ_i tr(x_i) as a map into the [1] block space."""
     shape = block_shape(shape)
-    return SuperOp(shape, (1,), BlockMatrix.identity(shape).to_vector())
+    return SuperOp(shape, (1,), unit_vector(shape))

@@ -22,11 +22,13 @@ from .matcore import (
     BlockMatrix,
     axis_perm,
     block_dim,
+    block_norms,
     block_offsets,
     block_shape,
     blockwise_transpose,
+    op_norm,
+    unit_vector,
 )
-from .normlab.brackets import NormBracket
 from .normlab.diamond import cb_norm
 from .supop import SuperOp
 
@@ -136,9 +138,7 @@ def make_algebra(shape) -> VnAlgebra:
     for il, ij, jl in _unit_products(shape):
         mult[il, ij, jl] = 1.0
     inv = np.eye(d)[blockwise_transpose(shape)]
-    return VnAlgebra(
-        shape, BlockMatrix.identity(shape).to_vector(), mult.reshape(d, d * d), inv
-    )
+    return VnAlgebra(shape, unit_vector(shape), mult.reshape(d, d * d), inv)
 
 
 def make_coalgebra(shape) -> VnCoalgebra:
@@ -149,9 +149,7 @@ def make_coalgebra(shape) -> VnCoalgebra:
     for ij, ik, kj in _unit_products(shape):
         comult[kj, ik, ij] = 1.0
     inv = np.eye(d)[blockwise_transpose(shape)]
-    return VnCoalgebra(
-        shape, BlockMatrix.identity(shape).to_vector(), comult.reshape(d * d, d), inv
-    )
+    return VnCoalgebra(shape, unit_vector(shape), comult.reshape(d * d, d), inv)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +227,7 @@ def _cstar_witness(alg: VnAlgebra) -> tuple[BlockMatrix, float]:
     xs = np.vstack([alg.unit_vec, e, e[a] + e[t[a]]])
     adj = xs.conj() @ alg.inv_mat.T  # rows i(x)
     prod = ((adj @ alg.mult_mat.reshape(d, d, d)) * xs).sum(axis=-1)  # columns i(x)·x
-    nrm = _col_norms(np.hstack([prod, xs.T]), alg.shape, "operator").reshape(2, -1)
+    nrm = block_norms(np.hstack([prod, xs.T]), alg.shape, "operator").reshape(2, -1)
     defect = np.abs(nrm[0] - nrm[1] ** 2)
     w = int(np.argmax(defect))
     return BlockMatrix.from_vector(xs[w], alg.shape), float(defect[w])
@@ -384,7 +382,7 @@ def positivity(p: BlockMatrix, structure, tol: float = 1e-9) -> PositivityVerdic
     for b in p.blocks:
         if b.size == 0:
             continue
-        herm_defect = max(herm_defect, float(np.linalg.norm(b - b.conj().T, 2)))
+        herm_defect = max(herm_defect, op_norm(b - b.conj().T))
         min_eig = min(min_eig, float(np.linalg.eigvalsh((b + b.conj().T) / 2)[0]))
     if min_eig is np.inf:
         min_eig = 0.0
@@ -443,56 +441,33 @@ def certify_morphism(
     v = MorphismVerdict(True, mode)
     if tuple(f.dom_shape) != tuple(src.shape) or tuple(f.cod_shape) != tuple(dst.shape):
         raise ShapeMismatchError("morphism shapes do not match the structures")
-    flags = f.classify(tol)
-    v.diagnostics["flags"] = flags
     if mode in ("cpu", "cptp"):
+        flags = f.classify(tol)
         if not flags.cp:
             v.ok = False
             v.failures.append(("cp", flags.min_choi_eig))
-        want_unital = mode == "cpu"
-        if want_unital and not flags.unital:
+        if mode == "cpu" and not flags.unital:
             v.ok = False
             v.failures.append(("unital", flags.unit_defect))
         if mode == "cptp" and not flags.tp:
             v.ok = False
             v.failures.append(("tp", flags.trace_defect))
         if with_cb_check and v.ok:
-            picture = "operator" if mode == "cpu" else "trace"
-            br: NormBracket = cb_norm(f, picture)
+            # the cb norm of a CPTP (CPU) map is 1, or 0 on a zero domain (codomain)
+            picture, side = ("operator", f.cod_shape) if mode == "cpu" else ("trace", f.dom_shape)
+            want = 1.0 if block_dim(side) else 0.0
+            br = cb_norm(f, picture)
             v.diagnostics["cb_norm"] = (br.lower, br.upper)
             v.diagnostics["cb_route"] = br.witnesses["route"]
-            if br.status == "exact" and abs(br.mid - 1.0) > 1e-6:
+            if br.status == "exact" and abs(br.mid - want) > 1e-6:
                 v.ok = False
-                v.failures.append(("cb_norm_one", br.mid - 1.0))
+                v.failures.append(("cb_norm_one", br.mid - want))
         return v
     if mode == "alg_hom":
         return _check_alg_hom(f, src, dst, tol, v)
     if mode == "coalg_hom":
         return _check_coalg_hom(f, src, dst, tol, v)
     raise ValueError(f"unknown morphism mode {mode!r}")
-
-
-def _col_norms(cols: np.ndarray, shape, picture: str) -> np.ndarray:
-    """BlockMatrix norm of each column of cols (coordinate vectors over shape).
-
-    Operator picture: max over blocks of the operator norm; trace picture:
-    sum over blocks of the trace norm.  All columns are batched per block.
-    """
-    per_col = np.zeros(cols.shape[1])
-    for off, k in block_offsets(shape):
-        if k == 0:
-            continue
-        sv = np.linalg.svd(cols[off : off + k * k].T.reshape(-1, k, k), compute_uv=False)
-        if picture == "operator":
-            per_col = np.maximum(per_col, sv[:, 0])
-        else:
-            per_col = per_col + sv.sum(axis=1)
-    return per_col
-
-
-def _worst_norm(cols: np.ndarray, shape, picture: str) -> float:
-    """Largest BlockMatrix norm among the columns of cols."""
-    return float(_col_norms(cols, shape, picture).max(initial=0.0))
 
 
 def _flag(v: MorphismVerdict, errs: dict, tol) -> None:
@@ -514,7 +489,10 @@ def _check_alg_hom(f, alg_a: VnAlgebra, alg_b: VnAlgebra, tol, v) -> MorphismVer
         - (t.T @ mu_b @ t).reshape(db, da * da),
         "involutive": t @ alg_a.inv_mat - alg_b.inv_mat @ t.conj(),
     }
-    errs = {name: _worst_norm(x, alg_b.shape, "operator") for name, x in diffs.items()}
+    errs = {
+        name: float(block_norms(x, alg_b.shape, "operator").max(initial=0.0))
+        for name, x in diffs.items()
+    }
     _flag(v, errs, tol)
     v.diagnostics.update(
         mult_err=errs["multiplicative"], inv_err=errs["involutive"], unit_err=errs["unital"]
@@ -528,6 +506,7 @@ def _check_coalg_hom(f, co_c: VnCoalgebra, co_d: VnCoalgebra, tol, v) -> Morphis
     eps_c = co_c.counit_vec[blockwise_transpose(co_c.shape)]
     eps_d = co_d.counit_vec[blockwise_transpose(co_d.shape)]
     delta_c = co_c.comult_mat.reshape(dc, dc, dc)
+    inv_diff = t @ co_c.inv_mat - co_d.inv_mat @ t.conj()
     # ε_D·T = ε_C,  δ_D·T = (T⊗T)·δ_C (both entrywise),  T·P_C = P_D·conj(T)
     # (blockwise trace norm per basis element)
     errs = {
@@ -536,9 +515,7 @@ def _check_coalg_hom(f, co_c: VnCoalgebra, co_d: VnCoalgebra, tol, v) -> Morphis
             co_d.comult_mat @ t
             - (t @ delta_c.transpose(2, 0, 1) @ t.T).transpose(1, 2, 0).reshape(dd * dd, dc)
         ),
-        "involutive": _worst_norm(
-            t @ co_c.inv_mat - co_d.inv_mat @ t.conj(), co_d.shape, "trace"
-        ),
+        "involutive": float(block_norms(inv_diff, co_d.shape, "trace").max(initial=0.0)),
     }
     _flag(v, errs, tol)
     v.diagnostics.update(

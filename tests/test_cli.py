@@ -4,9 +4,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oscat import matcore, supop
 from oscat.cli import (
     ParseError,
+    _Scanner,
     emit_report,
     format_session,
     main,
@@ -81,6 +85,56 @@ class TestParser:
                 pass  # the only permitted failure mode
 
 
+def _bracket_blob_by_characters(sc: _Scanner) -> str:
+    """The per-character balanced-bracket scan, kept as the oracle."""
+    sc.skip_ws()
+    if sc.peek() != "[":
+        sc.error("'['")
+    depth, start = 0, sc.pos
+    while sc.pos < len(sc.text):
+        ch = sc.text[sc.pos]
+        if ch == "[":
+            depth += 1
+        elif ch == "]":
+            depth -= 1
+            if depth == 0:
+                sc.pos += 1
+                return sc.text[start : sc.pos]
+            if depth < 0:
+                sc.error("balanced brackets")
+        sc.pos += 1
+    sc.error("']'")
+
+
+def _scan(scan, prefix: str, body: str):
+    sc = _Scanner(prefix + body, 1)
+    sc.pos = len(prefix)
+    try:
+        return "blob", scan(sc), sc.pos
+    except ParseError as exc:
+        return "error", exc.col, exc.expected
+
+
+class TestBracketBlob:
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="f =[]", max_size=4), st.text(alphabet="[], 1", max_size=24))
+    def test_matches_per_character_scan(self, prefix, body):
+        want = _scan(_bracket_blob_by_characters, prefix, body)
+        assert _scan(_Scanner.bracket_blob, prefix, body) == want
+
+    @pytest.mark.parametrize(
+        "body,want",
+        [
+            ("[[1, 2], [3]] rest", ("blob", "[[1, 2], [3]]", 13)),
+            ("  [1", ("error", 5, "']'")),
+            ("[[1]", ("error", 5, "']'")),
+            ("1]", ("error", 1, "'['")),
+        ],
+    )
+    def test_blob_position_and_error_columns(self, body, want):
+        assert _scan(_Scanner.bracket_blob, "", body) == want
+
+
 class TestRunner:
     def test_undefined_name_fails_but_continues(self):
         ast = parse_session("check cp nosuch;\nnorm op [[2]];")
@@ -131,6 +185,57 @@ class TestRunner:
             tracemalloc.stop()
         assert [r.status for r in rep.records] == ["pass"] * 3
         assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize(
+        "expr,status,failures",
+        [
+            ("identity([0])", "pass", [[], []]),
+            ("identity([])", "pass", [[], []]),
+            ("identity([2,0])", "pass", [[], []]),
+            ("conj_by([[2,0],[0,2]])", "fail", [["tp"], ["unital"]]),
+        ],
+    )
+    def test_cptp_and_cpu_on_zero_spaces(self, expr, status, failures):
+        # the cb norm of a CPTP (CPU) map is 0 when its domain (codomain) is zero
+        rep = run_session(parse_session(f"map f = {expr};\ncheck cptp f;\ncheck cpu f;"))
+        assert [r.status for r in rep.records] == [status, status]
+        assert [r.detail["failures"] for r in rep.records] == failures
+        if expr in ("identity([0])", "identity([])"):
+            assert [r.detail["cb_norm"] for r in rep.records] == [[0.0, 0.0]] * 2
+
+    def test_session_checks_skip_block_matrices_and_unread_flags(self, monkeypatch):
+        # check cp|tp|unital read classify, which works on the transfer matrix
+        # alone; check alghom|coalghom read no flag, so they do not classify
+        counts = {"classify": 0, "blocks": 0}
+        inside = []
+        classify, init = supop.SuperOp.classify, matcore.BlockMatrix.__init__
+
+        def counted_classify(self, *args):
+            counts["classify"] += 1
+            inside.append(True)
+            try:
+                return classify(self, *args)
+            finally:
+                inside.pop()
+
+        def counted_init(self, blocks):
+            counts["blocks"] += bool(inside)
+            init(self, blocks)
+
+        monkeypatch.setattr(supop.SuperOp, "classify", counted_classify)
+        monkeypatch.setattr(matcore.BlockMatrix, "__init__", counted_init)
+        text = "map f = conj_by([[0,1],[1,0]]);\ncheck cp f;\ncheck tp f;\ncheck unital f;"
+        rep = run_session(parse_session(text))
+        assert [r.status for r in rep.records] == ["pass"] * 3
+        assert counts == {"classify": 3, "blocks": 0}
+        counts["classify"] = 0
+        text = (
+            "map f = conj_by([[0,1],[1,0]]);\nalg A = [2];\ncoalg C = [2];\n"
+            "check alghom f : A -> A;\ncheck coalghom f : C -> C;"
+        )
+        rep = run_session(parse_session(text))
+        assert [r.status for r in rep.records] == ["pass"] * 2
+        assert counts == {"classify": 0, "blocks": 0}
 
     def test_memory_error_is_a_fail_record(self, monkeypatch):
         # a layer that runs out of memory fails its statement; later ones still run

@@ -7,6 +7,8 @@ from oscat.errors import InvalidInputError, ShapeMismatchError, SizeLimitError
 from oscat.matcore import (
     BlockMatrix,
     axis_perm,
+    block_norms,
+    cmatrix,
     direct_sum,
     format_matrix_literal,
     herm_eig,
@@ -41,6 +43,32 @@ class TestOpNorm:
             op_norm([[np.nan, 0], [0, 1]])
         with pytest.raises(InvalidInputError):
             op_norm([[np.inf]])
+
+    @pytest.mark.parametrize("bad", [complex(np.nan, 0), complex(0, np.inf), np.inf])
+    def test_cmatrix_rejects_each_non_finite_part(self, bad):
+        with pytest.raises(InvalidInputError):
+            cmatrix([[1, bad], [0, 1]])
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 5), (5, 2), (1, 4), (4, 1)])
+    def test_bit_identical_to_numpy_two_norm(self, shape, rng):
+        a = rand_complex(rng, *shape)
+        assert op_norm(a) == float(np.linalg.norm(a, 2))
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+    def test_empty_is_zero(self, shape):
+        assert op_norm(np.zeros(shape)) == 0.0
+
+
+class TestBlockNorms:
+    @pytest.mark.parametrize("shape", [(2,), (2, 1), (1, 0, 3), (0,), ()])
+    def test_columns_match_block_matrix_norms(self, shape, rng):
+        d = sum(k * k for k in shape)
+        cols = rand_complex(rng, d, 4)
+        elems = [BlockMatrix.from_vector(c, shape) for c in cols.T]
+        op = block_norms(cols, shape, "operator")
+        tr = block_norms(cols, shape, "trace")
+        assert np.allclose(op, [x.op_norm() for x in elems], rtol=1e-14, atol=0)
+        assert np.allclose(tr, [x.tr_norm() for x in elems], rtol=1e-14, atol=0)
 
 
 class TestTrNorm:

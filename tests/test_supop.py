@@ -5,8 +5,17 @@ from hypothesis import strategies as st
 
 from conftest import random_cptp, random_superop
 from oscat.errors import ShapeMismatchError, SizeLimitError
-from oscat.matcore import BlockMatrix, kron, op_norm, rand_complex, rand_unitary, tr_norm
+from oscat.matcore import (
+    BlockMatrix,
+    block_offsets,
+    kron,
+    op_norm,
+    rand_complex,
+    rand_unitary,
+    tr_norm,
+)
 from oscat.supop import (
+    ChannelFlags,
     SuperOp,
     conjugation,
     depolarizing,
@@ -148,6 +157,58 @@ class TestClassify:
     def test_tp_via_choi_partial_trace(self, rng):
         s = random_cptp(rng, 3)
         assert np.allclose(partial_trace(s.big_choi(), (3, 3), 0), np.eye(3))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda rng: _random_map(rng, (2, 1), (1, 2)),
+            lambda rng: _random_map(rng, (1, 0, 2), (2,)),
+            lambda rng: identity_map((0,)),
+            lambda rng: trace_map((2, 1)),
+            lambda rng: SuperOp.from_big_choi([[1, 2], [0, 1]], (2,), (0, 1)),
+            lambda rng: random_superop(rng, 2, 3),
+            lambda rng: transpose_map(3),
+        ],
+        ids=["(2,1)->(1,2)", "(1,0,2)->(2,)", "identity[0]", "trace_map", "choi", "random", "T3"],
+    )
+    def test_flags_bit_identical_to_block_matrix_oracle(self, make, rng):
+        s = make(rng)
+        assert s.classify() == _classify_by_block_matrices(s)
+
+
+def _classify_by_block_matrices(s: SuperOp, tol: float = 1e-9) -> ChannelFlags:
+    """classify as written with BlockMatrix round trips and np.linalg.norm(·, 2)."""
+    herm_defect, min_eig = 0.0, np.inf
+    for row, l in block_offsets(s.cod_shape):
+        for col, k in block_offsets(s.dom_shape):
+            t = s.transfer[row : row + l * l, col : col + k * k]
+            if not t.size:
+                continue
+            if not t.any():
+                min_eig = min(min_eig, 0.0)
+                continue
+            J = t.reshape(l, l, k, k).transpose(0, 2, 1, 3).reshape(l * k, l * k)
+            herm_defect = max(herm_defect, float(np.linalg.norm(J - J.conj().T, 2)))
+            min_eig = min(min_eig, float(np.linalg.eigvalsh((J + J.conj().T) / 2)[0]))
+    min_eig = 0.0 if min_eig == np.inf else min_eig
+
+    def blockwise_op_norm(x: BlockMatrix) -> float:
+        return max((float(np.linalg.norm(b, 2)) for b in x.blocks if b.size), default=0.0)
+
+    unit_dom = BlockMatrix.identity(s.dom_shape)
+    unit_cod = BlockMatrix.identity(s.cod_shape)
+    traces = unit_cod.to_vector() @ s.transfer - unit_dom.to_vector()
+    trace_defect = blockwise_op_norm(BlockMatrix.from_vector(traces, s.dom_shape))
+    unit_defect = blockwise_op_norm(s.apply(unit_dom) - unit_cod)
+    return ChannelFlags(
+        cp=herm_defect <= tol and min_eig >= -tol,
+        tp=trace_defect <= tol,
+        unital=unit_defect <= tol,
+        herm_preserving=herm_defect <= tol,
+        min_choi_eig=min_eig,
+        trace_defect=trace_defect,
+        unit_defect=unit_defect,
+    )
 
 
 def psd_min(a):
