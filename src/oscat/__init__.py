@@ -39,7 +39,6 @@ from .osx import (
     T,
     canonical_map,
     conj,
-    conj_opp_push,
     dual,
     format_space,
     norm_at,

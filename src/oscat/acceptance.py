@@ -103,7 +103,7 @@ def criterion_2(config: RunConfig) -> AcceptanceResult:
         )
         op = tr_norm(rep)  # closed form: sup over the operator-norm ball
         adj = f.adjoint()
-        br = _diamond_sdp(adj.big_choi(), sum(adj.dom_shape), sum(adj.cod_shape), 1e-8)
+        br = _diamond_sdp(adj.big_choi(), sum(adj.dom_shape), sum(adj.cod_shape))
         worst = max(worst, abs(br.mid - op))
     for trial in range(100):
         n = 1 + trial % 3
@@ -113,7 +113,7 @@ def criterion_2(config: RunConfig) -> AcceptanceResult:
         )
         op = op_norm(img)
         adj = f.adjoint()
-        br = _diamond_sdp(adj.big_choi(), sum(adj.dom_shape), sum(adj.cod_shape), 1e-8)
+        br = _diamond_sdp(adj.big_choi(), sum(adj.dom_shape), sum(adj.cod_shape))
         worst = max(worst, abs(br.mid - op))
     ok = worst <= 1e-6
     return AcceptanceResult(

@@ -35,6 +35,7 @@ __all__ = [
     "block_norms",
     "unit_vector",
     "blockwise_transpose",
+    "pair_shape",
     "pair_reindex",
     "BlockMatrix",
     "rand_complex",
@@ -245,11 +246,16 @@ def blockwise_transpose(shape) -> np.ndarray:
     return np.concatenate(parts)
 
 
+def pair_shape(a_shape, b_shape) -> tuple[int, ...]:
+    """Block sizes k_i·l_j of ⊕M_{k_i} ⊗ ⊕M_{l_j}, (i, j) lexicographically."""
+    return tuple(ka * kb for ka in a_shape for kb in b_shape)
+
+
 @_per_shape
 def pair_reindex(a_shape, b_shape) -> np.ndarray:
     """Index array r taking kron(vec(x), vec(y)) to the pair-block coordinates.
 
-    The pair shape lists k_i·l_j for (i, j) lexicographically, and
+    Over `pair_shape(a_shape, b_shape)`,
     e_pq^(i) ⊗ e_rs^(j) ↦ E_{(p,r),(q,s)} in block (i, j): with v over
     V(A)⊗V(B), v[r] is its vector over V(⊕_{ij} M_{k_i·l_j}).
     """

@@ -41,6 +41,11 @@ __all__ = [
 ]
 
 
+# relative bracket width: the closed form is accepted when upper − lower ≤
+# _REL_GAP·(1 + lower), and the SDP is asked for the same gap
+_REL_GAP = 1e-8
+
+
 def functional_rep(s: SuperOp) -> BlockMatrix:
     """Representing matrices of a functional-shaped map (codomain of dimension 1).
 
@@ -128,7 +133,7 @@ def _closed_form_bracket(J: np.ndarray, K: int, L: int) -> tuple[float, float]:
     return max(lower_me, lower_xy), upper
 
 
-def _diamond_sdp(J: np.ndarray, K: int, L: int, rel_gap: float) -> NormBracket:
+def _diamond_sdp(J: np.ndarray, K: int, L: int) -> NormBracket:
     """max Re tr(J†X) s.t. [[1_L⊗ρ0, X], [X†, 1_L⊗ρ1]] ⪰ 0, tr ρ = 1.
 
     For Hermitian J the optimum is attained with ρ0 = ρ1 and X Hermitian
@@ -198,7 +203,7 @@ def _diamond_sdp(J: np.ndarray, K: int, L: int, rel_gap: float) -> NormBracket:
         eq_b=eq_b,
         slater=slater,
     )
-    res = sdp_solve(prob, rel_gap=rel_gap)
+    res = sdp_solve(prob, rel_gap=_REL_GAP)
     if res.status != "optimal":
         reason = f"sdp {res.status}" + (f": {res.message}" if res.message else "")
         return NormBracket.unknown(
@@ -214,11 +219,11 @@ def _diamond_sdp(J: np.ndarray, K: int, L: int, rel_gap: float) -> NormBracket:
     return NormBracket.from_bounds(lower, upper, {"route": "sdp", "sdp_iterations": res.iterations})
 
 
-def diamond_norm(s: SuperOp, rel_gap: float = 1e-8) -> NormBracket:
+def diamond_norm(s: SuperOp) -> NormBracket:
     """cb norm of s viewed T_dom → T_cod (the diamond norm).
 
     The closed-form bracket of `_closed_form_bracket` is returned when its
-    width is within rel_gap·(1 + lower), which holds for completely positive
+    width is within _REL_GAP·(1 + lower), which holds for completely positive
     maps, transposes, differences of Pauli- or Weyl-covariant channels and
     elementary operators x ↦ a·x·b; any other map goes to the SDP.
     `witnesses["route"]` says which.
@@ -237,25 +242,25 @@ def diamond_norm(s: SuperOp, rel_gap: float = 1e-8) -> NormBracket:
         return NormBracket.exactly(functional_rep(s).op_norm(), closed)
     J = s.big_choi()
     lower, upper = _closed_form_bracket(J, K, L)
-    if upper - lower <= rel_gap * (1.0 + abs(lower)):
+    if upper - lower <= _REL_GAP * (1.0 + abs(lower)):
         return NormBracket.from_bounds(max(0.0, lower), upper, closed)
-    return _diamond_sdp(J, K, L, rel_gap)
+    return _diamond_sdp(J, K, L)
 
 
-def cb_norm(s: SuperOp, picture: str, rel_gap: float = 1e-8) -> NormBracket:
+def cb_norm(s: SuperOp, picture: str) -> NormBracket:
     """cb norm of s viewed ⊕T → ⊕T ("trace") or ⊕M → ⊕M ("operator").
 
     The operator-picture norm is the diamond norm of the trace-pairing
     adjoint (Watrous 2018, §3.3; Paulsen, Prop. 3.6).
     """
     if picture == "trace":
-        return diamond_norm(s, rel_gap)
+        return diamond_norm(s)
     if picture != "operator":
         raise ValueError(f"unknown picture {picture!r}")
-    return diamond_norm(s.adjoint(), rel_gap)
+    return diamond_norm(s.adjoint())
 
 
-def dual_level_norm(coords: np.ndarray, dom_shape, level: int, rel_gap: float = 1e-8) -> NormBracket:
+def dual_level_norm(coords: np.ndarray, dom_shape, level: int) -> NormBracket:
     """Norm of x ∈ M_k((⊕∞M)*): the cb norm of b ↦ [⟨x_ij, b⟩] into M_k.
 
     coords has shape (k, k, dim) with the trace-pairing representing vectors
@@ -269,7 +274,7 @@ def dual_level_norm(coords: np.ndarray, dom_shape, level: int, rel_gap: float = 
         raise ShapeMismatchError(f"coords shape {coords.shape} for level {k}")
     # b ↦ [tr(r_ij b)]: row (i, j) of the transfer matrix is vec(r_ijᵀ)
     phi = SuperOp(dom_shape, (k,), coords.reshape(k * k, dim)[:, blockwise_transpose(dom_shape)])
-    return cb_norm(phi, "operator", rel_gap)
+    return cb_norm(phi, "operator")
 
 
 def diamond_seesaw_lower(

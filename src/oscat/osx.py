@@ -41,8 +41,6 @@ __all__ = [
     "dim",
     "norm_at",
     "canonical_map",
-    "conj_opp_push",
-    "flat_realization",
     "parse_space",
     "format_space",
 ]
@@ -190,89 +188,11 @@ def normalize_space(x: SpaceExpr) -> SpaceExpr:
     return ctor(normalize_space(x.args[0]), normalize_space(x.args[1]))
 
 
-def conj_opp_push(e: SpaceElement) -> SpaceElement:
-    """Push Conj/Opp markers down to the atoms, transforming coordinates.
-
-    All the involution equalities are coordinate identities except Opp over
-    the Haagerup tensor, which swaps the factors via γ.
-    """
-    space = normalize_space(e.space)
-    sp, mat = _invol_normal(space)
-    coords = np.einsum("ab,ijb->ija", mat, e.coords)
-    return SpaceElement(sp, e.level, coords)
-
-
-_CTORS = {
-    "sum_inf": sum_inf,
-    "sum_1": sum_1,
-    "tens_min": tens_min,
-    "tens_proj": tens_proj,
-    "tens_h": tens_h,
-}
-
-
-def _combine(kind, ma, mb):
-    if kind in ("sum_inf", "sum_1"):
-        out = np.zeros((ma.shape[0] + mb.shape[0], ma.shape[1] + mb.shape[1]))
-        out[: ma.shape[0], : ma.shape[1]] = ma
-        out[ma.shape[0] :, ma.shape[1] :] = mb
-        return out
-    return np.kron(ma, mb)
-
-
-def _mark_conj(x: SpaceExpr) -> SpaceExpr:
-    """Distribute a conjugation marker down to the atoms (identity on coords)."""
-    if x.kind in ("base", "dual"):
-        return conj(x)
-    if x.kind == "conj":
-        return x.args[0]
-    if x.kind == "opp":
-        return conj(x)
-    a, b = x.args
-    return _CTORS[x.kind](_mark_conj(a), _mark_conj(b))
-
-
-def _invol_normal(x: SpaceExpr):
-    """Return (atom-normalized space, coordinate transition matrix)."""
-    if x.kind in ("base", "dual"):
-        return x, np.eye(dim(x))
-    if x.kind == "conj":
-        sp, mat = _invol_normal(x.args[0])
-        return _mark_conj(sp), mat
-    if x.kind == "opp":
-        inner = x.args[0]
-        if inner.kind in ("base", "dual"):
-            return x, np.eye(dim(x))
-        if inner.kind == "tens_h":
-            a, b = inner.args
-            sb, mb = _invol_normal(opp(b))
-            sa, ma = _invol_normal(opp(a))
-            # (m_b ⊗ m_a)∘γ = γ∘(m_a ⊗ m_b): swap the rows of the product
-            return tens_h(sb, sa), np.kron(ma, mb)[axis_perm((dim(a), dim(b)), (1, 0))]
-        if inner.kind in ("sum_inf", "sum_1", "tens_min", "tens_proj"):
-            a, b = inner.args
-            sa, ma = _invol_normal(opp(a))
-            sb, mb = _invol_normal(opp(b))
-            return _CTORS[inner.kind](sa, sb), _combine(inner.kind, ma, mb)
-        if inner.kind == "conj":
-            return _invol_normal(conj(opp(inner.args[0])))
-        return x, np.eye(dim(x))
-    a, b = x.args
-    sa, ma = _invol_normal(a)
-    sb, mb = _invol_normal(b)
-    return _CTORS[x.kind](sa, sb), _combine(x.kind, ma, mb)
-
-
 # ---------------------------------------------------------------------------
 # flat realizations
 
-def flat_realization(x: SpaceExpr) -> FlatSpace:
-    """Completely isometric flat placement, or UnsupportedSpaceError."""
-    x = normalize_space(x)
-    return _flat(x)
-
-
 def _flat(x: SpaceExpr) -> FlatSpace:
+    """Completely isometric flat placement of a normalized space, or UnsupportedSpaceError."""
     if x.kind == "base":
         return FlatSpace.base(x.args[0], x.args[1])
     if x.kind == "conj":  # conjugation preserves every matrix norm

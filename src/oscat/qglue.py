@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeMismatchError
-from .matcore import BlockMatrix, axis_perm, op_norm, psd_check, unit_vector
+from .matcore import BlockMatrix, axis_perm, op_norm, pair_shape, psd_check, unit_vector
 from .normlab.brackets import FlatSpace, NormBracket
 from .normlab.diamond import cb_norm
 from .osx import (
@@ -25,7 +25,6 @@ from .osx import (
     coalgebra_space,
     dim,
     dual,
-    format_space,
     norm_at,
     normalize_space,
     sum_1,
@@ -71,48 +70,11 @@ class SetSpec:
     space: SpaceExpr
     payload: tuple = ()
 
-    @property
-    def decision(self) -> str:
-        if self.kind in (
-            "empty",
-            "full_ball",
-            "unit_set",
-            "density_ops",
-            "singleton_unitary",
-            "finite",
-        ):
-            return "decidable"
-        if self.kind in ("product", "sum_polar"):
-            subs = {p.decision for p in self.payload}
-            return "decidable" if subs == {"decidable"} else "semi"
-        if self.kind == "polar_of":
-            _, exhaustive = generators(self.payload[0])
-            if exhaustive and _ball_norm_decidable(self.space):
-                return "decidable"
-            return "semi"
-        return "semi"
-
-    def describe(self) -> dict:
-        if self.kind in ("unit_set", "density_ops"):
-            return {"kind": self.kind, "shape": list(self.payload[0])}
-        if self.kind == "singleton_unitary":
-            return {"kind": self.kind, "shape": list(self.payload[0])}
-        if self.kind == "finite":
-            return {"kind": self.kind, "count": len(self.payload[0])}
-        if self.kind == "polar_of":
-            return {"kind": self.kind, "inner": self.payload[0].describe()}
-        if self.kind in ("product", "sum_polar", "tensor_bipolar", "par_polar"):
-            return {"kind": self.kind, "parts": [p.describe() for p in self.payload]}
-        return {"kind": self.kind}
-
 
 @dataclass(frozen=True)
 class QObject:
     space: SpaceExpr
     set: SetSpec
-
-    def describe(self) -> dict:
-        return {"space": format_space(self.space), "setspec": self.set.describe()}
 
 
 # ---------------------------------------------------------------------------
@@ -160,29 +122,28 @@ def unit_object() -> QObject:
 # pairing and generators
 
 def _pairing_twist(space: SpaceExpr) -> np.ndarray:
-    """Q with ⟨f, x⟩ = f_vecᵀ Q x_vec for representing-tensor coordinates."""
+    """Index array p with ⟨f, x⟩ = Σ_i f_i·x_{p_i} for representing-tensor coordinates.
+
+    On M(n, m) it is the transpose; a dual inverts it, sums concatenate and
+    tensors take pairs, so no permutation matrix is ever built.
+    """
     space = normalize_space(space)
     if space.kind == "base":
-        n, m = space.args
-        return np.eye(n * m)[axis_perm((n, m), (1, 0))]
+        return axis_perm(space.args, (1, 0))
     if space.kind == "dual":
-        return _pairing_twist(space.args[0]).T
+        return np.argsort(_pairing_twist(space.args[0]))
     if space.kind in ("conj", "opp"):
         return _pairing_twist(space.args[0])
-    if space.kind in ("sum_inf", "sum_1"):
-        a, b = (_pairing_twist(x) for x in space.args)
-        out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]))
-        out[: a.shape[0], : a.shape[1]] = a
-        out[a.shape[0] :, a.shape[1] :] = b
-        return out
     a, b = (_pairing_twist(x) for x in space.args)
-    return np.kron(a, b)
+    if space.kind in ("sum_inf", "sum_1"):
+        return np.concatenate([a, b + a.size])
+    return (a[:, None] * b.size + b).ravel()
 
 
 def pairing(space: SpaceExpr, f_coords, x_coords) -> complex:
     """Apply a functional (dual coordinates) to an element of `space`."""
-    q = _pairing_twist(space)
-    return complex(np.asarray(f_coords).ravel() @ q @ np.asarray(x_coords).ravel())
+    p = _pairing_twist(space)
+    return complex(np.asarray(f_coords).ravel()[np.argsort(p)] @ np.asarray(x_coords).ravel())
 
 
 def generators(s: SetSpec):
@@ -313,12 +274,6 @@ def _close_block(x, ref, shape, tol) -> bool:
     return BlockMatrix.from_vector(x - ref, shape).op_norm() <= tol
 
 
-def _ball_norm_decidable(space: SpaceExpr) -> bool:
-    zero = np.zeros(dim(space), dtype=np.complex128)
-    br = norm_at(SpaceElement(space, 1, zero))
-    return br.status != "unknown"
-
-
 def _norm_leq_one(space, coords, tol) -> str:
     br = norm_at(SpaceElement(space, 1, coords))
     if br.status == "unknown":
@@ -402,10 +357,6 @@ def _closure_membership(s: SetSpec, x, tol) -> str:
 # ---------------------------------------------------------------------------
 # connectives (Thm: Q is *-autonomous with finite (co)products)
 
-def _pair_shapes(sa, sb):
-    return tuple(ka * kb for ka in sa for kb in sb)
-
-
 def connective(kind: str, a: QObject, b: QObject | None = None) -> QObject:
     if kind == "dual":
         return QObject(normalize_space(dual(a.space)), polar(a.set))
@@ -425,7 +376,7 @@ def connective(kind: str, a: QObject, b: QObject | None = None) -> QObject:
         return QObject(space, SetSpec("polar_of", space, (inner,)))
     if kind == "tensor":
         if a.set.kind == "density_ops" and b.set.kind == "density_ops":
-            shape = _pair_shapes(a.set.payload[0], b.set.payload[0])
+            shape = pair_shape(a.set.payload[0], b.set.payload[0])
             return QObject(coalgebra_space(shape), density_ops(shape))
         space = tens_proj(a.space, b.space)
         if a.set.kind == "singleton_unitary" and b.set.kind == "singleton_unitary":
@@ -438,7 +389,7 @@ def connective(kind: str, a: QObject, b: QObject | None = None) -> QObject:
         return QObject(space, SetSpec("tensor_bipolar", space, (a.set, b.set)))
     if kind == "par":
         if a.set.kind == "unit_set" and b.set.kind == "unit_set":
-            shape = _pair_shapes(a.set.payload[0], b.set.payload[0])
+            shape = pair_shape(a.set.payload[0], b.set.payload[0])
             return QObject(algebra_space(shape), unit_set(shape))
         space = tens_min(a.space, b.space)
         return QObject(space, SetSpec("par_polar", space, (a.set, b.set)))
@@ -477,15 +428,16 @@ def check_morphism(f: SuperOp, a: QObject, b: QObject, tol: float = 1e-9) -> Mor
     if tuple(f.dom_shape) != tuple(src[1]) or tuple(f.cod_shape) != tuple(dst[1]):
         raise ShapeMismatchError("morphism shapes do not match the objects")
 
-    flags = f.classify(tol)
     # fully faithful images: H(A)→H(B) are exactly the CPU maps, S(C)→S(D)
-    # exactly the CPTP maps
+    # exactly the CPTP maps; no other branch reads the flags
     if a.set.kind == "unit_set" and b.set.kind == "unit_set":
+        flags = f.classify(tol)
         if flags.cp and flags.unital:
             return MorphismResult("valid", "cpu", {"flags": flags})
         reason = "unit not preserved" if not flags.unital else "not completely positive"
         return MorphismResult("invalid", reason, {"flags": flags})
     if a.set.kind == "density_ops" and b.set.kind == "density_ops":
+        flags = f.classify(tol)
         if flags.cp and flags.tp:
             return MorphismResult("valid", "cptp", {"flags": flags})
         reason = "not trace preserving" if not flags.tp else "not completely positive"

@@ -31,6 +31,7 @@ from .matcore import (
     direct_sum,
     op_norm,
     pair_reindex,
+    pair_shape,
     unit_vector,
 )
 
@@ -39,12 +40,15 @@ __all__ = [
     "ChannelFlags",
     "partial_trace",
     "identity_map",
-    "zero_map",
     "transpose_map",
     "conjugation",
     "depolarizing",
     "trace_map",
 ]
+
+
+# the largest cross-block Choi entry `from_big_choi` reads as rounding
+_COHERENCE_TOL = 1e-12
 
 
 def partial_trace(m: np.ndarray, dims: tuple[int, int], axis: int) -> np.ndarray:
@@ -119,8 +123,8 @@ class SuperOp:
         return big.reshape(L, L, K, K).transpose(0, 2, 1, 3).reshape(L * K, L * K)
 
     @staticmethod
-    def from_big_choi(J, dom_shape, cod_shape, tol: float = 1e-12) -> "SuperOp":
-        """Inverse of big_choi; rejects cross-block coherence above tol."""
+    def from_big_choi(J, dom_shape, cod_shape) -> "SuperOp":
+        """Inverse of big_choi; rejects cross-block coherence above _COHERENCE_TOL."""
         dom_shape, cod_shape = block_shape(dom_shape), block_shape(cod_shape)
         K, L = sum(dom_shape), sum(cod_shape)
         J = cmatrix(J)
@@ -130,7 +134,7 @@ class SuperOp:
         sectors = np.ix_(block_embedding(cod_shape), block_embedding(dom_shape))
         outside = np.ones(big.shape, dtype=bool)
         outside[sectors] = False
-        if float(np.abs(big[outside]).max(initial=0.0)) > tol:
+        if float(np.abs(big[outside]).max(initial=0.0)) > _COHERENCE_TOL:
             raise ShapeMismatchError("choi has cross-block coherence")
         return SuperOp(dom_shape, cod_shape, big[sectors])
 
@@ -176,8 +180,8 @@ class SuperOp:
 
     def tensor(self, other: "SuperOp") -> "SuperOp":
         """Kronecker action; block lists combine lexicographically."""
-        dom = tuple(a * b for a in self.dom_shape for b in other.dom_shape)
-        cod = tuple(a * b for a in self.cod_shape for b in other.cod_shape)
+        dom = pair_shape(self.dom_shape, other.dom_shape)
+        cod = pair_shape(self.cod_shape, other.cod_shape)
         if max(dom + cod, default=0) > DIM_CAP:
             raise SizeLimitError("tensor dimensions exceed cap")
         rows = pair_reindex(self.cod_shape, other.cod_shape)
@@ -243,11 +247,6 @@ class SuperOp:
 def identity_map(shape) -> SuperOp:
     shape = block_shape(shape)
     return SuperOp(shape, shape, np.eye(block_dim(shape)))
-
-
-def zero_map(dom_shape, cod_shape) -> SuperOp:
-    dom_shape, cod_shape = block_shape(dom_shape), block_shape(cod_shape)
-    return SuperOp(dom_shape, cod_shape, np.zeros((block_dim(cod_shape), block_dim(dom_shape))))
 
 
 def transpose_map(n: int) -> SuperOp:

@@ -20,13 +20,15 @@ from .config import DIM_CAP
 from .errors import ShapeMismatchError, SizeLimitError
 from .matcore import (
     BlockMatrix,
-    axis_perm,
     block_dim,
     block_norms,
     block_offsets,
     block_shape,
     blockwise_transpose,
+    direct_sum,
     op_norm,
+    pair_reindex,
+    pair_shape,
     unit_vector,
 )
 from .normlab.diamond import cb_norm
@@ -167,15 +169,19 @@ class LawReport:
         self.passed = False
 
 
+# relative residual allowed to an exact algebraic law (rounding only)
+_EXACT_TOL = 1e-12
+
+
 def _maxabs(x) -> float:
     return float(np.abs(x).max(initial=0.0))
 
 
-def check_laws(structure, tol: float = 1e-9, exact_tol: float = 1e-12) -> LawReport:
+def check_laws(structure, tol: float = 1e-9) -> LawReport:
     """Decide every (co)algebra law and the (co-)C* identity; nothing is sampled.
 
     Algebraic laws are whole-tensor identities: the max-abs residual must be
-    ≤ exact_tol·max(1, magnitude of the products compared), where a product's
+    ≤ _EXACT_TOL·max(1, magnitude of the products compared), where a product's
     magnitude is that of its factors' max-abs entries multiplied.
     By Kadison's isometry theorem (Ann. Math. 54, 1951) the identity map onto
     ⊕M_k with its blockwise operator norm is u·(Jordan *-isomorphism), so
@@ -188,9 +194,9 @@ def check_laws(structure, tol: float = 1e-9, exact_tol: float = 1e-12) -> LawRep
     ``cstar_witness``.  Coalgebras are decided on ``dualize(co)`` (``co_cstar_*``).
     """
     if isinstance(structure, VnAlgebra):
-        return _check_algebra_laws(structure, tol, exact_tol)
+        return _check_algebra_laws(structure, tol)
     if isinstance(structure, VnCoalgebra):
-        return _check_coalgebra_laws(structure, tol, exact_tol)
+        return _check_coalgebra_laws(structure, tol)
     raise TypeError("check_laws wants a VnAlgebra or VnCoalgebra")
 
 
@@ -233,7 +239,7 @@ def _cstar_witness(alg: VnAlgebra) -> tuple[BlockMatrix, float]:
     return BlockMatrix.from_vector(xs[w], alg.shape), float(defect[w])
 
 
-def _check_algebra_laws(alg: VnAlgebra, tol, exact_tol) -> LawReport:
+def _check_algebra_laws(alg: VnAlgebra, tol) -> LawReport:
     rep = LawReport("algebra", True)
     d = alg.dim
     m, p, u, eye = alg.mult_mat.reshape(d, d, d), alg.inv_mat, alg.unit_vec, np.eye(d)
@@ -272,7 +278,7 @@ def _check_algebra_laws(alg: VnAlgebra, tol, exact_tol) -> LawReport:
     }
     for name, diff in diffs.items():
         err = _maxabs(diff)
-        if err > exact_tol * max(1.0, sizes[name]):
+        if err > _EXACT_TOL * max(1.0, sizes[name]):
             rep.fail(name, err)
     res = rep.details["cstar_worst"] = _kadison_residual(alg)
     if res > tol:
@@ -311,14 +317,14 @@ _CO_LAWS = {
 }
 
 
-def _check_coalgebra_laws(co: VnCoalgebra, tol, exact_tol) -> LawReport:
+def _check_coalgebra_laws(co: VnCoalgebra, tol) -> LawReport:
     """The algebra laws of dualize(co), renamed.
 
     Under the trace pairing each coalgebra law is the dual of an algebra law,
     with residuals equal entry for entry up to order and conjugation; the
     co-C* composite is the C* identity of the dual.
     """
-    rep = _check_algebra_laws(dualize(co), tol, exact_tol)
+    rep = _check_algebra_laws(dualize(co), tol)
     return LawReport(
         "coalgebra",
         rep.passed,
@@ -430,14 +436,7 @@ class MorphismVerdict:
     diagnostics: dict = field(default_factory=dict)
 
 
-def certify_morphism(
-    f: SuperOp,
-    src,
-    dst,
-    mode: str,
-    tol: float = 1e-9,
-    with_cb_check: bool = True,
-) -> MorphismVerdict:
+def certify_morphism(f: SuperOp, src, dst, mode: str, tol: float = 1e-9) -> MorphismVerdict:
     v = MorphismVerdict(True, mode)
     if tuple(f.dom_shape) != tuple(src.shape) or tuple(f.cod_shape) != tuple(dst.shape):
         raise ShapeMismatchError("morphism shapes do not match the structures")
@@ -452,7 +451,7 @@ def certify_morphism(
         if mode == "cptp" and not flags.tp:
             v.ok = False
             v.failures.append(("tp", flags.trace_defect))
-        if with_cb_check and v.ok:
+        if v.ok:
             # the cb norm of a CPTP (CPU) map is 1, or 0 on a zero domain (codomain)
             picture, side = ("operator", f.cod_shape) if mode == "cpu" else ("trace", f.dom_shape)
             want = 1.0 if block_dim(side) else 0.0
@@ -527,54 +526,38 @@ def _check_coalg_hom(f, co_c: VnCoalgebra, co_d: VnCoalgebra, tol, v) -> Morphis
 
 
 # ---------------------------------------------------------------------------
-# tensor and direct-sum structures (via the interchange/shuffle composites)
-
-def direct_sum_algebra(a: VnAlgebra, b: VnAlgebra) -> VnAlgebra:
-    """A ⊕∞ B with pointwise structure (the v' interchange composite)."""
-    return make_algebra(a.shape + b.shape)
-
-
-def direct_sum_coalgebra(c: VnCoalgebra, d: VnCoalgebra) -> VnCoalgebra:
-    return make_coalgebra(c.shape + d.shape)
-
-
-def _pair_shape(a_shape, b_shape) -> tuple[int, ...]:
-    return tuple(ka * kb for ka in a_shape for kb in b_shape)
-
+# tensor and direct-sum structures
 
 def tensor_algebra(a: VnAlgebra, b: VnAlgebra) -> VnAlgebra:
-    """A ⊗̌ B realized on the pairwise block shape via the basis bijection.
+    """A ⊗̌ B: the tensor of monoids, μ = (μ_A⊗μ_B)∘v with v the interchange shuffle.
 
-    The bijection V(A)⊗V(B) → V(⊕_{ij} M_{k_i·l_j}) is `matcore.pair_reindex`.
+    Its structure tensors are the Kronecker ones gathered onto the pair block
+    shape by `matcore.pair_reindex`, so a lawless factor stays lawless.
     """
-    return make_algebra(_pair_shape(a.shape, b.shape))
+    shape = _structure_shape(pair_shape(a.shape, b.shape))
+    d, r = block_dim(shape), pair_reindex(a.shape, b.shape)
+    mu_a, mu_b = (x.mult_mat.reshape((x.dim,) * 3) for x in (a, b))
+    mult = np.einsum("cab,xyz->cxaybz", mu_a, mu_b).reshape(d, d, d)[np.ix_(r, r, r)]
+    inv = np.kron(a.inv_mat, b.inv_mat)[np.ix_(r, r)]
+    return VnAlgebra(shape, np.kron(a.unit_vec, b.unit_vec)[r], mult.reshape(d, d * d), inv)
+
+
+def direct_sum_algebra(a: VnAlgebra, b: VnAlgebra) -> VnAlgebra:
+    """A ⊕∞ B: the two structures placed block-diagonally."""
+    shape = _structure_shape(a.shape + b.shape)
+    da, d = a.dim, block_dim(shape)
+    mult = np.zeros((d, d, d), dtype=np.complex128)
+    mult[:da, :da, :da] = a.mult_mat.reshape(da, da, da)
+    mult[da:, da:, da:] = b.mult_mat.reshape((b.dim,) * 3)
+    unit = np.concatenate([a.unit_vec, b.unit_vec])
+    return VnAlgebra(shape, unit, mult.reshape(d, d * d), direct_sum(a.inv_mat, b.inv_mat))
 
 
 def tensor_coalgebra(c: VnCoalgebra, d: VnCoalgebra) -> VnCoalgebra:
-    """C ⊗̂ D realized on the pairwise block shape via the basis bijection."""
-    return make_coalgebra(_pair_shape(c.shape, d.shape))
+    """C ⊗̂ D, the dual of the tensor of the dual algebras: δ = w∘(δ_C⊗δ_D)."""
+    return dualize(tensor_algebra(dualize(c), dualize(d)))
 
 
-def tensor_algebra_structure_composite(a: VnAlgebra, b: VnAlgebra):
-    """Literal interchange-based structure tensors of A ⊗̌ B (for law checks).
-
-    Returns (unit_vec, mult_mat, inv_mat) over the plain V(A)⊗V(B) basis,
-    with μ = (μ_A ⊗ μ_B) ∘ v built from the shuffle permutation.
-    """
-    da, db = a.dim, b.dim
-    unit = np.kron(a.unit_vec, b.unit_vec)
-    v_shuffle = np.eye((da * db) ** 2)[axis_perm((da, db, da, db), (0, 2, 1, 3))]
-    mult = np.kron(a.mult_mat, b.mult_mat) @ v_shuffle
-    inv = np.kron(a.inv_mat, b.inv_mat)
-    return unit, mult, inv
-
-
-def tensor_coalgebra_structure_composite(c: VnCoalgebra, d: VnCoalgebra):
-    """Literal w-shuffle composite: δ = w ∘ (δ_C ⊗ δ_D), ε = ε_C ⊗ ε_D."""
-    dc, dd = c.dim, d.dim
-    counit = np.kron(c.counit_vec, d.counit_vec)  # pairing reps kron
-    w_idx = axis_perm((dc, dc, dd, dd), (0, 2, 1, 3))
-    comult = np.kron(c.comult_mat, d.comult_mat)[w_idx]
-    inv = np.kron(c.inv_mat, d.inv_mat)
-    return counit, comult, inv
-
+def direct_sum_coalgebra(c: VnCoalgebra, d: VnCoalgebra) -> VnCoalgebra:
+    """C ⊕₁ D, the dual of the direct sum of the dual algebras."""
+    return dualize(direct_sum_algebra(dualize(c), dualize(d)))

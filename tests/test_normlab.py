@@ -22,7 +22,7 @@ from oscat.normlab import brackets as brackets_mod
 from oscat.normlab import diamond as diamond_mod
 from oscat.normlab import sdp as sdp_mod
 from oscat.normlab.sdp import SdpResult
-from oscat.supop import SuperOp, conjugation, identity_map, trace_map, transpose_map, zero_map
+from oscat.supop import SuperOp, conjugation, identity_map, trace_map, transpose_map
 
 F2 = FlatSpace.base(2, 2)
 
@@ -218,7 +218,7 @@ def _closed_form(monkeypatch, norm):
 
 def _overlaps_sdp(br, s):
     """The bracket overlaps `_diamond_sdp`'s on the same map."""
-    sdp = diamond_mod._diamond_sdp(s.big_choi(), sum(s.dom_shape), sum(s.cod_shape), 1e-8)
+    sdp = diamond_mod._diamond_sdp(s.big_choi(), sum(s.dom_shape), sum(s.cod_shape))
     assert sdp.lower <= br.upper and br.lower <= sdp.upper
 
 
@@ -348,7 +348,7 @@ def test_closed_form_overlaps_sdp_sweep(kind):
         k, l = sizes[seed % len(sizes)]
         j = _sweep_choi(r, kind, k, l)
         lo, hi = diamond_mod._closed_form_bracket(j, k, l)
-        sdp = diamond_mod._diamond_sdp(j, k, l, 1e-8)
+        sdp = diamond_mod._diamond_sdp(j, k, l)
         assert sdp.status != "unknown" and sdp.lower <= hi and lo <= sdp.upper, (kind, seed, lo, hi, sdp)
         if kind in ("cp", "elementary"):
             assert hi - lo <= 1e-8 * (1.0 + lo), (kind, seed, lo, hi)
@@ -377,7 +377,7 @@ class TestCbNorm:
         assert abs(a.mid - b.mid) <= 1e-7
 
     def test_zero_size_blocks_in_scalar_domain(self):
-        z = zero_map((1, 0), (1,))
+        z = SuperOp((1, 0), (1,), np.zeros((1, 1)))
         assert diamond_norm(z).mid == 0.0 and cb_norm(z, "operator").mid == 0.0
         # C ≅ [0, 1] → M_2, 1 ↦ diag(1, −2): trace norm 3, operator norm 2
         img = np.diag([1.0, -2.0])

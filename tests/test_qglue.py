@@ -8,8 +8,16 @@ from oscat import qglue
 from oscat.cli import emit_report, parse_session, run_session
 from oscat.config import RunConfig
 from oscat.errors import ShapeMismatchError
-from oscat.matcore import BlockMatrix, kron, op_norm, rand_complex, rand_hermitian, rand_unitary
-from oscat.osx import M, normalize_space, tens_proj
+from oscat.matcore import (
+    BlockMatrix,
+    axis_perm,
+    kron,
+    op_norm,
+    rand_complex,
+    rand_hermitian,
+    rand_unitary,
+)
+from oscat.osx import M, T, dim, format_space, normalize_space, parse_space, tens_proj
 from oscat.qglue import (
     QObject,
     SetSpec,
@@ -412,15 +420,62 @@ class TestQuantumSwitch:
 class TestSerialization:
     def test_qobject_describe(self):
         o = connective("tensor", embed_S(make_coalgebra([2])), embed_S(make_coalgebra([2])))
-        d = o.describe()
-        assert d["setspec"]["kind"] == "density_ops"
-        assert "T(4)" in d["space"] or "dual" in d["space"]
+        assert o.set.kind == "density_ops"
+        assert o.space == T(4) and format_space(o.space) == "T(4)"
 
-    def test_decision_tags(self, rng):
-        assert embed_S(make_coalgebra([2])).set.decision == "decidable"
-        assert embed_H(make_algebra([2])).set.decision == "decidable"
-        u = rand_unitary(rng, 2)
-        # {u}° has exhaustive generators and a decidable trace-norm ball
-        assert polar(singleton_unitary(BlockMatrix([u]))).decision == "decidable"
-        h2 = embed_H(make_algebra([2]))
-        assert connective("tensor", h2, h2).set.decision == "semi"
+
+def _dense_twist(space):
+    """The permutation matrix Q with ⟨f, x⟩ = fᵀ·Q·x, built densely (the oracle)."""
+    space = normalize_space(space)
+    if space.kind == "base":
+        n, m = space.args
+        return np.eye(n * m)[axis_perm((n, m), (1, 0))]
+    if space.kind == "dual":
+        return _dense_twist(space.args[0]).T
+    if space.kind in ("conj", "opp"):
+        return _dense_twist(space.args[0])
+    a, b = (_dense_twist(x) for x in space.args)
+    if space.kind in ("sum_inf", "sum_1"):
+        out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]))
+        out[: a.shape[0], : a.shape[1]] = a
+        out[a.shape[0] :, a.shape[1] :] = b
+        return out
+    return np.kron(a, b)
+
+
+class TestPairing:
+    SPACES = (
+        "M(2,3)",
+        "T(3)",
+        "dual(M(2,3))",
+        "M(2) (+inf) M(1,3)",
+        "T(2) (+1) dual(M(3,1))",
+        "M(2,3) (*h) M(3,1)",
+        "dual(M(2) (*min) M(1,2))",
+        "conj(M(2,3)) (*proj) opp(T(2))",
+        "opp(M(2) (*h) M(3,2)) (+1) conj(T(2))",
+    )
+
+    @pytest.mark.parametrize("text", SPACES)
+    def test_index_gather_matches_dense_twist(self, text):
+        # f[argsort(p)] @ x is the dense (f @ Q) @ x term for term
+        space = parse_space(text)
+        q = _dense_twist(space)
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            f, x = rand_complex(rng, 2, dim(space))
+            assert pairing(space, f, x) == complex(f @ q @ x)
+
+
+class TestCheckMorphismClassify:
+    def test_only_flag_branches_classify(self, monkeypatch):
+        calls = []
+        classify = SuperOp.classify
+        monkeypatch.setattr(SuperOp, "classify", lambda f, tol=1e-9: calls.append(f) or classify(f, tol))
+        x = BlockMatrix([np.array([[0.0, 1.0], [1.0, 0.0]])])
+        unitary_obj = QObject(embed_H(make_algebra([2])).space, singleton_unitary(x))
+        h = embed_H(make_algebra([2]))
+        r = check_morphism(identity_map((2,)), unitary_obj, h)
+        assert (r.verdict, r.reason, len(calls)) == ("invalid", "set not preserved", 0)
+        assert check_morphism(identity_map((2,)), h, h).verdict == "valid"
+        assert len(calls) == 1

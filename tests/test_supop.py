@@ -23,7 +23,6 @@ from oscat.supop import (
     partial_trace,
     trace_map,
     transpose_map,
-    zero_map,
 )
 
 
@@ -40,7 +39,7 @@ class TestChoiRoundtrip:
         assert np.allclose(J, want)
 
     def test_zero_map(self):
-        assert np.allclose(zero_map((2,), (3,)).big_choi(), 0)
+        assert np.allclose(SuperOp((2,), (3,), np.zeros((9, 4))).big_choi(), 0)
 
     def test_transpose_choi_is_swap(self):
         swap = np.zeros((4, 4))

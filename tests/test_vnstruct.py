@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from oscat.matcore import (
     BlockMatrix,
     blockwise_transpose,
     pair_reindex,
+    pair_shape,
     rand_complex,
     rand_hermitian,
     rand_unitary,
@@ -26,9 +28,7 @@ from oscat.vnstruct import (
     make_coalgebra,
     positivity,
     tensor_algebra,
-    tensor_algebra_structure_composite,
     tensor_coalgebra,
-    tensor_coalgebra_structure_composite,
     trace_pairing,
 )
 
@@ -514,33 +514,95 @@ class TestMorphisms:
             assert counital == s.classify().tp
 
 
+# lawful factor pairs whose tensor and direct sum must be the standard structures
+LAWFUL_PAIRS = (([2], [2]), ([2], [3]), ([2, 1], [2]), ([1, 0, 2], [2, 1]), ([2], [4]))
+
+
+def _same_structure(x, y) -> bool:
+    """Exact equality of every structure tensor and the shape."""
+    fields = ("unit_vec", "mult_mat") if isinstance(x, VnAlgebra) else ("counit_vec", "comult_mat")
+    return x.shape == y.shape and all(
+        np.array_equal(getattr(x, name), getattr(y, name)) for name in fields + ("inv_mat",)
+    )
+
+
 class TestTensorStructures:
     def test_tensor_algebra_composite_equals_canonical(self):
-        a, b = make_algebra([2]), make_algebra([2])
-        unit_t, mult_t, inv_t = tensor_algebra_structure_composite(a, b)
-        r = np.eye(a.dim * b.dim)[pair_reindex(a.shape, b.shape)]
-        canon = tensor_algebra(a, b)
-        assert canon.shape == (4,)
-        assert np.allclose(r @ unit_t, canon.unit_vec)
-        assert np.allclose(r @ mult_t, canon.mult_mat @ np.kron(r, r))
-        assert np.allclose(r @ inv_t, canon.inv_mat @ r)
+        # (μ_A⊗μ_B)∘v gathered onto the pair shape is the standard structure there
+        for sa, sb in LAWFUL_PAIRS:
+            a, b = make_algebra(sa), make_algebra(sb)
+            assert _same_structure(tensor_algebra(a, b), make_algebra(pair_shape(sa, sb)))
+            assert _same_structure(direct_sum_algebra(a, b), make_algebra(sa + sb))
 
     def test_tensor_coalgebra_composite_equals_canonical(self):
-        c, d = make_coalgebra([2]), make_coalgebra([2])
-        cu, cm, ci = tensor_coalgebra_structure_composite(c, d)
-        r = np.eye(c.dim * d.dim)[pair_reindex(c.shape, d.shape)]
-        canon = tensor_coalgebra(c, d)
-        assert np.allclose(r @ cu, canon.counit_vec)
-        assert np.allclose(np.kron(r, r) @ cm, canon.comult_mat @ r)
+        for sa, sb in LAWFUL_PAIRS:
+            c, d = make_coalgebra(sa), make_coalgebra(sb)
+            assert _same_structure(tensor_coalgebra(c, d), make_coalgebra(pair_shape(sa, sb)))
+            assert _same_structure(direct_sum_coalgebra(c, d), make_coalgebra(sa + sb))
 
-    def test_composite_structures_satisfy_raw_laws(self):
-        # associativity/unit of the v-shuffle multiplication, pre-reindex
-        a, b = make_algebra([2]), make_algebra([1])
-        unit_t, mult_t, _ = tensor_algebra_structure_composite(a, b)
-        d = unit_t.size
-        eye = np.eye(d)
-        assert np.allclose(mult_t @ np.kron(mult_t, eye), mult_t @ np.kron(eye, mult_t))
-        assert np.allclose(mult_t @ np.kron(unit_t.reshape(d, 1), eye), eye)
+    def test_composite_structures_satisfy_raw_laws(self, rng):
+        # twisted C*-structures (unit u, x·u*·y, or y·u*·x on every block) carry
+        # over: the tensor has unit u_A⊗u_B and passes every law, the C* one too
+        for anti in (False, True):
+            a = _unitary_twist([2, 1], rng, [anti] * 2)
+            b = _unitary_twist([2], rng, [anti])
+            t = tensor_algebra(a, b)
+            assert np.array_equal(t.unit_vec, np.kron(a.unit_vec, b.unit_vec)[pair_reindex(a.shape, b.shape)])
+            for alg in (t, direct_sum_algebra(a, b)):
+                rep = check_laws(alg)
+                assert rep.passed, rep.failures
+                assert check_laws(dualize(alg)).passed
+
+    def test_lawless_factor_makes_lawless_tensor_and_sum(self):
+        # every single-entry 1e-3 mutation of μ (δ) of one factor, the other
+        # factor M₁ or M₂, fails a law of the tensor and of the direct sum
+        missed, total = [], 0
+        for shape in ([1], [2], [2, 1]):
+            alg, co = make_algebra(shape), make_coalgebra(shape)
+            d = alg.dim
+            for other in ([1], [2]):
+                b, e = make_algebra(other), make_coalgebra(other)
+                for r, c in np.ndindex(d, d * d):
+                    bad = replace(alg, mult_mat=alg.mult_mat.copy())
+                    bad.mult_mat[r, c] += 1e-3
+                    bad_co = replace(co, comult_mat=co.comult_mat.copy())
+                    bad_co.comult_mat[c, r] += 1e-3
+                    for built in (
+                        tensor_algebra(bad, b),
+                        direct_sum_algebra(bad, b),
+                        tensor_coalgebra(bad_co, e),
+                        direct_sum_coalgebra(bad_co, e),
+                    ):
+                        total += 1
+                        if check_laws(built).passed:
+                            missed.append((shape, other, r, c, type(built).__name__))
+        assert total == 1520 and not missed, missed[:5]
+
+    def test_pair_shape_over_cap_raises_before_allocating(self):
+        # M₃⊗M₃ = M₉ needs an 81×6561 structure matrix, over the cap
+        a3 = make_algebra([3])
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError):
+                tensor_algebra(a3, a3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        with pytest.raises(SizeLimitError):
+            make_algebra([9])
+
+    def test_m2_m4_memory(self):
+        a2, a4 = make_algebra([2]), make_algebra([4])
+        c2, c4 = make_coalgebra([2]), make_coalgebra([4])
+        for build in (lambda: tensor_algebra(a2, a4), lambda: tensor_coalgebra(c2, c4)):
+            tracemalloc.start()
+            try:
+                built = build()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert built.shape == (8,) and peak < 50e6
 
     @pytest.mark.parametrize("shapes", [([2], [2]), ([2], [3]), ([2, 1], [2])])
     def test_tensor_and_sums_pass_laws(self, shapes):
