@@ -85,3 +85,18 @@ from .vnstruct import (
 )
 
 __version__ = "0.1.0"
+
+
+__all__ = [
+    "RunConfig", "InvalidInputError", "OscatError", "ShapeMismatchError", "SizeLimitError",
+    "UnsupportedSpaceError", "BlockMatrix", "cmatrix", "direct_sum", "format_matrix_literal",
+    "herm_eig", "kron", "op_norm", "parse_matrix_literal", "psd_check", "tr_norm", "NormBracket",
+    "SdpProblem", "cb_norm", "diamond_norm", "sdp_solve", "M", "SpaceElement", "SpaceExpr", "T",
+    "canonical_map", "conj", "dual", "format_space", "norm_at", "opp", "parse_space", "sum_1",
+    "sum_inf", "tens_h", "tens_min", "tens_proj", "QObject", "SetSpec", "check_morphism",
+    "connective", "embed_H", "embed_S", "membership", "polar", "quantum_switch",
+    "quantum_switch_map", "ChannelFlags", "SuperOp", "conjugation", "depolarizing", "identity_map",
+    "partial_trace", "trace_map", "transpose_map", "LawReport", "VnAlgebra", "VnCoalgebra",
+    "certify_morphism", "check_laws", "dualize", "make_algebra", "make_coalgebra", "positivity",
+    "__version__",
+]

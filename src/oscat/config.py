@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+__all__ = ["DEFAULT_TOL", "DIM_CAP", "BracketCaps", "RunConfig"]
+
 DEFAULT_TOL = 1e-9
 DIM_CAP = 4096
 

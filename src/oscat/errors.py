@@ -1,5 +1,13 @@
 """Shared exception types."""
 
+__all__ = [
+    "OscatError",
+    "InvalidInputError",
+    "ShapeMismatchError",
+    "SizeLimitError",
+    "UnsupportedSpaceError",
+]
+
 
 class OscatError(Exception):
     """Base class for all toolkit errors."""

@@ -133,25 +133,45 @@ def _closed_form_bracket(J: np.ndarray, K: int, L: int) -> tuple[float, float]:
     return max(lower_me, lower_xy), upper
 
 
+def _traceless(K: int):
+    """Triples (param, row, col, val) of a basis of the traceless Hermitian K×K matrices.
+
+    The K−1 directions E_kk − E_{K−1,K−1}, then the off-diagonal pairs of
+    `HermBasis(K)`: ρ = I/K + Σⱼ tⱼ·Bⱼ has tr ρ = 1 for every real t.
+    """
+    hb = HermBasis(K)
+    off = hb.param >= K
+    k, last = np.arange(K - 1), np.full(K - 1, K - 1)
+    return (
+        np.concatenate([k, k, hb.param[off] - 1]),
+        np.concatenate([k, last, hb.row[off]]),
+        np.concatenate([k, last, hb.col[off]]),
+        np.concatenate([np.ones(K - 1), -np.ones(K - 1), hb.val[off]]),
+    )
+
+
 def _diamond_sdp(J: np.ndarray, K: int, L: int) -> NormBracket:
     """max Re tr(J†X) s.t. [[1_L⊗ρ0, X], [X†, 1_L⊗ρ1]] ⪰ 0, tr ρ = 1.
 
-    For Hermitian J the optimum is attained with ρ0 = ρ1 and X Hermitian
-    (feasible points symmetrize without changing the objective), which halves
-    the variable count.  The LMI is one complex Hermitian block of size 2·L·K,
-    built directly as complex triples from the index arrays of `HermBasis`
-    and handed to the SDP core as it is.  A solver failure or a certificate
-    whose dual value crosses its primal value beyond rounding gives
-    `unknown`, with the reason in the witnesses.
+    Each ρ is I/K plus a traceless Hermitian part (`_traceless`), so tr ρ = 1
+    holds exactly by parameterization and the LMI has F0 = I_{2·L·K}/K: the
+    point ρ = I/K, X = 0 at y = 0 is strictly feasible, as the SDP core
+    requires.  For Hermitian J the optimum is attained with ρ0 = ρ1 and X
+    Hermitian (feasible points symmetrize without changing the objective),
+    which halves the variable count.  The LMI is one complex Hermitian block
+    of size 2·L·K, built directly as complex triples from the index arrays of
+    `HermBasis` and handed to the SDP core as it is.  A solver failure or a
+    certificate whose dual value crosses its primal value beyond rounding
+    gives `unknown`, with the reason in the witnesses.
     """
     d = L * K
     herm = bool(np.allclose(J, J.conj().T, atol=1e-13, rtol=0.0))
-    hb = HermBasis(K)
-    n_h = len(hb)
+    tl = _traceless(K)
+    n_h = K * K - 1
     dim_c = 2 * d  # complex block size
-    # 1_L ⊗ ρ: the L diagonal copies of each ρ-basis entry
+    # 1_L ⊗ ρ: the L diagonal copies of each traceless basis entry
     off = (np.arange(L) * K)[:, None]
-    rho = (np.tile(hb.param, L), (off + hb.row).ravel(), (off + hb.col).ravel(), np.tile(hb.val, L))
+    rho = (np.tile(tl[0], L), (off + tl[1]).ravel(), (off + tl[2]).ravel(), np.tile(tl[3], L))
 
     if herm:
         hx = HermBasis(d)
@@ -165,11 +185,6 @@ def _diamond_sdp(J: np.ndarray, K: int, L: int) -> NormBracket:
         ]
         c = np.zeros(m)
         c[n_h:] = -np.bincount(hx.param, weights=(J[hx.col, hx.row] * hx.val).real, minlength=len(hx))
-        eq_a = np.zeros((1, m))
-        eq_a[0, :K] = 1.0
-        eq_b = np.ones(1)
-        slater = np.zeros(m)
-        slater[:K] = 1.0 / K
     else:
         m = 2 * n_h + 2 * d * d
         a, b = np.divmod(np.arange(d * d), d)
@@ -186,23 +201,9 @@ def _diamond_sdp(J: np.ndarray, K: int, L: int) -> NormBracket:
         c = np.zeros(m)
         c[2 * n_h :: 2] = -J.real.ravel()
         c[2 * n_h + 1 :: 2] = -J.imag.ravel()
-        eq_a = np.zeros((2, m))
-        eq_a[0, :K] = 1.0
-        eq_a[1, n_h : n_h + K] = 1.0
-        eq_b = np.ones(2)
-        slater = np.zeros(m)
-        slater[:K] = 1.0 / K
-        slater[n_h : n_h + K] = 1.0 / K
 
     con, row, col, val = (np.concatenate(f) for f in zip(*parts))
-    prob = SdpProblem(
-        c=c,
-        f0=[np.zeros((dim_c, dim_c))],
-        fs=[lmi_triples(con, row, col, val)],
-        eq_a=eq_a,
-        eq_b=eq_b,
-        slater=slater,
-    )
+    prob = SdpProblem(c=c, f0=[np.eye(dim_c) / K], fs=[lmi_triples(con, row, col, val)])
     res = sdp_solve(prob, rel_gap=_REL_GAP)
     if res.status != "optimal":
         reason = f"sdp {res.status}" + (f": {res.message}" if res.message else "")

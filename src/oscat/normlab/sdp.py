@@ -4,8 +4,12 @@ Problems are stated in inequality (LMI) form over complex Hermitian blocks,
 with real variables y:
 
     minimize    c·y
-    subject to  S_b(y) = F0_b + Σ_i y_i Fi_b  ⪰ 0   for every block b,
-                A y = b_eq                          (optional equalities)
+    subject to  S_b(y) = F0_b + Σ_i y_i Fi_b  ⪰ 0   for every block b.
+
+The one entry contract is that y = 0 is strictly feasible: every F0_b is
+positive definite, which `sdp_solve` checks with one Cholesky per block.  A
+problem with affine constraints states them in its coordinates, as the
+diamond-norm LMI writes each density matrix as I/K plus a traceless part.
 
 Every Fi_b is held as the (constraint, row, col, value) triples of its
 nonzeros, with complex values (`lmi_triples`); a dense (m, nb, nb) stack is
@@ -16,16 +20,14 @@ embedding [[A, −B], [B, A]].  S(y) is assembled by scatter-add, and the Newton
 matrix M_ij = Re tr(Fᵢ Z Fⱼ S⁻¹) is formed by a scatter, a complex GEMM and a
 gather over the triples (Fujisawa–Kojima–Nakata, Math. Prog. 79, 1997), over
 slabs of constraints i so that each (nb, nb, slab) array stays within a
-fixed byte budget.  Every inner product ⟨S, Z⟩ is Re tr(S·Z).  Equalities
-are eliminated on the triples by an affine reparameterization (one SVD).
+fixed byte budget.  Every inner product ⟨S, Z⟩ is Re tr(S·Z).
 
 The solve is the HKM primal–dual predictor–corrector (Helmberg–Rendl–
 Vanderbei–Wolkowicz, SIAM J. Optim. 6, 1996) with Mehrotra's σ = (μₐ/μ)³
 (SIAM J. Optim. 2, 1992).  y keeps S(y) ≻ 0, so c·y is always attained; the
 dual iterate Z ≻ 0 may violate tr(Fᵢ·Z) = cᵢ.  Each iteration forms one
 Newton system and factors it once for the predictor, the corrector and the
-certificate.  Phase one (min t s.t. S(z) + t·I ⪰ 0) runs on the same
-iteration.
+certificate.
 
 An `optimal` result carries a dual certificate built from the iterate's own
 Z: Z_c = Z + sym(Z·Lin(w)·S⁻¹) with M w = c − tr(F·Z), which meets
@@ -42,7 +44,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ShapeMismatchError, SizeLimitError
+from ..errors import InvalidInputError, ShapeMismatchError, SizeLimitError
+
+__all__ = ["MAX_PSD_DIM", "LMI_TRIPLE", "lmi_triples", "HermBasis", "SdpProblem", "SdpResult", "sdp_solve"]
 
 # cap on the summed (complex) size of the LMI blocks
 MAX_PSD_DIM = 256
@@ -83,19 +87,6 @@ class HermBasis:
 
     def __len__(self) -> int:
         return self.n * self.n
-
-    def assemble(self, params) -> np.ndarray:
-        acc = np.zeros((self.n, self.n), dtype=np.complex128)
-        np.add.at(acc, (self.row, self.col), np.asarray(params, dtype=np.float64)[self.param] * self.val)
-        return acc
-
-    def coords(self, h: np.ndarray) -> np.ndarray:
-        """Parameters of the Hermitian part of h (the inverse of `assemble`)."""
-        h = np.asarray(h)
-        proj = (self.val.conj() * h[self.row, self.col]).real
-        return np.bincount(self.param, weights=proj, minlength=len(self)) / np.bincount(
-            self.param, minlength=len(self)
-        )
 
 
 def _csum(idx, w, size) -> np.ndarray:
@@ -220,13 +211,6 @@ class _Block:
                 h[cons, lo:hi] = np.matmul(val[:, None, :], w[col, row])[:, 0].real
         return self.traces(sinv), (h + h.T) * 0.5
 
-    def substitute(self, y0, null) -> "_Block":
-        """The block of z ↦ S(y0 + N z): F0' = S(y0) and F'ⱼ = Σᵢ N[i, j] Fᵢ."""
-        src, j = np.nonzero((null != 0)[self.con])  # triple l feeds every j with N[con_l, j] ≠ 0
-        return _Block(
-            self.s(y0), null.shape[1], j, self.row[src], self.col[src], self.val[src] * null[self.con[src], j]
-        )
-
 
 @dataclass
 class SdpProblem:
@@ -240,10 +224,6 @@ class SdpProblem:
     c: np.ndarray
     f0: list
     fs: list
-    eq_a: np.ndarray | None = None
-    eq_b: np.ndarray | None = None
-    slater: np.ndarray | None = None
-    obj_offset: float = 0.0
     blocks: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -280,13 +260,13 @@ class SdpProblem:
 
 @dataclass
 class SdpResult:
-    status: str  # optimal | infeasible | numerical_failure
+    status: str  # optimal | numerical_failure
     value: float = np.nan
     y: np.ndarray | None = None
     dual_blocks: list = field(default_factory=list)
     gap: float = np.nan
     dual_value: float = np.nan
-    iterations: int = 0  # Newton systems formed, phase one included
+    iterations: int = 0  # Newton systems formed
     message: str = ""
 
 
@@ -295,10 +275,6 @@ def _chol_or_none(s):
         return np.linalg.cholesky(s)
     except np.linalg.LinAlgError:
         return None
-
-
-def _interior(y, blocks) -> bool:
-    return all(_chol_or_none(blk.s(y)) is not None for blk in blocks)
 
 
 def _inv_factor(x):
@@ -379,14 +355,12 @@ def _newton_system(y, zs, blocks):
     return ss, lis, sinvs, grad, mat, tz
 
 
-def _pd_solve(cvec, blocks, y, rel_gap, stop=None):
+def _pd_solve(cvec, blocks, y, rel_gap):
     """HKM primal–dual predictor–corrector from strictly feasible y.
 
     y keeps S(y) ≻ 0, so c·y is an upper end; Z ≻ 0 starts at S(y)⁻¹ and may
     be dual-infeasible.  After each Newton system the iterate's certificate
-    is tried, and `stop(y, dual)` (the best certified dual value, or None) may
-    end the solve with its own verdict.  Returns (status, y, Z_c, primal,
-    gap, newton_systems).
+    is tried.  Returns (status, y, Z_c, primal, gap, newton_systems).
     """
     nu = sum(blk.n for blk in blocks)
     if nu == 0 or cvec.size == 0:
@@ -426,10 +400,7 @@ def _pd_solve(cvec, blocks, y, rel_gap, stop=None):
         if float(cvec @ y) < primal:
             best_y, primal = y, float(cvec @ y)
         w, dya = solve(np.column_stack([cvec - tz, -cvec])).T
-        crossed = not certify(sinvs, zs, w)
-        if stop is not None and (verdict := stop(y, None if best_z is None else dual)):
-            return (verdict, y, best_z, primal, primal - dual, it)
-        if crossed or primal - dual <= rel_gap * (1.0 + abs(primal)):
+        if not certify(sinvs, zs, w) or primal - dual <= rel_gap * (1.0 + abs(primal)):
             break
         # predictor (σ = 0), then Mehrotra's σ = (μₐ/μ)³ and the second-order corrector
         dsa = [blk.lin(dya) for blk in blocks]
@@ -460,111 +431,23 @@ def _pd_solve(cvec, blocks, y, rel_gap, stop=None):
     return ("optimal", best_y, best_z, primal, primal - dual, it)
 
 
-def _eliminate_equalities(p: SdpProblem):
-    """y = y0 + N z; returns (cz, blocks', y0, N, const) or None if infeasible.
-
-    One SVD of A gives both y0 = A⁺b and the orthonormal null basis N.
-    """
-    m = p.c.size
-    if p.eq_a is None:
-        return p.c, p.blocks, np.zeros(m), np.eye(m), 0.0
-    a = np.asarray(p.eq_a, dtype=np.float64).reshape(-1, m)
-    b = np.asarray(p.eq_b, dtype=np.float64).ravel()
-    u, sv, vt = np.linalg.svd(a)
-    rank = int(np.sum(sv > max(a.shape) * (sv[0] if sv.size else 0.0) * np.finfo(float).eps))
-    y0 = vt[:rank].T @ ((u[:, :rank].T @ b) / sv[:rank])
-    if np.linalg.norm(a @ y0 - b) > 1e-10 * (1.0 + np.linalg.norm(b)):
-        return None
-    null = vt[rank:].T  # (m, m - rank)
-    blocks = [blk.substitute(y0, null) for blk in p.blocks]
-    return null.T @ p.c, blocks, y0, null, float(p.c @ y0)
-
-
-def _phase_one(cz, blocks):
-    """Find strictly feasible z via  min t  s.t.  S(z) + t·I ⪰ 0, t ≥ -1.
-
-    The t ≥ -1 cap keeps the objective bounded.  The solve stops as soon as
-    t < 0 or S(z) ≻ 0 (feasible) or a certified dual value exceeds 1e-9
-    (infeasible); an optimum pinched at t ≈ 0 means no strict interior.
-    Returns (z or None, verdict, newton_systems).
-    """
-    m = cz.size
-    aug = []
-    for blk in blocks:
-        diag = np.arange(blk.n)
-        aug.append(
-            _Block(
-                blk.f0,
-                m + 1,
-                np.concatenate([blk.con, np.full(blk.n, m)]),
-                np.concatenate([blk.row, diag]),
-                np.concatenate([blk.col, diag]),
-                np.concatenate([blk.val, np.ones(blk.n)]),
-            )
-        )
-    aug.append(_Block(np.eye(1), m + 1, [m], [0], [0], [1.0]))
-    c_aug = np.zeros(m + 1)
-    c_aug[m] = 1.0
-    z = np.zeros(m + 1)
-    z[m] = max([1.0] + [1.0 - 1.5 * np.linalg.eigvalsh(blk.f0)[0] for blk in blocks if blk.n])
-
-    def strictly_feasible(zv):
-        for blk in blocks:
-            s = blk.s(zv)
-            try:
-                w0 = np.linalg.eigvalsh(s).min(initial=np.inf)
-            except np.linalg.LinAlgError:
-                return False
-            if w0 < 1e-10 * max(1.0, np.abs(s).max(initial=0.0)):
-                return False
-        return True
-
-    def stop(zv, dual):
-        if zv[m] < -1e-9 or strictly_feasible(zv[:m]):
-            return "feasible"
-        if dual is not None and dual > 1e-9:
-            return "infeasible"
-        return None
-
-    status, zv, _, _, _, iters = _pd_solve(c_aug, aug, z, 1e-11, stop)
-    if status == "feasible":
-        return zv[:m].copy(), status, iters
-    # an optimum within 1e-11 of a dual value ≤ 1e-9 is pinched at 0: no strict interior
-    return None, "infeasible" if status in ("infeasible", "optimal") else "numerical_failure", iters
-
-
 def sdp_solve(p: SdpProblem, rel_gap: float = 1e-8) -> SdpResult:
-    """Solve the LMI-form SDP with a certified duality gap.
+    """Solve the LMI-form SDP from y = 0 with a certified duality gap.
 
-    status 'optimal' guarantees: S(y) ⪰ 0 (strictly, up to 1e-12), equalities
-    to 1e-10, and value within `gap` of the true optimum with gap ≤
-    rel_gap·(1+|value|) unless the path stalled (then numerical_failure).
+    Every F0 block must be positive definite, so that y = 0 is strictly
+    feasible; otherwise InvalidInputError.  status 'optimal' guarantees
+    S(y) ⪰ 0 (strictly, up to 1e-12) and value within `gap` of the true
+    optimum with gap ≤ 10·rel_gap·(1+|value|) + 1e-12; a stalled path or a
+    wider gap gives numerical_failure.
     """
-    elim = _eliminate_equalities(p)
-    if elim is None:
-        return SdpResult(status="infeasible", message="inconsistent equalities")
-    cz, blocks, y0, null, const = elim
-
-    z_start, iters = None, 0
-    if p.slater is not None:
-        z_cand = null.T @ (np.asarray(p.slater, float) - y0)
-        if _interior(z_cand, blocks):
-            z_start = z_cand
-    if z_start is None and _interior(np.zeros(cz.size), blocks):
-        z_start = np.zeros(cz.size)
-    if z_start is None:
-        z_start, verdict, iters = _phase_one(cz, blocks)
-        if z_start is None:
-            return SdpResult(status=verdict, iterations=iters, message="phase-1: " + verdict)
-
-    status, z, duals, primal, gap, n_sys = _pd_solve(cz, blocks, z_start, rel_gap)
-    iters += n_sys
-    y = y0 + null @ z
-    value = primal + const + p.obj_offset
+    for b, blk in enumerate(p.blocks):
+        if _chol_or_none(blk.f0) is None:
+            raise InvalidInputError(f"F0 of block {b} is not positive definite (y = 0 must be strictly feasible)")
+    status, y, duals, primal, gap, iters = _pd_solve(p.c, p.blocks, np.zeros(p.c.size), rel_gap)
     if status != "optimal":
         return SdpResult(
             status="numerical_failure",
-            value=value,
+            value=primal,
             y=y,
             gap=gap,
             iterations=iters,
@@ -573,11 +456,11 @@ def sdp_solve(p: SdpProblem, rel_gap: float = 1e-8) -> SdpResult:
     ok = gap <= rel_gap * (1.0 + abs(primal)) * 10 + 1e-12
     return SdpResult(
         status="optimal" if ok else "numerical_failure",
-        value=value,
+        value=primal,
         y=y,
         dual_blocks=duals,
         gap=gap,
-        dual_value=primal - gap + const + p.obj_offset,
+        dual_value=primal - gap,
         iterations=iters,
         message="" if ok else f"gap {gap:.3e} above target",
     )

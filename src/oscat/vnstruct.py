@@ -200,6 +200,27 @@ def check_laws(structure, tol: float = 1e-9) -> LawReport:
     raise TypeError("check_laws wants a VnAlgebra or VnCoalgebra")
 
 
+def _kadison_blocks(alg: VnAlgebra):
+    """Per block: (coordinate slice, unit block u, Kadison form of μ, side).
+
+    The form is x·u*·y or y·u*·x, whichever is closer to the block's
+    multiplication (x·u*·y on a tie).  `side` is +1 when y·u*·x is strictly
+    closer, −1 when x·u*·y is, and 0 on a tie, as on every 1×1 block, where
+    the two forms are one.
+    """
+    d = alg.dim
+    m = alg.mult_mat.reshape(d, d, d)
+    for off, k in block_offsets(alg.shape):
+        s, eye = slice(off, off + k * k), np.eye(k)
+        u = alg.unit_vec[s].reshape(k, k)
+        # e_ij·u*·e_lm = conj(u_lj)·e_im
+        hom = np.einsum("ip,mq,lj->impjlq", eye, eye, u.conj()).reshape(k * k, k * k, k * k)
+        anti = hom.transpose(0, 2, 1)
+        mb = m[s, s, s]
+        side = int(np.sign(_maxabs(mb - hom) - _maxabs(mb - anti)))
+        yield s, u, anti if side > 0 else hom, side
+
+
 def _kadison_residual(alg: VnAlgebra) -> float:
     """Max-abs distance of (μ, P, 1) from the C*-algebra forms Kadison allows.
 
@@ -207,22 +228,16 @@ def _kadison_residual(alg: VnAlgebra) -> float:
     x·u*·y and y·u*·x (the closer one counts), the involution against u·x*·u.
     """
     d = alg.dim
-    m = alg.mult_mat.reshape(d, d, d)
-    mult = np.zeros_like(m)
+    mult = np.zeros((d, d, d), dtype=np.complex128)
     inv = np.zeros((d, d), dtype=np.complex128)
     res = 0.0
-    for off, k in block_offsets(alg.shape):
-        s, eye = slice(off, off + k * k), np.eye(k)
-        u = alg.unit_vec[s].reshape(k, k)
-        res = max(res, _maxabs(u @ u.conj().T - eye))
-        # e_ij·u*·e_lm = conj(u_lj)·e_im
-        hom = np.einsum("ip,mq,lj->impjlq", eye, eye, u.conj()).reshape(k * k, k * k, k * k)
-        anti = hom.transpose(0, 2, 1)
-        mb = m[s, s, s]
-        mult[s, s, s] = hom if _maxabs(mb - hom) <= _maxabs(mb - anti) else anti
+    for s, u, form, _ in _kadison_blocks(alg):
+        k = u.shape[0]
+        res = max(res, _maxabs(u @ u.conj().T - np.eye(k)))
+        mult[s, s, s] = form
         # (u·x*·u)_im = Σ_jl u_ij conj(x_lj) u_lm
         inv[s, s] = np.einsum("ij,lm->imlj", u, u).reshape(k * k, k * k)
-    return max(res, _maxabs(m - mult), _maxabs(alg.inv_mat - inv))
+    return max(res, _maxabs(alg.mult_mat.reshape(d, d, d) - mult), _maxabs(alg.inv_mat - inv))
 
 
 def _cstar_witness(alg: VnAlgebra) -> tuple[BlockMatrix, float]:
@@ -528,14 +543,29 @@ def _check_coalg_hom(f, co_c: VnCoalgebra, co_d: VnCoalgebra, tol, v) -> Morphis
 # ---------------------------------------------------------------------------
 # tensor and direct-sum structures
 
+def _kadison_sides(alg: VnAlgebra) -> np.ndarray:
+    """Per coordinate: the `side` of its block in `_kadison_blocks`."""
+    return np.repeat([side for *_, side in _kadison_blocks(alg)], [k * k for k in alg.shape])
+
+
 def tensor_algebra(a: VnAlgebra, b: VnAlgebra) -> VnAlgebra:
     """A ⊗̌ B: the tensor of monoids, μ = (μ_A⊗μ_B)∘v with v the interchange shuffle.
 
     Its structure tensors are the Kronecker ones gathered onto the pair block
-    shape by `matcore.pair_reindex`, so a lawless factor stays lawless.
+    shape by `matcore.pair_reindex`, so a lawless factor stays lawless.  A
+    pair block of a homomorphism-type block (x·u*·y) and an anti-type block
+    (y·v*·x) gathers the anti factor through its transpose: it holds x⊗yᵀ
+    (xᵀ⊗y when A's block is the anti one), where y ↦ yᵀ turns y·v*·x into
+    the homomorphism form with unit vᵀ, so the tensor of C* factors is C* on
+    the pair carrier.  Pairs of one type, or with a 1×1 block, are gathered
+    as they are.
     """
     shape = _structure_shape(pair_shape(a.shape, b.shape))
-    d, r = block_dim(shape), pair_reindex(a.shape, b.shape)
+    ia, ib = np.divmod(pair_reindex(a.shape, b.shape), b.dim)
+    sa, sb = _kadison_sides(a)[ia], _kadison_sides(b)[ib]
+    ia = np.where((sa > 0) & (sb < 0), blockwise_transpose(a.shape)[ia], ia)
+    ib = np.where((sb > 0) & (sa < 0), blockwise_transpose(b.shape)[ib], ib)
+    d, r = block_dim(shape), ia * b.dim + ib
     mu_a, mu_b = (x.mult_mat.reshape((x.dim,) * 3) for x in (a, b))
     mult = np.einsum("cab,xyz->cxaybz", mu_a, mu_b).reshape(d, d, d)[np.ix_(r, r, r)]
     inv = np.kron(a.inv_mat, b.inv_mat)[np.ix_(r, r)]

@@ -485,3 +485,113 @@ class TestMain:
         # explicit flag wins over the environment
         main(["run", str(f), "--seed", "4", "--json", str(out)])
         assert json.loads(out.read_text())["config"]["seed"] == 4
+
+
+# ---------------------------------------------------------------------------
+# hypothesis-generated valid sessions
+
+SESSION_SHAPES = ((1,), (2,), (2, 1), (3,))
+UNITARY_LITERALS = {
+    1: ("[[1]]", "[[1i]]"),
+    2: ("[[0, 1], [1, 0]]", "[[1, 0], [0, -1]]", "[[0, 1i], [1i, 0]]"),
+    3: ("[[0, 1, 0], [0, 0, 1], [1, 0, 0]]", "[[1, 0, 0], [0, -1, 0], [0, 0, 1i]]"),
+}
+
+
+def _shape_text(shape) -> str:
+    return "[" + ",".join(str(k) for k in shape) + "]"
+
+
+@st.composite
+def valid_sessions(draw):
+    """Session text whose every statement is well-formed and shape-consistent.
+
+    Maps come from identity, transpose, depolarize, conj_by (a unitary
+    literal), adjoint, compose and tensor, kept to Σ dom · Σ cod ≤ 16.  Each
+    check names a map and, where it has a source and target, structures or
+    objects of the map's own shapes, declared just before it.
+    """
+    lines, maps, structs, fresh = [], [], [], iter(range(1000))
+
+    def struct(kind, shape):
+        name = f"{kind[0]}{next(fresh)}"
+        lines.append(f"{kind} {name} = {_shape_text(shape)};")
+        structs.append(name)
+        return name
+
+    for shape in draw(st.lists(st.sampled_from(SESSION_SHAPES), max_size=2)):
+        struct(draw(st.sampled_from(["alg", "coalg"])), shape)
+    base = ["identity", "transpose", "depolarize", "conj_by"]
+    derived = ["tensor", "compose", "adjoint"]
+    plan = draw(st.lists(st.sampled_from(base), min_size=1, max_size=3))
+    plan += draw(st.lists(st.sampled_from(derived), max_size=3))
+    for ctor in plan:
+        if ctor == "identity":
+            shape = draw(st.sampled_from(SESSION_SHAPES))
+            expr, dom, cod = f"identity({_shape_text(shape)})", shape, shape
+        elif ctor in ("transpose", "depolarize", "conj_by"):
+            n = draw(st.integers(1, 3))
+            arg = draw(st.sampled_from(UNITARY_LITERALS[n])) if ctor == "conj_by" else n
+            expr, dom, cod = f"{ctor}({arg})", (n,), (n,)
+        elif ctor == "adjoint":
+            f, fdom, fcod = draw(st.sampled_from(maps))
+            expr, dom, cod = f"adjoint({f})", fcod, fdom
+        else:
+            f, fdom, fcod = draw(st.sampled_from(maps))
+            if ctor == "compose":
+                inner = [m for m in maps if m[2] == fdom]
+                if not inner:
+                    continue
+                g, gdom, _ = draw(st.sampled_from(inner))
+                expr, dom, cod = f"compose({f}, {g})", gdom, fcod
+            else:
+                g, gdom, gcod = draw(st.sampled_from(maps))
+                dom = tuple(a * b for a in fdom for b in gdom)
+                cod = tuple(a * b for a in fcod for b in gcod)
+                if sum(dom) * sum(cod) > 16:
+                    continue
+                expr = f"tensor({f}, {g})"
+        name = f"f{next(fresh)}"
+        lines.append(f"map {name} = {expr};")
+        maps.append((name, dom, cod))
+
+    kinds = ["diamond", "cb", "op", "tr", "morphism", "laws", "cp", "tp", "unital", "cptp", "cpu", "alghom",
+             "coalghom"]
+    for _ in range(draw(st.integers(2, 6))):
+        kind = draw(st.sampled_from(kinds))
+        f, dom, cod = draw(st.sampled_from(maps))
+        if kind in ("op", "tr"):
+            e = draw(st.lists(st.integers(-2, 2), min_size=4, max_size=4))
+            lines.append(f"norm {kind} [[{e[0]}, {e[1]}i], [{e[2]}, {e[3]}]];")
+        elif kind in ("diamond", "cb"):
+            picture = draw(st.sampled_from(["", " operator", " trace"])) if kind == "cb" else ""
+            lines.append(f"norm {kind} {f}{picture};")
+        elif kind == "laws":
+            target = draw(st.sampled_from(structs)) if structs else struct("alg", dom)
+            lines.append(f"assert laws {target};")
+        elif kind == "morphism":
+            ctor, table = draw(st.sampled_from([("H", "alg"), ("S", "coalg")]))
+            objs = []
+            for shape in (dom, cod):
+                objs.append(f"o{next(fresh)}")
+                lines.append(f"obj {objs[-1]} = {ctor}({struct(table, shape)});")
+            lines.append(f"check morphism {f} : {objs[0]} -> {objs[1]};")
+        elif kind in ("cptp", "cpu", "alghom", "coalghom") and draw(st.booleans()):
+            table = "alg" if kind in ("cpu", "alghom") else "coalg"
+            src, dst = struct(table, dom), struct(table, cod)
+            lines.append(f"check {kind} {f} : {src} -> {dst};")
+        else:
+            lines.append(f"check {kind} {f};")
+    return "\n".join(lines) + "\n"
+
+
+class TestValidSessions:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(valid_sessions())
+    def test_valid_sessions_run_cleanly(self, text):
+        report = run_session(parse_session(text))
+        errors = [(r.command, r.detail["error"]) for r in report.records if "error" in r.detail]
+        assert not errors, (text, errors)
+        assert report.exit_code in (0, 1, 2)
+        again = run_session(parse_session(text))
+        assert emit_report(again, "json") == emit_report(report, "json")

@@ -32,3 +32,9 @@ def test_star_import(name):
     namespace = {}
     exec(f"from {name} import *", namespace)
     assert all(attr in namespace for attr in getattr(importlib.import_module(name), "__all__", ()))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_declared(name):
+    # without `__all__` the two tests above check nothing for the module
+    assert isinstance(getattr(importlib.import_module(name), "__all__", None), list), name

@@ -354,6 +354,26 @@ def test_closed_form_overlaps_sdp_sweep(kind):
             assert hi - lo <= 1e-8 * (1.0 + lo), (kind, seed, lo, hi)
 
 
+@pytest.mark.parametrize("k, l", [(2, 2), (2, 3), (3, 2), (3, 3)])
+@pytest.mark.parametrize("kind", ["random", "hermitian"])
+def test_sdp_route_unitary_invariance(kind, k, l):
+    # Φ′(x) = W₁·Φ(U₁·x·U₂)·W₂ has the Choi matrix J′ = (W₁⊗U₁ᵀ)·J·(W₂⊗U₂ᵀ)
+    # (codomain factor first) and the same diamond norm; W₂ = W₁*, U₂ = U₁*
+    # keep a Hermitian J Hermitian, so both SDP variants are covered
+    r = np.random.default_rng([k, l, kind == "hermitian"])
+    j = _sweep_choi(r, kind, k, l)
+    w1, u1 = rand_unitary(r, l), rand_unitary(r, k)
+    if kind == "hermitian":
+        w2, u2 = w1.conj().T, u1.conj().T
+    else:
+        w2, u2 = rand_unitary(r, l), rand_unitary(r, k)
+    j2 = np.kron(w1, u1.T) @ j @ np.kron(w2, u2.T)
+    assert np.allclose(j2, j2.conj().T) == (kind == "hermitian")
+    a, b = diamond_mod._diamond_sdp(j, k, l), diamond_mod._diamond_sdp(j2, k, l)
+    assert a.status == b.status == "exact", (a, b)
+    assert a.lower <= b.upper and b.lower <= a.upper, (a, b)
+
+
 # block shapes of dimension 1 (one 1×1 block among empty ones) and larger
 SCALAR_END_SHAPES = [(1,), (0, 1), (1, 0), (2,), (2, 1), (1, 0, 2)]
 

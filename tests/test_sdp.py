@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oscat.normlab.sdp as sdp_mod
-from oscat.errors import ShapeMismatchError, SizeLimitError
+from oscat.errors import InvalidInputError, ShapeMismatchError, SizeLimitError
 from oscat.matcore import op_norm, rand_complex
 from oscat.normlab.sdp import (
     LMI_TRIPLE,
@@ -31,97 +31,85 @@ def herm_basis_stack(hb: HermBasis) -> np.ndarray:
 
 
 def lmi_opnorm_problem(a):
-    """‖a‖ = min t s.t. [[tI, a], [a*, tI]] ⪰ 0 — an independent SDP route."""
+    """‖a‖ = min t s.t. [[tI, a], [a*, tI]] ⪰ 0 — an independent SDP route.
+
+    Stated around t₀ = ‖a‖_F + 1 > ‖a‖, so that F0 = [[t₀I, a], [a*, t₀I]] is
+    positive definite: the variable is t − t₀, and ‖a‖ = value + t₀.
+    Returns (problem, t₀).
+    """
     n, m = a.shape
-    blk0 = np.zeros((n + m, n + m), dtype=complex)
+    t0 = float(np.linalg.norm(a)) + 1.0
+    blk0 = t0 * np.eye(n + m, dtype=complex)
     blk0[:n, n:] = a
     blk0[n:, :n] = a.conj().T
     f0 = [real_embed_herm(blk0)]
     fs = [real_embed_herm(np.eye(n + m)).reshape(1, 2 * (n + m), 2 * (n + m))]
-    return SdpProblem(c=np.array([1.0]), f0=f0, fs=fs)
+    return SdpProblem(c=np.array([1.0]), f0=f0, fs=fs), t0
 
 
 class TestSolver:
     def test_eigenvalue_lp(self):
+        # min y s.t. diag(-1, -2) + y·I ⪰ 0 is 2; around t₀ = ‖diag(-1, -2)‖_F + 1
+        # the variable is y − t₀ and F0 = diag(-1, -2) + t₀·I ≻ 0
+        t0 = np.sqrt(5.0) + 1.0
         res = sdp_solve(
             SdpProblem(
                 c=np.array([1.0]),
-                f0=[np.diag([-1.0, -2.0])],
+                f0=[np.diag([-1.0, -2.0]) + t0 * np.eye(2)],
                 fs=[np.eye(2).reshape(1, 2, 2)],
             )
         )
         assert res.status == "optimal"
-        assert abs(res.value - 2.0) < 1e-6
+        assert abs(res.value + t0 - 2.0) < 1e-6
         assert res.gap <= 1e-7 * (1 + abs(res.value))
 
-    def test_max_trace(self):
+    def test_max_trace(self, rng):
+        # max Re tr(h·ρ) over 2×2 density matrices is λ_max(h).  In trace-one
+        # coordinates ρ = I/2 + Σ tⱼ·Bⱼ with B = E00 − E11 and the two
+        # off-diagonal HermBasis(2) matrices, so F0 = I/2 and no equality
+        # remains; the objective is −Σ tⱼ·Re tr(h·Bⱼ) and the constant tr(h)/2.
         hb = HermBasis(2)
-        fs = [np.array([real_embed_herm(h) for h in herm_basis_stack(hb)])]
-        eq_a = np.zeros((1, len(hb)))
-        eq_a[0, :2] = 1.0
+        herm = herm_basis_stack(hb)
+        basis = np.array([herm[0] - herm[1], herm[2], herm[3]])
+        a = rand_complex(rng, 2)
+        h = a + a.conj().T
+        c = -np.einsum("ab,jba->j", h, basis).real
         res = sdp_solve(
             SdpProblem(
-                c=-np.array([1.0, 1.0, 0.0, 0.0]),
-                f0=[np.zeros((4, 4))],
-                fs=fs,
-                eq_a=eq_a,
-                eq_b=np.array([1.0]),
-                slater=np.array([0.5, 0.5, 0.0, 0.0]),
+                c=c,
+                f0=[real_embed_herm(np.eye(2) / 2)],
+                fs=[np.array([real_embed_herm(b) for b in basis])],
             )
         )
-        assert res.status == "optimal" and abs(res.value + 1.0) < 1e-6
-
-    def test_infeasible(self):
-        res = sdp_solve(
-            SdpProblem(
-                c=np.array([0.0]), f0=[-np.eye(2)], fs=[np.zeros((1, 2, 2))]
-            )
-        )
-        assert res.status == "infeasible"
-
-    def test_pinched_feasible_set_is_infeasible(self):
-        # [[y, 0], [0, 0]] ⪰ 0 has solutions but no strictly feasible point
-        res = sdp_solve(
-            SdpProblem(c=np.array([1.0]), f0=[np.zeros((2, 2))], fs=[np.diag([1.0, 0.0]).reshape(1, 2, 2)])
-        )
-        assert res.status == "infeasible" and res.message == "phase-1: infeasible"
-
-    def test_phase_one_without_slater_point(self, rng):
-        # F0 = [[0, a], [a*, 0]] is indefinite and no Slater point is given,
-        # so phase one must find the interior before the solve
-        a = rand_complex(rng, 3)
-        p = lmi_opnorm_problem(a)
-        assert p.slater is None and np.linalg.eigvalsh(p.f0[0])[0] < 0
-        res = sdp_solve(p)
         assert res.status == "optimal", res.message
-        assert abs(res.value - op_norm(a)) < 1e-7
-        assert res.dual_value <= op_norm(a) + 1e-12 <= res.value + 2e-12
+        assert abs(np.trace(h).real / 2 - res.value - np.linalg.eigvalsh(h)[-1]) < 1e-6
 
-    def test_inconsistent_equalities(self):
-        res = sdp_solve(
-            SdpProblem(
-                c=np.array([1.0]),
-                f0=[np.eye(1)],
-                fs=[np.ones((1, 1, 1))],
-                eq_a=np.array([[1.0], [1.0]]),
-                eq_b=np.array([0.0, 1.0]),
-            )
-        )
-        assert res.status == "infeasible"
+    @pytest.mark.parametrize(
+        "f0",
+        [-np.eye(2), np.zeros((2, 2)), np.diag([1.0, 0.0]), np.array([[0.0, 1.0], [1.0, 0.0]])],
+    )
+    def test_f0_not_positive_definite_raises(self, f0):
+        # y = 0 must be strictly feasible: the solver has no other start
+        p = SdpProblem(c=np.array([1.0]), f0=[np.eye(3), f0], fs=[np.zeros((1, 3, 3)), np.eye(2).reshape(1, 2, 2)])
+        with pytest.raises(InvalidInputError, match="F0 of block 1"):
+            sdp_solve(p)
 
     def test_opnorm_matches_svd(self, rng):
         # dual-route check: the solver against the LAPACK SVD oracle
         worst = 0.0
         for _ in range(20):
             a = rand_complex(rng, 3)
-            res = sdp_solve(lmi_opnorm_problem(a))
+            p, t0 = lmi_opnorm_problem(a)
+            res = sdp_solve(p)
             assert res.status == "optimal", res.message
-            worst = max(worst, abs(res.value - op_norm(a)))
+            # the certified ends enclose the oracle value
+            assert res.dual_value + t0 <= op_norm(a) + 1e-12 <= res.value + t0 + 2e-12
+            worst = max(worst, abs(res.value + t0 - op_norm(a)))
         assert worst < 1e-7
 
     def test_dual_certificate_is_feasible(self, rng):
         a = rand_complex(rng, 2)
-        p = lmi_opnorm_problem(a)
+        p, _ = lmi_opnorm_problem(a)
         res = sdp_solve(p)
         # Z ⪰ 0 and tr(Fi Z) = c_i exactly define the reported gap; the dual
         # block is complex Hermitian, so the pairings are Re tr(F·Z)
@@ -142,8 +130,8 @@ class TestSolver:
 
     def test_determinism(self, rng):
         a = rand_complex(rng, 3)
-        r1 = sdp_solve(lmi_opnorm_problem(a))
-        r2 = sdp_solve(lmi_opnorm_problem(a))
+        r1 = sdp_solve(lmi_opnorm_problem(a)[0])
+        r2 = sdp_solve(lmi_opnorm_problem(a)[0])
         assert r1.value == r2.value and r1.gap == r2.gap
 
 
@@ -345,28 +333,10 @@ def loop_herm_mats(n):
     return mats
 
 
-def loop_herm_coords(h):
-    n = h.shape[0]
-    out = [h[p, p].real for p in range(n)]
-    for p in range(n):
-        for q in range(p + 1, n):
-            out += [h[p, q].real, -h[p, q].imag]
-    return np.array(out)
-
-
 class TestHermBasis:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_matches_loop_reference(self, n, rng):
+    def test_matches_loop_reference(self, n):
         hb = HermBasis(n)
         mats = loop_herm_mats(n)
         assert len(hb) == len(mats) == n * n
         assert np.array_equal(herm_basis_stack(hb), np.array(mats))
-        x = rng.standard_normal(n * n)
-        acc = np.zeros((n, n), dtype=np.complex128)
-        for w, m in zip(x, mats):
-            acc += w * m
-        assert np.array_equal(hb.assemble(x), acc)
-        assert np.array_equal(hb.coords(hb.assemble(x)), x)
-        a = rand_complex(rng, n)
-        h = a + a.conj().T
-        assert np.allclose(hb.coords(h), loop_herm_coords(h), rtol=0, atol=1e-15)

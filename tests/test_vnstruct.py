@@ -553,6 +553,30 @@ class TestTensorStructures:
                 assert rep.passed, rep.failures
                 assert check_laws(dualize(alg)).passed
 
+    def test_mixed_type_factors_give_cstar_tensor(self, rng):
+        # M₂ (x·y) ⊗ the all-anti twist of M₂ (y·v*·x): the pair block holds
+        # x⊗yᵀ, whose unit is 1⊗vᵀ, and the tensor and its dual pass every
+        # law, the C* identity too (residual 0.71–0.86 before the transpose)
+        anti = _unitary_twist([2], rng, [True])
+        t_anti = blockwise_transpose(anti.shape)
+        for hom in (make_algebra([2]), _unitary_twist([2], rng, [False])):
+            for a, b, ua, ub in (
+                (hom, anti, hom.unit_vec, anti.unit_vec[t_anti]),
+                (anti, hom, anti.unit_vec[t_anti], hom.unit_vec),
+            ):
+                t = tensor_algebra(a, b)
+                assert np.array_equal(t.unit_vec, np.kron(ua, ub)[pair_reindex(a.shape, b.shape)])
+                rep = check_laws(t)
+                assert rep.passed, rep.failures
+                co_rep = check_laws(tensor_coalgebra(dualize(a), dualize(b)))
+                assert co_rep.passed, co_rep.failures
+        # a factor with one block of each type, against either pure type
+        mixed = _unitary_twist([2, 1], rng)
+        for other in (anti, _unitary_twist([2], rng, [False])):
+            for a, b in ((mixed, other), (other, mixed)):
+                assert check_laws(tensor_algebra(a, b)).passed
+                assert check_laws(tensor_coalgebra(dualize(a), dualize(b))).passed
+
     def test_lawless_factor_makes_lawless_tensor_and_sum(self):
         # every single-entry 1e-3 mutation of μ (δ) of one factor, the other
         # factor M₁ or M₂, fails a law of the tensor and of the direct sum
