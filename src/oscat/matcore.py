@@ -184,6 +184,7 @@ def _per_shape(fn):
     def wrapper(*shapes):
         return cached(*map(tuple, shapes))
 
+    wrapper.cache_info, wrapper.cache_clear = cached.cache_info, cached.cache_clear
     return wrapper
 
 

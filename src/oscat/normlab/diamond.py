@@ -13,7 +13,10 @@ is tight for CP maps (λ_max(Tr_L J)), for maps with Tr_L|J| ∝ I such as
 transposes and differences of Pauli- or Weyl-covariant channels (‖J‖₁/K),
 and for elementary operators x ↦ a·x·b (‖a‖·‖b‖, the Haagerup norm of an
 elementary tensor).  When it is not within the requested gap the standard
-two-block SDP over J decides.  The operator-picture cb norm is the diamond
+two-block SDP over J decides.  Its LMI depends only on the shape (K, L) and
+on whether J is Hermitian, so it is built once per shape (`_diamond_lmi`,
+the last four shapes held, read-only, with the SDP's y = 0 start) and each
+map computes only its objective.  The operator-picture cb norm is the diamond
 norm of the trace-pairing adjoint, so for a CP map it is ‖Φ(1)‖ (Paulsen,
 *Completely Bounded Maps and Operator Algebras*, Prop. 3.6); it takes no
 other path.  A domain or codomain of dimension one takes the closed-form
@@ -23,6 +26,8 @@ embeddings.
 Every bracket names its `route` in the witnesses.
 """
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -57,10 +62,22 @@ def functional_rep(s: SuperOp) -> BlockMatrix:
     return BlockMatrix.from_vector(s.transfer[0][blockwise_transpose(s.dom_shape)], s.dom_shape)
 
 
+# unit roundoff of float64
+_U = float(np.finfo(np.float64).eps) / 2
+
+
 def _gamma(n: int) -> float:
     """Higham's γₙ = n·u/(1 − n·u), which bounds the relative error of n roundings."""
-    nu = n * float(np.finfo(np.float64).eps) / 2
+    nu = n * _U
     return nu / (1.0 - nu)
+
+
+def _fro(x: np.ndarray) -> float:
+    """‖x‖_F (‖x‖₂ of a vector) with np.linalg.norm's own arithmetic, bit for bit."""
+    x = x.ravel(order="K")
+    if np.iscomplexobj(x):
+        return float(np.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag)))
+    return float(np.sqrt(x.dot(x)))
 
 
 def _eig_charge(m: np.ndarray) -> float:
@@ -73,7 +90,7 @@ def _eig_charge(m: np.ndarray) -> float:
     each by at most ‖E‖₂.
     """
     n = m.shape[0]
-    return _gamma(n * n) * float(np.linalg.norm(m))
+    return _gamma(n * n) * _fro(m)
 
 
 def _closed_form_bracket(J: np.ndarray, K: int, L: int) -> tuple[float, float]:
@@ -101,22 +118,22 @@ def _closed_form_bracket(J: np.ndarray, K: int, L: int) -> tuple[float, float]:
     d = L * K
     u, s, vh = np.linalg.svd(J)
     # r ≥ ‖J − UΣV*‖₂: the computed residual plus the rounding of UΣV*
-    res = float(np.linalg.norm(J - (u * s) @ vh))
-    res_abs = float(np.linalg.norm((np.abs(u) * s) @ np.abs(vh)))
+    res = _fro(J - (u * s) @ vh)
+    res_abs = _fro((np.abs(u) * s) @ np.abs(vh))
     r = (res + _gamma(2 * d + 8) * res_abs) * (1.0 + _gamma(2 * d * d + d + 8))
 
     ends, tops = [], []
     sl = np.tile(s, L)
-    for w in (u, vh.conj().T):
-        # Tr_L(W·Σ·W*) = rows·Σ·rows*, rows the (K, L·d) regrouping of W; each
-        # entry is an L·d-term sum, off by at most γ·(|rows|·Σ·|rows|ᵀ)
-        rows = w.reshape(L, K, d).transpose(1, 0, 2).reshape(K, L * d)
-        m = (rows * sl) @ rows.conj().T
-        m_abs = (np.abs(rows) * sl) @ np.abs(rows).T
-        lam, vec = np.linalg.eigh(m)
+    # Tr_L(W·Σ·W*) = rows·Σ·rows*, rows the (K, L·d) regrouping of W = U or V;
+    # each entry is an L·d-term sum, off by at most γ·(|rows|·Σ·|rows|ᵀ)
+    rows = [w.reshape(L, K, d).transpose(1, 0, 2).reshape(K, L * d) for w in (u, vh.conj().T)]
+    ms = np.stack([(rw * sl) @ rw.conj().T for rw in rows])
+    lams, vecs = np.linalg.eigh(ms)
+    for rw, m, lam, vec in zip(rows, ms, lams, vecs):
+        m_abs = (np.abs(rw) * sl) @ np.abs(rw).T
         # m is Tr_L of a PSD matrix, so its top eigenvalue is at least 0
         top = max(0.0, float(lam[-1])) + _eig_charge(m)
-        top += _gamma(L * d + 4) * float(np.linalg.norm(m_abs))
+        top += _gamma(L * d + 4) * _fro(m_abs)
         ends.append((top + r * L) * (1.0 + _gamma(4)))
         tops.append(vec[:, -1])
     upper = float(np.sqrt(ends[0] * ends[1])) * (1.0 + _gamma(4))
@@ -128,8 +145,8 @@ def _closed_form_bracket(J: np.ndarray, K: int, L: int) -> tuple[float, float]:
     img = np.einsum("lamb,a,b->lm", J4, x.conj(), y)
     img_abs = np.einsum("lamb,a,b->lm", np.abs(J4), np.abs(x), np.abs(y))
     tn = float(np.linalg.svd(img, compute_uv=False).sum()) * (1.0 - _gamma(L + 2))
-    tn -= L * _eig_charge(img) + L**0.5 * _gamma(K * K + 8) * float(np.linalg.norm(img_abs))
-    lower_xy = tn / (float(np.linalg.norm(x)) * float(np.linalg.norm(y))) * (1.0 - _gamma(4 * K + 8))
+    tn -= L * _eig_charge(img) + L**0.5 * _gamma(K * K + 8) * _fro(img_abs)
+    lower_xy = tn / (_fro(x) * _fro(y)) * (1.0 - _gamma(4 * K + 8))
     return max(lower_me, lower_xy), upper
 
 
@@ -150,8 +167,9 @@ def _traceless(K: int):
     )
 
 
-def _diamond_sdp(J: np.ndarray, K: int, L: int) -> NormBracket:
-    """max Re tr(J†X) s.t. [[1_L⊗ρ0, X], [X†, 1_L⊗ρ1]] ⪰ 0, tr ρ = 1.
+@functools.lru_cache(maxsize=4)
+def _diamond_lmi(K: int, L: int, herm: bool) -> SdpProblem:
+    """The diamond LMI of shape (K, L), with c = 0; `_diamond_sdp` states its objective.
 
     Each ρ is I/K plus a traceless Hermitian part (`_traceless`), so tr ρ = 1
     holds exactly by parameterization and the LMI has F0 = I_{2·L·K}/K: the
@@ -160,19 +178,21 @@ def _diamond_sdp(J: np.ndarray, K: int, L: int) -> NormBracket:
     Hermitian (feasible points symmetrize without changing the objective),
     which halves the variable count.  The LMI is one complex Hermitian block
     of size 2·L·K, built directly as complex triples from the index arrays of
-    `HermBasis` and handed to the SDP core as it is.  A solver failure or a
-    certificate whose dual value crosses its primal value beyond rounding
-    gives `unknown`, with the reason in the witnesses.
+    `HermBasis` and handed to the SDP core as it is.
+
+    None of this depends on J, so it is built once per shape and held,
+    read-only, with the SDP start that the first solve over it computes, for
+    the last four shapes.  For non-Hermitian J with K = L = n that is 44 kB
+    at n = 2, 0.44 MB at n = 3, 2.9 MB at n = 4 and 15 MB at n = 5 (Hermitian
+    J: about half or less), nearly all of it the start's m×m Newton factor;
+    a shape whose factor exceeds 32 MiB (n ≥ 6) holds the LMI alone.
     """
     d = L * K
-    herm = bool(np.allclose(J, J.conj().T, atol=1e-13, rtol=0.0))
     tl = _traceless(K)
     n_h = K * K - 1
-    dim_c = 2 * d  # complex block size
     # 1_L ⊗ ρ: the L diagonal copies of each traceless basis entry
     off = (np.arange(L) * K)[:, None]
     rho = (np.tile(tl[0], L), (off + tl[1]).ravel(), (off + tl[2]).ravel(), np.tile(tl[3], L))
-
     if herm:
         hx = HermBasis(d)
         m = n_h + len(hx)
@@ -183,8 +203,6 @@ def _diamond_sdp(J: np.ndarray, K: int, L: int) -> NormBracket:
             (xp, hx.row, hx.col + d, hx.val),
             (xp, hx.col + d, hx.row, hx.val.conj()),
         ]
-        c = np.zeros(m)
-        c[n_h:] = -np.bincount(hx.param, weights=(J[hx.col, hx.row] * hx.val).real, minlength=len(hx))
     else:
         m = 2 * n_h + 2 * d * d
         a, b = np.divmod(np.arange(d * d), d)
@@ -198,13 +216,33 @@ def _diamond_sdp(J: np.ndarray, K: int, L: int) -> NormBracket:
             (xre + 1, a, d + b, 1j * one),
             (xre + 1, d + b, a, -1j * one),
         ]
-        c = np.zeros(m)
+    con, row, col, val = (np.concatenate(f) for f in zip(*parts))
+    prob = SdpProblem(c=np.zeros(m), f0=[np.eye(2 * d) / K], fs=[lmi_triples(con, row, col, val)])
+    for x in (prob.c, *prob.f0, *prob.fs):
+        x.flags.writeable = False
+    return prob
+
+
+def _diamond_sdp(J: np.ndarray, K: int, L: int) -> NormBracket:
+    """max Re tr(J†X) s.t. [[1_L⊗ρ0, X], [X†, 1_L⊗ρ1]] ⪰ 0, tr ρ = 1.
+
+    The LMI comes from `_diamond_lmi`, built once per (K, L, Hermitian J);
+    only the objective c is computed from J.  A solver failure or a
+    certificate whose dual value crosses its primal value beyond rounding
+    gives `unknown`, with the reason in the witnesses.
+    """
+    d = L * K
+    herm = bool(np.allclose(J, J.conj().T, atol=1e-13, rtol=0.0))
+    prob = _diamond_lmi(K, L, herm)
+    n_h = K * K - 1
+    c = np.zeros(prob.c.size)
+    if herm:
+        hx = HermBasis(d)
+        c[n_h:] = -np.bincount(hx.param, weights=(J[hx.col, hx.row] * hx.val).real, minlength=len(hx))
+    else:
         c[2 * n_h :: 2] = -J.real.ravel()
         c[2 * n_h + 1 :: 2] = -J.imag.ravel()
-
-    con, row, col, val = (np.concatenate(f) for f in zip(*parts))
-    prob = SdpProblem(c=c, f0=[np.eye(dim_c) / K], fs=[lmi_triples(con, row, col, val)])
-    res = sdp_solve(prob, rel_gap=_REL_GAP)
+    res = sdp_solve(prob.with_objective(c), rel_gap=_REL_GAP)
     if res.status != "optimal":
         reason = f"sdp {res.status}" + (f": {res.message}" if res.message else "")
         return NormBracket.unknown(

@@ -22,12 +22,22 @@ gather over the triples (Fujisawa–Kojima–Nakata, Math. Prog. 79, 1997), over
 slabs of constraints i so that each (nb, nb, slab) array stays within a
 fixed byte budget.  Every inner product ⟨S, Z⟩ is Re tr(S·Z).
 
+The structure of a problem (F0, the canonical triples and their slabs) does
+not depend on c, and neither does the first Newton system: y = 0 with
+Z = S(0)⁻¹.  `SdpProblem.with_objective` gives a problem with another c over
+the same structure, and the start (S(0), its L⁻¹ and S⁻¹, the barrier Hessian
+and its factorization, and L⁻¹ of Z) is computed at the first solve over a
+structure and reused by every later one, while its m×m factor fits the slab
+byte budget.  The arithmetic is the same either way, so a reused start gives
+bit-identical results.
+
 The solve is the HKM primal–dual predictor–corrector (Helmberg–Rendl–
 Vanderbei–Wolkowicz, SIAM J. Optim. 6, 1996) with Mehrotra's σ = (μₐ/μ)³
 (SIAM J. Optim. 2, 1992).  y keeps S(y) ≻ 0, so c·y is always attained; the
-dual iterate Z ≻ 0 may violate tr(Fᵢ·Z) = cᵢ.  Each iteration forms one
-Newton system and factors it once for the predictor, the corrector and the
-certificate.
+dual iterate Z ≻ 0 may violate tr(Fᵢ·Z) = cᵢ.  Each iteration uses one
+Newton system, factored once for the predictor, the corrector and the
+certificate, and takes both steps to the boundary of each block from one
+stacked eigenvalue call.
 
 An `optimal` result carries a dual certificate built from the iterate's own
 Z: Z_c = Z + sym(Z·Lin(w)·S⁻¹) with M w = c − tr(F·Z), which meets
@@ -40,6 +50,7 @@ parameterization of a Hermitian matrix, from which triples are built.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,7 +65,8 @@ MAX_PSD_DIM = 256
 # one nonzero Fᵢ[row, col] = val of an LMI block, i = con
 LMI_TRIPLE = np.dtype([("con", np.int32), ("row", np.int32), ("col", np.int32), ("val", np.complex128)])
 
-# complex entries of each (nb, nb, slab) array of the Newton formation (32 MiB)
+# complex entries of each (nb, nb, slab) array of the Newton formation (32 MiB);
+# a held start factorization keeps to the same budget (m·m float64 entries)
 _SLAB_ENTRIES = 1 << 21
 
 
@@ -107,6 +119,16 @@ def _re_tr(a, b) -> float:
     return float(np.vdot(a, b).real)
 
 
+def _freeze(x):
+    """Make every array in x, through nested lists and tuples, read-only; returns x."""
+    if isinstance(x, np.ndarray):
+        x.flags.writeable = False
+    elif isinstance(x, (list, tuple)):
+        for v in x:
+            _freeze(v)
+    return x
+
+
 def _by_length(starts, size):
     """Group contiguous runs (first indices `starts` in a sequence of `size`) by length.
 
@@ -130,7 +152,8 @@ class _Block:
     Duplicates are summed, zeros dropped, and the rest sorted by
     (con, row, col), which makes every (con, row) run and every con run
     contiguous.  The Newton matrix is formed over `slabs` of constraints,
-    each holding its (con, row) runs grouped by length.
+    each holding its (con, row) runs grouped by length.  Every array is
+    read-only, so blocks can be shared between problems.
     """
 
     def __init__(self, f0, m, con, row, col, val):
@@ -178,6 +201,7 @@ class _Block:
             (self.con[cons[sel]], self.val[idx], self.col[idx], self.row[idx])
             for sel, idx in _by_length(cons, self.val.size)
         ]
+        _freeze(list(vars(self).values()))
 
     def lin(self, w) -> np.ndarray:
         """Σᵢ wᵢ Fᵢ for real w."""
@@ -212,19 +236,50 @@ class _Block:
         return self.traces(sinv), (h + h.T) * 0.5
 
 
+def _check_size(total: int):
+    if total > MAX_PSD_DIM:
+        raise SizeLimitError(f"total complex PSD dimension {total} exceeds {MAX_PSD_DIM}")
+
+
+class _Lmi:
+    """The blocks of one LMI over m variables and its y = 0 start, shared by every objective."""
+
+    def __init__(self, blocks, m):
+        self.blocks, self.m = blocks, m
+        self.nu = sum(blk.n for blk in blocks)
+        self._start = None
+
+    def start(self):
+        """The Newton data at y = 0 with Z = S(0)⁻¹ (`_state`); none of it depends on c.
+
+        Computed at the first solve and held, read-only, while the m×m Newton
+        factor fits the slab byte budget (m·m ≤ 2·_SLAB_ENTRIES, m ≤ 2048);
+        a larger structure recomputes it in every solve.
+        """
+        if self._start is not None:
+            return self._start
+        st = _state(np.zeros(self.m), None, self.blocks, self.nu)
+        if st is not None and self.m * self.m <= 2 * _SLAB_ENTRIES:
+            self._start = _freeze(st)
+        return st
+
+
 @dataclass
 class SdpProblem:
     """LMI-form SDP; `f0[b]` has shape (nb, nb) and `fs[b]` holds F1..Fm of block b.
 
     `fs[b]` is either a dense (m, nb, nb) array or an LMI_TRIPLE array of the
     nonzeros, real or complex; it is converted once, and `fs` keeps what the
-    caller gave.  The summed block size is capped at MAX_PSD_DIM.
+    caller gave.  The summed block size is capped at MAX_PSD_DIM.  The
+    converted blocks and the y = 0 start form the structure, which does not
+    depend on c: `with_objective` shares it, so the start is computed once per
+    structure, not once per solve.
     """
 
     c: np.ndarray
     f0: list
     fs: list
-    blocks: list = field(init=False, repr=False, compare=False)
+    lmi: _Lmi = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=np.float64)
@@ -232,14 +287,11 @@ class SdpProblem:
         if len(self.f0) != len(self.fs):
             raise ShapeMismatchError(f"{len(self.f0)} F0 blocks but {len(self.fs)} Fi blocks")
         f0s = [np.asarray(f0b, dtype=np.complex128) for f0b in self.f0]
-        total = 0
         for b, f0b in enumerate(f0s):
             if f0b.ndim != 2 or f0b.shape[0] != f0b.shape[1]:
                 raise ShapeMismatchError(f"F0 of block {b} is not square")
-            total += f0b.shape[0]
-        if total > MAX_PSD_DIM:
-            raise SizeLimitError(f"total complex PSD dimension {total} exceeds {MAX_PSD_DIM}")
-        self.blocks = []
+        _check_size(sum(f0b.shape[0] for f0b in f0s))
+        blocks = []
         for b, (f0b, fsb) in enumerate(zip(f0s, self.fs)):
             fsb = np.asarray(fsb)
             if fsb.dtype == LMI_TRIPLE:
@@ -251,11 +303,25 @@ class SdpProblem:
                     raise ShapeMismatchError(f"inconsistent LMI data in block {b}")
                 con, row, col = np.nonzero(fsb)
                 val = fsb[con, row, col]
-            self.blocks.append(_Block(f0b, m, con, row, col, val))
+            blocks.append(_Block(f0b, m, con, row, col, val))
+        self.lmi = _Lmi(blocks, m)
 
     @property
-    def nu(self) -> int:
-        return sum(blk.n for blk in self.blocks)
+    def blocks(self) -> list:
+        return self.lmi.blocks
+
+    def with_objective(self, c) -> "SdpProblem":
+        """The problem with objective c over this structure (f0, fs, blocks and start are shared).
+
+        The length of c and MAX_PSD_DIM are checked on every call.
+        """
+        c = np.asarray(c, dtype=np.float64)
+        if c.shape != (self.lmi.m,):
+            raise ShapeMismatchError(f"objective of shape {c.shape} for {self.lmi.m} variables")
+        _check_size(self.lmi.nu)
+        out = copy.copy(self)
+        out.c = c
+        return out
 
 
 @dataclass
@@ -266,7 +332,7 @@ class SdpResult:
     dual_blocks: list = field(default_factory=list)
     gap: float = np.nan
     dual_value: float = np.nan
-    iterations: int = 0  # Newton systems formed
+    iterations: int = 0  # Newton systems used, a reused y = 0 start included
     message: str = ""
 
 
@@ -283,10 +349,17 @@ def _inv_factor(x):
     return None if l is None else np.linalg.inv(l)
 
 
-def _step(lis, dxs) -> float:
-    """0.95 of the step to the boundary of every X + α·dX ⪰ 0, capped at 1; lis are L⁻¹ of each X."""
-    lam = min(float(np.linalg.eigvalsh(li @ dx @ li.conj().T).min(initial=0.0)) for li, dx in zip(lis, dxs))
-    return 1.0 if lam >= -0.95 else -0.95 / lam
+def _steps(lss, lzs, dss, dzs) -> tuple[float, float]:
+    """0.95 of the steps to the boundaries of every S + α·dS ⪰ 0 and Z + α·dZ ⪰ 0, each capped at 1.
+
+    lss and lzs are L⁻¹ of each S and Z; both eigenvalue problems of a block
+    are one stacked `eigvalsh`.
+    """
+    lam = np.zeros(2)
+    for ls, lz, ds, dz in zip(lss, lzs, dss, dzs):
+        pair = np.stack([ls @ ds @ ls.conj().T, lz @ dz @ lz.conj().T])
+        lam = np.minimum(lam, np.linalg.eigvalsh(pair).min(axis=1, initial=0.0))
+    return tuple(1.0 if x >= -0.95 else -0.95 / float(x) for x in lam)
 
 
 def _newton_solver(mat):
@@ -355,14 +428,30 @@ def _newton_system(y, zs, blocks):
     return ss, lis, sinvs, grad, mat, tz
 
 
-def _pd_solve(cvec, blocks, y, rel_gap):
-    """HKM primal–dual predictor–corrector from strictly feasible y.
+def _state(y, zs, blocks, nu):
+    """The iterate's Newton data, or None when some S(y) is not positive definite.
 
-    y keeps S(y) ≻ 0, so c·y is an upper end; Z ≻ 0 starts at S(y)⁻¹ and may
-    be dual-infeasible.  After each Newton system the iterate's certificate
-    is tried.  Returns (status, y, Z_c, primal, gap, newton_systems).
+    (S, L⁻¹ of S, S⁻¹, Σ tr(FᵢS⁻¹), Σ tr(Fᵢ Z), Z, μ = ⟨S, Z⟩/ν, the Newton
+    solver or None, L⁻¹ of each Z or None); zs None means Z = S⁻¹.
     """
-    nu = sum(blk.n for blk in blocks)
+    at = _newton_system(y, zs, blocks)
+    if at is None:
+        return None
+    ss, lis, sinvs, grad, mat, tz = at
+    zs = sinvs if zs is None else zs
+    mu = sum(_re_tr(s, z) for s, z in zip(ss, zs)) / nu
+    return ss, lis, sinvs, grad, tz, zs, mu, _newton_solver(mat), [_inv_factor(z) for z in zs]
+
+
+def _pd_solve(cvec, lmi, rel_gap):
+    """HKM primal–dual predictor–corrector from the strictly feasible y = 0.
+
+    y keeps S(y) ≻ 0, so c·y is an upper end; Z ≻ 0 starts at S(0)⁻¹ and may
+    be dual-infeasible.  The first Newton system is the structure's start
+    (`_Lmi.start`).  After each Newton system the iterate's certificate is
+    tried.  Returns (status, y, Z_c, primal, gap, newton_systems).
+    """
+    blocks, nu, y = lmi.blocks, lmi.nu, np.zeros(cvec.size)
     if nu == 0 or cvec.size == 0:
         value = float(cvec @ y) if cvec.size else 0.0
         return ("optimal", y, [np.zeros((blk.n, blk.n), dtype=np.complex128) for blk in blocks], value, 0.0, 0)
@@ -385,16 +474,12 @@ def _pd_solve(cvec, blocks, y, rel_gap):
         return True
 
     while it < 50 and np.max(np.abs(y)) <= 1e12:
-        at = _newton_system(y, zs, blocks)
+        at = lmi.start() if it == 0 else _state(y, zs, blocks, nu)
         if at is None:
             break
         it += 1
-        ss, lis, sinvs, grad, mat, tz = at
-        zs = [s.copy() for s in sinvs] if zs is None else zs
-        mu = sum(_re_tr(s, z) for s, z in zip(ss, zs)) / nu
+        ss, lis, sinvs, grad, tz, zs, mu, solve, lzs = at
         last = (y, mu)
-        solve = _newton_solver(mat)
-        lzs = [_inv_factor(z) for z in zs]
         if solve is None or any(lz is None for lz in lzs):
             break
         if float(cvec @ y) < primal:
@@ -405,7 +490,7 @@ def _pd_solve(cvec, blocks, y, rel_gap):
         # predictor (σ = 0), then Mehrotra's σ = (μₐ/μ)³ and the second-order corrector
         dsa = [blk.lin(dya) for blk in blocks]
         dza = [-z - _herm(z @ ds @ sinv) for z, ds, sinv in zip(zs, dsa, sinvs)]
-        ap, ad = _step(lis, dsa), _step(lzs, dza)
+        ap, ad = _steps(lis, lzs, dsa, dza)
         mu_a = sum(_re_tr(s + ap * ds, z + ad * dz) for s, ds, z, dz in zip(ss, dsa, zs, dza))
         sm = min(1.0, mu_a / (nu * mu)) ** 3 * mu  # σμ
         corr = [dz @ ds @ sinv for dz, ds, sinv in zip(dza, dsa, sinvs)]
@@ -413,7 +498,7 @@ def _pd_solve(cvec, blocks, y, rel_gap):
         dy = solve(rhs)
         dss = [blk.lin(dy) for blk in blocks]
         dzs = [sm * sinv - z - _herm(z @ ds @ sinv + c) for z, ds, sinv, c in zip(zs, dss, sinvs, corr)]
-        ap, ad = _step(lis, dss), _step(lzs, dzs)
+        ap, ad = _steps(lis, lzs, dss, dzs)
         y = y + ap * dy
         zs = [z + ad * dz for z, dz in zip(zs, dzs)]
     if primal - dual > rel_gap * (1.0 + abs(primal)) and last is not None:
@@ -443,7 +528,7 @@ def sdp_solve(p: SdpProblem, rel_gap: float = 1e-8) -> SdpResult:
     for b, blk in enumerate(p.blocks):
         if _chol_or_none(blk.f0) is None:
             raise InvalidInputError(f"F0 of block {b} is not positive definite (y = 0 must be strictly feasible)")
-    status, y, duals, primal, gap, iters = _pd_solve(p.c, p.blocks, np.zeros(p.c.size), rel_gap)
+    status, y, duals, primal, gap, iters = _pd_solve(p.c, p.lmi, rel_gap)
     if status != "optimal":
         return SdpResult(
             status="numerical_failure",

@@ -117,10 +117,12 @@ class SuperOp:
         J[(y1,a),(y2,b)] = φ(E_ab)[y1,y2]; cross-block sectors are zero.
         """
         K, L = sum(self.dom_shape), sum(self.cod_shape)
-        big = np.zeros((L * L, K * K), dtype=np.complex128)
-        sectors = np.ix_(block_embedding(self.cod_shape), block_embedding(self.dom_shape))
-        big[sectors] = self.transfer
-        return big.reshape(L, L, K, K).transpose(0, 2, 1, 3).reshape(L * K, L * K)
+        if len(self.dom_shape) == len(self.cod_shape) == 1:
+            big = self.transfer  # one sector, all of it; np.array below copies
+        else:
+            big = np.zeros((L * L, K * K), dtype=np.complex128)
+            big[np.ix_(block_embedding(self.cod_shape), block_embedding(self.dom_shape))] = self.transfer
+        return np.array(big.reshape(L, L, K, K).transpose(0, 2, 1, 3), order="C").reshape(L * K, L * K)
 
     @staticmethod
     def from_big_choi(J, dom_shape, cod_shape) -> "SuperOp":

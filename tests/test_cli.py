@@ -431,6 +431,35 @@ class TestDeterminism:
         changed = [key for key in before if before[key] != after.get(key)]
         assert not changed, f"module-level state changed: {changed}"
 
+    def test_caches_bounded_and_invisible(self, config):
+        # every memo on a module-level function of oscat is bounded, and a
+        # report reads the same from cleared caches as from warm ones; the
+        # tutorial plus two norms that reach the SDP (its per-shape LMI cache)
+        import sys
+
+        from oscat.normlab import diamond as diamond_mod
+
+        caches = {
+            id(f): f
+            for mod, m in list(sys.modules.items())
+            if mod == "oscat" or mod.startswith("oscat.")
+            for f in vars(m).values()
+            if callable(getattr(f, "cache_info", None))
+        }.values()
+        names = {f.__qualname__ for f in caches}
+        assert {"_diamond_lmi", "block_embedding"} <= names
+        for f in caches:
+            assert f.cache_info().maxsize is not None, f.__qualname__
+        text = TUTORIAL.read_text() + (
+            f"\nmap nh = choi([2] -> [2], {NON_HERMITIAN_CHOI});\nnorm diamond nh;\nnorm cb nh operator;\n"
+        )
+        for f in caches:
+            f.cache_clear()
+        cold = emit_report(run_session(parse_session(text), config), "json")
+        assert diamond_mod._diamond_lmi.cache_info().currsize == 1
+        warm = emit_report(run_session(parse_session(text), config), "json")
+        assert cold == warm
+
     def test_no_timing_in_json(self, config):
         rep = run_session(parse_session("norm op [[1]];"), config)
         doc = json.loads(emit_report(rep, "json"))

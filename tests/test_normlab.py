@@ -138,19 +138,50 @@ class TestDiamond:
             assert br.status == "exact" and br.lower <= 1.0 <= br.upper
 
     def test_random_n3_newton_systems(self, monkeypatch, rng):
-        # one Newton system per predictor–corrector iteration, about ten per solve
+        # one Newton system per predictor–corrector iteration, about ten per
+        # solve; a warm shape reuses its y = 0 start, so it forms one fewer
         from oscat.normlab import sdp as sdp_mod
 
+        diamond_mod._diamond_lmi.cache_clear()
         calls = []
         grad_hess = sdp_mod._Block.grad_hess
         monkeypatch.setattr(
             sdp_mod._Block, "grad_hess", lambda blk, sinv, z: calls.append(1) or grad_hess(blk, sinv, z)
         )
-        for _ in range(3):
+        for k in range(3):
             calls.clear()
             br = diamond_norm(random_superop(rng, 3))
             assert br.status == "exact"
-            assert len(calls) == br.witnesses["sdp_iterations"] <= 20
+            its = br.witnesses["sdp_iterations"]
+            assert len(calls) == (its if k == 0 else its - 1) and its <= 20
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("make", [random_superop, cptp_difference])
+    def test_lmi_cache_is_invisible(self, monkeypatch, rng, make, n):
+        # the per-shape LMI and SDP start change no answer: a cold and a warm
+        # call on the same map agree in every end, status and witness
+        s = make(rng, n)
+        diamond_mod._diamond_lmi.cache_clear()
+        blocks, calls = [], []
+        block_init, grad_hess = sdp_mod._Block.__init__, sdp_mod._Block.grad_hess
+        monkeypatch.setattr(sdp_mod._Block, "__init__", lambda blk, *a: blocks.append(1) or block_init(blk, *a))
+        monkeypatch.setattr(
+            sdp_mod._Block, "grad_hess", lambda blk, sinv, z: calls.append(1) or grad_hess(blk, sinv, z)
+        )
+        cold = diamond_norm(s)
+        cold_blocks, cold_calls = len(blocks), len(calls)
+        warm = diamond_norm(s)
+        assert cold.witnesses["route"] == "sdp" and cold.status == "exact"
+        assert (warm.lower, warm.upper, warm.status) == (cold.lower, cold.upper, cold.status)
+        assert warm.witnesses == cold.witnesses
+        assert cold_blocks == 1 and len(blocks) == 1
+        assert len(calls) - cold_calls == cold_calls - 1
+        # everything the cache holds is read-only
+        prob = diamond_mod._diamond_lmi(n, n, make is cptp_difference)
+        blk, start = prob.blocks[0], prob.lmi.start()
+        for arr in (prob.fs[0]["val"], prob.f0[0], blk.val, blk.slabs[0][2][0][2], start[2][0], start[3]):
+            with pytest.raises(ValueError, match="read-only"):
+                arr.flat[0] = 1.0
 
     @pytest.mark.parametrize("make", [random_superop, cptp_difference])
     def test_lmi_is_one_complex_block(self, monkeypatch, rng, make):
