@@ -1,29 +1,39 @@
 """Completely bounded norms of superoperators.
 
-The trace-picture cb norm (diamond norm) of a map with Choi matrix J is tried
-first in closed form, from one SVD J = U·Σ·V*.  Y0 = UΣU* and Y1 = VΣV*
-(shifted by the SVD residual) are feasible for Watrous's dual SDP
-(*Simpler semidefinite programs for completely bounded norms*,
-arXiv:1207.5726; *The Theory of Quantum Information*, 2018, §3.3), and
-rescaling the pair gives the upper end √(λ_max(Tr_L Y0)·λ_max(Tr_L Y1)).
-The lower end is the larger of ‖J‖₁/K (the maximally entangled input) and
-‖Φ(x̄·yᵀ)‖₁ for the two top eigenvectors.  Rounding is charged against both
-ends, so the bracket encloses the norm of the map the given J describes.  It
-is tight for CP maps (λ_max(Tr_L J)), for maps with Tr_L|J| ∝ I such as
-transposes and differences of Pauli- or Weyl-covariant channels (‖J‖₁/K),
-and for elementary operators x ↦ a·x·b (‖a‖·‖b‖, the Haagerup norm of an
-elementary tensor).  When it is not within the requested gap the standard
-two-block SDP over J decides.  Its LMI depends only on the shape (K, L) and
-on whether J is Hermitian, so it is built once per shape (`_diamond_lmi`,
-the last four shapes held, read-only, with the SDP's y = 0 start) and each
-map computes only its objective.  The operator-picture cb norm is the diamond
-norm of the trace-pairing adjoint, so for a CP map it is ‖Φ(1)‖ (Paulsen,
-*Completely Bounded Maps and Operator Algebras*, Prop. 3.6); it takes no
-other path.  A domain or codomain of dimension one takes the closed-form
-shortcut (the norm of the image element or of the functional), and block
-maps are flattened through the completely isometric block-diagonal
-embeddings.
-Every bracket names its `route` in the witnesses.
+The trace-picture cb norm (diamond norm) of a map with Choi matrix J takes
+one of three routes, and every bracket names its `route` in the witnesses.
+
+- `closed form`: one SVD J = U·Σ·V*.  Y0 = UΣU* and Y1 = VΣV* (shifted by
+  the SVD residual) are feasible for Watrous's dual SDP (*Simpler
+  semidefinite programs for completely bounded norms*, arXiv:1207.5726;
+  *The Theory of Quantum Information*, 2018, §3.3), and rescaling the pair
+  gives the upper end √(λ_max(Tr_L Y0)·λ_max(Tr_L Y1)).  The lower end is
+  the larger of ‖J‖₁/K (the maximally entangled input) and ‖Φ(x̄·yᵀ)‖₁ for
+  the two top eigenvectors.  Rounding is charged against both ends, so the
+  bracket encloses the norm of the map the given J describes.  It is tight
+  for CP maps (λ_max(Tr_L J)), for maps with Tr_L|J| ∝ I such as transposes
+  and differences of Pauli- or Weyl-covariant channels (‖J‖₁/K), and for
+  elementary operators x ↦ a·x·b (‖a‖·‖b‖, the Haagerup norm of an
+  elementary tensor).
+- `reweighted closed form`: the same bracket at weights, from one SVD of
+  (1_L⊗a)·J·(1_L⊗b), is sound at any invertible a, b, and its ends meet
+  where a*a and b·b* are proportional to an optimal density pair of
+  Watrous's fidelity form ‖Φ‖⋄ = max ‖(1⊗√ρ0)·J·(1⊗√ρ1)‖₁.  A fixed-point iteration on the
+  pair, with Anderson mixing, finds it within a few dozen SVDs for most
+  general maps whose optimal pair has full rank.
+- `sdp`: otherwise (the optimal pair is rank-deficient, as for about half
+  of random qubit maps and most maps with K > L, or the iteration does not
+  settle) the standard two-block SDP over J decides.  Its LMI depends only
+  on the shape (K, L) and on whether J is Hermitian, so it is built once per
+  shape (`_diamond_lmi`, the last four shapes held, read-only, with the
+  SDP's y = 0 start) and each map computes only its objective.
+
+The operator-picture cb norm is the diamond norm of the trace-pairing
+adjoint, so for a CP map it is ‖Φ(1)‖ (Paulsen, *Completely Bounded Maps
+and Operator Algebras*, Prop. 3.6); it takes no other path.  A domain or
+codomain of dimension one takes the closed-form shortcut (the norm of the
+image element or of the functional), and block maps are flattened through
+the completely isometric block-diagonal embeddings.
 """
 from __future__ import annotations
 
@@ -93,40 +103,86 @@ def _eig_charge(m: np.ndarray) -> float:
     return _gamma(n * n) * _fro(m)
 
 
-def _closed_form_bracket(J: np.ndarray, K: int, L: int) -> tuple[float, float]:
-    """Certified (lower, upper) for ‖Φ‖⋄ from one SVD J = U·Σ·V*.
+def _weigh(J: np.ndarray, K: int, L: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(1_L⊗a)·J·(1_L⊗b) as two batched K×K products, without forming a Kronecker product."""
+    d = L * K
+    return ((a @ J.reshape(L, K, d)).reshape(d, L, K) @ b).reshape(d, d)
 
-    Upper: with r ≥ ‖J − UΣV*‖₂, Y0 = UΣU* + rI and Y1 = VΣV* + rI are
-    feasible for Watrous's dual, min ½(‖Tr_L Y0‖ + ‖Tr_L Y1‖) s.t.
-    [[Y0, −J], [−J*, Y1]] ⪰ 0: the block is [U; −V]·Σ·[U; −V]* plus an
-    r-shift that absorbs the residual, for any computed factors.  Scaling
-    (Y0, Y1) → (t·Y0, Y1/t) keeps it feasible, so ‖Φ‖⋄ ≤ √(a·b) with
-    a = λ_max(Tr_L Y0), b = λ_max(Tr_L Y1).
-    Lower: the larger of ‖J‖₁/K (the maximally entangled input) and
-    ‖Φ(x̄·yᵀ)‖₁/(‖x‖·‖y‖), x and y the top eigenvectors of Tr_L(UΣU*) and
-    Tr_L(VΣV*); J[(l,a),(l′,b)] = Φ(E_ab)[l,l′].
-    The bracket is tight for CP maps (U = V, a = b = λ_max(Tr_L J)), for
-    maps with Tr_L|J| ∝ I such as transposes and differences of Pauli- or
-    Weyl-covariant channels (both ends ‖J‖₁/K), and for rank-one J, the
-    elementary operators x ↦ a·x·b (both ends ‖a‖·‖b‖).  Charged rounding:
-    γ_n for each n-term sum of complex products (entrywise against the same
-    sums of absolute values), `_eig_charge` for each `eigh` and `svd`; the few
-    extra roundings counted in each γ cover the charges and the final sums.
+
+def _closed_form_bracket(
+    J: np.ndarray, K: int, L: int, a: np.ndarray | None = None, b: np.ndarray | None = None
+) -> tuple[float, float, np.ndarray]:
+    """Certified (lower, upper) for ‖Φ‖⋄ from one SVD J′ = (1_L⊗a)·J·(1_L⊗b) = U·Σ·V*.
+
+    Also returned: the stacked Tr_L(W0ΣW0*), Tr_L(W1ΣW1*) below, from which
+    `_reweighted_bracket` takes its first step.
+    a and b are invertible K×K weights; None stands for the identity, and
+    a = b = None is the one-SVD closed form of J itself, in the same
+    arithmetic bit for bit.  The weights move both ends without making
+    either unsound: Watrous's fidelity form reads ‖Φ‖⋄ = max over density
+    pairs of ‖(1⊗√ρ0)·J·(1⊗√ρ1)‖₁, and the ends meet where a*a and b·b* are
+    proportional to an optimal pair (`_reweighted_bracket` looks for one).
+
+    Upper: with W0 = (1_L⊗a⁻¹)·U and W1 = (1_L⊗b⁻¹)*·V as computed (U and V
+    for identity weights), J ≈ W0·Σ·W1*, and with r ≥ ‖J − W0ΣW1*‖₂,
+    Y0 = W0ΣW0* + rI and Y1 = W1ΣW1* + rI are feasible for Watrous's dual,
+    min ½(‖Tr_L Y0‖ + ‖Tr_L Y1‖) s.t. [[Y0, −J], [−J*, Y1]] ⪰ 0: the block
+    is [W0; −W1]·Σ·[W0; −W1]* plus an r-shift that absorbs the residual.
+    That holds for any matrices W0, W1, so the rounding of the SVD, of a⁻¹
+    and b⁻¹ and of the products forming W0 and W1 is all in the computed
+    residual.  Scaling (Y0, Y1) → (t·Y0, Y1/t) keeps the pair feasible, so
+    ‖Φ‖⋄ ≤ √(α·β) with α = λ_max(Tr_L Y0), β = λ_max(Tr_L Y1).
+    Lower: the largest of
+    - ‖J′‖₁/(‖a‖_F·‖b‖_F), the input vec(a)·vec(b)* up to a reordering
+      (ρ0 = a*a/‖a‖_F², ρ1 = b·b*/‖b‖_F², X = (1⊗a*)·C·(1⊗b*)/(‖a‖_F‖b‖_F)
+      with C the unitary polar factor of J′ is feasible for the primal
+      SDP); for identity weights ‖J‖₁/K, the maximally entangled input;
+    - ‖Φ(x̄·yᵀ)‖₁/(‖x‖·‖y‖), x and y the top eigenvectors of Tr_L(W0ΣW0*)
+      and Tr_L(W1ΣW1*), a product input; J[(l,a),(l′,b)] = Φ(E_ab)[l,l′].
+    The unweighted bracket is tight for CP maps (U = V, α = β =
+    λ_max(Tr_L J)), for maps with Tr_L|J| ∝ I such as transposes and
+    differences of Pauli- or Weyl-covariant channels (both ends ‖J‖₁/K),
+    and for rank-one J, the elementary operators x ↦ a·x·b (both ends
+    ‖a‖·‖b‖).
+
+    Charged rounding, the same at every weight: γ_n for each n-term sum of
+    complex products (entrywise against the same sums of absolute values),
+    `_eig_charge` for each `eigh` and `svd`; the few extra roundings counted
+    in each γ cover the charges and the final sums.  Term by term:
+    - r: the computed residual J − (W0·Σ)·W1* is off by at most
+      γ_{d+2}·(|W0|·Σ)·|W1*| entrywise (d-term sums, the scaling by Σ, the
+      subtraction), and ‖·‖₂ ≤ ‖·‖_F; the Frobenius norms are 2d²-term sums;
+    - Tr_L(WΣW*): L·d-term sums, off by γ·(|rows|·Σ·|rows|ᵀ), plus
+      `_eig_charge` for its top eigenvalue and r·L for Tr_L(rI);
+    - ‖J′‖₁ for weights: `_eig_charge(J′)` for each of the d computed
+      singular values of the computed J′, γ_d for their sum, and the
+      forming of J′ itself, K-term sums twice, so |fl(J′) − J′| ≤
+      γ_{2K}·(1⊗|a|)·|J|·(1⊗|b|) entrywise (Higham, Lemma 3.3 for the
+      product of two rounded sums), with ‖·‖₁ ≤ √d·‖·‖_F; then ‖a‖_F and
+      ‖b‖_F are each a 2K²-term sum and a square root, and one product
+      and one quotient;
+    - ‖Φ(x̄·yᵀ)‖₁: K²-term sums of triple products and an L×L `svd`.
     See Watrous, *Simpler semidefinite programs for completely bounded norms*
     (arXiv:1207.5726), and *The Theory of Quantum Information* (2018), §3.3.
     """
     d = L * K
-    u, s, vh = np.linalg.svd(J)
-    # r ≥ ‖J − UΣV*‖₂: the computed residual plus the rounding of UΣV*
-    res = _fro(J - (u * s) @ vh)
-    res_abs = _fro((np.abs(u) * s) @ np.abs(vh))
+    jw = J if a is None else _weigh(J, K, L, a, b)
+    u, s, vh = np.linalg.svd(jw)
+    if a is None:
+        w0, w1h = u, vh
+    else:
+        w0 = (np.linalg.inv(a) @ u.reshape(L, K, d)).reshape(d, d)
+        w1h = (vh.reshape(d, L, K) @ np.linalg.inv(b)).reshape(d, d)
+    # r ≥ ‖J − W0ΣW1*‖₂: the computed residual plus the rounding of W0ΣW1*
+    res = _fro(J - (w0 * s) @ w1h)
+    res_abs = _fro((np.abs(w0) * s) @ np.abs(w1h))
     r = (res + _gamma(2 * d + 8) * res_abs) * (1.0 + _gamma(2 * d * d + d + 8))
 
     ends, tops = [], []
     sl = np.tile(s, L)
-    # Tr_L(W·Σ·W*) = rows·Σ·rows*, rows the (K, L·d) regrouping of W = U or V;
+    # Tr_L(W·Σ·W*) = rows·Σ·rows*, rows the (K, L·d) regrouping of W = W0 or W1;
     # each entry is an L·d-term sum, off by at most γ·(|rows|·Σ·|rows|ᵀ)
-    rows = [w.reshape(L, K, d).transpose(1, 0, 2).reshape(K, L * d) for w in (u, vh.conj().T)]
+    rows = [w.reshape(L, K, d).transpose(1, 0, 2).reshape(K, L * d) for w in (w0, w1h.conj().T)]
     ms = np.stack([(rw * sl) @ rw.conj().T for rw in rows])
     lams, vecs = np.linalg.eigh(ms)
     for rw, m, lam, vec in zip(rows, ms, lams, vecs):
@@ -138,7 +194,13 @@ def _closed_form_bracket(J: np.ndarray, K: int, L: int) -> tuple[float, float]:
         tops.append(vec[:, -1])
     upper = float(np.sqrt(ends[0] * ends[1])) * (1.0 + _gamma(4))
 
-    lower_me = (float(s.sum()) * (1.0 - _gamma(d + 2)) - d * _eig_charge(J)) / K * (1.0 - _gamma(2))
+    tn = float(s.sum()) * (1.0 - _gamma(d + 2)) - d * _eig_charge(jw)
+    if a is None:
+        lower_me = tn / K * (1.0 - _gamma(2))
+    else:
+        jw_abs = _weigh(np.abs(J), K, L, np.abs(a), np.abs(b))
+        tn -= d**0.5 * _gamma(2 * K + 8) * _fro(jw_abs)
+        lower_me = tn / (_fro(a) * _fro(b)) * (1.0 - _gamma(2 * K * K + 8))
     # Φ(x̄·yᵀ): K²-term sums of triple products, off by at most γ·|J|(|x|, |y|)
     x, y = tops
     J4 = J.reshape(L, K, L, K)
@@ -147,7 +209,88 @@ def _closed_form_bracket(J: np.ndarray, K: int, L: int) -> tuple[float, float]:
     tn = float(np.linalg.svd(img, compute_uv=False).sum()) * (1.0 - _gamma(L + 2))
     tn -= L * _eig_charge(img) + L**0.5 * _gamma(K * K + 8) * _fro(img_abs)
     lower_xy = tn / (_fro(x) * _fro(y)) * (1.0 - _gamma(4 * K + 8))
-    return max(lower_me, lower_xy), upper
+    return max(lower_me, lower_xy), upper, ms
+
+
+# the reweighting: at most _MAX_ITER iterations, Anderson mixing over the last
+# _MIX pairs, and a pair whose λ_min/λ_max falls to _RANK_LOSS hands the map
+# to the SDP
+_MAX_ITER = 32
+_MIX = 6
+_RANK_LOSS = 1e-2
+
+
+def _reweighted_bracket(J: np.ndarray, K: int, L: int, tr_l: np.ndarray) -> NormBracket | None:
+    """The closed form at weights a*a = ρ0, b·b* = ρ1 iterated toward an optimal pair.
+
+    Each iteration, at ρᵢ = qᵢ·diag(λᵢ)·qᵢ*, takes a = diag(√λ0)·q0* and
+    b = q1·diag(√λ1), one SVD (1_L⊗a)·J·(1_L⊗b) = U·Σ·V*, and
+    P0 = Tr_L(UΣU*), P1 = Tr_L(VΣV*).  Its floating-point ends are
+    tr Σ/(‖a‖_F‖b‖_F) and √(λ_max(M0)·λ_max(M1)), Mᵢ = diag(λᵢ)^-½·Pᵢ·diag(λᵢ)^-½
+    similar to Tr_L(WᵢΣWᵢ*) of `_closed_form_bracket`, and the next pair is
+    ρᵢ ← P̂ᵢ·ρᵢ⁻¹·P̂ᵢ/tr(·), P̂ᵢ = qᵢ·Pᵢ·qᵢ* in the fixed frame.  At its fixed
+    point P̂ᵢ ∝ ρᵢ, so both Mᵢ are multiples of I and the ends meet.  The
+    first step, from ρ0 = ρ1 = I/K, is ρᵢ = Tᵢ²/tr(Tᵢ²) with tr_l = (T0, T1)
+    as the unweighted closed form computed it.
+    Anderson mixing over the last _MIX pairs (Walker–Ni, SIAM J. Numer.
+    Anal. 49, 2011; weights from the normal equations) speeds it up: the
+    mixed pair, the extrapolated fixed point, is the next iterate.  The
+    certified `_closed_form_bracket` is computed only once the
+    floating-point ends are within _REL_GAP/2.
+
+    Returns None, for the SDP to decide, when the next pair loses rank
+    (λ_min/λ_max ≤ _RANK_LOSS, or will at the rate it fell from the last
+    pair: the optimal pair is rank-deficient, where the weights a⁻¹, b⁻¹
+    blow up; the extrapolation leaves the cone a few iterations before the
+    plain iteration would), or after _MAX_ITER iterations.
+    """
+    d = L * K
+    rho = np.asarray(tr_l @ tr_l, dtype=np.complex128)
+    rho /= rho.trace(axis1=1, axis2=2).real[:, None, None]
+    x0 = np.stack([np.eye(K, dtype=np.complex128) / K] * 2)
+    xs, gs = [x0.view(np.float64).ravel()], [rho.view(np.float64).ravel()]  # iterates, images
+    lam, q = np.linalg.eigh(rho)
+    ratio = 0.0  # the last pair's λ_min/λ_max, the smaller of the two
+    for it in range(1, _MAX_ITER + 1):
+        ratio, last = float(np.min(lam[:, 0] / lam[:, -1])), ratio
+        if ratio <= _RANK_LOSS or ratio * ratio <= _RANK_LOSS * last:
+            return None
+        sq = np.sqrt(lam)
+        qs = q * sq[:, None, :]
+        a = qs[0].conj().T
+        u, s, vh = np.linalg.svd(_weigh(J, K, L, a, qs[1]))
+        # Tr_L of U·Σ·U* and of V·Σ·V*, one stacked product
+        w = np.concatenate((u, vh.conj().T)).reshape(2, L, K, d)
+        p = np.einsum("xlak,k,xlbk->xab", w, s, w.conj())
+        n = p / sq[:, :, None]
+        rot = n @ q.conj().swapaxes(1, 2)
+        g = rot.conj().swapaxes(1, 2) @ rot
+        g /= g.trace(axis1=1, axis2=2).real[:, None, None]
+
+        xs.append(rho.view(np.float64).ravel())
+        gs.append(g.view(np.float64).ravel())
+        del xs[: -_MIX - 1], gs[: -_MIX - 1]
+        G = np.array(gs)
+        F = G - np.array(xs)
+        dF = F[1:] - F[:-1]
+        try:
+            gamma = np.linalg.solve(dF @ dF.T, dF @ F[-1])
+        except np.linalg.LinAlgError:
+            rho = g
+        else:
+            rho = (G[-1] - gamma @ (G[1:] - G[:-1])).view(np.complex128).reshape(2, K, K)
+        ev, evec = np.linalg.eigh(np.concatenate((n / sq[:, None, :], rho)))
+
+        lower = float(s.sum())  # ‖a‖_F² = tr ρ0 = 1, ‖b‖_F² = tr ρ1 = 1
+        upper = float(np.sqrt(ev[0, -1] * ev[1, -1]))
+        if upper - lower <= 0.5 * _REL_GAP * (1.0 + lower):
+            lo, up, _ = _closed_form_bracket(J, K, L, a, qs[1])
+            if up - lo <= _REL_GAP * (1.0 + abs(lo)):
+                return NormBracket.from_bounds(
+                    max(0.0, lo), up, {"route": "reweighted closed form", "iterations": it}
+                )
+        lam, q = ev[2:], evec[2:]
+    return None
 
 
 def _traceless(K: int):
@@ -264,8 +407,9 @@ def diamond_norm(s: SuperOp) -> NormBracket:
     The closed-form bracket of `_closed_form_bracket` is returned when its
     width is within _REL_GAP·(1 + lower), which holds for completely positive
     maps, transposes, differences of Pauli- or Weyl-covariant channels and
-    elementary operators x ↦ a·x·b; any other map goes to the SDP.
-    `witnesses["route"]` says which.
+    elementary operators x ↦ a·x·b.  Any other map tries the reweighted
+    closed form (`_reweighted_bracket`), accepted at the same width, and
+    goes to the SDP when that hands it on.  `witnesses["route"]` says which.
     """
     K, L = sum(s.dom_shape), sum(s.cod_shape)
     closed = {"route": "closed form"}
@@ -280,9 +424,12 @@ def diamond_norm(s: SuperOp) -> NormBracket:
         # balls, so the norm is max_i ‖r_i‖
         return NormBracket.exactly(functional_rep(s).op_norm(), closed)
     J = s.big_choi()
-    lower, upper = _closed_form_bracket(J, K, L)
+    lower, upper, tr_l = _closed_form_bracket(J, K, L)
     if upper - lower <= _REL_GAP * (1.0 + abs(lower)):
         return NormBracket.from_bounds(max(0.0, lower), upper, closed)
+    reweighted = _reweighted_bracket(J, K, L, tr_l)
+    if reweighted is not None:
+        return reweighted
     return _diamond_sdp(J, K, L)
 
 

@@ -23,6 +23,9 @@ from oscat.osx import M, SpaceElement, norm_at, tens_h, tens_min, tens_proj
 GOLDEN_DIR = Path(__file__).parent / "golden"
 # real and not symmetric: no closed form decides its diamond, cb or Haagerup norm
 NON_HERMITIAN_CHOI = "[[1,2,0,1],[0,1,3,0],[1,0,0,2],[2,1,0,1]]"
+# a non-elementary M(2) (*h) M(2) element that only the SDP decides: the
+# reweighted closed form hands it on
+SDP_HAAGERUP = "[[1,2,0,0],[0,1,3,0],[1,0,0,2],[2,1,0,1]]"
 TUTORIAL = Path(__file__).parents[1] / "src" / "oscat" / "data" / "tutorial.oscat"
 
 
@@ -282,9 +285,10 @@ class TestRunner:
             diamond_mod, "sdp_solve",
             lambda p, rel_gap: SdpResult(status="numerical_failure", message="barrier stalled"),
         )
-        # a fixed non-Hermitian map: its closed-form bracket is too wide, so the SDP runs
+        # a fixed non-Hermitian map that neither closed form decides, so the SDP runs
         rep = run_session(parse_session(f"map t = choi([2] -> [2], {NON_HERMITIAN_CHOI});\nnorm {kind};"))
         rec = rep.records[0]
+        assert rec.detail["route"] == "sdp"
         assert rec.status == "unknown" and rec.value is None
         assert rec.detail["reason"] == "sdp numerical_failure: barrier stalled"
         assert rec.to_json_dict()["detail"]["reason"] == rec.detail["reason"]
@@ -292,9 +296,8 @@ class TestRunner:
     def test_haagerup_size_cap_carries_reason(self, monkeypatch):
         import oscat.normlab.sdp as sdp_mod
 
-        # a non-elementary element that the closed form leaves to the SDP; the
-        # uncapped SDP value is the reference
-        session = parse_session(f"norm haagerup {NON_HERMITIAN_CHOI} in M(2) (*h) M(2);")
+        # the uncapped SDP value is the reference
+        session = parse_session(f"norm haagerup {SDP_HAAGERUP} in M(2) (*h) M(2);")
         ref = run_session(session).records[0]
         assert ref.detail["route"] == "sdp"
         monkeypatch.setattr(sdp_mod, "MAX_PSD_DIM", 4)

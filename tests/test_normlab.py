@@ -28,7 +28,11 @@ F2 = FlatSpace.base(2, 2)
 
 
 def sdp_bound_map():
-    """A fixed random non-Hermitian map: its closed-form bracket is too wide, so the SDP runs."""
+    """A fixed random non-Hermitian map that only the SDP decides.
+
+    Its closed-form bracket is too wide, and its optimal density pair is
+    rank-deficient, so the reweighting hands it on after a few iterations.
+    """
     return random_superop(np.random.default_rng(12), 2)
 
 
@@ -139,9 +143,9 @@ class TestDiamond:
 
     def test_random_n3_newton_systems(self, monkeypatch, rng):
         # one Newton system per predictor–corrector iteration, about ten per
-        # solve; a warm shape reuses its y = 0 start, so it forms one fewer
-        from oscat.normlab import sdp as sdp_mod
-
+        # solve; a warm shape reuses its y = 0 start, so it forms one fewer.
+        # Random n = 3 maps mostly take the reweighted closed form, so the
+        # SDP is called directly.
         diamond_mod._diamond_lmi.cache_clear()
         calls = []
         grad_hess = sdp_mod._Block.grad_hess
@@ -150,7 +154,7 @@ class TestDiamond:
         )
         for k in range(3):
             calls.clear()
-            br = diamond_norm(random_superop(rng, 3))
+            br = diamond_mod._diamond_sdp(random_superop(rng, 3).big_choi(), 3, 3)
             assert br.status == "exact"
             its = br.witnesses["sdp_iterations"]
             assert len(calls) == (its if k == 0 else its - 1) and its <= 20
@@ -159,8 +163,8 @@ class TestDiamond:
     @pytest.mark.parametrize("make", [random_superop, cptp_difference])
     def test_lmi_cache_is_invisible(self, monkeypatch, rng, make, n):
         # the per-shape LMI and SDP start change no answer: a cold and a warm
-        # call on the same map agree in every end, status and witness
-        s = make(rng, n)
+        # SDP on the same map agree in every end, status and witness
+        j = make(rng, n).big_choi()
         diamond_mod._diamond_lmi.cache_clear()
         blocks, calls = [], []
         block_init, grad_hess = sdp_mod._Block.__init__, sdp_mod._Block.grad_hess
@@ -168,9 +172,9 @@ class TestDiamond:
         monkeypatch.setattr(
             sdp_mod._Block, "grad_hess", lambda blk, sinv, z: calls.append(1) or grad_hess(blk, sinv, z)
         )
-        cold = diamond_norm(s)
+        cold = diamond_mod._diamond_sdp(j, n, n)
         cold_blocks, cold_calls = len(blocks), len(calls)
-        warm = diamond_norm(s)
+        warm = diamond_mod._diamond_sdp(j, n, n)
         assert cold.witnesses["route"] == "sdp" and cold.status == "exact"
         assert (warm.lower, warm.upper, warm.status) == (cold.lower, cold.upper, cold.status)
         assert warm.witnesses == cold.witnesses
@@ -190,7 +194,7 @@ class TestDiamond:
         seen = []
         solve = diamond_mod.sdp_solve
         monkeypatch.setattr(diamond_mod, "sdp_solve", lambda p, rel_gap: seen.append(p) or solve(p, rel_gap))
-        assert diamond_norm(make(rng, 3)).status == "exact"
+        assert diamond_mod._diamond_sdp(make(rng, 3).big_choi(), 3, 3).status == "exact"
         (p,) = seen
         assert [f.shape for f in p.f0] == [(18, 18)] and [blk.n for blk in p.blocks] == [18]
         assert p.fs[0].dtype == sdp_mod.LMI_TRIPLE and np.iscomplexobj(p.fs[0]["val"])
@@ -201,7 +205,8 @@ class TestDiamond:
             diamond_mod, "sdp_solve",
             lambda p, rel_gap: SdpResult(status="numerical_failure", message="barrier stalled"),
         )
-        br = diamond_norm(random_superop(np.random.default_rng(1), 2))
+        br = diamond_norm(sdp_bound_map())
+        assert br.witnesses["route"] == "sdp"
         assert br.status == "unknown"
         assert br.witnesses["sdp_status"] == "numerical_failure"
         assert br.witnesses["reason"] == "sdp numerical_failure: barrier stalled"
@@ -277,23 +282,35 @@ class TestClosedForm:
         assert br.lower <= 1.0 <= br.upper
         _overlaps_sdp(br, s)
 
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_negative_shift_falls_back_to_sdp(self, monkeypatch, rng, n):
-        # J − δI is not CP: its closed form is wider than rel_gap·(1 + lo), so
-        # the SDP decides.  The SDP's attained primal value (a feasible point,
-        # certificate or not) lies in both brackets.
-        j = random_cptp(rng, n).big_choi() - 1e-6 * np.eye(n * n)
-        lo, hi = diamond_mod._closed_form_bracket(j, n, n)
-        assert hi - lo > 1e-8 * (1.0 + lo)
+    def test_negative_shift_gets_certified_bracket(self, monkeypatch):
+        # J − δI is not CP: its closed form is wider than rel_gap·(1 + lo).
+        # The reweighted closed form decides it `exact`; where it hands the
+        # map to the SDP, the SDP's attained primal value (a feasible point,
+        # certificate or not) lies in both brackets.  Both routes occur.
         seen = []
         solve = diamond_mod.sdp_solve
         monkeypatch.setattr(diamond_mod, "sdp_solve", lambda p, rel_gap: seen.append(solve(p, rel_gap)) or seen[-1])
-        br = diamond_norm(SuperOp.from_big_choi(j, (n,), (n,)))
-        (res,) = seen
-        assert br.witnesses["route"] == "sdp"
-        assert lo <= -res.value <= hi and br.lower <= -res.value <= br.upper
-        if br.status != "unknown":
-            assert lo <= br.upper and br.lower <= hi
+        routes = set()
+        for n in (2, 3):
+            for seed in range(4):
+                for delta in (1e-5, 1e-6, 1e-7):
+                    j = random_cptp(np.random.default_rng(seed), n).big_choi() - delta * np.eye(n * n)
+                    lo, hi, _ = diamond_mod._closed_form_bracket(j, n, n)
+                    seen.clear()
+                    br = diamond_norm(SuperOp.from_big_choi(j, (n,), (n,)))
+                    route = br.witnesses["route"]
+                    routes.add(route)
+                    assert lo <= br.upper and br.lower <= hi, (n, seed, delta, br)
+                    if route == "closed form":
+                        assert br.status == "exact" and hi - lo <= 1e-8 * (1.0 + lo)
+                    elif route == "reweighted closed form":
+                        assert br.status == "exact" and not seen
+                        assert br.width <= 1e-8 * (1.0 + br.lower)
+                    else:
+                        assert route == "sdp"
+                        (res,) = seen
+                        assert lo <= -res.value <= hi and br.lower <= -res.value <= br.upper
+        assert {"reweighted closed form", "sdp"} <= routes
 
     def test_anti_hermitian_defect_stays_closed_form(self, monkeypatch, rng):
         b = rand_complex(rng, 9)
@@ -345,7 +362,7 @@ class TestClosedForm:
         ]
         monkeypatch.setattr(np.linalg, "svd", skewed)
         for s, want in cases:
-            lo, hi = diamond_mod._closed_form_bracket(s.big_choi(), sum(s.dom_shape), sum(s.cod_shape))
+            lo, hi, _ = diamond_mod._closed_form_bracket(s.big_choi(), sum(s.dom_shape), sum(s.cod_shape))
             assert lo <= want * (1 + 1e-13) and want * (1 - 1e-13) <= hi
 
 
@@ -378,7 +395,7 @@ def test_closed_form_overlaps_sdp_sweep(kind):
         r = np.random.default_rng([seed, SWEEP_KINDS.index(kind)])
         k, l = sizes[seed % len(sizes)]
         j = _sweep_choi(r, kind, k, l)
-        lo, hi = diamond_mod._closed_form_bracket(j, k, l)
+        lo, hi, _ = diamond_mod._closed_form_bracket(j, k, l)
         sdp = diamond_mod._diamond_sdp(j, k, l)
         assert sdp.status != "unknown" and sdp.lower <= hi and lo <= sdp.upper, (kind, seed, lo, hi, sdp)
         if kind in ("cp", "elementary"):
@@ -403,6 +420,106 @@ def test_sdp_route_unitary_invariance(kind, k, l):
     a, b = diamond_mod._diamond_sdp(j, k, l), diamond_mod._diamond_sdp(j2, k, l)
     assert a.status == b.status == "exact", (a, b)
     assert a.lower <= b.upper and b.lower <= a.upper, (a, b)
+
+
+def _closed_form_reference(J, K, L):
+    """The unweighted one-SVD closed form written out without weights: the reference
+    that `_closed_form_bracket(J, K, L)` must match bit for bit."""
+    g, fro, charge = diamond_mod._gamma, diamond_mod._fro, diamond_mod._eig_charge
+    d = L * K
+    u, s, vh = np.linalg.svd(J)
+    res = fro(J - (u * s) @ vh)
+    res_abs = fro((np.abs(u) * s) @ np.abs(vh))
+    r = (res + g(2 * d + 8) * res_abs) * (1.0 + g(2 * d * d + d + 8))
+    ends, tops = [], []
+    sl = np.tile(s, L)
+    rows = [w.reshape(L, K, d).transpose(1, 0, 2).reshape(K, L * d) for w in (u, vh.conj().T)]
+    ms = np.stack([(rw * sl) @ rw.conj().T for rw in rows])
+    lams, vecs = np.linalg.eigh(ms)
+    for rw, m, lam, vec in zip(rows, ms, lams, vecs):
+        m_abs = (np.abs(rw) * sl) @ np.abs(rw).T
+        top = max(0.0, float(lam[-1])) + charge(m) + g(L * d + 4) * fro(m_abs)
+        ends.append((top + r * L) * (1.0 + g(4)))
+        tops.append(vec[:, -1])
+    upper = float(np.sqrt(ends[0] * ends[1])) * (1.0 + g(4))
+    lower_me = (float(s.sum()) * (1.0 - g(d + 2)) - d * charge(J)) / K * (1.0 - g(2))
+    x, y = tops
+    J4 = J.reshape(L, K, L, K)
+    img = np.einsum("lamb,a,b->lm", J4, x.conj(), y)
+    img_abs = np.einsum("lamb,a,b->lm", np.abs(J4), np.abs(x), np.abs(y))
+    tn = float(np.linalg.svd(img, compute_uv=False).sum()) * (1.0 - g(L + 2))
+    tn -= L * charge(img) + L**0.5 * g(K * K + 8) * fro(img_abs)
+    lower_xy = tn / (fro(x) * fro(y)) * (1.0 - g(4 * K + 8))
+    return max(lower_me, lower_xy), upper
+
+
+class TestReweighted:
+    @pytest.mark.parametrize("k, l", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    @pytest.mark.parametrize("kind", ["random", "hermitian"])
+    def test_brackets_overlap_sdp(self, kind, k, l):
+        # every reweighted bracket is exact, within the requested gap, and
+        # overlaps the SDP's on the same map
+        reweighted = 0
+        for seed in range(8):
+            j = _sweep_choi(np.random.default_rng([seed, k, l, kind == "hermitian"]), kind, k, l)
+            br = diamond_norm(SuperOp.from_big_choi(j, (k,), (l,)))
+            if br.witnesses["route"] != "reweighted closed form":
+                continue
+            reweighted += 1
+            assert br.status == "exact" and 1 <= br.witnesses["iterations"] <= diamond_mod._MAX_ITER
+            assert br.width <= diamond_mod._REL_GAP * (1.0 + br.lower)
+            sdp = diamond_mod._diamond_sdp(j, k, l)
+            assert sdp.lower <= br.upper and br.lower <= sdp.upper, (seed, br, sdp)
+        assert reweighted >= 1
+
+    @pytest.mark.parametrize("k, l", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    @pytest.mark.parametrize("kind", ["random", "hermitian", "cp difference"])
+    def test_any_weights_enclose_sdp_value(self, kind, k, l):
+        # both ends stay sound at random, ill-conditioned, non-Hermitian
+        # weights: the bracket holds the SDP's whole bracket
+        r = np.random.default_rng([k, l, SWEEP_KINDS.index(kind)])
+        j = _sweep_choi(r, kind, k, l)
+        sdp = diamond_mod._diamond_sdp(j, k, l)
+        for _ in range(3):
+            a, b = (rand_unitary(r, k) @ np.diag(np.logspace(0, -3, k)) @ rand_unitary(r, k) for _ in "ab")
+            lo, hi, _ = diamond_mod._closed_form_bracket(j, k, l, a, b)
+            assert lo <= sdp.lower and sdp.upper <= hi, (lo, hi, sdp)
+
+    @pytest.mark.parametrize("kind", SWEEP_KINDS)
+    def test_unweighted_is_closed_form_bit_for_bit(self, kind):
+        # identity weights (None) are the one-SVD closed form, in the same arithmetic
+        sizes = [(k, l) for k in (2, 3, 4) for l in (2, 3, 4)]
+        for seed in range(18):
+            k, l = sizes[seed % len(sizes)]
+            j = _sweep_choi(np.random.default_rng([seed, 7]), kind, k, l)
+            assert diamond_mod._closed_form_bracket(j, k, l)[:2] == _closed_form_reference(j, k, l)
+
+    def test_rank_deficient_pair_reaches_sdp(self, monkeypatch):
+        # the optimal pair of this map is rank-deficient: the reweighting
+        # stops on rank loss, well before its iteration cap, and the answer
+        # is the SDP's, as if the map had gone to it directly
+        s = sdp_bound_map()
+        j = s.big_choi()
+        want = diamond_mod._diamond_sdp(j, 2, 2)
+        weighed, at_sdp = [], []
+        weigh, solve = diamond_mod._weigh, diamond_mod.sdp_solve
+        monkeypatch.setattr(diamond_mod, "_weigh", lambda *a: weighed.append(1) or weigh(*a))
+        monkeypatch.setattr(
+            diamond_mod, "sdp_solve", lambda p, rel_gap: at_sdp.append(len(weighed)) or solve(p, rel_gap)
+        )
+        br = diamond_norm(s)
+        assert br.witnesses["route"] == "sdp"
+        (iterations,) = at_sdp
+        assert 1 <= iterations < diamond_mod._MAX_ITER
+        assert (br.lower, br.upper, br.status) == (want.lower, want.upper, want.status)
+        assert br.witnesses == want.witnesses
+
+    def test_repeats_bit_identically(self, rng):
+        s = random_superop(rng, 3)
+        first, again = diamond_norm(s), diamond_norm(s)
+        assert first.witnesses["route"] == "reweighted closed form"
+        assert (first.lower, first.upper, first.status) == (again.lower, again.upper, again.status)
+        assert first.witnesses == again.witnesses
 
 
 # block shapes of dimension 1 (one 1×1 block among empty ones) and larger
@@ -567,10 +684,14 @@ class TestHaagerup:
         monkeypatch.setattr(diamond_mod, "sdp_solve", no_solve)
         return haagerup_bracket_flat(v, k, F2, F2)
 
-    def test_size_cap_fallback_contains_sdp_value(self, monkeypatch, rng):
+    def test_size_cap_fallback_contains_sdp_value(self, monkeypatch):
+        # fixed elements that only the SDP decides (the reweighting hands
+        # them on), so the cap is what stops it
+        rng = np.random.default_rng(0)
         for k in (1, 2):
             v = rand_complex(rng, 1, k * k * 16).ravel().reshape(k, k, 16)
             exact = haagerup_bracket_flat(v, k, F2, F2)
+            assert exact.witnesses["route"] == "sdp"
             with monkeypatch.context() as mp:
                 br = self._capped(mp, v, k)
             assert br.witnesses["reason"] == "sdp size cap"
@@ -578,8 +699,10 @@ class TestHaagerup:
             assert br.lower == inj_norm_flat(v, k, F2, F2).upper
             assert br.lower <= exact.lower + 1e-9 and exact.upper <= br.upper + 1e-9
 
-    def test_factorization_witness_reconstructs(self, monkeypatch, rng):
-        w = rand_complex(rng, 1, 16).ravel()
+    def test_factorization_witness_reconstructs(self, monkeypatch):
+        # a fixed element that only the SDP decides
+        w = rand_complex(np.random.default_rng(0), 1, 16).ravel()
+        assert haagerup_bracket_flat(w, 1, F2, F2).witnesses["route"] == "sdp"
         br = self._capped(monkeypatch, w, 1)
         x, y = br.witnesses["x"], br.witnesses["y"]
         rebuilt = np.einsum("ila,ljb->ijab", x, y).reshape(1, 1, 16)

@@ -197,7 +197,8 @@ class TestNormAt:
             assert len(ends) == 1
 
     def test_sdp_bracket_repeats_bit_identically(self):
-        # a non-elementary ⊗h element that the closed form leaves to the SDP
+        # a non-elementary ⊗h element that only the SDP decides (neither
+        # closed form does), so the route is checked first
         rng = np.random.default_rng(3)
         el = SpaceElement(tens_h(M(2), M(2)), 1, rand_complex(rng, 1, 16).ravel())
         first, again = norm_at(el), norm_at(el)

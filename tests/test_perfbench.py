@@ -69,3 +69,22 @@ def test_diamond_closed_form_items_skip_sdp(workloads, monkeypatch):
     for item in items:
         errors, _ = item.check(item.run())
         assert errors == [], (item.kind, errors)
+
+
+def test_diamond_random_items_mostly_skip_sdp(workloads, monkeypatch):
+    # the reweighted closed form decides most random n = 3 maps: at seed 1,
+    # at most 2 of the batch's 20 reach the SDP, and every answer checks
+    import oscat.normlab.diamond as diamond_mod
+
+    solved = []
+    solve = diamond_mod.sdp_solve
+    monkeypatch.setattr(diamond_mod, "sdp_solve", lambda p, rel_gap: solved.append(1) or solve(p, rel_gap))
+    items = [it for it in workloads.build("diamond", 1).items if it.kind.endswith("-random-n3")]
+    assert len(items) == 20
+    reached = 0
+    for item in items:
+        solved.clear()
+        errors, _ = item.check(item.run())
+        assert errors == [], (item.kind, errors)
+        reached += bool(solved)
+    assert reached <= 2
