@@ -282,35 +282,32 @@ class TestClosedForm:
         assert br.lower <= 1.0 <= br.upper
         _overlaps_sdp(br, s)
 
-    def test_negative_shift_gets_certified_bracket(self, monkeypatch):
-        # J − δI is not CP: its closed form is wider than rel_gap·(1 + lo).
-        # The reweighted closed form decides it `exact`; where it hands the
-        # map to the SDP, the SDP's attained primal value (a feasible point,
-        # certificate or not) lies in both brackets.  Both routes occur.
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_negative_shift_gets_certified_bracket(self, monkeypatch, n):
+        # J − δI is not CP, so the closed form is too wide for most of these.
+        # The reweighted closed form decides them `exact`; where it hands
+        # the map to the SDP, the SDP's attained primal value (a feasible
+        # point, certificate or not) lies in both brackets.
         seen = []
         solve = diamond_mod.sdp_solve
         monkeypatch.setattr(diamond_mod, "sdp_solve", lambda p, rel_gap: seen.append(solve(p, rel_gap)) or seen[-1])
         routes = set()
-        for n in (2, 3):
-            for seed in range(4):
-                for delta in (1e-5, 1e-6, 1e-7):
-                    j = random_cptp(np.random.default_rng(seed), n).big_choi() - delta * np.eye(n * n)
-                    lo, hi, _ = diamond_mod._closed_form_bracket(j, n, n)
-                    seen.clear()
-                    br = diamond_norm(SuperOp.from_big_choi(j, (n,), (n,)))
-                    route = br.witnesses["route"]
-                    routes.add(route)
-                    assert lo <= br.upper and br.lower <= hi, (n, seed, delta, br)
-                    if route == "closed form":
-                        assert br.status == "exact" and hi - lo <= 1e-8 * (1.0 + lo)
-                    elif route == "reweighted closed form":
-                        assert br.status == "exact" and not seen
-                        assert br.width <= 1e-8 * (1.0 + br.lower)
-                    else:
-                        assert route == "sdp"
-                        (res,) = seen
-                        assert lo <= -res.value <= hi and br.lower <= -res.value <= br.upper
-        assert {"reweighted closed form", "sdp"} <= routes
+        for seed in range(4):
+            for delta in (1e-5, 1e-6, 1e-7):
+                j = random_cptp(np.random.default_rng(seed), n).big_choi() - delta * np.eye(n * n)
+                lo, hi, _ = diamond_mod._closed_form_bracket(j, n, n)
+                seen.clear()
+                br = diamond_norm(SuperOp.from_big_choi(j, (n,), (n,)))
+                route = br.witnesses["route"]
+                routes.add(route)
+                assert lo <= br.upper and br.lower <= hi, (seed, delta, br)
+                if route == "sdp":
+                    (res,) = seen
+                    assert lo <= -res.value <= hi and br.lower <= -res.value <= br.upper
+                else:
+                    assert route in ("closed form", "reweighted closed form") and not seen
+                    assert br.status == "exact" and br.width <= 1e-8 * (1.0 + br.lower)
+        assert "reweighted closed form" in routes
 
     def test_anti_hermitian_defect_stays_closed_form(self, monkeypatch, rng):
         b = rand_complex(rng, 9)
@@ -476,14 +473,34 @@ class TestReweighted:
     @pytest.mark.parametrize("kind", ["random", "hermitian", "cp difference"])
     def test_any_weights_enclose_sdp_value(self, kind, k, l):
         # both ends stay sound at random, ill-conditioned, non-Hermitian
-        # weights: the bracket holds the SDP's whole bracket
+        # weights of any scale: the bracket holds the SDP's whole bracket
         r = np.random.default_rng([k, l, SWEEP_KINDS.index(kind)])
         j = _sweep_choi(r, kind, k, l)
         sdp = diamond_mod._diamond_sdp(j, k, l)
-        for _ in range(3):
+        for scale in (10.0, 1.0, 0.1):
             a, b = (rand_unitary(r, k) @ np.diag(np.logspace(0, -3, k)) @ rand_unitary(r, k) for _ in "ab")
-            lo, hi, _ = diamond_mod._closed_form_bracket(j, k, l, a, b)
-            assert lo <= sdp.lower and sdp.upper <= hi, (lo, hi, sdp)
+            lo, hi, _ = diamond_mod._closed_form_bracket(j, k, l, scale * a, b / scale**2)
+            assert lo <= sdp.lower and sdp.upper <= hi, (scale, lo, hi, sdp)
+
+    def test_svd_residual_charged(self, monkeypatch, rng):
+        # factors shrunk by a relative 1e-6: the floating-point ends then meet
+        # below the norm, and only the certified bracket's residual term
+        # catches it, so the route hands the map on and claims nothing
+        j = random_superop(rng, 3).big_choi()
+        want = diamond_mod._diamond_sdp(j, 3, 3)
+        tr_l = diamond_mod._closed_form_bracket(j, 3, 3)[2]
+        svd = np.linalg.svd
+
+        def skewed(m, *a, **kw):
+            out = svd(m, *a, **kw)
+            if kw.get("compute_uv", True) is False:
+                return out
+            u, s, vh = out
+            return u * (1 - 1e-6), s, vh * (1 - 1e-6)
+
+        monkeypatch.setattr(np.linalg, "svd", skewed)
+        br = diamond_mod._reweighted_bracket(j, 3, 3, tr_l)
+        assert br is None or (br.status == "exact" and br.lower <= want.upper and want.lower <= br.upper)
 
     @pytest.mark.parametrize("kind", SWEEP_KINDS)
     def test_unweighted_is_closed_form_bit_for_bit(self, kind):
