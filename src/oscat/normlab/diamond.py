@@ -245,7 +245,8 @@ def _reweighted_bracket(J: np.ndarray, K: int, L: int, tr_l: np.ndarray) -> Norm
     plain iteration would), or after _MAX_ITER iterations.
     """
     d = L * K
-    rho = np.asarray(tr_l @ tr_l, dtype=np.complex128)
+    t = np.asarray(tr_l / tr_l[0].trace().real, dtype=np.complex128)  # tr T0 = tr T1 = tr Σ
+    rho = t @ t
     rho /= rho.trace(axis1=1, axis2=2).real[:, None, None]
     x0 = np.stack([np.eye(K, dtype=np.complex128) / K] * 2)
     xs, gs = [x0.view(np.float64).ravel()], [rho.view(np.float64).ravel()]  # iterates, images
@@ -259,9 +260,11 @@ def _reweighted_bracket(J: np.ndarray, K: int, L: int, tr_l: np.ndarray) -> Norm
         qs = q * sq[:, None, :]
         a = qs[0].conj().T
         u, s, vh = np.linalg.svd(_weigh(J, K, L, a, qs[1]))
-        # Tr_L of U·Σ·U* and of V·Σ·V*, one stacked product
+        lower = float(s.sum())  # ‖a‖_F² = tr ρ0 = 1, ‖b‖_F² = tr ρ1 = 1
+        # Tr_L of U·Σ·U* and of V·Σ·V* over tr Σ, one stacked product; unit
+        # trace keeps the squares below finite at any scale of J
         w = np.concatenate((u, vh.conj().T)).reshape(2, L, K, d)
-        p = np.einsum("xlak,k,xlbk->xab", w, s, w.conj())
+        p = np.einsum("xlak,k,xlbk->xab", w, s / lower, w.conj())
         n = p / sq[:, :, None]
         rot = n @ q.conj().swapaxes(1, 2)
         g = rot.conj().swapaxes(1, 2) @ rot
@@ -281,8 +284,7 @@ def _reweighted_bracket(J: np.ndarray, K: int, L: int, tr_l: np.ndarray) -> Norm
             rho = (G[-1] - gamma @ (G[1:] - G[:-1])).view(np.complex128).reshape(2, K, K)
         ev, evec = np.linalg.eigh(np.concatenate((n / sq[:, None, :], rho)))
 
-        lower = float(s.sum())  # ‖a‖_F² = tr ρ0 = 1, ‖b‖_F² = tr ρ1 = 1
-        upper = float(np.sqrt(ev[0, -1] * ev[1, -1]))
+        upper = lower * float(np.sqrt(ev[0, -1] * ev[1, -1]))
         if upper - lower <= 0.5 * _REL_GAP * (1.0 + lower):
             lo, up, _ = _closed_form_bracket(J, K, L, a, qs[1])
             if up - lo <= _REL_GAP * (1.0 + abs(lo)):

@@ -531,6 +531,23 @@ class TestReweighted:
         assert (br.lower, br.upper, br.status) == (want.lower, want.upper, want.status)
         assert br.witnesses == want.witnesses
 
+    def test_scale_free(self):
+        # the iteration squares unit-trace partial traces, never J's own
+        # scale: near the overflow threshold it runs as at unit scale, and
+        # past it, where the closed form's own charges overflow, it hands
+        # the map on instead of raising
+        r = np.random.default_rng(0)
+        g = rand_complex(r, 9, 9)
+        j = rand_unitary(r, 9) + 0.3 * g / op_norm(g)
+        ends = []
+        for c in (1.0, 1e153):
+            br = diamond_mod._reweighted_bracket(c * j, 3, 3, diamond_mod._closed_form_bracket(c * j, 3, 3)[2])
+            ends.append((br.lower / c, br.upper / c, br.witnesses["iterations"]))
+        assert ends[0] == pytest.approx(ends[1], rel=1e-12)
+        with np.errstate(over="ignore"):
+            tr_l = diamond_mod._closed_form_bracket(3e153 * j, 3, 3)[2]
+            assert diamond_mod._reweighted_bracket(3e153 * j, 3, 3, tr_l) is None
+
     def test_repeats_bit_identically(self, rng):
         s = random_superop(rng, 3)
         first, again = diamond_norm(s), diamond_norm(s)
