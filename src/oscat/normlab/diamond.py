@@ -23,10 +23,11 @@ one of three routes, and every bracket names its `route` in the witnesses.
   general maps whose optimal pair has full rank.
 - `sdp`: otherwise (the optimal pair is rank-deficient, as for about half
   of random qubit maps and most maps with K > L, or the iteration does not
-  settle) the standard two-block SDP over J decides.  Its LMI depends only
-  on the shape (K, L) and on whether J is Hermitian, so it is built once per
-  shape (`_diamond_lmi`, the last four shapes held, read-only, with the
-  SDP's y = 0 start) and each map computes only its objective.
+  settle) Watrous's SDP over J decides, as one complex Hermitian LMI block
+  of size 2·L·K.  Its LMI depends only on the shape (K, L) and on whether J
+  is Hermitian, so it is built once per shape (`_diamond_lmi`, the last four
+  shapes held, read-only, with the SDP's y = 0 start) and each map computes
+  only its objective.
 
 The operator-picture cb norm is the diamond norm of the trace-pairing
 adjoint, so for a CP map it is ‖Φ(1)‖ (Paulsen, *Completely Bounded Maps
@@ -362,8 +363,8 @@ def _diamond_lmi(K: int, L: int, herm: bool) -> SdpProblem:
             (xre + 1, d + b, a, -1j * one),
         ]
     con, row, col, val = (np.concatenate(f) for f in zip(*parts))
-    prob = SdpProblem(c=np.zeros(m), f0=[np.eye(2 * d) / K], fs=[lmi_triples(con, row, col, val)])
-    for x in (prob.c, *prob.f0, *prob.fs):
+    prob = SdpProblem(c=np.zeros(m), f0=np.eye(2 * d) / K, fs=lmi_triples(con, row, col, val))
+    for x in (prob.c, prob.f0, prob.fs):
         x.flags.writeable = False
     return prob
 

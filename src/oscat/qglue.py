@@ -164,11 +164,7 @@ def generators(s: SetSpec):
         ga, _ = generators(s.payload[0])
         gb, _ = generators(s.payload[1])
         return [np.outer(x, y).ravel() for x in ga for y in gb], False
-    if s.kind == "product":
-        ga, ea = generators(s.payload[0])
-        gb, eb = generators(s.payload[1])
-        return [np.concatenate([x, y]) for x in ga for y in gb], ea and eb
-    if s.kind == "sum_polar":
+    if s.kind in ("product", "sum_polar"):
         ga, ea = generators(s.payload[0])
         gb, eb = generators(s.payload[1])
         return [np.concatenate([x, y]) for x in ga for y in gb], ea and eb

@@ -182,8 +182,8 @@ class TestDiamond:
         assert len(calls) - cold_calls == cold_calls - 1
         # everything the cache holds is read-only
         prob = diamond_mod._diamond_lmi(n, n, make is cptp_difference)
-        blk, start = prob.blocks[0], prob.lmi.start()
-        for arr in (prob.fs[0]["val"], prob.f0[0], blk.val, blk.slabs[0][2][0][2], start[2][0], start[3]):
+        blk, start = prob.block, prob.block.start()
+        for arr in (prob.fs["val"], prob.f0, blk.val, blk.slabs[0][2][0][2], start[2], start[3]):
             with pytest.raises(ValueError, match="read-only"):
                 arr.flat[0] = 1.0
 
@@ -196,9 +196,9 @@ class TestDiamond:
         monkeypatch.setattr(diamond_mod, "sdp_solve", lambda p, rel_gap: seen.append(p) or solve(p, rel_gap))
         assert diamond_mod._diamond_sdp(make(rng, 3).big_choi(), 3, 3).status == "exact"
         (p,) = seen
-        assert [f.shape for f in p.f0] == [(18, 18)] and [blk.n for blk in p.blocks] == [18]
-        assert p.fs[0].dtype == sdp_mod.LMI_TRIPLE and np.iscomplexobj(p.fs[0]["val"])
-        assert np.any(p.fs[0]["val"].imag != 0)
+        assert p.f0.shape == (18, 18) and p.block.n == 18
+        assert p.fs.dtype == sdp_mod.LMI_TRIPLE and np.iscomplexobj(p.fs["val"])
+        assert np.any(p.fs["val"].imag != 0)
 
     def test_solver_failure_reason_kept(self, monkeypatch):
         monkeypatch.setattr(
@@ -225,6 +225,20 @@ class TestDiamond:
         monkeypatch.setattr(diamond_mod, "sdp_solve", lambda p, rel_gap: near)
         br = diamond_norm(sdp_bound_map())
         assert br.status == "exact" and br.lower == br.upper == 2.0
+
+    def test_lapack_failure_at_huge_scale_is_unknown(self):
+        # at 3e153 the SDP's squares overflow and an eigenvalue solve does not
+        # converge: the answer is `unknown` with the LAPACK error as its reason
+        rng = np.random.default_rng(0)
+        w = rand_unitary(rng, 9)
+        g = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+        j = 3e153 * (w + 0.3 * g / np.linalg.norm(g, 2))
+        with np.errstate(all="ignore"):
+            br = diamond_norm(SuperOp.from_big_choi(j, (3,), (3,)))
+        assert br.witnesses["route"] == "sdp"
+        assert br.status == "unknown"
+        assert br.witnesses["sdp_status"] == "numerical_failure"
+        assert br.witnesses["reason"].startswith("sdp numerical_failure: LAPACK error: ")
 
 
 def random_cp(rng, n, rank=2):

@@ -88,3 +88,22 @@ def test_diamond_random_items_mostly_skip_sdp(workloads, monkeypatch):
         assert errors == [], (item.kind, errors)
         reached += bool(solved)
     assert reached <= 2
+
+
+def test_sdp_lmi_bytes_read_from_the_problem(monkeypatch):
+    # read-only: the tracer's per-layer LMI byte count reads the triples the
+    # diamond LMI hands to the SDP, so an SDP API change cannot zero it quietly
+    import numpy as np
+
+    import oscat.normlab.diamond as diamond_mod
+    from oscat.normlab.sdp import SdpResult
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    prob = diamond_mod._diamond_lmi(2, 2, False)
+    rec = tracing.Recorder()
+    tracing._after_sdp(rec, (prob,), {}, SdpResult(status="optimal", value=-1.0, gap=0.0, iterations=7))
+    assert rec.sdp_lmi_bytes == prob.fs.nbytes > 0
+    assert rec.sdp_iterations == 7 and rec.sdp_not_optimal == 0
+    assert np.isfinite(rec.sdp_gap_rel_max)
