@@ -755,7 +755,7 @@ def _run_norm(env: _Env, st: Statement, text: str) -> Record:
         br = norm_at(SpaceElement(sp, level, coords))
     unknown = br.status == "unknown"
     detail = {"norm_status": br.status}
-    for key in ("route", "reason"):
+    for key in ("route", "reason", "iterations", "sdp_iterations"):
         if key in br.witnesses:
             detail[key] = br.witnesses[key]
     return Record(

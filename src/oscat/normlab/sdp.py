@@ -417,6 +417,9 @@ def _pd_solve(cvec, blk, rel_gap):
     """
     n, y = blk.n, np.zeros(cvec.size)
     if n == 0 or cvec.size == 0:
+        # no LMI constrains y: min c·y is 0 for c = 0 and unbounded below otherwise
+        if np.any(cvec):
+            return ("unbounded", y, None, -np.inf, np.inf, 0)
         return ("optimal", y, np.zeros((n, n), dtype=np.complex128), 0.0, 0.0, 0)
     best_y, primal, best_z, dual, z, last, it = y, float(cvec @ y), None, -np.inf, None, None, 0
 
@@ -484,8 +487,9 @@ def sdp_solve(p: SdpProblem, rel_gap: float = 1e-8) -> SdpResult:
     F0 must be positive definite, so that y = 0 is strictly feasible;
     otherwise InvalidInputError.  status 'optimal' guarantees S(y) ⪰ 0
     (strictly, up to 1e-12) and value within `gap` of the true optimum with
-    gap ≤ 10·rel_gap·(1+|value|) + 1e-12; a stalled path, a wider gap or a
-    LAPACK failure gives numerical_failure.
+    gap ≤ 10·rel_gap·(1+|value|) + 1e-12; an objective unbounded below (an
+    LMI of size 0 with c ≠ 0), a stalled path, a wider gap or a LAPACK
+    failure gives numerical_failure.
     """
     if _chol_or_none(p.block.f0) is None:
         raise InvalidInputError("F0 is not positive definite (y = 0 must be strictly feasible)")
@@ -500,7 +504,7 @@ def sdp_solve(p: SdpProblem, rel_gap: float = 1e-8) -> SdpResult:
             y=y,
             gap=gap,
             iterations=iters,
-            message="path stalled",
+            message="unbounded: no LMI constrains c·y" if status == "unbounded" else "path stalled",
         )
     ok = gap <= rel_gap * (1.0 + abs(primal)) * 10 + 1e-12
     return SdpResult(

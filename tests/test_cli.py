@@ -21,11 +21,12 @@ from oscat.config import RunConfig
 from oscat.osx import M, SpaceElement, norm_at, tens_h, tens_min, tens_proj
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
-# real and not symmetric: no closed form decides its diamond, cb or Haagerup norm
-NON_HERMITIAN_CHOI = "[[1,2,0,1],[0,1,3,0],[1,0,0,2],[2,1,0,1]]"
+# real and not symmetric: neither closed form nor the rank-one face decides
+# its diamond or cb norm
+NON_HERMITIAN_CHOI = "[[0,0,3,2],[3,1,2,1],[2,0,3,3],[2,3,3,0]]"
 # a non-elementary M(2) (*h) M(2) element that only the SDP decides: the
-# reweighted closed form hands it on
-SDP_HAAGERUP = "[[1,2,0,0],[0,1,3,0],[1,0,0,2],[2,1,0,1]]"
+# reweighted closed form and the rank-one face hand it on
+SDP_HAAGERUP = "[[2,1,0,1],[3,3,0,2],[3,1,1,0],[0,3,0,0]]"
 TUTORIAL = Path(__file__).parents[1] / "src" / "oscat" / "data" / "tutorial.oscat"
 
 
@@ -276,6 +277,28 @@ class TestRunner:
         rep = run_session(parse_session(text))
         assert [(r.status, r.value) for r in rep.records] == [("pass", 1.0), ("pass", 2.0)]
 
+    @pytest.mark.parametrize(
+        "choi, route, key",
+        [
+            ("[[1,0,0,1],[0,0,0,0],[0,0,0,0],[1,0,0,1]]", "closed form", None),
+            ("[[3,0,1,1],[3,0,2,1],[0,3,0,1],[1,1,0,3]]", "reweighted closed form", "iterations"),
+            ("[[1,2,3,3],[0,0,3,3],[0,1,3,1],[1,3,1,1]]", "rank-one face", "iterations"),
+            (NON_HERMITIAN_CHOI, "sdp", "sdp_iterations"),
+        ],
+        ids=["closed form", "reweighted", "rank-one face", "sdp"],
+    )
+    def test_norm_records_route_iterations(self, choi, route, key):
+        # the record carries the route and, where the route iterates, its count
+        rep = run_session(parse_session(f"map t = choi([2] -> [2], {choi});\nnorm diamond t;"))
+        detail = rep.records[0].detail
+        assert detail["route"] == route
+        counts = {k: v for k, v in detail.items() if k.endswith("iterations")}
+        if key is None:
+            assert counts == {}
+        else:
+            assert list(counts) == [key] and counts[key] >= 1
+            assert json.loads(emit_report(rep, "json"))["records"][0]["detail"][key] == counts[key]
+
     @pytest.mark.parametrize("kind", ["diamond t", "cb t operator"])
     def test_unknown_norm_carries_reason(self, kind, monkeypatch):
         import oscat.normlab.diamond as diamond_mod
@@ -285,7 +308,7 @@ class TestRunner:
             diamond_mod, "sdp_solve",
             lambda p, rel_gap: SdpResult(status="numerical_failure", message="barrier stalled"),
         )
-        # a fixed non-Hermitian map that neither closed form decides, so the SDP runs
+        # a fixed non-Hermitian map that no route before the SDP decides, so the SDP runs
         rep = run_session(parse_session(f"map t = choi([2] -> [2], {NON_HERMITIAN_CHOI});\nnorm {kind};"))
         rec = rep.records[0]
         assert rec.detail["route"] == "sdp"

@@ -31,9 +31,10 @@ def sdp_bound_map():
     """A fixed random non-Hermitian map that only the SDP decides.
 
     Its closed-form bracket is too wide, and its optimal density pair is
-    rank-deficient, so the reweighting hands it on after a few iterations.
+    rank-deficient, so the reweighting hands it on after a few iterations,
+    and the rank-one face does not certify it.
     """
-    return random_superop(np.random.default_rng(12), 2)
+    return random_superop(np.random.default_rng(4), 2)
 
 
 def cptp_difference(rng, n):
@@ -527,21 +528,25 @@ class TestReweighted:
 
     def test_rank_deficient_pair_reaches_sdp(self, monkeypatch):
         # the optimal pair of this map is rank-deficient: the reweighting
-        # stops on rank loss, well before its iteration cap, and the answer
-        # is the SDP's, as if the map had gone to it directly
+        # stops on rank loss, well before its iteration cap, the rank-one
+        # face does not certify it either, and the answer is the SDP's, as
+        # if the map had gone to it directly
         s = sdp_bound_map()
         j = s.big_choi()
         want = diamond_mod._diamond_sdp(j, 2, 2)
-        weighed, at_sdp = [], []
-        weigh, solve = diamond_mod._weigh, diamond_mod.sdp_solve
+        weighed, at_face, at_sdp = [], [], []
+        weigh, face, solve = diamond_mod._weigh, diamond_mod._face_bracket, diamond_mod.sdp_solve
         monkeypatch.setattr(diamond_mod, "_weigh", lambda *a: weighed.append(1) or weigh(*a))
+        monkeypatch.setattr(diamond_mod, "_face_bracket", lambda *a: at_face.append(len(weighed)) or face(*a))
         monkeypatch.setattr(
             diamond_mod, "sdp_solve", lambda p, rel_gap: at_sdp.append(len(weighed)) or solve(p, rel_gap)
         )
         br = diamond_norm(s)
         assert br.witnesses["route"] == "sdp"
-        (iterations,) = at_sdp
+        # the reweighting's SVDs are counted up to the face, which weighs J and |J| once
+        (iterations,) = at_face
         assert 1 <= iterations < diamond_mod._MAX_ITER
+        assert at_sdp == [iterations + 2]
         assert (br.lower, br.upper, br.status) == (want.lower, want.upper, want.status)
         assert br.witnesses == want.witnesses
 
@@ -568,6 +573,102 @@ class TestReweighted:
         assert first.witnesses["route"] == "reweighted closed form"
         assert (first.lower, first.upper, first.status) == (again.lower, again.upper, again.status)
         assert first.witnesses == again.witnesses
+
+
+def face_bound_map():
+    """A fixed random qubit map that the reweighting hands on and the rank-one face decides."""
+    return random_superop(np.random.default_rng(3), 2)
+
+
+def _face_weights(monkeypatch, s):
+    """diamond_norm(s) and the weights (a, b) its rank-one face route handed the closed form."""
+    seen = []
+    closed = diamond_mod._closed_form_bracket
+
+    def spy(J, K, L, a=None, b=None):
+        seen.append((a, b))
+        return closed(J, K, L, a, b)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(diamond_mod, "_closed_form_bracket", spy)
+        br = diamond_norm(s)
+    return br, seen[-1]
+
+
+def _certifies(J, K, L, a, b):
+    lo, up, _ = diamond_mod._closed_form_bracket(J, K, L, a, b)
+    return up - lo <= diamond_mod._REL_GAP * (1.0 + abs(lo))
+
+
+class TestRankOneFace:
+    def test_pinned_map_is_exact_and_overlaps_sdp(self, monkeypatch):
+        s = face_bound_map()
+        with monkeypatch.context() as mp:
+            mp.setattr(diamond_mod, "sdp_solve", _no_sdp)
+            br = diamond_norm(s)
+        assert br.witnesses["route"] == "rank-one face"
+        assert br.status == "exact" and br.width <= 1e-8 * (1.0 + br.lower)
+        assert 1 <= br.witnesses["iterations"] <= diamond_mod._FACE_ITER
+        _overlaps_sdp(br, s)
+
+    def test_weights_are_not_conjugated(self, monkeypatch):
+        # (1⊗xx*)·J·(1⊗yy*) = Φ(x̄·yᵀ)⊗(x·ȳᵀ): a and b meet the seesaw's
+        # pair, and a conjugated weight on either side does not certify
+        s = face_bound_map()
+        j = s.big_choi()
+        br, (a, b) = _face_weights(monkeypatch, s)
+        assert br.witnesses["route"] == "rank-one face"
+        assert np.allclose(a, a.conj().T) and np.allclose(b, b.conj().T)
+        assert _certifies(j, 2, 2, a, b)
+        for wa, wb in ((a.conj(), b), (a, b.conj()), (a.conj(), b.conj())):
+            assert not _certifies(j, 2, 2, wa, wb)
+
+    def test_wrong_pair_is_no_answer_or_encloses_sdp(self, monkeypatch):
+        # weights from a swapped or a random pair of unit vectors: the
+        # closed form stays sound, so it either is too wide to answer or
+        # encloses the SDP's value
+        rng = np.random.default_rng(5)
+        s = face_bound_map()
+        j = s.big_choi()
+        sdp = diamond_mod._diamond_sdp(j, 2, 2)
+        _, (a, b) = _face_weights(monkeypatch, s)
+        pairs = [(b, a)]
+        for _ in range(8):
+            x, y = (v / np.linalg.norm(v) for v in rand_complex(rng, 2, 2))
+            pairs.append((diamond_mod._face_weight(x), diamond_mod._face_weight(y)))
+        answered = 0
+        for wa, wb in pairs:
+            lo, up, _ = diamond_mod._closed_form_bracket(j, 2, 2, wa, wb)
+            assert lo <= sdp.upper and sdp.lower <= up
+            answered += _certifies(j, 2, 2, wa, wb)
+        assert answered == 0
+
+    def test_face_weight_is_the_root(self, rng):
+        x = rand_complex(rng, 3, 1).ravel()
+        x /= np.linalg.norm(x)
+        a = diamond_mod._face_weight(x)
+        want = np.outer(x, x.conj()) + diamond_mod._FACE_EPS * np.eye(3)
+        assert np.allclose(a @ a, want, rtol=0.0, atol=1e-15)
+
+    def test_sweep_overlaps_sdp(self, monkeypatch):
+        # 24 qubit maps and 16 M₂⊗ₕM₂ level-1 elements: every rank-one face
+        # bracket is exact and overlaps the SDP's on the map it was given
+        faces = []
+        face = diamond_mod._face_bracket
+        monkeypatch.setattr(
+            diamond_mod, "_face_bracket", lambda J, K, L, t: faces.append((J, K, L, face(J, K, L, t))) or faces[-1][3]
+        )
+        for seed in range(24):
+            diamond_norm(random_superop(np.random.default_rng([seed, 11]), 2))
+        for seed in range(16):
+            w = rand_complex(np.random.default_rng([seed, 12]), 1, 16).ravel()
+            haagerup_bracket_flat(w, 1, F2, F2)
+        decided = [(J, K, L, br) for J, K, L, br in faces if br is not None]
+        assert len(faces) >= 20 and len(decided) >= len(faces) // 2
+        for J, K, L, br in decided:
+            assert br.status == "exact" and br.witnesses["route"] == "rank-one face"
+            sdp = diamond_mod._diamond_sdp(J, K, L)
+            assert sdp.lower <= br.upper and br.lower <= sdp.upper
 
 
 # block shapes of dimension 1 (one 1×1 block among empty ones) and larger
@@ -733,9 +834,9 @@ class TestHaagerup:
         return haagerup_bracket_flat(v, k, F2, F2)
 
     def test_size_cap_fallback_contains_sdp_value(self, monkeypatch):
-        # fixed elements that only the SDP decides (the reweighting hands
-        # them on), so the cap is what stops it
-        rng = np.random.default_rng(0)
+        # fixed elements that only the SDP decides (the reweighting and the
+        # rank-one face hand them on), so the cap is what stops it
+        rng = np.random.default_rng(2)
         for k in (1, 2):
             v = rand_complex(rng, 1, k * k * 16).ravel().reshape(k, k, 16)
             exact = haagerup_bracket_flat(v, k, F2, F2)
@@ -749,7 +850,7 @@ class TestHaagerup:
 
     def test_factorization_witness_reconstructs(self, monkeypatch):
         # a fixed element that only the SDP decides
-        w = rand_complex(np.random.default_rng(0), 1, 16).ravel()
+        w = rand_complex(np.random.default_rng(2), 1, 16).ravel()
         assert haagerup_bracket_flat(w, 1, F2, F2).witnesses["route"] == "sdp"
         br = self._capped(monkeypatch, w, 1)
         x, y = br.witnesses["x"], br.witnesses["y"]

@@ -90,6 +90,28 @@ def test_diamond_random_items_mostly_skip_sdp(workloads, monkeypatch):
     assert reached <= 2
 
 
+def test_session_haagerup_norms_mostly_skip_sdp(workloads, monkeypatch):
+    # the rank-one face decides most M₂⊗ₕM₂ level-1 norms: at seed 1, the
+    # sessions that hold `norm haagerup` reach the SDP at most 3 times in
+    # total, and every answer checks
+    import oscat.normlab.diamond as diamond_mod
+
+    solved = []
+    solve = diamond_mod.sdp_solve
+    monkeypatch.setattr(diamond_mod, "sdp_solve", lambda p, rel_gap: solved.append(1) or solve(p, rel_gap))
+    sessions = reached = 0
+    for item in workloads.build("session_mix", 1).items:
+        solved.clear()
+        out = item.run()
+        errors, _ = item.check(out)
+        assert errors == [], (item.kind, errors)
+        if any(rec.command.startswith("norm haagerup") for rec in out[0].records):
+            sessions += 1
+            reached += len(solved)
+    assert sessions >= 30
+    assert reached <= 3
+
+
 def test_sdp_lmi_bytes_read_from_the_problem(monkeypatch):
     # read-only: the tracer's per-layer LMI byte count reads the triples the
     # diamond LMI hands to the SDP, so an SDP API change cannot zero it quietly

@@ -141,6 +141,15 @@ class TestSolver:
                 fs=dense_triples(np.zeros((1, 600, 600))),
             )
 
+    def test_empty_lmi(self):
+        # no constraint: min c·y is unbounded below for c ≠ 0 and 0 for c = 0
+        empty = lmi_triples([], [], [], [])
+        res = sdp_solve(SdpProblem(c=np.array([1.0]), f0=np.zeros((0, 0)), fs=empty))
+        assert res.status == "numerical_failure"
+        assert res.message.startswith("unbounded")
+        res = sdp_solve(SdpProblem(c=np.array([0.0]), f0=np.zeros((0, 0)), fs=empty))
+        assert res.status == "optimal" and res.value == 0.0 and res.gap == 0.0
+
     def test_determinism(self, rng):
         a = rand_complex(rng, 3)
         r1 = sdp_solve(lmi_opnorm_problem(a)[0])
