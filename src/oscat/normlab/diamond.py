@@ -8,8 +8,9 @@ one of four routes, and every bracket names its `route` in the witnesses.
   semidefinite programs for completely bounded norms*, arXiv:1207.5726;
   *The Theory of Quantum Information*, 2018, §3.3), and rescaling the pair
   gives the upper end √(λ_max(Tr_L Y0)·λ_max(Tr_L Y1)).  The lower end is
-  the larger of ‖J‖₁/K (the maximally entangled input) and ‖Φ(x̄·yᵀ)‖₁ for
-  the two top eigenvectors.  Rounding is charged against both ends, so the
+  ‖J‖₁/K (the maximally entangled input) when that closes the bracket, and
+  otherwise the larger of it and ‖Φ(x̄·yᵀ)‖₁ for the two top eigenvectors,
+  which is evaluated only then.  Rounding is charged against both ends, so the
   bracket encloses the norm of the map the given J describes.  It is tight
   for CP maps (λ_max(Tr_L J)), for maps with Tr_L|J| ∝ I such as transposes
   and differences of Pauli- or Weyl-covariant channels (‖J‖₁/K), and for
@@ -142,7 +143,10 @@ def _closed_form_bracket(
     and b⁻¹ and of the products forming W0 and W1 is all in the computed
     residual.  Scaling (Y0, Y1) → (t·Y0, Y1/t) keeps the pair feasible, so
     ‖Φ‖⋄ ≤ √(α·β) with α = λ_max(Tr_L Y0), β = λ_max(Tr_L Y1).
-    Lower: the largest of
+    Lower: ‖J′‖₁/(‖a‖_F·‖b‖_F) alone when it closes the bracket, that is when
+    upper − lower ≤ _REL_GAP·(1 + |lower|), the width at which every caller
+    accepts; otherwise the larger of the two below, the product input being
+    evaluated only then:
     - ‖J′‖₁/(‖a‖_F·‖b‖_F), the input vec(a)·vec(b)* up to a reordering
       (ρ0 = a*a/‖a‖_F², ρ1 = b·b*/‖b‖_F², X = (1⊗a*)·C·(1⊗b*)/(‖a‖_F‖b‖_F)
       with C the unitary polar factor of J′ is feasible for the primal
@@ -188,20 +192,19 @@ def _closed_form_bracket(
     res_abs = _fro((np.abs(w0) * s) @ np.abs(w1h))
     r = (res + _gamma(2 * d + 8) * res_abs) * (1.0 + _gamma(2 * d * d + d + 8))
 
-    ends, tops = [], []
-    sl = np.tile(s, L)
-    # Tr_L(W·Σ·W*) = rows·Σ·rows*, rows the (K, L·d) regrouping of W = W0 or W1;
-    # each entry is an L·d-term sum, off by at most γ·(|rows|·Σ·|rows|ᵀ)
-    rows = [w.reshape(L, K, d).transpose(1, 0, 2).reshape(K, L * d) for w in (w0, w1h.conj().T)]
-    ms = np.stack([(rw * sl) @ rw.conj().T for rw in rows])
+    # Tr_L(W·Σ·W*) = rows·Σ·rows* for W = W0 and W1 at once, rows the (K, L·d)
+    # regrouping of W; each entry is an L·d-term sum, off by at most γ·(|rows|·Σ·|rows|ᵀ)
+    rows = np.concatenate((w0, w1h.conj().T)).reshape(2, L, K, d).swapaxes(1, 2).reshape(2, K, L * d)
+    rows_abs = np.abs(rows)
+    ms = (rows.reshape(2, K, L, d) * s).reshape(2, K, L * d) @ rows.conj().swapaxes(1, 2)
+    ms_abs = (rows_abs.reshape(2, K, L, d) * s).reshape(2, K, L * d) @ rows_abs.swapaxes(1, 2)
     lams, vecs = np.linalg.eigh(ms)
-    for rw, m, lam, vec in zip(rows, ms, lams, vecs):
-        m_abs = (np.abs(rw) * sl) @ np.abs(rw).T
+    ends = []
+    for m, m_abs, lam in zip(ms, ms_abs, lams):
         # m is Tr_L of a PSD matrix, so its top eigenvalue is at least 0
         top = max(0.0, float(lam[-1])) + _eig_charge(m)
         top += _gamma(L * d + 4) * _fro(m_abs)
         ends.append((top + r * L) * (1.0 + _gamma(4)))
-        tops.append(vec[:, -1])
     upper = float(np.sqrt(ends[0] * ends[1])) * (1.0 + _gamma(4))
 
     tn = float(s.sum()) * (1.0 - _gamma(d + 2)) - d * _eig_charge(jw)
@@ -211,8 +214,11 @@ def _closed_form_bracket(
         jw_abs = _weigh(np.abs(J), K, L, np.abs(a), np.abs(b))
         tn -= d**0.5 * _gamma(2 * K + 8) * _fro(jw_abs)
         lower_me = tn / (_fro(a) * _fro(b)) * (1.0 - _gamma(2 * K * K + 8))
+    if upper - lower_me <= _REL_GAP * (1.0 + abs(lower_me)):
+        # every caller accepts this width, so the product input cannot change the answer
+        return lower_me, upper, ms
     # Φ(x̄·yᵀ): K²-term sums of triple products, off by at most γ·|J|(|x|, |y|)
-    x, y = tops
+    x, y = vecs[:, :, -1]
     J4 = J.reshape(L, K, L, K)
     img = np.einsum("lamb,a,b->lm", J4, x.conj(), y)
     img_abs = np.einsum("lamb,a,b->lm", np.abs(J4), np.abs(x), np.abs(y))

@@ -141,7 +141,8 @@ def _by_length(starts, size):
     """
     lens = np.diff(np.append(starts, size))
     groups = []
-    for k in np.unique(lens):
+    # sorted distinct lengths without np.unique, which imports numpy.ma on first use
+    for k in sorted(set(lens.tolist())):
         sel = np.flatnonzero(lens == k)
         groups.append((sel, starts[sel][:, None] + np.arange(k)))
     return groups
@@ -339,9 +340,13 @@ def _newton_solver(mat):
 
     Each solve is a block substitution through L and Lᵀ with the inverted
     diagonal blocks of L, so a second right-hand side costs no factorization.
+    mat is scaled and regularized in place, so no m×m copy of it is made;
+    every caller passes a fresh array that it does not keep.
     """
     dg = np.sqrt(np.clip(np.diagonal(mat), 1e-300, None))[:, None]
-    l = _chol_or_none(mat / (dg * dg.T) + 1e-13 * np.eye(dg.size))
+    np.divide(mat, dg * dg.T, out=mat)
+    mat[np.diag_indices_from(mat)] += 1e-13
+    l = _chol_or_none(mat)
     if l is None:
         return None
     cuts = [(k, k + 64, np.linalg.inv(l[k : k + 64, k : k + 64])) for k in range(0, dg.size, 64)]

@@ -377,6 +377,28 @@ class TestClosedForm:
             lo, hi, _ = diamond_mod._closed_form_bracket(s.big_choi(), sum(s.dom_shape), sum(s.cod_shape))
             assert lo <= want * (1 + 1e-13) and want * (1 - 1e-13) <= hi
 
+    def test_product_input_only_when_needed(self, monkeypatch, rng):
+        # ‖J‖₁/K closes the bracket of CPTP maps and transposes, so the
+        # product input's L×L svd is skipped; it does not close that of an
+        # elementary operator with non-unitary factors, whose bracket needs it
+        svd, calls = np.linalg.svd, []
+
+        def counted(m, *a, **kw):
+            calls.append(m.shape)
+            return svd(m, *a, **kw)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        a, b = rand_complex(rng, 3, 2), 0.5 * rand_complex(rng, 2, 3)
+        cases = [(random_cptp(rng, n), 1.0, 1) for n in (2, 3)]
+        cases += [(transpose_map(n), float(n), 1) for n in (2, 3)]
+        cases += [(elementary_map(a, b), op_norm(a) * op_norm(b), 2)]
+        for s, want, n_svd in cases:
+            calls.clear()
+            lo, hi, _ = diamond_mod._closed_form_bracket(s.big_choi(), sum(s.dom_shape), sum(s.cod_shape))
+            assert len(calls) == n_svd, (s.dom_shape, s.cod_shape, calls)
+            assert NormBracket.from_bounds(max(0.0, lo), hi).status == "exact"
+            assert lo <= want * (1 + 1e-13) and want * (1 - 1e-13) <= hi
+
 
 def _sweep_choi(rng, kind, k, l):
     """Choi matrix (output factor first) of a random map M_k → M_l of one kind."""
@@ -517,13 +539,18 @@ class TestReweighted:
         br = diamond_mod._reweighted_bracket(j, 3, 3, tr_l)
         assert br is None or (br.status == "exact" and br.lower <= want.upper and want.lower <= br.upper)
 
-    @pytest.mark.parametrize("kind", SWEEP_KINDS)
+    @pytest.mark.parametrize("kind", SWEEP_KINDS + ("transpose",))
     def test_unweighted_is_closed_form_bit_for_bit(self, kind):
         # identity weights (None) are the one-SVD closed form, in the same arithmetic
-        sizes = [(k, l) for k in (2, 3, 4) for l in (2, 3, 4)]
-        for seed in range(18):
-            k, l = sizes[seed % len(sizes)]
-            j = _sweep_choi(np.random.default_rng([seed, 7]), kind, k, l)
+        if kind == "transpose":
+            cases = [(transpose_map(n).big_choi(), n, n) for n in (2, 3, 4)]
+        else:
+            sizes = [(k, l) for k in (2, 3, 4) for l in (2, 3, 4)]
+            cases = []
+            for seed in range(18):
+                k, l = sizes[seed % len(sizes)]
+                cases.append((_sweep_choi(np.random.default_rng([seed, 7]), kind, k, l), k, l))
+        for j, k, l in cases:
             assert diamond_mod._closed_form_bracket(j, k, l)[:2] == _closed_form_reference(j, k, l)
 
     def test_rank_deficient_pair_reaches_sdp(self, monkeypatch):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -368,6 +373,21 @@ class TestSparseCore:
         res = sdp_solve(p)
         assert res.status == "numerical_failure"
         assert "Eigenvalues did not converge" in res.message
+
+    def test_first_sdp_imports_no_masked_arrays(self):
+        # np.unique imports numpy.ma on its first call, which a fresh process
+        # would pay inside its first SDP
+        code = (
+            "import sys, numpy as np\n"
+            "from oscat.normlab.diamond import _diamond_sdp\n"
+            "j = np.array([[1, 2, 0, 1], [0, 1, 3, 0], [1, 0, 0, 2], [2, 1, 0, 1]], dtype=complex)\n"
+            "assert _diamond_sdp(j, 2, 2).witnesses['route'] == 'sdp'\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
 
 
 def loop_herm_mats(n):
