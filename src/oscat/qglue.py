@@ -443,26 +443,32 @@ def check_morphism(f: SuperOp, a: QObject, b: QObject, tol: float = 1e-9) -> Mor
     br: NormBracket = cb_norm(f, picture)
     slack = max(tol, 1e-6)
     cc = "yes" if br.upper <= 1 + slack else ("no" if br.lower > 1 + slack else "unknown")
+    cb = {"cb": (br.lower, br.upper)}
     if cc == "no":
-        return MorphismResult(
-            "invalid", "not a complete contraction", {"cb": (br.lower, br.upper)}
-        )
+        return MorphismResult("invalid", "not a complete contraction", cb)
     gens, exhaustive = generators(a.set)
-    transported = "yes"
-    for g in gens:
+    undecided = []
+    for i, g in enumerate(gens):
         img = f.apply(BlockMatrix.from_vector(g, src[1])).to_vector()
         r = membership(b.set, img, tol)
         if r == "no":
-            return MorphismResult(
-                "invalid", "set not preserved", {"cb": (br.lower, br.upper)}
-            )
+            return MorphismResult("invalid", "set not preserved", cb)
         if r == "unknown":
-            transported = "unknown"
-    if cc == "yes" and transported == "yes" and exhaustive:
-        return MorphismResult("valid", "", {"cb": (br.lower, br.upper)})
-    return MorphismResult(
-        "unknown", "membership or contraction undecided", {"cb": (br.lower, br.upper)}
-    )
+            undecided.append(str(i))
+    # name every step that stays open
+    steps = []
+    if cc == "unknown":
+        steps.append(f"contraction undecided: cb norm in [{br.lower:.6g}, {br.upper:.6g}]")
+    if undecided:
+        many = "s" if len(undecided) > 1 else ""
+        steps.append(f"membership of generator{many} {', '.join(undecided)} undecided")
+    if not exhaustive:
+        steps.append("source generators not exhaustive")
+    if steps:
+        return MorphismResult("unknown", "; ".join(steps), cb)
+    many = "s" if len(gens) != 1 else ""
+    reason = f"complete contraction; all {len(gens)} generator{many} transported"
+    return MorphismResult("valid", reason, cb)
 
 
 # ---------------------------------------------------------------------------

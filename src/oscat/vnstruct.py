@@ -4,11 +4,13 @@ Structure maps are stored as explicit tensors over the canonical basis
 (so deliberately corrupted structures can be law-checked), the duality
 functor transports structure through the trace pairing, and positivity is
 available both concretely (block PSD) and through the comultiplication
-factorization diagram.  The law suites decide every law exactly: algebraic
-laws as whole-tensor identities, the C* identity by Kadison's isometry
-theorem (a C*-algebra on ⊕M_k has a blockwise unitary unit u, multiplies each
-block as x·u*·y or y·u*·x and involutes as x ↦ u·x*·u), coalgebras through
-their dual.
+factorization diagram.  The law suites decide every law exactly from the
+Kadison form: by Kadison's isometry theorem a C*-algebra on ⊕M_k has a
+blockwise unitary unit u, multiplies each block as x·u*·y or y·u*·x and
+involutes as x ↦ u·x*·u.  The structure's distance from that form decides the
+C* identity and bounds the residual of every algebraic law; a law whose bound
+does not close is checked as a whole-tensor identity.  Coalgebras are decided
+through their dual.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DIM_CAP
-from .errors import ShapeMismatchError, SizeLimitError
+from .errors import InvalidInputError, ShapeMismatchError, SizeLimitError
 from .matcore import (
     BlockMatrix,
     block_dim,
@@ -31,7 +33,7 @@ from .matcore import (
     pair_shape,
     unit_vector,
 )
-from .normlab.diamond import cb_norm
+from .normlab.diamond import _gamma, cb_norm
 from .supop import SuperOp
 
 __all__ = [
@@ -61,6 +63,12 @@ def trace_pairing(f: BlockMatrix, x: BlockMatrix) -> complex:
     return complex(sum(np.trace(a @ b) for a, b in zip(f.blocks, x.blocks)))
 
 
+def _require_finite(*tensors) -> None:
+    """Reject structure tensors with an inf or NaN entry, which no law could pass."""
+    if not all(np.isfinite(x).all() for x in tensors):
+        raise InvalidInputError("structure tensors have non-finite entries")
+
+
 @dataclass(frozen=True, eq=False)
 class VnAlgebra:
     """shape + unit vector, multiplication matrix (dim × dim²), involution.
@@ -72,6 +80,9 @@ class VnAlgebra:
     unit_vec: np.ndarray
     mult_mat: np.ndarray
     inv_mat: np.ndarray
+
+    def __post_init__(self):
+        _require_finite(self.unit_vec, self.mult_mat, self.inv_mat)
 
     @property
     def dim(self) -> int:
@@ -100,6 +111,9 @@ class VnCoalgebra:
     counit_vec: np.ndarray
     comult_mat: np.ndarray
     inv_mat: np.ndarray
+
+    def __post_init__(self):
+        _require_finite(self.counit_vec, self.comult_mat, self.inv_mat)
 
     @property
     def dim(self) -> int:
@@ -173,16 +187,28 @@ class LawReport:
 _EXACT_TOL = 1e-12
 
 
+def _top(x) -> float:
+    """Largest entry of a real array, 0.0 when empty, NaN when any entry is."""
+    return float(np.maximum.reduce(x, axis=None, initial=0.0))
+
+
 def _maxabs(x) -> float:
-    return float(np.abs(x).max(initial=0.0))
+    return _top(np.abs(x))
 
 
 def check_laws(structure, tol: float = 1e-9) -> LawReport:
     """Decide every (co)algebra law and the (co-)C* identity; nothing is sampled.
 
-    Algebraic laws are whole-tensor identities: the max-abs residual must be
-    ≤ _EXACT_TOL·max(1, magnitude of the products compared), where a product's
-    magnitude is that of its factors' max-abs entries multiplied.
+    An algebraic law holds when its max-abs residual, over the whole tensor,
+    is ≤ _EXACT_TOL·max(1, magnitude of the products compared), where a
+    product's magnitude is that of its factors' max-abs entries multiplied.
+    The residual is first bounded from the distances δ_μ, δ_P and δ_u of the
+    structure to its Kadison form (below; see `_law_bounds`): a law whose
+    bound is within the tolerance holds, with the bound recorded in
+    ``details["law_bounds"]``; any other law's residual is formed over the
+    whole tensor and fails with that value.  Structures built by
+    `make_algebra`, `tensor_algebra` and the like are the form exactly, so
+    no d⁵ contraction is formed for them.
     By Kadison's isometry theorem (Ann. Math. 54, 1951) the identity map onto
     ⊕M_k with its blockwise operator norm is u·(Jordan *-isomorphism), so
     (μ, P, 1) is a C*-algebra exactly when the unit u is blockwise unitary,
@@ -191,99 +217,194 @@ def check_laws(structure, tol: float = 1e-9) -> LawReport:
     (anti-)isomorphism).  ``cstar_identity`` fails when that match residual,
     ``details["cstar_worst"]``, exceeds tol; if every exact law holds, the
     unit, e_ij or e_ij + e_ji with the largest |‖x*x‖ − ‖x‖²| is recorded as
-    ``cstar_witness``.  Coalgebras are decided on ``dualize(co)`` (``co_cstar_*``).
+    ``cstar_witness``.  Coalgebras are decided on ``dualize(co)`` (``co_cstar_*``,
+    ``co_law_bounds`` under the coalgebra law names).  A NaN or inf entry,
+    written in place after construction, fails every law it reaches.
     """
     if isinstance(structure, VnAlgebra):
-        return _check_algebra_laws(structure, tol)
+        return _check_algebra_laws(
+            structure.shape, structure.unit_vec, structure.mult_mat, structure.inv_mat, tol
+        )
     if isinstance(structure, VnCoalgebra):
         return _check_coalgebra_laws(structure, tol)
     raise TypeError("check_laws wants a VnAlgebra or VnCoalgebra")
 
 
-def _kadison_blocks(alg: VnAlgebra):
-    """Per block: (coordinate slice, unit block u, Kadison form of μ, side).
+def _kadison_blocks(shape, unit: np.ndarray, mult: np.ndarray):
+    """Per block: (coordinate slice, unit block u, distance, side) of an algebra.
 
-    The form is x·u*·y or y·u*·x, whichever is closer to the block's
-    multiplication (x·u*·y on a tie).  `side` is +1 when y·u*·x is strictly
+    The block's multiplication is matched against the Kadison forms x·u*·y
+    and y·u*·x; the distance is the max-abs difference from the closer one
+    (x·u*·y on a tie) over the block.  `side` is +1 when y·u*·x is strictly
     closer, −1 when x·u*·y is, and 0 on a tie, as on every 1×1 block, where
-    the two forms are one.
+    the two forms are one, or when a distance is NaN.
     """
-    d = alg.dim
-    m = alg.mult_mat.reshape(d, d, d)
-    for off, k in block_offsets(alg.shape):
-        s, eye = slice(off, off + k * k), np.eye(k)
-        u = alg.unit_vec[s].reshape(k, k)
-        # e_ij·u*·e_lm = conj(u_lj)·e_im
-        hom = np.einsum("ip,mq,lj->impjlq", eye, eye, u.conj()).reshape(k * k, k * k, k * k)
+    d = unit.size
+    m = mult.reshape(d, d, d)
+    for off, k in block_offsets(shape):
+        s = slice(off, off + k * k)
+        u = unit[s].reshape(k, k)
+        # e_ij·u*·e_lm = conj(u_lj)·e_im, written into the (i, m, i, j, l, m) entries
+        hom = np.zeros((k,) * 6, dtype=np.complex128)
+        i = np.arange(k)
+        hom[i[:, None], i, i[:, None], :, :, i] = u.conj().T
+        hom = hom.reshape((k * k,) * 3)
         anti = hom.transpose(0, 2, 1)
         mb = m[s, s, s]
-        side = int(np.sign(_maxabs(mb - hom) - _maxabs(mb - anti)))
-        yield s, u, anti if side > 0 else hom, side
+        dh = _maxabs(mb - hom)
+        da = dh if k == 1 else _maxabs(mb - anti)
+        side = (da < dh) - (dh < da)
+        yield s, u, da if side > 0 else dh, side
 
 
-def _kadison_residual(alg: VnAlgebra) -> float:
-    """Max-abs distance of (μ, P, 1) from the C*-algebra forms Kadison allows.
+def _worst(*values) -> float:
+    """The largest of the values, 0.0 for none, NaN if any is NaN.
 
-    Reads u from the unit; per block the multiplication is matched against
-    x·u*·y and y·u*·x (the closer one counts), the involution against u·x*·u.
+    Python's max keeps a NaN only when it comes first.
     """
-    d = alg.dim
-    mult = np.zeros((d, d, d), dtype=np.complex128)
-    inv = np.zeros((d, d), dtype=np.complex128)
-    res = 0.0
-    for s, u, form, _ in _kadison_blocks(alg):
+    w = 0.0
+    for v in values:
+        if w == w and not v <= w:  # a larger value or the first NaN
+            w = v
+    return float(w)
+
+
+def _kadison_distances(shape, unit, mult, inv_mat, mult_abs):
+    """(δ_μ, δ_P, |uu* − I|, largest block): distances from the Kadison form.
+
+    δ_μ = max|μ − μ₀| and δ_P = max|P − P₀| over the whole tensors, where μ₀
+    multiplies each block as its closer `_kadison_blocks` form and P₀
+    involutes it as x ↦ u·x*·u, both zero off the blocks; |uu* − I| is a
+    maximum over the blocks.  `mult_abs` is |μ| as a (d, d, d) array; its
+    blocks are zeroed here.  Every value is as computed (rounding is charged
+    by the caller) and is NaN when any entry it reads is.
+    """
+    inv = np.zeros(inv_mat.shape, dtype=np.complex128)
+    dist, uu, kmax = [], [], 0
+    for s, u, dmu, _ in _kadison_blocks(shape, unit, mult):
         k = u.shape[0]
-        res = max(res, _maxabs(u @ u.conj().T - np.eye(k)))
-        mult[s, s, s] = form
+        kmax = max(kmax, k)
+        mult_abs[s, s, s] = 0.0
+        dist.append(dmu)
+        uu.append(_maxabs(u @ u.conj().T - np.eye(k)))
         # (u·x*·u)_im = Σ_jl u_ij conj(x_lj) u_lm
-        inv[s, s] = np.einsum("ij,lm->imlj", u, u).reshape(k * k, k * k)
-    return max(res, _maxabs(alg.mult_mat.reshape(d, d, d) - mult), _maxabs(alg.inv_mat - inv))
+        inv[s, s] = (u[:, None, None, :] * u.T[None, :, :, None]).reshape(k * k, k * k)
+    return (
+        _worst(_top(mult_abs), *dist),
+        _maxabs(inv_mat - inv),
+        _worst(*uu),
+        kmax,
+    )
 
 
-def _cstar_witness(alg: VnAlgebra) -> tuple[BlockMatrix, float]:
+def _cstar_witness(shape, unit, m, p) -> tuple[BlockMatrix, float]:
     """The candidate x with the largest |‖x*x‖ − ‖x‖²|: unit, e_ij, e_ij + e_ji."""
-    d = alg.dim
-    t = blockwise_transpose(alg.shape)
+    d = unit.size
+    t = blockwise_transpose(shape)
     a, e = np.flatnonzero(t > np.arange(d)), np.eye(d)
-    xs = np.vstack([alg.unit_vec, e, e[a] + e[t[a]]])
-    adj = xs.conj() @ alg.inv_mat.T  # rows i(x)
-    prod = ((adj @ alg.mult_mat.reshape(d, d, d)) * xs).sum(axis=-1)  # columns i(x)·x
-    nrm = block_norms(np.hstack([prod, xs.T]), alg.shape, "operator").reshape(2, -1)
+    xs = np.vstack([unit, e, e[a] + e[t[a]]])
+    adj = xs.conj() @ p.T  # rows i(x)
+    prod = ((adj @ m) * xs).sum(axis=-1)  # columns i(x)·x
+    nrm = block_norms(np.hstack([prod, xs.T]), shape, "operator").reshape(2, -1)
     defect = np.abs(nrm[0] - nrm[1] ** 2)
     w = int(np.argmax(defect))
-    return BlockMatrix.from_vector(xs[w], alg.shape), float(defect[w])
+    return BlockMatrix.from_vector(xs[w], shape), float(defect[w])
 
 
-def _check_algebra_laws(alg: VnAlgebra, tol) -> LawReport:
-    rep = LawReport("algebra", True)
-    d = alg.dim
-    m, p, u, eye = alg.mult_mat.reshape(d, d, d), alg.inv_mat, alg.unit_vec, np.eye(d)
-    # m[c, a, b] is the e_c coordinate of e_a·e_b; the basis is real, so
-    # i(e_a) = P[:, a] and every law is an identity between whole tensors.
+def _law_bounds(d, kmax, dmu, dp, du, mu, sums, pm, kp, um) -> dict:
+    """Bounds on each algebraic law's max-abs residual as `_law_residual` computes it.
+
+    Inputs are exact upper bounds: δ_μ = max|μ − μ₀|, δ_P = max|P − P₀|,
+    δ_u = max(|uu* − I|, |u*u − I|) over the blocks, M = max|μ|, the largest
+    sums κ₀, κ₁, κ₂ of |μ| along each of its three axes, max|P|, the largest
+    column sum κ_P of |P|, and max|u|.  The Kadison form (μ₀, P₀, u) is
+    associative, and when u is unitary it satisfies the other four laws too.
+    Each law's exact residual at (μ, P, u) differs from the form's by
+    products in which at least one factor is a difference E = μ − μ₀ or
+    F = P − P₀, e.g. μ(μ⊗id) − μ₀(μ₀⊗id) = E(μ⊗id) + μ₀(E⊗id); the form's
+    own residual is a product with a factor uu* − I or u*u − I.  On top, each
+    bound charges the rounding of the dense formulas, whose products are
+    complex inner products of length d (Higham, §3.6), so a law decided by
+    its bound is one whose dense residual is within the tolerance too.
+    """
+    k0, k1, k2 = sums
+    pz, kz = pm + dp, kp + d * dp  # max|P₀| and its largest column sum
+    g = np.sqrt(2) * _gamma(d + 2)
+    bounds = {
+        "associativity": 2 * d * dmu * (2 * mu + dmu) + 2 * g * mu * k0,
+        # μ₀(1, y) − y is (uu* − I)·y or y·(u*u − I) blockwise
+        "left_unit": du + d * um * dmu + g * um * k1,
+        "right_unit": du + d * um * dmu + g * um * k2,
+        # P₀·conj(P₀) is x ↦ uu*·x·u*u
+        "involution_squared": du * (2 + du) + d * dp * (2 * pm + dp) + g * pm * kp,
+        # at the form the residual is −u·y*·(uu* − I)·u·x*·u (x, y swapped
+        # on anti blocks); then P·conj(μ) moves with E and F, and
+        # μ(P⊗P)swap with F·μ·P, P₀·E·P and P₀·μ₀·F
+        "reverse_multiplicativity": kmax * um**3 * du
+        + d * (dp * mu + pz * dmu)
+        + dp * k1 * kp
+        + dmu * kz * kp
+        + dp * kz * (k2 + d * dmu)
+        + g * pm * k0
+        + 3 * g * pm * kp * k2,
+    }
+    # the dense residual's last subtraction and |·|, and the fewer than 40
+    # roundings of each formula, all of nonnegative terms
+    return {name: float(b * (1.0 + _gamma(48))) for name, b in bounds.items()}
+
+
+def _law_residual(name: str, m: np.ndarray, p: np.ndarray, u: np.ndarray) -> float:
+    """Max-abs residual of one algebraic law, formed over the whole tensor.
+
+    m[c, a, b] is the e_c coordinate of e_a·e_b; the basis is real, so
+    i(e_a) = P[:, a] and every law is an identity between whole tensors.
+    """
+    d = p.shape[0]
     flat = m.reshape(d, d * d)
-    slab = max(1, 4096 // max(1, d**3))
-    diffs = {
-        # associativity μ(μ⊗id) = μ(id⊗μ), over cache-sized slabs of output
-        # coordinates e (the whole (e, a, b, c) tensor is d⁴ entries)
-        "associativity": max(
-            (
+    if name == "associativity":
+        # μ(μ⊗id) = μ(id⊗μ), over cache-sized slabs of output coordinates e
+        # (the whole (e, a, b, c) tensor is d⁴ entries)
+        slab = max(1, 4096 // max(1, d**3))
+        return _worst(
+            *(
                 _maxabs(flat.T @ m[e : e + slab] - (m[e : e + slab] @ flat).reshape(-1, d * d, d))
                 for e in range(0, d, slab)
-            ),
-            default=0.0,
-        ),
-        # unit laws μ(1⊗id) = id = μ(id⊗1)
-        "left_unit": u @ m - eye,
-        "right_unit": m @ u - eye,
-        # involution squared: i(i(x)) = x  ⇔  P·conj(P) = I
-        "involution_squared": p @ p.conj() - eye,
-        # reverse multiplicativity (ab)* = b*a*:  P·conj(μ) = μ·(P⊗P)·swap
-        "reverse_multiplicativity": (p @ flat.conj()).reshape(d, d, d)
-        - (p.T @ m @ p).transpose(0, 2, 1),
-    }
+            )
+        )
+    if name == "left_unit":  # μ(1⊗id) = id
+        return _maxabs(u @ m - np.eye(d))
+    if name == "right_unit":  # μ(id⊗1) = id
+        return _maxabs(m @ u - np.eye(d))
+    if name == "involution_squared":  # i(i(x)) = x  ⇔  P·conj(P) = I
+        return _maxabs(p @ p.conj() - np.eye(d))
+    # reverse multiplicativity (ab)* = b*a*:  P·conj(μ) = μ·(P⊗P)·swap, the
+    # right side as two 2-D products: t[b, c, a] = Σ_yw P[y, b]·μ[c, y, w]·P[w, a]
+    t = (p.T @ m.transpose(1, 0, 2).reshape(d, d * d)).reshape(d * d, d) @ p
+    return _maxabs((p @ flat.conj()).reshape(d, d, d) - t.reshape(d, d, d).transpose(1, 2, 0))
+
+
+_LAWS = ("associativity", "left_unit", "right_unit", "involution_squared", "reverse_multiplicativity")
+
+
+def _holds(err: float, thr: float) -> bool:
+    """err ≤ thr with a finite thr; a NaN fails, and so does an infinite magnitude."""
+    return err <= thr < np.inf
+
+
+def _check_algebra_laws(shape, u, mult, p, tol) -> LawReport:
+    """The laws of the algebra tensors (unit u, multiplication, involution P) on shape."""
+    rep = LawReport("algebra", True)
+    d = u.size
+    m = mult.reshape(d, d, d)
+    mult_abs, inv_abs = np.abs(m), np.abs(p)
+    mu, pm, um = _top(mult_abs), _top(inv_abs), _maxabs(u)
+    # sums of |μ| along each axis and of |P| down its columns, as products with ones
+    ones = np.ones(d)
+    sums = [_top(ones @ mult_abs.reshape(d, d * d)), _top(ones @ mult_abs), _top(mult_abs @ ones)]
+    kp = _top(ones @ inv_abs)
+    dmu, dp, duu, kmax = _kadison_distances(shape, u, mult, p, mult_abs)
     # the magnitude of the products each law compares (the product of their
     # factors' max-abs entries) scales the rounding a valid structure leaves
-    mu, pm, um = _maxabs(m), _maxabs(p), _maxabs(u)
     sizes = {
         "associativity": mu * mu,
         "left_unit": um * mu,
@@ -291,16 +412,41 @@ def _check_algebra_laws(alg: VnAlgebra, tol) -> LawReport:
         "involution_squared": pm * pm,
         "reverse_multiplicativity": pm * pm * mu,
     }
-    for name, diff in diffs.items():
-        err = _maxabs(diff)
-        if err > _EXACT_TOL * max(1.0, sizes[name]):
+    # exact upper bounds on what was computed: μ₀ copies entries of u, so its
+    # distance rounds only in the subtraction and |·|; P₀ = u⊗u rounds each
+    # product, uu* each length-k inner product, a sum of d terms d times.
+    # u*u − I has the spectral norm of uu* − I (the same singular values
+    # squared, less one), which lies within k times its max-abs entry
+    up, sum_up = 1.0 + _gamma(3), 1.0 + _gamma(d + 2)
+    bounds = _law_bounds(
+        d,
+        kmax,
+        dmu * up,
+        dp * up + np.sqrt(2) * _gamma(2) * um * um,
+        kmax * (duu * up + np.sqrt(2) * _gamma(kmax + 2) * kmax * um * um),
+        mu * up,
+        [k * sum_up for k in sums],
+        pm * up,
+        kp * sum_up,
+        um * up,
+    )
+    decided = rep.details["law_bounds"] = {}
+    for name in _LAWS:
+        thr = _EXACT_TOL * max(1.0, sizes[name])
+        if _holds(bounds[name], thr):
+            decided[name] = bounds[name]
+            continue
+        err = _law_residual(name, m, p, u)
+        if not _holds(err, thr):
             rep.fail(name, err)
-    res = rep.details["cstar_worst"] = _kadison_residual(alg)
-    if res > tol:
-        if rep.passed:
+    res = rep.details["cstar_worst"] = _worst(duu, dmu, dp)
+    if not res <= tol:
+        if rep.passed and res < np.inf:
             # a *-algebra that matches no C* form: show an x that breaks the
             # identity (a failed exact law is already its own evidence)
-            rep.details["cstar_witness"], rep.details["cstar_witness_defect"] = _cstar_witness(alg)
+            rep.details["cstar_witness"], rep.details["cstar_witness_defect"] = _cstar_witness(
+                shape, u, m, p
+            )
         rep.fail("cstar_identity", res)
     return rep
 
@@ -339,12 +485,14 @@ def _check_coalgebra_laws(co: VnCoalgebra, tol) -> LawReport:
     with residuals equal entry for entry up to order and conjugation; the
     co-C* composite is the C* identity of the dual.
     """
-    rep = _check_algebra_laws(dualize(co), tol)
+    rep = _check_algebra_laws(co.shape, *_dual_tensors(co), tol)
+    details = {"co_" + key: value for key, value in rep.details.items()}
+    details["co_law_bounds"] = {_CO_LAWS[name]: b for name, b in rep.details["law_bounds"].items()}
     return LawReport(
         "coalgebra",
         rep.passed,
         [(_CO_LAWS[name], err) for name, err in rep.failures],
-        {"co_" + key: value for key, value in rep.details.items()},
+        details,
     )
 
 
@@ -361,24 +509,21 @@ def dualize(structure):
     """
     if not isinstance(structure, (VnAlgebra, VnCoalgebra)):
         raise TypeError("dualize wants a VnAlgebra or VnCoalgebra")
+    dual = VnCoalgebra if isinstance(structure, VnAlgebra) else VnAlgebra
+    return dual(structure.shape, *_dual_tensors(structure))
+
+
+def _dual_tensors(structure):
+    """(unit or counit vector, structure matrix, involution) of dualize(structure)."""
     d = structure.dim
     t = blockwise_transpose(structure.shape)
-    inv = structure.inv_mat.conj().T[np.ix_(t, t)]
+    inv = structure.inv_mat.conj().T[t[:, None], t]
+    tt = (t[:, None, None], t[:, None], t)
     if isinstance(structure, VnAlgebra):
-        m = structure.mult_mat.reshape(d, d, d)[np.ix_(t, t, t)]
-        return VnCoalgebra(
-            structure.shape,
-            structure.unit_vec.copy(),
-            m.transpose(1, 2, 0).reshape(d * d, d),
-            inv,
-        )
-    m = structure.comult_mat.reshape(d, d, d)[np.ix_(t, t, t)]
-    return VnAlgebra(
-        structure.shape,
-        structure.counit_vec.copy(),
-        m.transpose(2, 0, 1).reshape(d, d * d),
-        inv,
-    )
+        m = structure.mult_mat.reshape(d, d, d)[tt]
+        return structure.unit_vec.copy(), m.transpose(1, 2, 0).reshape(d * d, d), inv
+    m = structure.comult_mat.reshape(d, d, d)[tt]
+    return structure.counit_vec.copy(), m.transpose(2, 0, 1).reshape(d, d * d), inv
 
 
 # ---------------------------------------------------------------------------
@@ -484,9 +629,16 @@ def certify_morphism(f: SuperOp, src, dst, mode: str, tol: float = 1e-9) -> Morp
     raise ValueError(f"unknown morphism mode {mode!r}")
 
 
+def _worst_block_norm(cols: np.ndarray, shape, picture: str) -> float:
+    """Largest blockwise norm of the columns; NaN, not an SVD error, on a non-finite entry."""
+    if not np.isfinite(cols).all():
+        return float("nan")
+    return float(block_norms(cols, shape, picture).max(initial=0.0))
+
+
 def _flag(v: MorphismVerdict, errs: dict, tol) -> None:
     for name, err in errs.items():
-        if err > tol:
+        if not err <= tol:  # a NaN error fails
             v.ok = False
             v.failures.append((name, err))
 
@@ -504,7 +656,7 @@ def _check_alg_hom(f, alg_a: VnAlgebra, alg_b: VnAlgebra, tol, v) -> MorphismVer
         "involutive": t @ alg_a.inv_mat - alg_b.inv_mat @ t.conj(),
     }
     errs = {
-        name: float(block_norms(x, alg_b.shape, "operator").max(initial=0.0))
+        name: _worst_block_norm(x, alg_b.shape, "operator")
         for name, x in diffs.items()
     }
     _flag(v, errs, tol)
@@ -529,7 +681,7 @@ def _check_coalg_hom(f, co_c: VnCoalgebra, co_d: VnCoalgebra, tol, v) -> Morphis
             co_d.comult_mat @ t
             - (t @ delta_c.transpose(2, 0, 1) @ t.T).transpose(1, 2, 0).reshape(dd * dd, dc)
         ),
-        "involutive": float(block_norms(inv_diff, co_d.shape, "trace").max(initial=0.0)),
+        "involutive": _worst_block_norm(inv_diff, co_d.shape, "trace"),
     }
     _flag(v, errs, tol)
     v.diagnostics.update(
@@ -545,7 +697,8 @@ def _check_coalg_hom(f, co_c: VnCoalgebra, co_d: VnCoalgebra, tol, v) -> Morphis
 
 def _kadison_sides(alg: VnAlgebra) -> np.ndarray:
     """Per coordinate: the `side` of its block in `_kadison_blocks`."""
-    return np.repeat([side for *_, side in _kadison_blocks(alg)], [k * k for k in alg.shape])
+    sides = [side for *_, side in _kadison_blocks(alg.shape, alg.unit_vec, alg.mult_mat)]
+    return np.repeat(sides, [k * k for k in alg.shape])
 
 
 def tensor_algebra(a: VnAlgebra, b: VnAlgebra) -> VnAlgebra:

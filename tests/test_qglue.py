@@ -479,3 +479,43 @@ class TestCheckMorphismClassify:
         assert (r.verdict, r.reason, len(calls)) == ("invalid", "set not preserved", 0)
         assert check_morphism(identity_map((2,)), h, h).verdict == "valid"
         assert len(calls) == 1
+
+
+class TestMorphismReasons:
+    """Every `check morphism` verdict off the H/S branches names how it was reached."""
+
+    PROBE = """alg A2 = [2];
+map flip = conj_by([[0, 1], [1, 0]]);
+map heis = adjoint(flip);
+obj u = unitary(A2, [[0,1],[1,0]]);
+obj du = dual(u);
+check morphism flip : u -> u;
+check morphism heis : du -> du;
+"""
+
+    def test_session_probes_name_their_step(self):
+        valid, open_ = run_session(parse_session(self.PROBE)).records
+        assert (valid.status, valid.detail["reason"]) == (
+            "pass",
+            "complete contraction; all 1 generator transported",
+        )
+        # the cb norm of a unitary conjugation is 1, so only the generators stay open
+        assert (open_.status, open_.detail["reason"]) == ("unknown", "source generators not exhaustive")
+
+    def _unitary(self):
+        x = BlockMatrix([np.array([[0.0, 1.0], [1.0, 0.0]])])
+        return QObject(embed_H(make_algebra([2])).space, singleton_unitary(x))
+
+    def test_undecided_contraction_carries_its_bracket(self, monkeypatch):
+        from oscat.normlab.brackets import NormBracket
+
+        monkeypatch.setattr(qglue, "cb_norm", lambda f, picture: NormBracket(0.5, 1.25, "bracket"))
+        u = self._unitary()
+        r = check_morphism(identity_map((2,)), u, u)
+        assert (r.verdict, r.reason) == ("unknown", "contraction undecided: cb norm in [0.5, 1.25]")
+
+    def test_undecided_membership_names_the_generator(self, monkeypatch):
+        monkeypatch.setattr(qglue, "membership", lambda s, x, tol=1e-9: "unknown")
+        u = self._unitary()
+        r = check_morphism(identity_map((2,)), u, u)
+        assert (r.verdict, r.reason) == ("unknown", "membership of generator 0 undecided")

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import random_cptp, random_superop
-from oscat.errors import SizeLimitError
+from oscat import vnstruct
+from oscat.errors import InvalidInputError, SizeLimitError
 from oscat.matcore import (
     BlockMatrix,
     blockwise_transpose,
@@ -18,6 +19,7 @@ from oscat.matcore import (
 from oscat.supop import SuperOp, conjugation, depolarizing, identity_map, transpose_map
 from oscat.vnstruct import (
     VnAlgebra,
+    VnCoalgebra,
     abstract_positive_functional,
     certify_morphism,
     check_laws,
@@ -635,3 +637,208 @@ class TestTensorStructures:
         assert check_laws(direct_sum_algebra(make_algebra(sa), make_algebra(sb))).passed
         assert check_laws(tensor_coalgebra(make_coalgebra(sa), make_coalgebra(sb))).passed
         assert check_laws(direct_sum_coalgebra(make_coalgebra(sa), make_coalgebra(sb))).passed
+
+
+# ---------------------------------------------------------------------------
+# the laws decided from the Kadison form, against the dense residuals
+
+_LAW_NAMES = ("associativity", "left_unit", "right_unit", "involution_squared", "reverse_multiplicativity")
+
+
+def _dense_tensors(structure):
+    """(shape, unit, μ as (d, d, d), P) of an algebra, or of a coalgebra's trace-pairing dual."""
+    d = structure.dim
+    if isinstance(structure, VnAlgebra):
+        return structure.shape, structure.unit_vec, structure.mult_mat.reshape(d, d, d), structure.inv_mat
+    t = blockwise_transpose(structure.shape)
+    m = structure.comult_mat.reshape(d, d, d)[np.ix_(t, t, t)].transpose(2, 0, 1)
+    return structure.shape, structure.counit_vec, m, structure.inv_mat.conj().T[np.ix_(t, t)]
+
+
+def _dense_oracle(structure, tol=1e-9):
+    """(failures, residuals): every law's whole-tensor residual and the Kadison match.
+
+    The algebraic laws are the slab and GEMM formulas, the Kadison residual
+    is matched block by block with `einsum`, for an algebra or the dual of a
+    coalgebra, named as `check_laws` names them.
+    """
+    shape, u, m, p = _dense_tensors(structure)
+    d = u.size
+    flat, eye = m.reshape(d, d * d), np.eye(d)
+    slab = max(1, 4096 // max(1, d**3))
+    assoc = [
+        np.abs(flat.T @ m[e : e + slab] - (m[e : e + slab] @ flat).reshape(-1, d * d, d)).max()
+        for e in range(0, d, slab)
+    ]
+    t = (p.T @ m.transpose(1, 0, 2).reshape(d, d * d)).reshape(d * d, d) @ p
+    diffs = {
+        "associativity": np.max(assoc) if assoc else 0.0,
+        "left_unit": u @ m - eye,
+        "right_unit": m @ u - eye,
+        "involution_squared": p @ p.conj() - eye,
+        "reverse_multiplicativity": (p @ flat.conj()).reshape(d, d, d)
+        - t.reshape(d, d, d).transpose(1, 2, 0),
+    }
+    mu, pm, um = (float(np.abs(x).max(initial=0.0)) for x in (m, p, u))
+    sizes = {
+        "associativity": mu * mu,
+        "left_unit": um * mu,
+        "right_unit": um * mu,
+        "involution_squared": pm * pm,
+        "reverse_multiplicativity": pm * pm * mu,
+    }
+    residuals, failures = {}, []
+    for name in _LAW_NAMES:
+        err = residuals[name] = float(np.abs(diffs[name]).max(initial=0.0))
+        thr = 1e-12 * max(1.0, sizes[name])
+        if not (err <= thr and np.isfinite(thr)):
+            failures.append((name, err))
+    worst = []
+    mult, inv = np.zeros((d, d, d), dtype=complex), np.zeros((d, d), dtype=complex)
+    off = 0
+    for k in shape:
+        s, ek = slice(off, off + k * k), np.eye(k)
+        ub = u[s].reshape(k, k)
+        hom = np.einsum("ip,mq,lj->impjlq", ek, ek, ub.conj()).reshape((k * k,) * 3)
+        anti = hom.transpose(0, 2, 1)
+        dh, da = np.abs(m[s, s, s] - hom).max(initial=0.0), np.abs(m[s, s, s] - anti).max(initial=0.0)
+        mult[s, s, s] = anti if da < dh else hom
+        inv[s, s] = np.einsum("ij,lm->imlj", ub, ub).reshape(k * k, k * k)
+        worst.append(np.abs(ub @ ub.conj().T - ek).max(initial=0.0))
+        off += k * k
+    worst += [np.abs(m - mult).max(initial=0.0), np.abs(p - inv).max(initial=0.0)]
+    cstar = float(np.max(worst))
+    if not cstar <= tol:
+        failures.append(("cstar_identity", cstar))
+    if isinstance(structure, VnCoalgebra):
+        co = dict(
+            associativity="coassociativity",
+            left_unit="left_counit",
+            right_unit="right_counit",
+            reverse_multiplicativity="reverse_comultiplicativity",
+            cstar_identity="co_cstar_identity",
+        )
+        failures = [(co.get(name, name), err) for name, err in failures]
+        residuals = {co.get(name, name): err for name, err in residuals.items()}
+    return failures, residuals
+
+
+def _mutated(structure, field_name, index, delta):
+    """A copy with one entry of one tensor moved by delta, in place after construction."""
+    arr = getattr(structure, field_name).astype(np.complex128)
+    bad = replace(structure, **{field_name: arr})
+    arr[index] += delta
+    return bad
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(5)
+    cases = []
+    for shape in SHAPES + ([6],):
+        cases += [make_algebra(shape), make_coalgebra(shape)]
+    for shape in SHAPES:
+        for alg in (
+            _unitary_twist(shape, rng),
+            _unitary_twist(shape, rng, [True] * len(shape)),
+            _positive_twist(shape, rng),
+        ):
+            cases += [alg, dualize(alg)]
+    # single entries of size 1e-15 … 1e-3, on a block and across blocks, of
+    # every tensor; NaN in place
+    alg, co = make_algebra([2, 1]), make_coalgebra([2, 1])
+    for delta in (1e-15, 1e-13, 1e-11, 1e-3, np.nan):
+        for field_name, index in (
+            ("mult_mat", (0, 0)),
+            ("mult_mat", (1, 6)),
+            ("mult_mat", (4, 0)),
+            ("mult_mat", (0, 24)),
+            ("inv_mat", (1, 2)),
+            ("inv_mat", (4, 0)),
+            ("unit_vec", 3),
+            ("unit_vec", 1),
+        ):
+            cases.append(_mutated(alg, field_name, index, delta))
+        for field_name, index in (("comult_mat", (0, 0)), ("comult_mat", (24, 0)), ("counit_vec", 4)):
+            cases.append(_mutated(co, field_name, index, delta))
+    return cases
+
+
+class TestKadisonCertificate:
+    def test_matches_dense_oracle(self):
+        for structure in _oracle_cases():
+            with np.errstate(invalid="ignore", over="ignore"):
+                rep = check_laws(structure)
+                want, residuals = _dense_oracle(structure)
+            assert [n for n, _ in rep.failures] == [n for n, _ in want]
+            assert rep.passed == (not want)
+            # failing laws report the dense residual bit for bit (NaN as NaN)
+            got = np.array([v for _, v in rep.failures])
+            assert np.array_equal(got, np.array([v for _, v in want]), equal_nan=True)
+            key = "co_law_bounds" if isinstance(structure, VnCoalgebra) else "law_bounds"
+            for name, bound in rep.details[key].items():
+                assert bound >= residuals[name], (name, bound, residuals[name])
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: make_algebra([8]),
+            lambda: make_coalgebra([8]),
+            lambda: tensor_algebra(make_algebra([2]), make_algebra([4])),
+            lambda: direct_sum_coalgebra(make_coalgebra([6]), make_coalgebra([4])),
+        ],
+        ids=["m8", "t8", "m2-tensor-m4", "t6-sum-t4"],
+    )
+    def test_large_valid_structures_skip_the_dense_residuals(self, build, monkeypatch):
+        structure = build()
+        dense = []
+        monkeypatch.setattr(vnstruct, "_law_residual", lambda name, *args: dense.append(name))
+        rep = check_laws(structure)
+        assert rep.passed and not dense
+        key = "co_law_bounds" if isinstance(structure, VnCoalgebra) else "law_bounds"
+        assert len(rep.details[key]) == 5
+        # the canonical tensors are the Kadison form exactly, so each bound is
+        # only the rounding charge of the dense formulas
+        key = "co_cstar_worst" if isinstance(structure, VnCoalgebra) else "cstar_worst"
+        assert rep.details[key] == 0.0
+
+
+class TestNonFinite:
+    PROBES = [
+        (make_algebra, "mult_mat", (4, 0)),
+        (make_algebra, "mult_mat", (0, 0)),
+        (make_algebra, "inv_mat", (0, 0)),
+        (make_algebra, "unit_vec", 0),
+        (make_coalgebra, "comult_mat", (0, 0)),
+        (make_coalgebra, "comult_mat", (0, 4)),
+        (make_coalgebra, "counit_vec", 0),
+        (make_coalgebra, "inv_mat", (0, 0)),
+    ]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("make, field_name, index", PROBES)
+    def test_refused_at_construction_and_failed_after(self, make, field_name, index, value):
+        structure = make([2, 1])
+        arr = getattr(structure, field_name).astype(np.complex128)
+        arr[index] = value
+        with pytest.raises(InvalidInputError):
+            replace(structure, **{field_name: arr})
+        with np.errstate(invalid="ignore", over="ignore"):
+            rep = check_laws(_mutated(structure, field_name, index, value))
+        assert not rep.passed and rep.failures
+
+    @pytest.mark.parametrize(
+        "make, mode, field_name, index, names",
+        [
+            # a NaN counit defect fails the counital diagram instead of passing it
+            (make_coalgebra, "coalg_hom", "counit_vec", 0, ["counital"]),
+            # NaN in a blockwise norm's input fails the diagram, not the SVD
+            (make_coalgebra, "coalg_hom", "inv_mat", (0, 0), ["involutive"]),
+            (make_algebra, "alg_hom", "mult_mat", (0, 0), ["multiplicative"]),
+        ],
+    )
+    def test_morphism_fails_a_nan_diagram(self, make, mode, field_name, index, names):
+        good = make([2])
+        bad = _mutated(good, field_name, index, np.nan)
+        with np.errstate(invalid="ignore"):
+            v = certify_morphism(identity_map((2,)), good, bad, mode)
+        assert not v.ok and [name for name, _ in v.failures] == names
