@@ -229,32 +229,34 @@ def proj_bracket_flat(v, level: int, fa: FlatSpace, fb: FlatSpace) -> NormBracke
     """
     k, da, db = level, fa.dim, fb.dim
     v = _tensor_coords_reshape(v, k, da, db)
-    if np.max(np.abs(v)) < 1e-300:
+    if not v.any():
         return NormBracket.exactly(0.0)
 
-    # upper: expansion v = Σ_l A_l ⊗ y_l (and the mirrored split), each term
-    # bounded by ‖A_l‖·‖y_l‖; SVD over the split picks the directions
+    # upper: expansion v = Σ_l A_l ⊗ y_l (and the mirrored split
+    # Σ_l x_l ⊗ B_l), each term bounded by ‖A_l‖·‖y_l‖; SVD over the split
+    # picks the directions, and one stacked SVD per factor takes the level
+    # norms of all terms
+    v4 = v.reshape(k, k, da, db)
     uppers = []
-    m1 = v.reshape(k * k * da, db)
-    u, s, vh = np.linalg.svd(m1, full_matrices=False)
-    total = 0.0
-    for l in range(np.count_nonzero(s)):
-        a_l = (u[:, l] * s[l]).reshape(k, k, da)
-        y_l = vh[l, :]
-        total += fa.level_norm(a_l) * fb.level_norm(y_l.reshape(1, 1, db))
-    if total > 0:
-        uppers.append(total)
-    m2 = v.transpose(2, 0, 1).reshape(da, k * k * db)
-    u, s, vh = np.linalg.svd(m2.T, full_matrices=False)
-    total = 0.0
-    for l in range(np.count_nonzero(s)):
-        b_l = (u[:, l] * s[l]).reshape(k, k, db)
-        x_l = vh[l, :]
-        total += fa.level_norm(x_l.reshape(1, 1, da)) * fb.level_norm(b_l)
-    if total > 0:
-        uppers.append(total)
+    for split, f_lev, f_one in ((v4, fa, fb), (v4.transpose(0, 1, 3, 2), fb, fa)):
+        u, s, vh = np.linalg.svd(split.reshape(-1, f_one.dim), full_matrices=False)
+        r = np.count_nonzero(s)
+        levelled = _level_norms(f_lev, (u[:, :r] * s[:r]).T.reshape(r, k, k, f_lev.dim))
+        single = _level_norms(f_one, vh[:r].reshape(r, 1, 1, f_one.dim))
+        total = 0.0
+        for term in (levelled * single).tolist():  # summed in term order
+            total += term
+        if total > 0:
+            uppers.append(total)
     upper = min(uppers) if uppers else np.inf
     return NormBracket.from_bounds(inj_norm_flat(v, k, fa, fb).upper, upper)
+
+
+def _level_norms(fs: FlatSpace, coords: np.ndarray) -> np.ndarray:
+    """`fs.level_norm` of each of r stacked (r, k, k, dim) coordinate arrays, by one SVD call."""
+    r, k = coords.shape[:2]
+    flat = np.einsum("lija,arc->lirjc", coords, fs.place).reshape(r, k * fs.rows, k * fs.cols)
+    return np.linalg.svd(flat, compute_uv=False).max(axis=-1, initial=0.0)
 
 
 def inj_norm_flat(v, level: int, fa: FlatSpace, fb: FlatSpace) -> NormBracket:

@@ -13,6 +13,7 @@ defines the adjoint.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,8 @@ __all__ = [
 
 # the largest cross-block Choi entry `from_big_choi` reads as rounding
 _COHERENCE_TOL = 1e-12
+# smallest positive normal double: a sum of squares below it may have underflowed
+_NORMAL_MIN = np.finfo(np.float64).tiny
 
 
 def partial_trace(m: np.ndarray, dims: tuple[int, int], axis: int) -> np.ndarray:
@@ -202,8 +205,17 @@ class SuperOp:
     def classify(self, tol: float = 1e-9) -> ChannelFlags:
         """CP per (cod, dom) Choi sector: big_choi's spectrum is theirs, at Σ(l·k)³ not (Σl·Σk)³.
 
+        A sector is Hermitian when ‖J − J*‖₂ ≤ tol.  Since ‖·‖₂ ≤ ‖·‖_F
+        (Higham, *Accuracy and Stability of Numerical Algorithms* (2002),
+        §6.2), a Frobenius norm of at most tol/2 accepts the sector without
+        an SVD: the factor 2 is far wider than the rounding of either norm.
+        Below the normal range the squares may have underflowed, so there,
+        and above tol/2, the SVD decides.
+
         The trace and unit defects are the blockwise operator norms of
-        vec(1_cod)·transfer − vec(1_dom) and transfer·vec(1_dom) − vec(1_cod).
+        vec(1_cod)·transfer − vec(1_dom) and transfer·vec(1_dom) − vec(1_cod):
+        an exactly zero one reads 0.0 with no SVD, and when domain and
+        codomain shapes agree the two share one `block_norms` call.
         """
         herm_defect, min_eig = 0.0, np.inf
         for row, l in block_offsets(self.cod_shape):
@@ -215,7 +227,10 @@ class SuperOp:
                     min_eig = min(min_eig, 0.0)
                     continue
                 J = t.reshape(l, l, k, k).transpose(0, 2, 1, 3).reshape(l * k, l * k)
-                herm_defect = max(herm_defect, op_norm(J - J.conj().T))
+                skew = J - J.conj().T
+                fro2 = np.vdot(skew, skew).real
+                if not (math.sqrt(fro2) <= tol / 2 and (fro2 >= _NORMAL_MIN or not skew.any())):
+                    herm_defect = max(herm_defect, op_norm(skew))
                 min_eig = min(min_eig, float(np.linalg.eigvalsh((J + J.conj().T) / 2)[0]))
         if min_eig == np.inf:
             min_eig = 0.0
@@ -224,9 +239,13 @@ class SuperOp:
 
         unit_dom, unit_cod = unit_vector(self.dom_shape), unit_vector(self.cod_shape)
         traces = unit_cod @ self.transfer - unit_dom
-        trace_defect = block_norms(traces[:, None], self.dom_shape, "operator")[0]
         units = self.transfer @ unit_dom - unit_cod
-        unit_defect = block_norms(units[:, None], self.cod_shape, "operator")[0]
+        if self.dom_shape == self.cod_shape and traces.any() and units.any():
+            both = np.stack([traces, units], axis=1)
+            trace_defect, unit_defect = block_norms(both, self.dom_shape, "operator")
+        else:
+            trace_defect = _op_defect(traces, self.dom_shape)
+            unit_defect = _op_defect(units, self.cod_shape)
         return ChannelFlags(
             cp=bool(cp),
             tp=bool(trace_defect <= tol),
@@ -241,6 +260,11 @@ class SuperOp:
         if self.dom_shape != other.dom_shape or self.cod_shape != other.cod_shape:
             return False
         return bool(np.allclose(self.transfer, other.transfer, atol=tol, rtol=0.0))
+
+
+def _op_defect(v: np.ndarray, shape) -> float:
+    """Blockwise operator norm of one coordinate vector; 0.0, with no SVD, when it is zero."""
+    return block_norms(v[:, None], shape, "operator")[0] if v.any() else 0.0
 
 
 # ---------------------------------------------------------------------------

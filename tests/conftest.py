@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 import pytest
 
@@ -13,3 +15,24 @@ def rng():
 @pytest.fixture
 def config():
     return RunConfig(seed=20240817)
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Counter of np.linalg calls by function name, made while the test runs.
+
+    It sees the calls that look the function up on `np.linalg` when they are
+    made, which is how oscat calls LAPACK.
+    """
+    calls = collections.Counter()
+    for name in dir(np.linalg):
+        fn = getattr(np.linalg, name)
+        if name.startswith("_") or isinstance(fn, type) or not callable(fn):
+            continue
+
+        def spy(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    return calls

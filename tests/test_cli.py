@@ -339,6 +339,15 @@ class TestRunner:
         lo, hi = rec.bracket
         assert np.isfinite(hi) and lo <= 1e-20 <= hi
 
+    def test_proj_element_below_1e300_is_not_zero(self):
+        # only an element whose coordinates are all 0 is exactly 0
+        rep = run_session(parse_session(
+            "norm proj [[1e-301,0,0,0],[0,0,0,0],[0,0,0,0],[0,0,0,0]] in M(2) (*proj) M(2);"
+        ))
+        rec = rep.records[0]
+        assert rec.status == "pass" and rec.detail["norm_status"] == "exact"
+        assert rec.bracket == (1e-301, 1e-301)
+
     @pytest.mark.parametrize("text", [
         "norm inj [[1e308,1e308,0,0],[1e308,1e308,0,0],[0,0,0,0],[0,0,0,0]] in M(2) (*min) M(2);",
         "norm op [[1e308,1e308],[1e308,1e308]];",

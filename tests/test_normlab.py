@@ -966,6 +966,71 @@ class TestOrdering:
             assert best <= bp.lower + 1e-9
 
 
+class TestProjExpansion:
+    SPACES = {
+        "M2": FlatSpace.base(2),
+        "M2x3": FlatSpace.base(2, 3),
+        "M2+M1": FlatSpace.sum_inf(FlatSpace.base(2), FlatSpace.base(1)),
+        # a placement that is not made of matrix units
+        "generic": FlatSpace(rand_complex(np.random.default_rng(5), 3, 6).reshape(3, 2, 3)),
+    }
+
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    @pytest.mark.parametrize("a, b", [("M2", "M2"), ("M2x3", "M2+M1"), ("generic", "M2"), ("M2", "generic")])
+    def test_upper_bit_identical_to_per_term_sum(self, a, b, level, rng):
+        fa, fb = self.SPACES[a], self.SPACES[b]
+        for trial in range(8):
+            v = rand_complex(rng, level * level, fa.dim * fb.dim).reshape(level, level, -1)
+            if trial % 2:  # an elementary tensor: one term, and numerically rank-deficient splits
+                v = np.einsum("ija,b->ijab", rand_complex(rng, level * level, fa.dim).reshape(level, level, -1),
+                              rand_complex(rng, 1, fb.dim).ravel()).reshape(level, level, -1)
+            br = proj_bracket_flat(v, level, fa, fb)
+            # from_bounds raises an upper end that rounding left just below the lower one
+            assert br.upper == max(_proj_upper_per_term(v, level, fa, fb), br.lower)
+
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_no_svd_per_term(self, level, rng, linalg_calls):
+        # two split SVDs, one stacked SVD per factor and split, and the
+        # injective norm: 7 calls whatever the number of terms (4 per split here)
+        v = rand_complex(rng, level * level, 16).reshape(level, level, 16)
+        proj_bracket_flat(v, level, F2, F2)
+        assert linalg_calls["svd"] == 7
+
+    @pytest.mark.parametrize("k, n", [(2, 3), (3, 2)])
+    def test_elementary_tensor_exact_at_every_level(self, k, n, rng):
+        # ‖x ⊗ B‖∧ = ‖x‖·‖B‖ for x in X and B in M_k(Y): the mirrored split
+        # Σ x_l ⊗ B_l must read B_l over (i, j, b), or its sum is no upper end
+        fn = FlatSpace.base(n)
+        x, B = rand_complex(rng, 1, n * n).ravel(), rand_complex(rng, k * k, n * n).reshape(k, k, -1)
+        for v in (np.einsum("a,ijb->ijab", x, B), np.einsum("ija,b->ijab", B, x)):
+            br = proj_bracket_flat(v.reshape(k, k, -1), k, fn, fn)
+            want = op_norm(x.reshape(n, n)) * fn.level_norm(B)
+            assert br.status == "exact" and abs(br.mid - want) <= 1e-9 * want
+
+    def test_tiny_element_is_not_zero(self):
+        # only an element whose coordinates are all 0 is exactly 0
+        v = np.zeros(16, dtype=complex)
+        v[0] = 1e-301
+        br = proj_bracket_flat(v, 1, F2, F2)
+        assert br.status == "exact" and br.lower <= 1e-301 <= br.upper
+        assert proj_bracket_flat(np.zeros(16), 1, F2, F2) == NormBracket.exactly(0.0)
+
+
+def _proj_upper_per_term(v, k, fa, fb) -> float:
+    """The expansion upper end with one level_norm (one SVD) per term, summed in term order."""
+    v4 = v.reshape(k, k, fa.dim, fb.dim)
+    uppers = []
+    for split, f_lev, f_one in ((v4, fa, fb), (v4.transpose(0, 1, 3, 2), fb, fa)):
+        u, s, vh = np.linalg.svd(split.reshape(-1, f_one.dim), full_matrices=False)
+        total = 0.0
+        for l in range(np.count_nonzero(s)):
+            a_l, y_l = (u[:, l] * s[l]).reshape(k, k, f_lev.dim), vh[l].reshape(1, 1, f_one.dim)
+            total += f_lev.level_norm(a_l) * f_one.level_norm(y_l)
+        if total > 0:
+            uppers.append(total)
+    return min(uppers)
+
+
 def _func(rep):
     """Functional coordinates w_α = tr(rep · e_α) on M_2."""
     return np.array(

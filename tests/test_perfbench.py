@@ -112,6 +112,18 @@ def test_session_haagerup_norms_mostly_skip_sdp(workloads, monkeypatch):
     assert reached <= 3
 
 
+def test_session_lapack_calls(workloads, linalg_calls):
+    # LAPACK dispatch is the largest single cost of the many small numpy
+    # calls in a session: the seed-1 batch makes at most 3000 np.linalg calls
+    # (2743 when this test was written), and every answer still checks
+    batch = workloads.build("session_mix", 1)
+    linalg_calls.clear()
+    for item in batch.items:
+        errors, _ = item.check(item.run())
+        assert errors == [], (item.kind, errors)
+    assert sum(linalg_calls.values()) <= 3000, dict(linalg_calls)
+
+
 def test_sdp_lmi_bytes_read_from_the_problem(monkeypatch):
     # read-only: the tracer's per-layer LMI byte count reads the triples the
     # diamond LMI hands to the SDP, so an SDP API change cannot zero it quietly

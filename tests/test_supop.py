@@ -167,12 +167,88 @@ class TestClassify:
             lambda rng: SuperOp.from_big_choi([[1, 2], [0, 1]], (2,), (0, 1)),
             lambda rng: random_superop(rng, 2, 3),
             lambda rng: transpose_map(3),
+            *(
+                lambda rng, f=f, g=g: _skewed_conjugation(rng, f, g)
+                for g in ("rank-one", "identity")
+                for f in (0.3, 0.5, 0.99, 1.01, 2.0)
+            ),
+            lambda rng: _replacement_map(),
+            lambda rng: _partial_trace_map(),
+            lambda rng: _random_map(rng, (3,), (2,)),
+            lambda rng: _random_map(rng, (2, 2), (4,)),
         ],
-        ids=["(2,1)->(1,2)", "(1,0,2)->(2,)", "identity[0]", "trace_map", "choi", "random", "T3"],
+        ids=["(2,1)->(1,2)", "(1,0,2)->(2,)", "identity[0]", "trace_map", "choi", "random", "T3"]
+        + [f"skew{f}-{g}" for g in ("rank-one", "identity") for f in (0.3, 0.5, 0.99, 1.01, 2.0)]
+        + ["replacement", "partial-trace", "(3,)->(2,)", "(2,2)->(4,)"],
     )
     def test_flags_bit_identical_to_block_matrix_oracle(self, make, rng):
         s = make(rng)
         assert s.classify() == _classify_by_block_matrices(s)
+
+    def test_skewed_flags_straddle_tol(self, rng, linalg_calls):
+        # the oracle cases above sit on both sides of the Hermiticity decision,
+        # and a rank-one skew of 0.3·tol is accepted from its Frobenius norm
+        # (one SVD, for the defects) where g = 1 needs a second
+        for g, svds in (("rank-one", 1), ("identity", 2)):
+            got = [_skewed_conjugation(rng, f, g).classify().herm_preserving for f in (0.99, 1.01)]
+            assert got == [True, False]
+            s = _skewed_conjugation(rng, 0.3, g)
+            linalg_calls.clear()
+            assert s.classify().herm_preserving
+            assert linalg_calls["svd"] == svds
+
+    def test_zero_trace_defect_with_unit_defect(self):
+        for s in (_replacement_map(), _partial_trace_map()):
+            flags = s.classify()
+            assert flags.trace_defect == 0.0 and flags.unit_defect > 0.1
+            assert flags.tp and not flags.unital and flags.cp
+
+    @pytest.mark.parametrize("make", [lambda rng: transpose_map(3), lambda rng: depolarizing(3)],
+                             ids=["T3", "depolarizing3"])
+    def test_exact_maps_classify_without_svd(self, make, rng, linalg_calls):
+        s = make(rng)
+        linalg_calls.clear()
+        flags = s.classify()
+        assert flags.trace_defect == flags.unit_defect == 0.0
+        assert linalg_calls["svd"] == 0
+
+    def test_conjugation_classifies_with_one_svd(self, rng, linalg_calls):
+        # an exactly Hermitian Choi matrix needs no SVD; both rounding-sized
+        # defects over the one shape share a single block_norms SVD
+        s = conjugation(rand_unitary(rng, 3))
+        linalg_calls.clear()
+        flags = s.classify()
+        assert flags.trace_defect > 0 and flags.unit_defect > 0
+        assert dict(linalg_calls) == {"eigvalsh": 1, "svd": 1}
+
+
+def _skewed_conjugation(rng, factor: float, skew: str, tol: float = 1e-9) -> SuperOp:
+    """A qubit unitary conjugation whose Choi matrix J gains i·c·g, g Hermitian.
+
+    Then J − J* = 2i·c·g, and c is chosen so that ‖J − J*‖₂ = factor·tol.  A
+    rank-one g has ‖g‖_F = ‖g‖₂, so factors up to 0.5 pass the Frobenius test;
+    g = 1 has ‖g‖_F = 2‖g‖₂, so every factor here goes to the SVD.
+    """
+    J = conjugation(rand_unitary(rng, 2)).big_choi()
+    if skew == "rank-one":
+        w = rand_complex(rng, 4, 1)
+        g = w @ w.conj().T / np.vdot(w, w).real
+    else:
+        g = np.eye(4)
+    return SuperOp.from_big_choi(J + 0.5j * factor * tol * g, (2,), (2,))
+
+
+def _replacement_map() -> SuperOp:
+    """x ↦ tr(x)·diag(3/4, 1/4): exactly trace preserving, not unital."""
+    rho = np.diag([0.75, 0.25])
+    return SuperOp((2,), (2,), np.outer(rho.ravel(), np.eye(2).ravel()))
+
+
+def _partial_trace_map() -> SuperOp:
+    """Tr₂: M_4 → M_2, exactly trace preserving, with Tr₂(1) = 2·1."""
+    return SuperOp.from_action(
+        lambda x: BlockMatrix([partial_trace(x.blocks[0], (2, 2), 1)]), (4,), (2,)
+    )
 
 
 def _classify_by_block_matrices(s: SuperOp, tol: float = 1e-9) -> ChannelFlags:

@@ -452,6 +452,36 @@ class TestMorphisms:
         ]
         assert np.allclose(got, [unit, mult, inv, counit, comult, co_inv], rtol=1e-12, atol=1e-12)
 
+    def test_alg_hom_one_svd_on_one_block(self, rng, linalg_calls):
+        # the unital, multiplicative and involutive columns share one SVD
+        alg = make_algebra([3])
+        f = conjugation(rand_unitary(rng, 3)).adjoint()
+        linalg_calls.clear()
+        assert certify_morphism(f, alg, alg, "alg_hom").ok
+        assert linalg_calls["svd"] == 1
+
+    def test_alg_hom_errors_bit_identical_to_per_family(self, rng):
+        # the batched norms split per family read exactly what one
+        # block_norms call per family reads
+        shapes = [(2,), (3,), (2, 1), (1, 2), (2, 2, 1)]
+        for trial in range(40):
+            dom, cod = shapes[trial % 5], shapes[(trial // 5) % 5]
+            alg_a, alg_b = make_algebra(dom), make_algebra(cod)
+            if trial % 3 == 0 and dom == cod == (2,):
+                f = conjugation(rand_unitary(rng, 2)).adjoint()
+            else:
+                f = SuperOp(dom, cod, rand_complex(rng, alg_b.dim, alg_a.dim))
+            got = certify_morphism(f, alg_a, alg_b, "alg_hom").diagnostics
+            t, db, da = f.transfer, alg_b.dim, alg_a.dim
+            mu_b = alg_b.mult_mat.reshape(db, db, db)
+            families = {
+                "unit_err": (t @ alg_a.unit_vec - alg_b.unit_vec)[:, None],
+                "mult_err": t @ alg_a.mult_mat - (t.T @ mu_b @ t).reshape(db, da * da),
+                "inv_err": t @ alg_a.inv_mat - alg_b.inv_mat @ t.conj(),
+            }
+            for key, cols in families.items():
+                assert got[key] == vnstruct._worst_block_norm(cols, cod, "operator"), (trial, key)
+
     def test_transpose_is_alg_antihom_not_hom(self):
         # transpose reverses products, so the multiplicative diagram fails
         alg = make_algebra([2])
