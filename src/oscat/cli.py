@@ -14,11 +14,13 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .config import RunConfig
-from .errors import OscatError
+from .errors import InvalidInputError, OscatError
 from .matcore import (
     BlockMatrix,
     op_norm,
@@ -26,7 +28,16 @@ from .matcore import (
     tr_norm,
 )
 from .normlab.diamond import cb_norm, diamond_norm
-from .osx import SpaceElement, SpaceExpr, format_space, norm_at, normalize_space, parse_space
+from .osx import (
+    M,
+    SpaceElement,
+    SpaceExpr,
+    SpaceSyntaxError,
+    format_space,
+    norm_at,
+    normalize_space,
+    parse_space,
+)
 from .qglue import (
     QObject,
     check_morphism,
@@ -135,7 +146,7 @@ class _Scanner:
     def integer(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             self.error("an integer")
@@ -158,24 +169,28 @@ class _Scanner:
         self.pos = i
         return self.text[start:i]
 
-    def raw_until_semicolon(self) -> tuple[str, int]:
+    def shape(self) -> tuple:
+        """Block shape `[n1,...,nk]` of signed integers; sizes are checked when built."""
+        blob = self.bracket_blob()
+        inner = blob[1:-1].strip()
+        parts = [p.strip() for p in inner.split(",")] if inner else []
+        if not all(p.removeprefix("-").isdecimal() for p in parts):
+            self.error("a block-shape like [2,3]")
+        return tuple(int(p) for p in parts)
+
+    def space_text(self) -> str:
+        """Space expression up to ';'; its syntax errors are parse errors with real columns."""
         self.skip_ws()
         idx = self.text.find(";", self.pos)
         if idx < 0:
             self.error("';'")
-        start = self.pos
-        out = self.text[self.pos : idx].strip()
-        self.pos = idx
-        return out, start
-
-    def validate_space_text(self, text: str, start: int):
-        """Space-grammar syntax errors are parse errors with real columns."""
-        from .osx import SpaceSyntaxError
-
+        start, self.pos = self.pos, idx
+        text = self.text[start:idx].strip()
         try:
             parse_space(text, names=_AnyNames())
         except SpaceSyntaxError as exc:
             raise ParseError(self.line, start + exc.pos + 1, "a space expression")
+        return text
 
 
 class _AnyNames(dict):
@@ -185,116 +200,143 @@ class _AnyNames(dict):
         return True
 
     def __getitem__(self, key):
-        from .osx import M as _M
-
-        return _M(1)
-
-
-def _parse_shape(blob: str, sc: _Scanner) -> tuple:
-    inner = blob.strip()[1:-1].strip()
-    if not inner:
-        return ()
-    parts = [p.strip() for p in inner.split(",")]
-    out = []
-    for p in parts:
-        if not p.isdigit():
-            sc.error("a block-shape like [2,3]")
-        out.append(int(p))
-    return tuple(out)
+        return M(1)
 
 
 _CHECK_KINDS = ("cp", "tp", "unital", "cpu", "cptp", "alghom", "coalghom", "morphism")
 _NORM_KINDS = ("op", "tr", "diamond", "cb", "haagerup", "proj", "inj")
-_MAP_CTORS = (
-    "identity",
-    "transpose",
-    "depolarize",
-    "trace",
-    "conj_by",
-    "adjoint",
-    "compose",
-    "tensor",
-    "dsum",
-    "amplify",
-    "choi",
-)
-_OBJ_CTORS = ("H", "S", "unitary", "dual", "with", "plus", "tensor", "par", "unit")
 
 
-def _parse_obj_expr(sc: _Scanner):
-    """objexpr := CTOR(...) | NAME — returned as a nested tuple tree."""
+# ---------------------------------------------------------------------------
+# map and object expressions: one constructor table per kind drives parsing,
+# printing and building.  A row is (builder, argument list); the list holds
+# argument kinds (keys of _KINDS) and, between them, separators as printed.
+
+class _Kind(NamedTuple):
+    read: Callable  # _Scanner → the value held in the AST
+    show: Callable  # that value → its canonical text
+    build: Callable  # (_Env, that value) → what the session uses
+
+
+def _from_choi(dom, cod, j) -> SuperOp:
+    return SuperOp.from_big_choi(j, dom, cod)
+
+
+def _unitary_object(alg, mat) -> QObject:
+    """unitary(A, U): the singleton {U} in H(A)'s space."""
+    return QObject(embed_H(alg).space, singleton_unitary(_split_blocks(mat, alg.shape), alg.shape))
+
+
+def _split_blocks(mat: np.ndarray, shape) -> BlockMatrix:
+    """The diagonal blocks of a square matrix that is zero off them."""
+    offsets = np.cumsum((0,) + tuple(shape))
+    blocks = [mat[a:b, a:b] for a, b in zip(offsets, offsets[1:])]
+    off_blocks = np.count_nonzero(mat) - sum(map(np.count_nonzero, blocks))
+    if mat.shape != (offsets[-1],) * 2 or off_blocks:
+        raise OscatError("matrix does not fit the block shape")
+    return BlockMatrix(blocks)
+
+
+_BINARY = ("maps", ", ", "maps")
+_MAP_CTORS = {
+    "identity": (identity_map, ("shape",)),
+    "transpose": (transpose_map, ("int",)),
+    "depolarize": (depolarizing, ("int",)),
+    "trace": (trace_map, ("shape",)),
+    "conj_by": (conjugation, ("matrix",)),
+    "adjoint": (SuperOp.adjoint, ("maps",)),
+    "compose": (SuperOp.compose, _BINARY),
+    "tensor": (SuperOp.tensor, _BINARY),
+    "dsum": (SuperOp.direct_sum, _BINARY),
+    "amplify": (SuperOp.amplify, ("maps", ", ", "int")),
+    "choi": (_from_choi, ("shape", " -> ", "shape", ", ", "matrix")),
+}
+_OBJ_CTORS = {
+    "H": (embed_H, ("algs",)),
+    "S": (embed_S, ("coalgs",)),
+    "unitary": (_unitary_object, ("algs", ", ", "matrix")),
+    "dual": (partial(connective, "dual"), ("obj",)),
+    **{kind: (partial(connective, kind), ("obj", ", ", "obj"))
+       for kind in ("with", "plus", "tensor", "par")},
+    "unit": (unit_object, ()),
+}
+
+
+def _parse_map_expr(sc: _Scanner) -> tuple:
+    """mapexpr := CTOR(args)"""
+    name = sc.name("a map constructor")
+    if name in _MAP_CTORS:
+        sc.literal("(")
+    return _parse_call(sc, _MAP_CTORS, name)
+
+
+def _parse_obj_expr(sc: _Scanner) -> tuple:
+    """objexpr := CTOR(args) | NAME"""
     name = sc.name("an object expression")
-    if sc.try_literal("("):
-        if name not in _OBJ_CTORS:
-            sc.error("one of " + "|".join(_OBJ_CTORS))
-        args = []
-        if name == "unit":
-            sc.literal(")")
-            return ("unit",)
-        if name in ("H", "S"):
-            args.append(sc.name("an algebra/coalgebra name"))
-            sc.literal(")")
-            return (name, args[0])
-        if name == "unitary":
-            args.append(sc.name("an algebra name"))
-            sc.literal(",")
-            args.append(sc.bracket_blob())
-            sc.literal(")")
-            return ("unitary", args[0], args[1])
-        if name == "dual":
-            inner = _parse_obj_expr(sc)
-            sc.literal(")")
-            return ("dual", inner)
-        a = _parse_obj_expr(sc)
-        sc.literal(",")
-        b = _parse_obj_expr(sc)
-        sc.literal(")")
-        return (name, a, b)
-    return ("ref", name)
+    if not sc.try_literal("("):
+        return ("ref", name)
+    return _parse_call(sc, _OBJ_CTORS, name)
 
 
-def _parse_map_expr(sc: _Scanner):
-    ctor = sc.name("a map constructor")
-    if ctor not in _MAP_CTORS:
-        sc.error("one of " + "|".join(_MAP_CTORS))
-    sc.literal("(")
-    if ctor in ("identity", "trace"):
-        blob = sc.bracket_blob()
-        sc.literal(")")
-        return (ctor, blob)
-    if ctor in ("transpose", "depolarize"):
-        n = sc.integer()
-        sc.literal(")")
-        return (ctor, n)
-    if ctor == "conj_by":
-        blob = sc.bracket_blob()
-        sc.literal(")")
-        return (ctor, blob)
-    if ctor == "adjoint":
-        nm = sc.name("a map name")
-        sc.literal(")")
-        return (ctor, nm)
-    if ctor in ("compose", "tensor", "dsum"):
-        a = sc.name("a map name")
-        sc.literal(",")
-        b = sc.name("a map name")
-        sc.literal(")")
-        return (ctor, a, b)
-    if ctor == "amplify":
-        a = sc.name("a map name")
-        sc.literal(",")
-        k = sc.integer()
-        sc.literal(")")
-        return (ctor, a, k)
-    # choi([dom] -> [cod], [[...]])
-    domb = sc.bracket_blob()
-    sc.literal("->")
-    codb = sc.bracket_blob()
-    sc.literal(",")
-    mat = sc.bracket_blob()
+def _parse_call(sc: _Scanner, table: dict, name: str) -> tuple:
+    """(name, *args) of a constructor call whose '(' has been read."""
+    if name not in table:
+        sc.error("one of " + "|".join(table))
+    out = [name]
+    for part in table[name][1]:
+        if part in _KINDS:
+            out.append(_KINDS[part].read(sc))
+        else:
+            sc.literal(part.strip())
     sc.literal(")")
-    return ("choi", domb, codb, mat)
+    return tuple(out)
 
+
+def _fmt_expr(table: dict, expr: tuple) -> str:
+    if expr[0] == "ref":
+        return expr[1]
+    args = iter(expr[1:])
+    text = "".join(_KINDS[p].show(next(args)) if p in _KINDS else p for p in table[expr[0]][1])
+    return f"{expr[0]}({text})"
+
+
+def _build_expr(table: dict, env: "_Env", expr: tuple):
+    if expr[0] == "ref":
+        return env.lookup("objs", expr[1])
+    build, parts = table[expr[0]]
+    kinds = [p for p in parts if p in _KINDS]
+    return build(*(_KINDS[k].build(env, v) for k, v in zip(kinds, expr[1:])))
+
+
+def _ref(table: str, expected: str) -> _Kind:
+    """A name looked up in one session table."""
+    return _Kind(lambda sc: sc.name(expected), str, lambda env, name: env.lookup(table, name))
+
+
+def _fmt_shape(shape) -> str:
+    return "[" + ",".join(str(k) for k in shape) + "]"
+
+
+_KINDS = {
+    "shape": _Kind(_Scanner.shape, _fmt_shape, lambda env, shape: shape),
+    "int": _Kind(_Scanner.integer, str, lambda env, n: n),
+    "matrix": _Kind(_Scanner.bracket_blob, str, lambda env, text: parse_matrix_literal(text)),
+    "maps": _ref("maps", "a map name"),
+    "algs": _ref("algs", "an algebra name"),
+    "coalgs": _ref("coalgs", "a coalgebra name"),
+    "obj": _Kind(_parse_obj_expr, partial(_fmt_expr, _OBJ_CTORS), partial(_build_expr, _OBJ_CTORS)),
+    # the values of the definition statements, keyed by the statement
+    "map": _Kind(_parse_map_expr, partial(_fmt_expr, _MAP_CTORS), partial(_build_expr, _MAP_CTORS)),
+    "alg": _Kind(_Scanner.shape, _fmt_shape, lambda env, shape: make_algebra(shape)),
+    "coalg": _Kind(_Scanner.shape, _fmt_shape, lambda env, shape: make_coalgebra(shape)),
+    "space": _Kind(_Scanner.space_text, str, lambda env, text: parse_space(text, names=env.spaces)),
+}
+# definition statement `KIND NAME = value;` → the session table NAME goes in
+_DEFINITIONS = {"space": "spaces", "alg": "algs", "coalg": "coalgs", "map": "maps", "obj": "objs"}
+
+
+# ---------------------------------------------------------------------------
+# statements
 
 def parse_session(text: str) -> SessionAst:
     """Parse a session; raises ParseError (never anything else) on bad input."""
@@ -316,27 +358,10 @@ def _parse_session_inner(text: str) -> SessionAst:
             continue
         sc = _Scanner(line, ln)
         head = sc.name("a statement keyword")
-        if head == "space":
+        if head in _DEFINITIONS:
             nm = sc.name()
             sc.literal("=")
-            expr_text, start = sc.raw_until_semicolon()
-            sc.validate_space_text(expr_text, start)
-            st = Statement("space", (("name", nm), ("text", expr_text)), ln)
-        elif head in ("alg", "coalg"):
-            nm = sc.name()
-            sc.literal("=")
-            shape = _parse_shape(sc.bracket_blob(), sc)
-            st = Statement(head, (("name", nm), ("shape", shape)), ln)
-        elif head == "map":
-            nm = sc.name()
-            sc.literal("=")
-            expr = _parse_map_expr(sc)
-            st = Statement("map", (("expr", expr), ("name", nm)), ln)
-        elif head == "obj":
-            nm = sc.name()
-            sc.literal("=")
-            expr = _parse_obj_expr(sc)
-            st = Statement("obj", (("expr", expr), ("name", nm)), ln)
+            st = Statement(head, (("name", nm), ("value", _KINDS[head].read(sc))), ln)
         elif head == "check":
             kind = sc.name("one of " + "|".join(_CHECK_KINDS))
             if kind not in _CHECK_KINDS:
@@ -372,11 +397,9 @@ def _parse_session_inner(text: str) -> SessionAst:
             else:
                 blob = sc.bracket_blob()
                 sc.literal("in", "'in'")
-                space_text, start = sc.raw_until_semicolon()
-                sc.validate_space_text(space_text, start)
                 st = Statement(
                     "norm",
-                    (("arg", blob), ("kind", kind), ("space", space_text)),
+                    (("arg", blob), ("kind", kind), ("space", sc.space_text())),
                     ln,
                 )
         elif head == "demo":
@@ -399,58 +422,28 @@ def _parse_session_inner(text: str) -> SessionAst:
 
 def format_session(ast: SessionAst) -> str:
     """Canonical text whose parse equals the AST."""
-    out = []
-    for st in ast.statements:
-        if st.kind == "space":
-            out.append(f"space {st.get('name')} = {st.get('text')};")
-        elif st.kind in ("alg", "coalg"):
-            shape = ",".join(str(k) for k in st.get("shape"))
-            out.append(f"{st.kind} {st.get('name')} = [{shape}];")
-        elif st.kind == "map":
-            out.append(f"map {st.get('name')} = {_fmt_map(st.get('expr'))};")
-        elif st.kind == "obj":
-            out.append(f"obj {st.get('name')} = {_fmt_obj(st.get('expr'))};")
-        elif st.kind == "check":
-            tail = ""
-            if st.get("src") is not None:
-                tail = f" : {st.get('src')} -> {st.get('dst')}"
-            out.append(f"check {st.get('kind')} {st.get('map')}{tail};")
-        elif st.kind == "norm":
-            kind = st.get("kind")
-            if kind in ("op", "tr"):
-                out.append(f"norm {kind} {st.get('arg')};")
-            elif kind in ("diamond", "cb"):
-                pic = f" {st.get('picture')}" if kind == "cb" else ""
-                out.append(f"norm {kind} {st.get('arg')}{pic};")
-            else:
-                out.append(f"norm {kind} {st.get('arg')} in {st.get('space')};")
-        elif st.kind == "demo":
-            out.append(f"demo qswitch {st.get('n')};")
-        elif st.kind == "assert":
-            out.append(f"assert laws {st.get('name')};")
-    return "\n".join(out) + ("\n" if out else "")
+    return "".join(_fmt_statement(st) + "\n" for st in ast.statements)
 
 
-def _fmt_map(expr) -> str:
-    ctor = expr[0]
-    if ctor == "choi":
-        return f"choi({expr[1]} -> {expr[2]}, {expr[3]})"
-    args = ", ".join(str(a) for a in expr[1:])
-    return f"{ctor}({args})"
-
-
-def _fmt_obj(expr) -> str:
-    if expr[0] == "ref":
-        return expr[1]
-    if expr[0] == "unit":
-        return "unit()"
-    if expr[0] in ("H", "S"):
-        return f"{expr[0]}({expr[1]})"
-    if expr[0] == "unitary":
-        return f"unitary({expr[1]}, {expr[2]})"
-    if expr[0] == "dual":
-        return f"dual({_fmt_obj(expr[1])})"
-    return f"{expr[0]}({_fmt_obj(expr[1])}, {_fmt_obj(expr[2])})"
+def _fmt_statement(st: Statement) -> str:
+    if st.kind in _DEFINITIONS:
+        return f"{st.kind} {st.get('name')} = {_KINDS[st.kind].show(st.get('value'))};"
+    if st.kind == "check":
+        tail = ""
+        if st.get("src") is not None:
+            tail = f" : {st.get('src')} -> {st.get('dst')}"
+        return f"check {st.get('kind')} {st.get('map')}{tail};"
+    if st.kind == "norm":
+        kind = st.get("kind")
+        if kind in ("op", "tr"):
+            return f"norm {kind} {st.get('arg')};"
+        if kind in ("diamond", "cb"):
+            pic = f" {st.get('picture')}" if kind == "cb" else ""
+            return f"norm {kind} {st.get('arg')}{pic};"
+        return f"norm {kind} {st.get('arg')} in {st.get('space')};"
+    if st.kind == "demo":
+        return f"demo qswitch {st.get('n')};"
+    return f"assert laws {st.get('name')};"
 
 
 # ---------------------------------------------------------------------------
@@ -543,73 +536,6 @@ class _Env:
         return d[name]
 
 
-def _build_map(env: _Env, expr) -> SuperOp:
-    ctor = expr[0]
-    if ctor == "identity":
-        return identity_map(_shape_of(expr[1]))
-    if ctor == "trace":
-        return trace_map(_shape_of(expr[1]))
-    if ctor == "transpose":
-        return transpose_map(expr[1])
-    if ctor == "depolarize":
-        return depolarizing(expr[1])
-    if ctor == "conj_by":
-        return conjugation(parse_matrix_literal(expr[1]))
-    if ctor == "adjoint":
-        return env.lookup("maps", expr[1]).adjoint()
-    if ctor == "compose":
-        return env.lookup("maps", expr[1]).compose(env.lookup("maps", expr[2]))
-    if ctor == "tensor":
-        return env.lookup("maps", expr[1]).tensor(env.lookup("maps", expr[2]))
-    if ctor == "dsum":
-        return env.lookup("maps", expr[1]).direct_sum(env.lookup("maps", expr[2]))
-    if ctor == "amplify":
-        return env.lookup("maps", expr[1]).amplify(expr[2])
-    if ctor == "choi":
-        dom = _shape_of(expr[1])
-        cod = _shape_of(expr[2])
-        return SuperOp.from_big_choi(parse_matrix_literal(expr[3]), dom, cod)
-    raise OscatError(f"unknown map constructor {ctor!r}")
-
-
-def _shape_of(blob: str) -> tuple:
-    inner = blob.strip()[1:-1]
-    return tuple(int(p) for p in inner.split(",") if p.strip())
-
-
-def _build_obj(env: _Env, expr) -> QObject:
-    kind = expr[0]
-    if kind == "ref":
-        return env.lookup("objs", expr[1])
-    if kind == "unit":
-        return unit_object()
-    if kind == "H":
-        return embed_H(env.lookup("algs", expr[1]))
-    if kind == "S":
-        return embed_S(env.lookup("coalgs", expr[1]))
-    if kind == "unitary":
-        alg = env.lookup("algs", expr[1])
-        mat = parse_matrix_literal(expr[2])
-        u = _split_blocks(mat, alg.shape)
-        return QObject(embed_H(alg).space, singleton_unitary(u, alg.shape))
-    if kind == "dual":
-        return connective("dual", _build_obj(env, expr[1]))
-    return connective(kind, _build_obj(env, expr[1]), _build_obj(env, expr[2]))
-
-
-def _split_blocks(mat: np.ndarray, shape) -> BlockMatrix:
-    total = sum(shape)
-    if mat.shape == (total, total):
-        blocks, off = [], 0
-        for k in shape:
-            blocks.append(mat[off : off + k, off : off + k])
-            off += k
-        return BlockMatrix(blocks)
-    if len(shape) == 1 and mat.shape == (shape[0], shape[0]):
-        return BlockMatrix([mat])
-    raise OscatError("matrix does not fit the block shape")
-
-
 def _factor_shape(x: SpaceExpr) -> tuple[int, int]:
     """Literal shape of one tensor factor.
 
@@ -644,7 +570,7 @@ def run_session(ast: SessionAst, config: RunConfig | None = None) -> Report:
     env = _Env()
     records: list[Record] = []
     for st in ast.statements:
-        text = format_session(SessionAst((st,))).strip()
+        text = _fmt_statement(st)
         t0 = time.perf_counter()
         try:
             recs = _execute(env, st, text, config)
@@ -663,21 +589,9 @@ def run_session(ast: SessionAst, config: RunConfig | None = None) -> Report:
 
 
 def _execute(env: _Env, st: Statement, text: str, config: RunConfig) -> list[Record]:
-    if st.kind == "space":
-        expr = parse_space(st.get("text"), names=env.spaces)
-        env.define(st.get("name"), "spaces", expr)
-        return []
-    if st.kind == "alg":
-        env.define(st.get("name"), "algs", make_algebra(st.get("shape")))
-        return []
-    if st.kind == "coalg":
-        env.define(st.get("name"), "coalgs", make_coalgebra(st.get("shape")))
-        return []
-    if st.kind == "map":
-        env.define(st.get("name"), "maps", _build_map(env, st.get("expr")))
-        return []
-    if st.kind == "obj":
-        env.define(st.get("name"), "objs", _build_obj(env, st.get("expr")))
+    if st.kind in _DEFINITIONS:
+        value = _KINDS[st.kind].build(env, st.get("value"))
+        env.define(st.get("name"), _DEFINITIONS[st.kind], value)
         return []
     if st.kind == "check":
         return [_run_check(env, st, text, config)]
@@ -685,9 +599,7 @@ def _execute(env: _Env, st: Statement, text: str, config: RunConfig) -> list[Rec
         return [_run_norm(env, st, text)]
     if st.kind == "demo":
         return _run_demo(env, st, text)
-    if st.kind == "assert":
-        return [_run_assert(env, st, text, config)]
-    raise OscatError(f"unknown statement kind {st.kind}")
+    return [_run_assert(env, st, text, config)]
 
 
 def _run_check(env: _Env, st: Statement, text: str, config: RunConfig) -> Record:
@@ -766,14 +678,8 @@ def _run_norm(env: _Env, st: Statement, text: str) -> Record:
 
 def _run_demo(env: _Env, st: Statement, text: str) -> list[Record]:
     _, report = quantum_switch(st.get("n"))
-    out = []
-    for claim in report["claims"]:
-        rec = Record(
-            f"{text} [{claim['claim']}]",
-            claim["verdict"] if claim["verdict"] != "pass" else "pass",
-            detail=claim["evidence"],
-        )
-        out.append(rec)
+    out = [Record(f"{text} [{c['claim']}]", c["verdict"], detail=c["evidence"])
+           for c in report["claims"]]
     if "h_violation_witness" in report:
         out[-1].witness = report["h_violation_witness"]
     return out
@@ -823,13 +729,18 @@ def emit_report(report: Report, fmt: str = "text") -> bytes:
 # entry point
 
 def _config_from_args(args) -> RunConfig:
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("OSCAT_SEED", "0"))
-    tol = args.tol
-    if tol is None:
-        tol = float(os.environ.get("OSCAT_TOL", "1e-9"))
+    """Flags over OSCAT_SEED / OSCAT_TOL over defaults."""
+    seed = args.seed if args.seed is not None else _env_value("OSCAT_SEED", int, "0")
+    tol = args.tol if args.tol is not None else _env_value("OSCAT_TOL", float, "1e-9")
     return RunConfig(seed=seed, tol=tol)
+
+
+def _env_value(name: str, parse, default: str):
+    raw = os.environ.get(name, default)
+    try:
+        return parse(raw)
+    except ValueError:
+        raise InvalidInputError(f"{name}={raw!r} is not a valid {parse.__name__}") from None
 
 
 def main(argv=None) -> int:
@@ -854,7 +765,11 @@ def main(argv=None) -> int:
     p_self.add_argument("--tol", type=float, default=None)
 
     args = parser.parse_args(argv)
-    config = _config_from_args(args)
+    try:
+        config = _config_from_args(args)
+    except InvalidInputError as exc:
+        print(f"invalid configuration: {exc}", file=sys.stderr)
+        return 3
 
     if args.cmd == "selftest":
         from .acceptance import run_all
@@ -867,26 +782,20 @@ def main(argv=None) -> int:
         return 0 if ok else 1
 
     if args.cmd == "demo":
-        session = f"demo qswitch {args.n};\n"
-        ast = parse_session(session)
-        report = run_session(ast, config)
+        text = f"demo qswitch {args.n};\n"
     else:
         try:
             with open(args.file, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"cannot read {args.file}: {exc}", file=sys.stderr)
             return 3
-        try:
-            ast = parse_session(text)
-        except ParseError as exc:
-            report = Report(config={"seed": config.seed, "tol": config.tol},
-                            records=[], parse_error=str(exc))
-            sys.stdout.write(emit_report(report, "text").decode())
-            if args.json_out:
-                with open(args.json_out, "wb") as fh:
-                    fh.write(emit_report(report, "json"))
-            return 3
+    try:
+        ast = parse_session(text)
+    except ParseError as exc:
+        report = Report(config={"seed": config.seed, "tol": config.tol},
+                        records=[], parse_error=str(exc))
+    else:
         report = run_session(ast, config)
 
     sys.stdout.write(emit_report(report, "text").decode())

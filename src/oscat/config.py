@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import InvalidInputError
+
 __all__ = ["DEFAULT_TOL", "DIM_CAP", "BracketCaps", "RunConfig"]
 
 DEFAULT_TOL = 1e-9
@@ -35,6 +37,10 @@ class RunConfig:
     tol: float = DEFAULT_TOL
     # unread by oscat (see BracketCaps), and kept out of equality and hashing
     caps: BracketCaps = field(default_factory=BracketCaps, compare=False)
+
+    def __post_init__(self):
+        if not (np.isfinite(self.tol) and self.tol >= 0):
+            raise InvalidInputError(f"tolerance must be finite and >= 0, got {self.tol}")
 
     def rng(self, salt: int = 0) -> np.random.Generator:
         return np.random.default_rng((self.seed, salt))

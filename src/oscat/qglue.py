@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeMismatchError
+from .config import DIM_CAP
+from .errors import ShapeMismatchError, SizeLimitError
 from .matcore import BlockMatrix, axis_perm, op_norm, pair_shape, psd_check, unit_vector
 from .normlab.brackets import FlatSpace, NormBracket
 from .normlab.diamond import cb_norm
@@ -478,10 +479,13 @@ def quantum_switch_map(n: int) -> SuperOp:
     """qsw(a⊗b) = |0⟩⟨0|⊗(ab) + |1⟩⟨1|⊗(ba) : M_n ⊗̂ M_n → M_{2n}.
 
     Basis action: e_ij ⊗ e_kl ↦ δ_jk |0⟩⟨0|⊗e_il + δ_li |1⟩⟨1|⊗e_kj, with the
-    domain realized on M_{n²} through the Kronecker identification.
+    domain realized on M_{n²} through the Kronecker identification.  n⁴, the
+    number of matrix-unit pairs, must not exceed DIM_CAP (so n ≤ 8).
     """
     if n < 1:
         raise ShapeMismatchError("quantum switch needs n >= 1")
+    if n**4 > DIM_CAP:
+        raise SizeLimitError(f"quantum switch needs n**4 <= {DIM_CAP}, got n = {n}")
     eye = np.eye(n)
     # grid[p, q, i, k, j, l]: output entry (p, q) of the input kron(e_ij, e_kl)
     grid = np.zeros((2 * n, 2 * n) + (n,) * 4)
@@ -505,7 +509,8 @@ def quantum_switch(n: int, config=None):
 
     Every claim is decided exactly; nothing is sampled, so the report depends
     only on n.  `config` is accepted and not read, so that callers which still
-    pass a `RunConfig` keep binding.
+    pass a `RunConfig` keep binding.  Past n = 8 it raises SizeLimitError, as
+    `quantum_switch_map` does, before allocating its n⁴ × n⁴ arrays.
 
     (i) qsw is bilinear, so its formula holds iff it holds on the n⁴ pairs of
     matrix units: the products E_x·E_y and E_y·E_x are compared entrywise

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from oscat import matcore, supop
 from oscat.cli import (
+    _MAP_CTORS,
+    _OBJ_CTORS,
     ParseError,
     _Scanner,
     emit_report,
@@ -18,6 +20,7 @@ from oscat.cli import (
     run_session,
 )
 from oscat.config import RunConfig
+from oscat.errors import InvalidInputError
 from oscat.osx import M, SpaceElement, norm_at, tens_h, tens_min, tens_proj
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -28,6 +31,7 @@ NON_HERMITIAN_CHOI = "[[0,0,3,2],[3,1,2,1],[2,0,3,3],[2,3,3,0]]"
 # reweighted closed form and the rank-one face hand it on
 SDP_HAAGERUP = "[[2,1,0,1],[3,3,0,2],[3,1,1,0],[0,3,0,0]]"
 TUTORIAL = Path(__file__).parents[1] / "src" / "oscat" / "data" / "tutorial.oscat"
+README = Path(__file__).parents[1] / "README.md"
 
 
 class TestParser:
@@ -77,6 +81,13 @@ class TestParser:
     def test_roundtrip(self, text):
         ast = parse_session(text)
         assert parse_session(format_session(ast)) == ast
+
+    @pytest.mark.parametrize("text,col", [("demo qswitch ²;", 14), ("map f = transpose(²);", 19)])
+    def test_integer_rejects_digits_int_cannot_read(self, text, col):
+        # '²' is a digit to str.isdigit but not to int(): the error keeps its column
+        with pytest.raises(ParseError) as exc:
+            parse_session(text)
+        assert (exc.value.line, exc.value.col, exc.value.expected) == (1, col, "an integer")
 
     def test_fuzz_small(self):
         rnd = random.Random(99)
@@ -173,6 +184,21 @@ class TestRunner:
         assert rep.records[0].command == "map f = identity([-1]);"
         assert rep.records[0].detail["error"] == "block sizes must be >= 0"
         assert rep.records[2].detail["error"] == "undefined name 'f'"
+
+    def test_unitary_must_lie_in_the_algebra(self):
+        # U is neither unitary nor in M_2 (+) M_1: its (0, 2) entry is off the blocks
+        text = (
+            "alg B = [2,1];\n"
+            "obj u = unitary(B, [[1,0,0.5],[0,1,0],[0,0,1]]);\n"
+            "map f = identity([2,1]);\n"
+            "check morphism f : u -> u;\n"
+            "obj v = unitary(B, [[0,1,0],[1,0,0],[0,0,-1]]);\n"
+        )
+        rep = run_session(parse_session(text))
+        assert [(r.status, r.detail.get("error")) for r in rep.records] == [
+            ("fail", "matrix does not fit the block shape"),
+            ("fail", "undefined name 'u'"),
+        ]
 
     def test_checks_on_many_blocks_stay_per_sector(self):
         # 64 one-by-one blocks: the CP test works sector by sector, never on
@@ -525,6 +551,17 @@ class TestMain:
         out = capsys.readouterr().out
         assert code == 0 and "norm op" in out
 
+    def test_non_utf8_file_exit_3(self, tmp_path, capsys):
+        f = tmp_path / "s.oscat"
+        f.write_bytes(b"norm op [[1]];\xff\n")
+        assert main(["run", str(f)]) == 3
+        assert capsys.readouterr().err.startswith(f"cannot read {f}: ")
+
+    def test_negative_demo_size_is_a_parse_error(self, capsys):
+        # the demo's session text does not parse; it is reported, not raised
+        assert main(["demo", "qswitch", "-3"]) == 3
+        assert "PARSE ERROR: parse error at line 1, col 14: expected an integer" in capsys.readouterr().out
+
     def test_parse_error_exit_3(self, tmp_path, capsys):
         f = tmp_path / "bad.oscat"
         f.write_text("space A = M(2,;\n")
@@ -537,6 +574,29 @@ class TestMain:
         code = main(["run", str(f), "--json", str(out)])
         doc = json.loads(out.read_text())
         assert code == 0 and doc["records"][0]["value"] == 2.0
+
+    @pytest.mark.parametrize("flags,env", [
+        (["--tol", "nan"], {}),
+        (["--tol", "-1"], {}),
+        ([], {"OSCAT_TOL": "inf"}),
+        ([], {"OSCAT_TOL": "abc"}),
+        ([], {"OSCAT_SEED": "abc"}),
+        ([], {"OSCAT_SEED": "1.5"}),
+    ])
+    def test_invalid_configuration_exit_3(self, tmp_path, monkeypatch, capsys, flags, env):
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        f = tmp_path / "s.oscat"
+        f.write_text("map f = identity([2]);\ncheck tp f;\n")
+        assert main(["run", str(f), *flags]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and err.startswith("invalid configuration: ")
+
+    def test_tolerance_must_be_finite_and_nonnegative(self):
+        for tol in (float("nan"), float("inf"), -1e-12):
+            with pytest.raises(InvalidInputError):
+                RunConfig(tol=tol)
+        assert RunConfig(tol=0.0).tol == 0.0
 
     def test_env_seed(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("OSCAT_SEED", "17")
@@ -659,3 +719,17 @@ class TestValidSessions:
         assert report.exit_code in (0, 1, 2)
         again = run_session(parse_session(text))
         assert emit_report(again, "json") == emit_report(report, "json")
+
+
+def test_readme_lists_the_constructor_tables():
+    # "Map constructors: `identity([shape])`, ... Object constructors: ..."
+    import re
+
+    text = " ".join(README.read_text().split())
+    maps, objs = re.search(r"Map constructors: (.*?) Object constructors: (.*?)\.\s", text).groups()
+
+    def names(listing):
+        return [n for call in re.findall(r"`([\w/]+)\(", listing) for n in call.split("/")]
+
+    assert sorted(names(maps)) == sorted(_MAP_CTORS)
+    assert sorted(names(objs)) == sorted(_OBJ_CTORS)

@@ -7,7 +7,7 @@ from conftest import random_cptp, random_superop
 from oscat import qglue
 from oscat.cli import emit_report, parse_session, run_session
 from oscat.config import RunConfig
-from oscat.errors import ShapeMismatchError
+from oscat.errors import ShapeMismatchError, SizeLimitError
 from oscat.matcore import (
     BlockMatrix,
     axis_perm,
@@ -404,6 +404,25 @@ class TestQuantumSwitch:
         assert reports[0] != reports[1]  # the config block names the seed
         tails = [r[r.index(b'"records"'):] for r in reports]
         assert tails[0] == tails[1]
+
+    def test_size_cap_before_allocating(self):
+        # n = 9 would need two 6561 x 6561 float64 arrays (344 MB each)
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            for build in (quantum_switch_map, quantum_switch):
+                with pytest.raises(SizeLimitError):
+                    build(9)
+            rep = run_session(parse_session("demo qswitch 9;\nnorm op [[1]];"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [r.status for r in rep.records] == ["fail", "pass"]
+        assert rep.records[0].command == "demo qswitch 9;"
+        assert "n**4 <= 4096" in rep.records[0].detail["error"]
+        assert peak < 2**20
+        assert quantum_switch_map(8).transfer.shape == (256, 4096)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_haagerup_violation_is_n(self, n):
