@@ -9,12 +9,14 @@ format, never in the JSON (which must be byte-identical across runs).
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass, field
 from functools import partial
+from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -96,7 +98,8 @@ class SessionAst:
 # ---------------------------------------------------------------------------
 # scanner helpers
 
-_NAME_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
+_NAME_RE = re.compile(r"[A-Za-z0-9_]*")
+_DIGITS_RE = re.compile(r"\d*")  # \d is str.isdecimal
 
 
 class _Scanner:
@@ -135,22 +138,26 @@ class _Scanner:
 
     def name(self, expected="a name") -> str:
         self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in _NAME_CHARS:
-            self.pos += 1
-        if self.pos == start or self.text[start].isdigit():
-            self.pos = start
+        start, end = self.pos, _NAME_RE.match(self.text, self.pos).end()
+        if end == start or self.text[start].isdigit():
             self.error(expected)
-        return self.text[start : self.pos]
+        self.pos = end
+        return self.text[start:end]
 
     def integer(self) -> int:
         self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
-            self.pos += 1
+        start, self.pos = self.pos, _DIGITS_RE.match(self.text, self.pos).end()
         if self.pos == start:
             self.error("an integer")
-        return int(self.text[start : self.pos])
+        return self._int(self.text[start : self.pos], start)
+
+    def _int(self, digits: str, start: int) -> int:
+        """int(digits); past int()'s digit limit, a parse error at `start`."""
+        try:
+            return int(digits)
+        except ValueError:
+            self.pos = start
+            self.error(f"an integer of at most {sys.get_int_max_str_digits()} digits")
 
     def bracket_blob(self) -> str:
         """Balanced [...] region as raw text."""
@@ -176,7 +183,8 @@ class _Scanner:
         parts = [p.strip() for p in inner.split(",")] if inner else []
         if not all(p.removeprefix("-").isdecimal() for p in parts):
             self.error("a block-shape like [2,3]")
-        return tuple(int(p) for p in parts)
+        at = self.pos - len(blob)
+        return tuple(self._int(p, at + blob.find(p)) for p in parts)
 
     def space_text(self) -> str:
         """Space expression up to ';'; its syntax errors are parse errors with real columns."""
@@ -474,23 +482,25 @@ class Record:
 
 def _round(x):
     if isinstance(x, float):
-        if not np.isfinite(x):
+        if not math.isfinite(x):
             return "inf" if x > 0 else ("-inf" if x < 0 else "nan")
         return float(f"{x:.12g}")
     return x
 
 
 def _jsonify(obj):
+    if isinstance(obj, str):
+        return obj
     if isinstance(obj, dict):
         return {str(k): _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
     if isinstance(obj, (np.floating, float)):
         return _round(float(obj))
+    if isinstance(obj, (np.bool_, bool)):  # before int: bool is an int
+        return bool(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
     if isinstance(obj, complex):
         return {"re": _round(obj.real), "im": _round(obj.imag)}
     return obj
@@ -570,15 +580,16 @@ def run_session(ast: SessionAst, config: RunConfig | None = None) -> Report:
     env = _Env()
     records: list[Record] = []
     for st in ast.statements:
-        text = _fmt_statement(st)
+        # a definition records nothing unless it fails
+        text = "" if st.kind in _DEFINITIONS else _fmt_statement(st)
         t0 = time.perf_counter()
         try:
             recs = _execute(env, st, text, config)
         except (OscatError, ValueError, np.linalg.LinAlgError) as exc:
-            recs = [Record(text, "fail", detail={"error": str(exc)})]
+            recs = [Record(text or _fmt_statement(st), "fail", detail={"error": str(exc)})]
         except MemoryError as exc:
             error = f"out of memory: {exc}" if str(exc) else "out of memory"
-            recs = [Record(text, "fail", detail={"error": error})]
+            recs = [Record(text or _fmt_statement(st), "fail", detail={"error": error})]
         for r in recs:
             r.elapsed = time.perf_counter() - t0
         records.extend(recs)
@@ -709,7 +720,7 @@ def emit_report(report: Report, fmt: str = "text") -> bytes:
         }
         if report.parse_error is not None:
             doc["parse_error"] = report.parse_error
-        return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
+        return (_json_text(doc, "\n") + "\n").encode()
     lines = []
     if report.parse_error is not None:
         lines.append(f"PARSE ERROR: {report.parse_error}")
@@ -723,6 +734,33 @@ def emit_report(report: Report, fmt: str = "text") -> bytes:
         lines.append(f"{mark} {r.command}{extra}  ({r.elapsed*1000:.0f} ms)")
     lines.append(f"exit: {report.exit_code}")
     return ("\n".join(lines) + "\n").encode()
+
+
+_JSON_NONFINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+
+
+def _json_text(obj, indent: str) -> str:
+    """`json.dumps(obj, sort_keys=True, indent=2)` for str-keyed plain data, whose
+    indenting encoder is pure Python; `indent` is the newline and indent of obj's line."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True or obj is False:
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        return _JSON_NONFINITE.get(text, text)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner) for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    if isinstance(obj, (list, tuple)):
+        items = [_json_text(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,8 @@ class RunConfig:
     caps: BracketCaps = field(default_factory=BracketCaps, compare=False)
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
         if not (np.isfinite(self.tol) and self.tol >= 0):
             raise InvalidInputError(f"tolerance must be finite and >= 0, got {self.tol}")
 

@@ -410,6 +410,9 @@ def _parse_entry(text: str) -> complex:
     return complex(re_part, im_part)
 
 
+_BRACKET_RE = re.compile(r"[\[\]]|\Z")
+
+
 def parse_matrix_literal(text: str) -> np.ndarray:
     """Parse `[[a+bi, ...], ...]`; a bare `[a, b]` is read as a 1-row matrix."""
     text = text.strip()
@@ -417,11 +420,16 @@ def parse_matrix_literal(text: str) -> np.ndarray:
         raise InvalidInputError("matrix literal must be bracketed")
     inner = text[1:-1].strip()
     if inner.startswith("["):
-        rows, depth, start = [], 0, None
-        for i, ch in enumerate(inner):
+        # between rows, and after the last, only ", \t" may stand
+        rows, depth, start, end = [], 0, 0, 0
+        for m in _BRACKET_RE.finditer(inner):  # every bracket, then the end
+            i, ch = m.start(), m.group()
+            if depth == 0:
+                gap = inner[end:i].lstrip(", \t")
+                if gap:
+                    raise InvalidInputError(f"unexpected character {gap[0]!r} between rows")
+                start = i
             if ch == "[":
-                if depth == 0:
-                    start = i
                 depth += 1
             elif ch == "]":
                 depth -= 1
@@ -429,8 +437,7 @@ def parse_matrix_literal(text: str) -> np.ndarray:
                     raise InvalidInputError("unbalanced brackets in matrix literal")
                 if depth == 0:
                     rows.append(inner[start + 1 : i])
-            elif depth == 0 and ch not in ", \t":
-                raise InvalidInputError(f"unexpected character {ch!r} between rows")
+                    end = i + 1
         if depth != 0:
             raise InvalidInputError("unbalanced brackets in matrix literal")
         parsed = [[_parse_entry(e) for e in _split_entries(r)] for r in rows]

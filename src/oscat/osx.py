@@ -381,7 +381,8 @@ _TOKEN_RE = re.compile(
     r"|(?P<int>\d+)"
     r"|(?P<lparen>\()"
     r"|(?P<rparen>\))"
-    r"|(?P<comma>,))"
+    r"|(?P<comma>,)"
+    r"|(?P<eof>\Z))"
 )
 
 
@@ -392,18 +393,18 @@ class SpaceSyntaxError(ValueError):
 
 
 def _tokenize_space(text: str):
+    """(kind, value, position) tokens; a token's position is that of the whitespace before it."""
     pos, toks = 0, []
-    while pos < len(text):
-        if text[pos:].strip() == "":
-            break
+    while True:
         m = _TOKEN_RE.match(text, pos)
         if m is None:
             raise SpaceSyntaxError(f"unexpected character {text[pos]!r}", pos)
+        kind = m.lastgroup
+        if kind == "eof":
+            break
+        value = m.group(kind)
+        toks.append((kind, "".join(value.split()) if kind == "op" else value, pos))
         pos = m.end()
-        for kind in ("op", "name", "int", "lparen", "rparen", "comma"):
-            if m.group(kind) is not None:
-                toks.append((kind, re.sub(r"\s+", "", m.group(kind)), m.start()))
-                break
     toks.append(("eof", "", len(text)))
     return toks
 

@@ -218,6 +218,7 @@ class SuperOp:
         codomain shapes agree the two share one `block_norms` call.
         """
         herm_defect, min_eig = 0.0, np.inf
+        sectors = {}  # l·k → the Hermitian parts of the nonzero l·k × l·k sectors
         for row, l in block_offsets(self.cod_shape):
             for col, k in block_offsets(self.dom_shape):
                 t = self.transfer[row : row + l * l, col : col + k * k]
@@ -231,7 +232,9 @@ class SuperOp:
                 fro2 = np.vdot(skew, skew).real
                 if not (math.sqrt(fro2) <= tol / 2 and (fro2 >= _NORMAL_MIN or not skew.any())):
                     herm_defect = max(herm_defect, op_norm(skew))
-                min_eig = min(min_eig, float(np.linalg.eigvalsh((J + J.conj().T) / 2)[0]))
+                sectors.setdefault(l * k, []).append((J + J.conj().T) / 2)
+        for group in sectors.values():  # one eigvalsh per sector size
+            min_eig = min(min_eig, *np.linalg.eigvalsh(np.array(group))[:, 0].tolist())
         if min_eig == np.inf:
             min_eig = 0.0
         herm_preserving = herm_defect <= tol

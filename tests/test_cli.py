@@ -592,6 +592,21 @@ class TestMain:
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1 and err.startswith("invalid configuration: ")
 
+    @pytest.mark.parametrize("cmd", [["run", "SESSION"], ["demo", "qswitch", "2"], ["selftest"]],
+                             ids=["run", "demo", "selftest"])
+    @pytest.mark.parametrize("flags,env", [(["--seed", "-1"], {}), ([], {"OSCAT_SEED": "-1"})],
+                             ids=["flag", "env"])
+    def test_negative_seed_exit_3(self, tmp_path, monkeypatch, capsys, cmd, flags, env):
+        # selftest died in RunConfig.rng with a ValueError traceback
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        f = tmp_path / "s.oscat"
+        f.write_text("norm op [[1]];\n")
+        argv = [str(f) if a == "SESSION" else a for a in cmd]
+        assert main([*argv, *flags]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == "invalid configuration: seed must be >= 0, got -1\n"
+
     def test_tolerance_must_be_finite_and_nonnegative(self):
         for tol in (float("nan"), float("inf"), -1e-12):
             with pytest.raises(InvalidInputError):

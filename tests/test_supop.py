@@ -185,6 +185,14 @@ class TestClassify:
         s = make(rng)
         assert s.classify() == _classify_by_block_matrices(s)
 
+    def test_equal_size_sectors_share_one_eigvalsh(self, rng, linalg_calls):
+        # (2,2,1) -> (2,2,1) has nine nonzero sectors, of sizes 4, 2 and 1
+        s = SuperOp((2, 2, 1), (2, 2, 1), rand_complex(rng, 9, 9))
+        linalg_calls.clear()
+        flags = s.classify()
+        assert linalg_calls["eigvalsh"] == 3
+        assert flags == _classify_by_block_matrices(s)
+
     def test_skewed_flags_straddle_tol(self, rng, linalg_calls):
         # the oracle cases above sit on both sides of the Hermiticity decision,
         # and a rank-one skew of 0.3·tol is accepted from its Frobenius norm
