@@ -29,6 +29,7 @@ from .matcore import (
     parse_matrix_literal,
     tr_norm,
 )
+from .normlab.brackets import FlatSpace
 from .normlab.diamond import cb_norm, diamond_norm
 from .osx import (
     M,
@@ -564,14 +565,14 @@ def _element_level(mat: np.ndarray, sp: SpaceExpr):
     """Level and coordinates of a flat literal in a normalized two-factor tensor."""
     (na, ma), (nb, mb) = _factor_shape(sp.args[0]), _factor_shape(sp.args[1])
     rows, cols = na * nb, ma * mb
-    if mat.shape[0] % rows or mat.shape[1] % cols:
+    if not rows * cols or mat.shape[0] % rows or mat.shape[1] % cols:
         raise OscatError(f"literal shape {mat.shape} does not tile {rows}x{cols}")
     k = mat.shape[0] // rows
     if mat.shape != (k * rows, k * cols):
         raise OscatError("literal is not square at a single level")
-    # flat (k·rows, k·cols) → tensor coords (k,k,dimA·dimB)
-    t = mat.reshape(k, na, nb, k, ma, mb).transpose(0, 3, 1, 4, 2, 5)
-    return k, t.reshape(k, k, na * ma * nb * mb)
+    # flat (k·rows, k·cols) → tensor coords (k,k,dimA·dimB), read at the Kronecker placement
+    pos = FlatSpace.tens_min(FlatSpace.base(na, ma), FlatSpace.base(nb, mb)).pos
+    return k, mat.reshape(k, rows, k, cols).transpose(0, 2, 1, 3).reshape(k, k, -1)[..., pos]
 
 
 def run_session(ast: SessionAst, config: RunConfig | None = None) -> Report:

@@ -1,15 +1,16 @@
 """Tensor norms of flat spaces: Haagerup by SDP, projective bracket, injective exact.
 
-Spaces enter as flat realizations (completely isometric placements into a
-rectangular matrix space); levelled norms of flat spaces are single operator
-norms.  The Haagerup norm is the cb norm of an elementary-operator map
-(Haagerup's theorem), decided by the certified cb norm (in closed form for
-elementary tensors, else by SDP); past the SDP size cap it falls back to an
-SVD factorization.  Projective uppers come from explicit expansions.  Every
-lower end that is not a cb-norm bracket is the exact injective (min) norm,
-since ‖·‖∨ ≤ ‖·‖_h ≤ ‖·‖∧ (Effros–Ruan, *Operator Spaces*, ch. 9); no
-routine here draws random numbers.  All bounds are mathematically valid
-two-sided bounds, so brackets can only be loose, never wrong.
+Spaces enter as flat realizations (completely isometric placements of the
+basis onto matrix units of a rectangular matrix space); levelled norms of
+flat spaces are single operator norms.  The Haagerup norm is the cb norm of
+an elementary-operator map (Haagerup's theorem), decided by the certified cb
+norm (in closed form for elementary tensors, else by SDP); past the SDP size
+cap it falls back to an SVD factorization.  Projective uppers come from
+explicit expansions.  Every lower end that is not a cb-norm bracket is the
+exact injective (min) norm, since ‖·‖∨ ≤ ‖·‖_h ≤ ‖·‖∧ (Effros–Ruan,
+*Operator Spaces*, ch. 9); no routine here draws random numbers.  All bounds
+are mathematically valid two-sided bounds, so brackets can only be loose,
+never wrong.
 """
 from __future__ import annotations
 
@@ -93,70 +94,64 @@ class NormBracket:
 
 
 class FlatSpace:
-    """Complete isometry of a space onto block-placed rectangular matrices.
+    """Complete isometry of a space onto the matrix units of rows×cols matrices.
 
-    `place` has shape (dim, rows, cols): the α-th canonical basis vector sits
-    at the matrix place[α].  Level-k coordinates are (k, k, dim) arrays and
-    flatten to (k·rows, k·cols); the levelled norm is the flat operator norm.
+    Basis vector α sits at flat entry `pos[α]` of the row-major rows×cols
+    matrix; `pos` is injective.  Coordinates (…, k, r, dim) flatten to
+    (…, k·rows, r·cols) block matrices, and a levelled norm is the flat
+    operator norm.
     """
 
-    def __init__(self, place: np.ndarray):
-        self.place = np.asarray(place, dtype=np.complex128)
-        self.dim, self.rows, self.cols = self.place.shape
+    def __init__(self, rows: int, cols: int, pos):
+        self.rows, self.cols = int(rows), int(cols)
+        self.pos = np.asarray(pos, dtype=np.intp)
+        self.dim = self.pos.size
 
-    # -- constructors --------------------------------------------------------
+    # -- constructors: each reads its placement off a grid of flat entries ----
 
     @staticmethod
     def base(n: int, m: int | None = None) -> "FlatSpace":
         m = n if m is None else m
-        place = np.eye(n * m, dtype=np.complex128).reshape(n * m, n, m)
-        return FlatSpace(place)
+        return FlatSpace(n, m, np.arange(n * m))
 
     def opp(self) -> "FlatSpace":
         """Transposed placement realizes the opposite space isometrically."""
-        return FlatSpace(self.place.transpose(0, 2, 1))
+        grid = np.arange(self.rows * self.cols).reshape(self.cols, self.rows).T
+        return FlatSpace(self.cols, self.rows, grid.ravel()[self.pos])
 
     @staticmethod
     def sum_inf(a: "FlatSpace", b: "FlatSpace") -> "FlatSpace":
-        place = np.zeros(
-            (a.dim + b.dim, a.rows + b.rows, a.cols + b.cols), dtype=np.complex128
-        )
-        place[: a.dim, : a.rows, : a.cols] = a.place
-        place[a.dim :, a.rows :, a.cols :] = b.place
-        return FlatSpace(place)
+        """Block-diagonal placement: a in the top-left block, b in the bottom-right."""
+        rows, cols = a.rows + b.rows, a.cols + b.cols
+        grid = np.arange(rows * cols).reshape(rows, cols)
+        top, bottom = grid[: a.rows, : a.cols].ravel(), grid[a.rows :, a.cols :].ravel()
+        return FlatSpace(rows, cols, np.concatenate([top[a.pos], bottom[b.pos]]))
 
     @staticmethod
     def tens_min(a: "FlatSpace", b: "FlatSpace") -> "FlatSpace":
-        place = np.einsum("arc,bsd->abrsdc", a.place, b.place)
-        # index (α,β) → row (r,s), col (c,d) with kron ordering
-        place = place.transpose(0, 1, 2, 3, 5, 4).reshape(
-            a.dim * b.dim, a.rows * b.rows, a.cols * b.cols
-        )
-        return FlatSpace(place)
+        """Kronecker placement: (α, β) sits at row (r_α, s_β), column (c_α, d_β)."""
+        rows, cols = a.rows * b.rows, a.cols * b.cols
+        # kron[(r, c), (s, d)] is the flat entry of row (r, s), column (c, d)
+        kron = np.arange(rows * cols).reshape(a.rows, b.rows, a.cols, b.cols).transpose(0, 2, 1, 3)
+        pos = kron.reshape(a.rows * a.cols, b.rows * b.cols)[a.pos[:, None], b.pos]
+        return FlatSpace(rows, cols, pos.ravel())
 
     # -- levelled norms -------------------------------------------------------
 
     def flatten(self, coords: np.ndarray) -> np.ndarray:
-        """(k, k, dim) → (k·rows, k·cols)."""
+        """(…, k, r, dim) coordinates → (…, k·rows, r·cols) matrices, by one scatter."""
         coords = np.asarray(coords, dtype=np.complex128)
-        k = coords.shape[0]
-        if coords.shape != (k, k, self.dim):
+        if coords.ndim < 3 or coords.shape[-1] != self.dim:
             raise ShapeMismatchError(f"coords shape {coords.shape} for dim {self.dim}")
-        flat = np.einsum("ija,arc->irjc", coords, self.place)
-        return flat.reshape(k * self.rows, k * self.cols)
-
-    def flatten_rect(self, coords: np.ndarray) -> np.ndarray:
-        """(k, r, dim) rectangular block matrix over the space → flat matrix."""
-        coords = np.asarray(coords, dtype=np.complex128)
-        k, r = coords.shape[0], coords.shape[1]
-        flat = np.einsum("ija,arc->irjc", coords, self.place)
-        return flat.reshape(k * self.rows, r * self.cols)
+        *lead, k, r, _ = coords.shape
+        flat = np.zeros((*lead, k, r, self.rows * self.cols), dtype=np.complex128)
+        flat[..., self.pos] = coords
+        flat = flat.reshape(*lead, k, r, self.rows, self.cols).swapaxes(-3, -2)
+        return flat.reshape(*lead, k * self.rows, r * self.cols)
 
     def level_norm(self, coords: np.ndarray) -> float:
+        """Operator norm of a (k, r, dim) block matrix over the space."""
         return op_norm(self.flatten(coords))
-
-    def rect_norm(self, coords: np.ndarray) -> float:
-        return op_norm(self.flatten_rect(coords))
 
 
 def elem_coords(x_coords: np.ndarray, y_coords: np.ndarray) -> np.ndarray:
@@ -203,17 +198,17 @@ def haagerup_bracket_flat(v, level: int, fa: FlatSpace, fb: FlatSpace) -> NormBr
     if np.max(np.abs(v)) < 1e-300:
         return NormBracket.exactly(0.0)
     m, p = max(fa.rows, fb.cols), max(fa.cols, fb.rows)
+    (ra, ca), (rb, cb) = np.divmod(fa.pos, fa.cols), np.divmod(fb.pos, fb.cols)
+    # t[i, r_a, j, c_b, c_a, r_b] = v[i, j, a, b] at the matrix units of a and b
     t = np.zeros((k, m, k, m, p, p), dtype=np.complex128)
-    t[:, : fa.rows, :, : fb.cols, : fa.cols, : fb.rows] = np.einsum(
-        "ijab,arc,bst->irjtcs", v.reshape(k, k, da, db), fa.place, fb.place
-    )
+    t[:, ra[:, None], :, cb, ca[:, None], rb] = v.reshape(k, k, da, db).transpose(2, 3, 0, 1)
     q = k * m
     phi = SuperOp((p,), (q,), t.reshape(q * q, p * p))
     try:
         return cb_norm(phi, "operator")
     except SizeLimitError:
         x, y = _svd_factorization(v, k, da, db)
-        upper = fa.rect_norm(x) * fb.rect_norm(y)
+        upper = fa.level_norm(x) * fb.level_norm(y)
         wit = {"x": x, "y": y, "route": "sdp size cap", "reason": "sdp size cap"}
         return NormBracket.from_bounds(inj_norm_flat(v, k, fa, fb).upper, upper, wit)
 
@@ -254,21 +249,10 @@ def proj_bracket_flat(v, level: int, fa: FlatSpace, fb: FlatSpace) -> NormBracke
 
 def _level_norms(fs: FlatSpace, coords: np.ndarray) -> np.ndarray:
     """`fs.level_norm` of each of r stacked (r, k, k, dim) coordinate arrays, by one SVD call."""
-    r, k = coords.shape[:2]
-    flat = np.einsum("lija,arc->lirjc", coords, fs.place).reshape(r, k * fs.rows, k * fs.cols)
-    return np.linalg.svd(flat, compute_uv=False).max(axis=-1, initial=0.0)
+    return np.linalg.svd(fs.flatten(coords), compute_uv=False).max(axis=-1, initial=0.0)
 
 
 def inj_norm_flat(v, level: int, fa: FlatSpace, fb: FlatSpace) -> NormBracket:
-    """Exact: the completely injective tensor of flat spaces is their kron.
-
-    v is contracted with one placement at a time, so memory stays near the
-    size of the flat matrix; `FlatSpace.tens_min` would build the whole
-    (da·db, ra·rb, ca·cb) placement to flatten one element.
-    """
-    k, da, db = level, fa.dim, fb.dim
-    v = _tensor_coords_reshape(v, k, da, db).reshape(k, k, da, db)
-    half = np.einsum("ijab,arc->ijbrc", v, fa.place)
-    flat = np.einsum("ijbrc,bsd->irsjcd", half, fb.place)
-    flat = flat.reshape(k * fa.rows * fb.rows, k * fa.cols * fb.cols)
-    return NormBracket.exactly(op_norm(flat))
+    """Exact: the completely injective tensor of flat spaces is their Kronecker placement."""
+    v = _tensor_coords_reshape(v, level, fa.dim, fb.dim)
+    return NormBracket.exactly(FlatSpace.tens_min(fa, fb).level_norm(v))

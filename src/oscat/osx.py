@@ -142,50 +142,39 @@ class SpaceElement:
 # ---------------------------------------------------------------------------
 # structural normalization
 
-def _push_dual(x: SpaceExpr) -> SpaceExpr:
-    """Rewrite duals through constructors (coordinate-wise identities)."""
-    if x.kind != "dual":
-        return x
-    inner = x.args[0]
-    if inner.kind == "dual":  # double dual d is the coordinate identity
-        return inner.args[0]
-    if inner.kind == "sum_inf":
-        return sum_1(dual(inner.args[0]), dual(inner.args[1]))
-    if inner.kind == "sum_1":
-        return sum_inf(dual(inner.args[0]), dual(inner.args[1]))
-    if inner.kind == "tens_min":
-        return tens_proj(dual(inner.args[0]), dual(inner.args[1]))
-    if inner.kind == "tens_proj":
-        return tens_min(dual(inner.args[0]), dual(inner.args[1]))
-    if inner.kind == "tens_h":  # self-dual; θ is the coordinate identity
-        return tens_h(dual(inner.args[0]), dual(inner.args[1]))
-    if inner.kind == "opp":
-        return opp(dual(inner.args[0]))
-    return x
+# Duality of the binary constructors: (X ⊕∞ Y)* = X* ⊕₁ Y*, (X ⊗min Y)* =
+# X* ⊗̂ Y*, and ⊗h is self-dual (θ is the coordinate identity); Effros–Ruan,
+# *Operator Spaces* (2000), ch. 7–9.
+_DUAL_KIND = {
+    "sum_inf": "sum_1",
+    "sum_1": "sum_inf",
+    "tens_min": "tens_proj",
+    "tens_proj": "tens_min",
+    "tens_h": "tens_h",
+}
 
 
 def normalize_space(x: SpaceExpr) -> SpaceExpr:
-    """Push duals inward; keeps conj/opp markers (they commute with dual)."""
+    """Push duals inward by `_DUAL_KIND`; keeps conj/opp markers (they commute with dual)."""
     if x.kind == "base":
         return x
-    if x.kind == "dual":
-        pushed = _push_dual(x)
-        if pushed is not x:
-            return normalize_space(pushed)
-        inner = normalize_space(x.args[0])
-        pushed = _push_dual(dual(inner))
-        return normalize_space(pushed) if pushed.kind != "dual" else pushed
-    if x.kind in ("conj", "opp"):
-        inner = normalize_space(x.args[0])
-        return conj(inner) if x.kind == "conj" else opp(inner)
-    ctor = {
-        "sum_inf": sum_inf,
-        "sum_1": sum_1,
-        "tens_min": tens_min,
-        "tens_proj": tens_proj,
-        "tens_h": tens_h,
-    }[x.kind]
-    return ctor(normalize_space(x.args[0]), normalize_space(x.args[1]))
+    if x.kind == "conj":
+        return conj(normalize_space(x.args[0]))
+    if x.kind == "opp":
+        return opp(normalize_space(x.args[0]))
+    if x.kind != "dual":
+        return SpaceExpr(x.kind, tuple(normalize_space(a) for a in x.args))
+    inner = x.args[0]
+    if inner.kind == "dual":  # double dual d is the coordinate identity
+        return normalize_space(inner.args[0])
+    if inner.kind == "opp":
+        return opp(normalize_space(dual(inner.args[0])))
+    if inner.kind in _DUAL_KIND:
+        args = tuple(normalize_space(dual(a)) for a in inner.args)
+        return SpaceExpr(_DUAL_KIND[inner.kind], args)
+    # a dual stops at base and conj, unless normalizing the inside removes them
+    inner = normalize_space(inner)
+    return dual(inner) if inner.kind in ("base", "conj") else normalize_space(dual(inner))
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +224,8 @@ def _no_route(space) -> NormBracket:
 
 def _norm_dispatch(space, k, coords) -> NormBracket:
     if space.kind in ("tens_h", "tens_proj", "tens_min"):
-        # two flat factors; a top-level min tensor is flattened one element at
-        # a time instead of through FlatSpace.tens_min's whole placement.  The
-        # routes are looked up per call, so a rebound route (as perfbench's
-        # tracer installs) is the one that runs.
+        # two flat factors; the routes are looked up per call, so a rebound
+        # route (as perfbench's tracer installs) is the one that runs
         try:
             fa, fb = _flat(space.args[0]), _flat(space.args[1])
         except UnsupportedSpaceError:
@@ -250,13 +237,10 @@ def _norm_dispatch(space, k, coords) -> NormBracket:
         }[space.kind]
         return route(coords, k, fa, fb)
 
-    # exact flat cases
-    try:
-        fs = _flat(space)
+    try:  # exact flat cases
+        return NormBracket.exactly(_flat(space).level_norm(coords))
     except UnsupportedSpaceError:
-        fs = None
-    if fs is not None:
-        return NormBracket.exactly(fs.level_norm(coords))
+        pass
 
     if space.kind == "conj":
         # conjugate spaces carry the same matrix norms on the same elements
@@ -409,13 +393,14 @@ def _tokenize_space(text: str):
     return toks
 
 
-_BINOPS = {
-    "(+inf)": sum_inf,
-    "(+1)": sum_1,
-    "(*min)": tens_min,
-    "(*proj)": tens_proj,
-    "(*h)": tens_h,
+_OP_NAMES = {
+    "sum_inf": "(+inf)",
+    "sum_1": "(+1)",
+    "tens_min": "(*min)",
+    "tens_proj": "(*proj)",
+    "tens_h": "(*h)",
 }
+_OP_KINDS = {op: kind for kind, op in _OP_NAMES.items()}
 
 
 def parse_space(text: str, names: dict | None = None) -> SpaceExpr:
@@ -438,6 +423,13 @@ def parse_space(text: str, names: dict | None = None) -> SpaceExpr:
             raise SpaceSyntaxError(f"expected {value or kind}, got {t[1]!r}", t[2])
         return t
 
+    def expect_int():
+        t = expect("int")
+        try:
+            return int(t[1])
+        except ValueError:  # more digits than int() converts
+            raise SpaceSyntaxError(f"integer of {len(t[1])} digits", t[2]) from None
+
     def parse_atom():
         t = advance()
         if t[0] == "lparen":
@@ -449,11 +441,11 @@ def parse_space(text: str, names: dict | None = None) -> SpaceExpr:
         name = t[1]
         if name in ("M", "T"):
             expect("lparen")
-            n = int(expect("int")[1])
+            n = expect_int()
             m = None
             if peek()[0] == "comma":
                 advance()
-                m = int(expect("int")[1])
+                m = expect_int()
             expect("rparen")
             if name == "T":
                 if m is not None:
@@ -474,7 +466,7 @@ def parse_space(text: str, names: dict | None = None) -> SpaceExpr:
         while peek()[0] == "op":
             op = advance()[1]
             rhs = parse_atom()
-            e = _BINOPS[op](e, rhs)
+            e = SpaceExpr(_OP_KINDS[op], (e, rhs))
         return e
 
     out = parse_expr()
@@ -482,15 +474,6 @@ def parse_space(text: str, names: dict | None = None) -> SpaceExpr:
         t = peek()
         raise SpaceSyntaxError(f"trailing input {t[1]!r}", t[2])
     return out
-
-
-_OP_NAMES = {
-    "sum_inf": "(+inf)",
-    "sum_1": "(+1)",
-    "tens_min": "(*min)",
-    "tens_proj": "(*proj)",
-    "tens_h": "(*h)",
-}
 
 
 def format_space(x: SpaceExpr) -> str:

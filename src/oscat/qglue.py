@@ -494,11 +494,6 @@ def quantum_switch_map(n: int) -> SuperOp:
     return SuperOp((n * n,), (2 * n,), grid.reshape(4 * n * n, n**4))
 
 
-def _tensor_to_kron_layout(coords, n):
-    """n⁴ tensor coords (a, b) of M_n ⊗ M_n → the M_{n²} matrix kron(a, b)."""
-    return np.asarray(coords).reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
-
-
 def _reim(arr) -> dict:
     arr = np.asarray(arr)
     return {"re": arr.real.tolist(), "im": arr.imag.tolist()}
@@ -555,9 +550,9 @@ def quantum_switch(n: int, config=None):
     fn = FlatSpace.base(n)
     x = np.einsum("la,b->lab", np.eye(n), np.eye(n)[0]).reshape(1, n, n * n)
     y = x.reshape(n, n, n).transpose(0, 2, 1).reshape(n, 1, n * n)
-    h_upper = fn.rect_norm(x) * fn.rect_norm(y)
+    h_upper = fn.level_norm(x) * fn.level_norm(y)
     coords = np.einsum("ila,ljb->ijab", x, y).reshape(1, 1, n**4)
-    qsw_norm = op_norm(qsw(_tensor_to_kron_layout(coords, n)))
+    qsw_norm = op_norm(qsw(FlatSpace.tens_min(fn, fn).flatten(coords)))
 
     # (ii) complete contractivity on ⊗̂ from the decomposition decided in (i)
     proj = norm_at(SpaceElement(tens_proj(M(n), M(n)), 1, coords))

@@ -140,32 +140,20 @@ def _structure_shape(shape) -> tuple[int, ...]:
     return shape
 
 
-def _unit_products(shape):
-    """Coordinate triples (il, ij, jl) of every nonzero product e_ij·e_jl = e_il."""
-    for off, n in block_offsets(shape):
-        i, j, l = np.indices((n, n, n)).reshape(3, -1)
-        yield off + i * n + l, off + i * n + j, off + j * n + l
-
-
 def make_algebra(shape) -> VnAlgebra:
     shape = _structure_shape(shape)
     d = block_dim(shape)
     mult = np.zeros((d, d, d), dtype=np.complex128)
-    for il, ij, jl in _unit_products(shape):
-        mult[il, ij, jl] = 1.0
+    for off, n in block_offsets(shape):  # every nonzero product e_ij·e_jl = e_il
+        i, j, l = np.indices((n, n, n)).reshape(3, -1)
+        mult[off + i * n + l, off + i * n + j, off + j * n + l] = 1.0
     inv = np.eye(d)[blockwise_transpose(shape)]
     return VnAlgebra(shape, unit_vector(shape), mult.reshape(d, d * d), inv)
 
 
 def make_coalgebra(shape) -> VnCoalgebra:
-    """⊕T_{k_i}: counit = blockwise trace, δ(e_ij) = Σ_k e_kj ⊗ e_ik per block."""
-    shape = _structure_shape(shape)
-    d = block_dim(shape)
-    comult = np.zeros((d, d, d), dtype=np.complex128)
-    for ij, ik, kj in _unit_products(shape):
-        comult[kj, ik, ij] = 1.0
-    inv = np.eye(d)[blockwise_transpose(shape)]
-    return VnCoalgebra(shape, unit_vector(shape), comult.reshape(d * d, d), inv)
+    """⊕T_{k_i}, the dual of ⊕M_{k_i}: counit = blockwise trace, δ(e_ij) = Σ_k e_kj ⊗ e_ik."""
+    return dualize(make_algebra(shape))
 
 
 # ---------------------------------------------------------------------------

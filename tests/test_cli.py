@@ -384,6 +384,15 @@ class TestRunner:
         assert [r.status for r in rep.records] == ["fail", "pass"]
         assert "error" in rep.records[0].detail and rep.records[0].value is None
 
+    @pytest.mark.parametrize("text", [
+        "norm inj [[1]] in M(0) (*min) M(1);",
+        "norm haagerup [[1]] in M(1) (*h) M(1,0);",
+    ])
+    def test_empty_tensor_factor_is_a_fail_record(self, text):
+        rep = run_session(parse_session(text + "\nnorm op [[2]];"))
+        assert [r.status for r in rep.records] == ["fail", "pass"]
+        assert "does not tile" in rep.records[0].detail["error"]
+
     def test_assert_laws_passes_on_canonical(self):
         ast = parse_session("coalg C = [2];\nassert laws C;")
         rep = run_session(ast)

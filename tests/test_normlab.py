@@ -883,7 +883,7 @@ class TestHaagerup:
         x, y = br.witnesses["x"], br.witnesses["y"]
         rebuilt = np.einsum("ila,ljb->ijab", x, y).reshape(1, 1, 16)
         assert np.allclose(rebuilt.ravel(), w, atol=1e-10)
-        prod = F2.rect_norm(x) * F2.rect_norm(y)
+        prod = F2.level_norm(x) * F2.level_norm(y)
         assert abs(prod - br.upper) <= 1e-9
 
 
@@ -971,12 +971,15 @@ class TestProjExpansion:
         "M2": FlatSpace.base(2),
         "M2x3": FlatSpace.base(2, 3),
         "M2+M1": FlatSpace.sum_inf(FlatSpace.base(2), FlatSpace.base(1)),
-        # a placement that is not made of matrix units
-        "generic": FlatSpace(rand_complex(np.random.default_rng(5), 3, 6).reshape(3, 2, 3)),
+        # permuted placements: the basis does not sit at the matrix units in order
+        "oppM2x3": FlatSpace.base(2, 3).opp(),
+        "M1x2*minM2": FlatSpace.tens_min(FlatSpace.base(1, 2), FlatSpace.base(2)),
     }
 
     @pytest.mark.parametrize("level", [1, 2, 3])
-    @pytest.mark.parametrize("a, b", [("M2", "M2"), ("M2x3", "M2+M1"), ("generic", "M2"), ("M2", "generic")])
+    @pytest.mark.parametrize(
+        "a, b", [("M2", "M2"), ("M2x3", "M2+M1"), ("oppM2x3", "M1x2*minM2"), ("M1x2*minM2", "oppM2x3")]
+    )
     def test_upper_bit_identical_to_per_term_sum(self, a, b, level, rng):
         fa, fb = self.SPACES[a], self.SPACES[b]
         for trial in range(8):

@@ -78,6 +78,22 @@ class TestNormalization:
         assert normalize_space(dual(tens_h(M(2), M(3)))) == tens_h(T(2), T(3))
         assert normalize_space(dual(opp(M(2)))) == opp(T(2))
 
+    LEAVES = [M(2), M(2, 3), T(2), opp(M(2)), conj(M(2))]
+    DUAL_CTOR = {sum_inf: sum_1, sum_1: sum_inf, tens_min: tens_proj, tens_proj: tens_min, tens_h: tens_h}
+
+    @pytest.mark.parametrize("ctor", list(DUAL_CTOR), ids=lambda c: c.__name__)
+    def test_duality_table(self, ctor):
+        # De Morgan rows of the duality, the double dual, dual through opp,
+        # and idempotence, on every pair of leaves
+        for a in self.LEAVES:
+            for b in self.LEAVES:
+                x = ctor(a, b)
+                nx, ndx = normalize_space(x), normalize_space(dual(x))
+                assert ndx == self.DUAL_CTOR[ctor](normalize_space(dual(a)), normalize_space(dual(b)))
+                assert normalize_space(dual(dual(x))) == nx
+                assert normalize_space(dual(opp(x))) == opp(ndx)
+                assert normalize_space(nx) == nx and normalize_space(ndx) == ndx
+
 
 class TestNormAt:
     def test_unitary_level_one(self, rng, config):
@@ -176,6 +192,25 @@ class TestNormAt:
         assert br.status == "exact" and abs(br.upper - want) <= 1e-12 * want
         assert peak < 4 * 2 ** 20
 
+    def test_nested_min_tensor_flattens_by_index(self, rng, config):
+        # (M(8) ⊗min M(8)) ⊕∞ M(1) goes through _flat's placement; a dense
+        # (4097, 65, 65) placement would take over 256 MiB
+        import tracemalloc
+
+        n = 8
+        coords = rand_complex(rng, 1, n ** 4 + 1).ravel()
+        kron_norm = op_norm(coords[:-1].reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n))
+        want = max(kron_norm, abs(coords[-1]))
+        el = SpaceElement(sum_inf(tens_min(M(n), M(n)), M(1)), 1, coords)
+        tracemalloc.start()
+        try:
+            br = norm_at(el, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert br.status == "exact" and abs(br.upper - want) <= 1e-12 * want
+        assert peak < 8 * 2 ** 20
+
     @pytest.mark.parametrize("op", ["(+inf)", "(+1)"])
     def test_sum_with_unknown_part_is_unknown(self, op, config):
         # the unknown part's infinite upper end must not become an exact bracket
@@ -221,6 +256,47 @@ class TestFlatRealization:
     def test_dual_unsupported(self):
         with pytest.raises(UnsupportedSpaceError):
             _flat(T(2))
+
+    CORPUS = [
+        M(3), M(2, 3), opp(M(2, 3)), conj(M(2)), sum_inf(M(2), M(1, 3)), tens_min(M(2), M(1, 2)),
+        tens_min(opp(M(2, 3)), sum_inf(M(1), M(2))), sum_inf(tens_min(M(2), M(2)), opp(M(1, 2))),
+        opp(tens_min(sum_inf(M(1, 2), M(2)), M(2, 1))),
+    ]
+
+    @pytest.mark.parametrize("space", CORPUS, ids=format_space)
+    def test_placement_is_matrix_units(self, space, rng):
+        # pos sends the basis injectively onto matrix units, at the places the
+        # dense construction (kron, transpose, block diagonal) puts them, and
+        # the scatter flatten equals the einsum with that dense placement
+        fs = _flat(space)
+        assert fs.dim == dim(space)
+        assert len(np.unique(fs.pos)) == fs.dim
+        assert 0 <= fs.pos.min() and fs.pos.max() < fs.rows * fs.cols
+        dense = np.eye(fs.rows * fs.cols)[fs.pos].reshape(fs.dim, fs.rows, fs.cols)
+        assert np.array_equal(dense, _dense_place(space))
+        for lead in ((1, 1), (2, 2), (2, 1), (3, 2, 2)):
+            coords = rand_complex(rng, int(np.prod(lead)), fs.dim).reshape(*lead, fs.dim)
+            want = np.einsum("...ija,arc->...irjc", coords, dense)
+            want = want.reshape(*lead[:-2], lead[-2] * fs.rows, lead[-1] * fs.cols)
+            assert np.array_equal(fs.flatten(coords), want)
+
+
+def _dense_place(x):
+    """(dim, rows, cols) placement of a flat space built from whole matrices."""
+    if x.kind == "base":
+        n, m = x.args
+        return np.eye(n * m).reshape(n * m, n, m)
+    if x.kind == "conj":
+        return _dense_place(x.args[0])
+    if x.kind == "opp":
+        return _dense_place(x.args[0]).transpose(0, 2, 1)
+    a, b = (_dense_place(y) for y in x.args)
+    if x.kind == "tens_min":
+        return np.array([np.kron(pa, pb) for pa in a for pb in b])
+    out = np.zeros((len(a) + len(b), a.shape[1] + b.shape[1], a.shape[2] + b.shape[2]))
+    out[: len(a), : a.shape[1], : a.shape[2]] = a
+    out[len(a) :, a.shape[1] :, a.shape[2] :] = b
+    return out
 
 
 class TestCanonicalMaps:

@@ -210,3 +210,19 @@ def test_huge_integer_is_a_parse_error_at_its_column(text, col):
     limit = sys.get_int_max_str_digits()
     assert (exc.value.line, exc.value.col, exc.value.expected) == (
         2, col, f"an integer of at most {limit} digits")
+
+
+@pytest.mark.parametrize("text,col", [
+    (f"space X = M({NINES});", 13),
+    (f"norm inj [[1]] in M(1) (*min) T({NINES});", 33),
+], ids=["space", "norm"])
+def test_huge_integer_in_a_space_is_a_space_error_at_its_column(text, col):
+    with pytest.raises(ParseError) as exc:
+        parse_session("norm op [[1]];\n" + text)
+    assert (exc.value.line, exc.value.col, exc.value.expected) == (2, col, "a space expression")
+
+
+def test_parse_space_huge_integer_is_a_syntax_error():
+    with pytest.raises(SpaceSyntaxError) as exc:
+        parse_space(f"M(2,{NINES})")
+    assert exc.value.pos == 4
