@@ -4,7 +4,6 @@ from .diamond import (
     diamond_norm,
     cb_norm,
     dual_level_norm,
-    diamond_seesaw_lower,
 )
 from .brackets import NormBracket, FlatSpace
 
@@ -17,7 +16,6 @@ __all__ = [
     "diamond_norm",
     "cb_norm",
     "dual_level_norm",
-    "diamond_seesaw_lower",
     "NormBracket",
     "FlatSpace",
 ]

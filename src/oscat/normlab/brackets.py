@@ -195,7 +195,7 @@ def haagerup_bracket_flat(v, level: int, fa: FlatSpace, fb: FlatSpace) -> NormBr
 
     k, da, db = level, fa.dim, fb.dim
     v = _tensor_coords_reshape(v, k, da, db)
-    if np.max(np.abs(v)) < 1e-300:
+    if np.max(np.abs(v), initial=0.0) < 1e-300:
         return NormBracket.exactly(0.0)
     m, p = max(fa.rows, fb.cols), max(fa.cols, fb.rows)
     (ra, ca), (rb, cb) = np.divmod(fa.pos, fa.cols), np.divmod(fb.pos, fb.cols)

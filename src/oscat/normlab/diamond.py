@@ -53,7 +53,7 @@ import functools
 import numpy as np
 
 from ..errors import ShapeMismatchError
-from ..matcore import BlockMatrix, block_dim, blockwise_transpose, tr_norm
+from ..matcore import BlockMatrix, block_dim, blockwise_transpose
 from ..supop import SuperOp
 from .brackets import NormBracket
 from .sdp import HermBasis, SdpProblem, lmi_triples, sdp_solve
@@ -63,7 +63,6 @@ __all__ = [
     "cb_norm",
     "functional_rep",
     "dual_level_norm",
-    "diamond_seesaw_lower",
 ]
 
 
@@ -530,73 +529,3 @@ def dual_level_norm(coords: np.ndarray, dom_shape, level: int) -> NormBracket:
     # b ↦ [tr(r_ij b)]: row (i, j) of the transfer matrix is vec(r_ijᵀ)
     phi = SuperOp(dom_shape, (k,), coords.reshape(k * k, dim)[:, blockwise_transpose(dom_shape)])
     return cb_norm(phi, "operator")
-
-
-def diamond_seesaw_lower(
-    s: SuperOp,
-    level: int | None = None,
-    rng: np.random.Generator | None = None,
-    starts: int = 6,
-    iters: int = 60,
-    init_pairs=None,
-) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
-    """Brute-force lower bound: max ‖(id_k ⊗ s)(ψφ†)‖_tr over unit vectors.
-
-    Independent of the SDP route; converges to the diamond norm when `level`
-    reaches the domain dimension.  Returns (value, best (ψ, φ)).
-    """
-    rng = rng or np.random.default_rng(0)
-    K, L = sum(s.dom_shape), sum(s.cod_shape)
-    k = level if level is not None else K
-    big = SuperOp.from_big_choi(s.big_choi(), (K,), (L,))
-    lam = SuperOp.from_big_choi(
-        SuperOp.from_action(lambda x: x, (k,), (k,)).tensor(big).big_choi(),
-        (k * K,),
-        (k * L,),
-    )
-    dim = k * K
-
-    def trnorm_of(psi, phi):
-        return tr_norm(lam(np.outer(psi, phi.conj())))
-
-    def unit(v):
-        n = np.linalg.norm(v)
-        return v / n if n > 0 else v
-
-    best_val, best_pair = 0.0, None
-    cand = []
-    for _ in range(starts):
-        cand.append(
-            (
-                unit(rng.standard_normal(dim) + 1j * rng.standard_normal(dim)),
-                unit(rng.standard_normal(dim) + 1j * rng.standard_normal(dim)),
-            )
-        )
-    if init_pairs:
-        cand.extend(init_pairs)
-    basis = np.eye(dim)
-    for psi, phi in cand:
-        for _ in range(iters):
-            m = lam(np.outer(psi, phi.conj()))
-            u, sv, vh = np.linalg.svd(m)
-            uopt = u @ vh  # maximizer of Re tr(U† M) over contractions
-            # linearize in ψ: Re tr(U†Λ(ψφ†)) = Re Σ_a ψ_a c_a
-            cvec = np.array(
-                [np.trace(uopt.conj().T @ lam(np.outer(basis[a], phi.conj()))) for a in range(dim)]
-            )
-            psi_new = unit(cvec.conj())
-            tvec = np.array(
-                [np.trace(uopt.conj().T @ lam(np.outer(psi_new, basis[b]))) for b in range(dim)]
-            )
-            phi_new = unit(tvec)
-            if (
-                np.linalg.norm(psi_new - psi) < 1e-12
-                and np.linalg.norm(phi_new - phi) < 1e-12
-            ):
-                psi, phi = psi_new, phi_new
-                break
-            psi, phi = psi_new, phi_new
-        val = trnorm_of(psi, phi)
-        if val > best_val:
-            best_val, best_pair = val, (psi, phi)
-    return best_val, best_pair

@@ -457,7 +457,9 @@ def parse_space(text: str, names: dict | None = None) -> SpaceExpr:
             e = parse_expr()
             expect("rparen")
             return {"dual": dual, "conj": conj, "opp": opp}[name](e)
-        if names and name in names:
+        if names is not None and peek()[0] != "lparen":  # a name, not a call
+            if name not in names:
+                raise SpaceSyntaxError(f"undefined space name {name!r}", t[2])
             return names[name]
         raise SpaceSyntaxError(f"unknown constructor {name!r}", t[2])
 

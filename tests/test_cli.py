@@ -459,6 +459,31 @@ class TestTensorNorms:
         assert rep.exit_code == 2
 
 
+class TestNamedSpaces:
+    NAMED = (
+        "space X = M(2);\nspace Y = X (*h) X;\n"
+        f"norm haagerup {SDP_HAAGERUP} in Y;\nnorm haagerup {SDP_HAAGERUP} in X (*h) X;\n"
+    )
+
+    def test_named_space_gives_the_inline_bracket(self, config):
+        inline = run_session(parse_session(f"norm haagerup {SDP_HAAGERUP} in M(2) (*h) M(2);"), config)
+        report = run_session(parse_session(self.NAMED), config)
+        assert [r.status for r in report.records] == ["pass", "pass"]
+        assert [r.bracket for r in report.records] == [inline.records[0].bracket] * 2
+
+    def test_undefined_name_is_a_fail_record(self, config):
+        text = "space Y = Z (*h) M(2);\nnorm haagerup [[1]] in W;\nnorm op [[1]];"
+        report = run_session(parse_session(text), config)
+        assert [r.status for r in report.records] == ["fail", "fail", "pass"]
+        assert "undefined space name 'Z'" in report.records[0].detail["error"]
+        assert "undefined space name 'W'" in report.records[1].detail["error"]
+
+    def test_round_trip(self):
+        ast = parse_session(self.NAMED)
+        assert format_session(ast) == self.NAMED
+        assert parse_session(format_session(ast)) == ast
+
+
 class TestDeterminism:
     def test_json_byte_identical(self, config):
         text = TUTORIAL.read_text()
@@ -500,6 +525,14 @@ class TestDeterminism:
         after = snapshot()
         changed = [key for key in before if before[key] != after.get(key)]
         assert not changed, f"module-level state changed: {changed}"
+
+    def test_only_config_makes_generators(self):
+        # nothing outside the acceptance battery draws: its generators all
+        # come from RunConfig.rng, seeded by (seed, salt)
+        src = Path(__file__).parents[1] / "src" / "oscat"
+        users = [p.relative_to(src).as_posix() for p in sorted(src.rglob("*.py"))
+                 if "default_rng" in p.read_text(encoding="utf-8")]
+        assert users == ["config.py"]
 
     def test_caches_bounded_and_invisible(self, config):
         # every memo on a module-level function of oscat is bounded, and a

@@ -57,6 +57,14 @@ class TestGrammar:
         e = parse_space("A (*h) M(2)", names={"A": M(3)})
         assert e == tens_h(M(3), M(2))
 
+    def test_names_in_a_table(self):
+        # any table, the empty one included, resolves bare names; a name
+        # called like M(2) is an unknown constructor
+        with pytest.raises(SpaceSyntaxError, match="undefined space name 'A' at position 0"):
+            parse_space("A", names={})
+        with pytest.raises(SpaceSyntaxError, match="unknown constructor 'A' at position 0"):
+            parse_space("A(2)", names={"A": M(3)})
+
     def test_dims(self):
         assert dim(parse_space("M(2,3)")) == 6
         assert dim(parse_space("T(3)")) == 9
@@ -96,6 +104,14 @@ class TestNormalization:
 
 
 class TestNormAt:
+    @pytest.mark.parametrize(
+        "text", ["M(2) (*h) M(2)", "M(2) (*proj) M(2)", "M(2) (*min) M(2)", "M(2)", "T(2)"]
+    )
+    def test_level_zero_is_exact_zero(self, text):
+        sp = parse_space(text)
+        br = norm_at(SpaceElement(sp, 0, np.zeros((0, 0, dim(sp)), dtype=complex)))
+        assert (br.status, br.lower, br.upper) == ("exact", 0.0, 0.0)
+
     def test_unitary_level_one(self, rng, config):
         u = rand_unitary(rng, 3)
         br = norm_at(SpaceElement(M(3), 1, u.ravel()), config)
