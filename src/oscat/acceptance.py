@@ -259,7 +259,7 @@ def criterion_6(config: RunConfig) -> AcceptanceResult:
             p = BlockMatrix([b.conj().T @ b for b in t.blocks])
         else:
             p = BlockMatrix([rand_hermitian(rng, k) for k in shape])
-        concrete = positivity(p, co, tol=1e-8).positive
+        concrete = positivity(p, tol=1e-8).positive
         abstract, _, _ = abstract_positive_functional(co, p, tol=1e-8)
         disagreements += concrete != abstract
     return AcceptanceResult(
@@ -332,12 +332,11 @@ def criterion_7(config: RunConfig) -> AcceptanceResult:
     dens_ok = True
     for trial in range(500):
         shape = ([2], [3], [2, 1])[trial % 3]
-        co = make_coalgebra(shape)
         b = BlockMatrix([rand_hermitian(rng, k) for k in shape])
         tr = b.trace().real
         if abs(tr) > 1e-9:
             b = b * (1.0 / tr)
-        lhs = positivity(b, co, tol=1e-9).positive and abs(b.trace() - 1) <= 1e-9
+        lhs = positivity(b, tol=1e-9).positive and abs(b.trace() - 1) <= 1e-9
         rhs = abs(b.tr_norm() - 1) <= 1e-9 and abs(b.trace() - 1) <= 1e-9
         dens_ok &= lhs == rhs
         sset = density_ops(shape)

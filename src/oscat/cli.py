@@ -40,6 +40,7 @@ from .osx import (
     norm_at,
     normalize_space,
     parse_space,
+    placement,
 )
 from .qglue import (
     QObject,
@@ -129,6 +130,13 @@ class _Scanner:
         if not self.text.startswith(s, self.pos):
             self.error(expected or repr(s))
         self.pos += len(s)
+
+    def keyword(self, word: str):
+        """`word` as a whole name, so that `lawsA` is not `laws A`."""
+        self.skip_ws()
+        if _NAME_RE.match(self.text, self.pos).group() != word:
+            self.error(repr(word))
+        self.pos += len(word)
 
     def try_literal(self, s: str) -> bool:
         self.skip_ws()
@@ -405,18 +413,18 @@ def _parse_session_inner(text: str) -> SessionAst:
                 )
             else:
                 blob = sc.bracket_blob()
-                sc.literal("in", "'in'")
+                sc.keyword("in")
                 st = Statement(
                     "norm",
                     (("arg", blob), ("kind", kind), ("space", sc.space_text())),
                     ln,
                 )
         elif head == "demo":
-            sc.literal("qswitch", "'qswitch'")
+            sc.keyword("qswitch")
             n = sc.integer()
             st = Statement("demo", (("n", n), ("what", "qswitch")), ln)
         elif head == "assert":
-            sc.literal("laws", "'laws'")
+            sc.keyword("laws")
             nm = sc.name("an algebra/coalgebra name")
             st = Statement("assert", (("name", nm), ("what", "laws")), ln)
         else:
@@ -547,32 +555,24 @@ class _Env:
         return d[name]
 
 
-def _factor_shape(x: SpaceExpr) -> tuple[int, int]:
-    """Literal shape of one tensor factor.
-
-    M(n,m) is n×m; dual(M(n,m)), T(n) included, is written by its m×n
-    trace-pairing representing matrices.
-    """
-    if x.kind == "base":
-        return x.args
-    if x.kind == "dual" and x.args[0].kind == "base":
-        n, m = x.args[0].args
-        return m, n
-    raise OscatError("tensor norms need M(n,m) or T(n) factors")
-
-
 def _element_level(mat: np.ndarray, sp: SpaceExpr):
-    """Level and coordinates of a flat literal in a normalized two-factor tensor."""
-    (na, ma), (nb, mb) = _factor_shape(sp.args[0]), _factor_shape(sp.args[1])
-    rows, cols = na * nb, ma * mb
+    """Level and coordinates of a literal at the Kronecker product of the factors' osx placements.
+
+    A nonzero entry off that placement is an error, not a dropped entry.
+    """
+    fs = FlatSpace.tens_min(placement(sp.args[0]), placement(sp.args[1]))
+    rows, cols = fs.rows, fs.cols
     if not rows * cols or mat.shape[0] % rows or mat.shape[1] % cols:
         raise OscatError(f"literal shape {mat.shape} does not tile {rows}x{cols}")
     k = mat.shape[0] // rows
     if mat.shape != (k * rows, k * cols):
         raise OscatError("literal is not square at a single level")
     # flat (k·rows, k·cols) → tensor coords (k,k,dimA·dimB), read at the Kronecker placement
-    pos = FlatSpace.tens_min(FlatSpace.base(na, ma), FlatSpace.base(nb, mb)).pos
-    return k, mat.reshape(k, rows, k, cols).transpose(0, 2, 1, 3).reshape(k, k, -1)[..., pos]
+    blocks = mat.reshape(k, rows, k, cols).transpose(0, 2, 1, 3).reshape(k, k, -1)
+    coords = blocks[..., fs.pos]
+    if np.count_nonzero(coords) != np.count_nonzero(blocks):
+        raise OscatError(f"literal has a nonzero entry off the placement of {format_space(sp)}")
+    return k, coords
 
 
 def run_session(ast: SessionAst, config: RunConfig | None = None) -> Report:

@@ -116,13 +116,13 @@ def psd_check(a, tol: float = 1e-9) -> PsdVerdict:
     return PsdVerdict("not_psd", min_eig)
 
 
-def kron(a, b, cap: int = DIM_CAP) -> np.ndarray:
-    """Kronecker product with index order (i,k),(j,l); dimension-capped."""
+def kron(a, b) -> np.ndarray:
+    """Kronecker product with index order (i,k),(j,l); each side at most DIM_CAP."""
     a, b = cmatrix(a), cmatrix(b)
-    if a.shape[0] * b.shape[0] > cap or a.shape[1] * b.shape[1] > cap:
+    if a.shape[0] * b.shape[0] > DIM_CAP or a.shape[1] * b.shape[1] > DIM_CAP:
         raise SizeLimitError(
             f"kron result {a.shape[0] * b.shape[0]}x{a.shape[1] * b.shape[1]} "
-            f"exceeds cap {cap}"
+            f"exceeds cap {DIM_CAP}"
         )
     return np.kron(a, b)
 

@@ -56,7 +56,7 @@ from ..errors import ShapeMismatchError
 from ..matcore import BlockMatrix, block_dim, blockwise_transpose
 from ..supop import SuperOp
 from .brackets import NormBracket
-from .sdp import HermBasis, SdpProblem, lmi_triples, sdp_solve
+from .sdp import REL_GAP, HermBasis, SdpProblem, lmi_triples, sdp_solve
 
 __all__ = [
     "diamond_norm",
@@ -67,8 +67,8 @@ __all__ = [
 
 
 # relative bracket width: the closed form is accepted when upper − lower ≤
-# _REL_GAP·(1 + lower), and the SDP is asked for the same gap
-_REL_GAP = 1e-8
+# _REL_GAP·(1 + lower), the gap the SDP solves to
+_REL_GAP = REL_GAP
 
 
 def functional_rep(s: SuperOp) -> BlockMatrix:
@@ -450,7 +450,7 @@ def _diamond_sdp(J: np.ndarray, K: int, L: int) -> NormBracket:
     else:
         c[2 * n_h :: 2] = -J.real.ravel()
         c[2 * n_h + 1 :: 2] = -J.imag.ravel()
-    res = sdp_solve(prob.with_objective(c), rel_gap=_REL_GAP)
+    res = sdp_solve(prob.with_objective(c))
     if res.status != "optimal":
         reason = f"sdp {res.status}" + (f": {res.message}" if res.message else "")
         return NormBracket.unknown(

@@ -61,10 +61,14 @@ import numpy as np
 
 from ..errors import InvalidInputError, ShapeMismatchError, SizeLimitError
 
-__all__ = ["MAX_PSD_DIM", "LMI_TRIPLE", "lmi_triples", "HermBasis", "SdpProblem", "SdpResult", "sdp_solve"]
+__all__ = ["MAX_PSD_DIM", "REL_GAP", "LMI_TRIPLE", "lmi_triples", "HermBasis", "SdpProblem", "SdpResult",
+           "sdp_solve"]
 
 # cap on the (complex) size of the LMI block
 MAX_PSD_DIM = 256
+
+# relative duality gap every solve runs to: gap ≤ REL_GAP·(1 + |primal|) ends the path
+REL_GAP = 1e-8
 
 # one nonzero Fᵢ[row, col] = val of the LMI, i = con
 LMI_TRIPLE = np.dtype([("con", np.int32), ("row", np.int32), ("col", np.int32), ("val", np.complex128)])
@@ -412,7 +416,7 @@ def _state(y, z, blk):
     return s, li, sinv, grad, tz, z, mu, _newton_solver(mat), _inv_factor(z)
 
 
-def _pd_solve(cvec, blk, rel_gap):
+def _pd_solve(cvec, blk):
     """HKM primal–dual predictor–corrector from the strictly feasible y = 0.
 
     y keeps S(y) ≻ 0, so c·y is an upper end; Z ≻ 0 starts at S(0)⁻¹ and may
@@ -436,7 +440,7 @@ def _pd_solve(cvec, blk, rel_gap):
         the limit of working precision and the previous certificate stays.
         """
         nonlocal best_z, dual
-        floor = max(dual, primal - 10 * rel_gap * (1.0 + abs(primal)) - 1e-12)
+        floor = max(dual, primal - 10 * REL_GAP * (1.0 + abs(primal)) - 1e-12)
         cert = _certificate(cvec, blk, sinv, left, w, floor)
         if cert is not None and cert[1] > primal + 1e-12 * (1.0 + abs(primal)):
             return False
@@ -456,7 +460,7 @@ def _pd_solve(cvec, blk, rel_gap):
         if float(cvec @ y) < primal:
             best_y, primal = y, float(cvec @ y)
         w, dya = solve(np.column_stack([cvec - tz, -cvec])).T
-        if not certify(sinv, z, w) or primal - dual <= rel_gap * (1.0 + abs(primal)):
+        if not certify(sinv, z, w) or primal - dual <= REL_GAP * (1.0 + abs(primal)):
             break
         # predictor (σ = 0), then Mehrotra's σ = (μₐ/μ)³ and the second-order corrector
         dsa = blk.lin(dya)
@@ -471,7 +475,7 @@ def _pd_solve(cvec, blk, rel_gap):
         ap, ad = _steps(ls, lz, ds, dz)
         y = y + ap * dy
         z = z + ad * dz
-    if primal - dual > rel_gap * (1.0 + abs(primal)) and last is not None:
+    if primal - dual > REL_GAP * (1.0 + abs(primal)) and last is not None:
         # fallback: the barrier-metric correction of μS⁻¹ (τ = 1/μ) at the last iterate
         y, mu = last
         at = _newton_system(y, None, blk)
@@ -486,20 +490,20 @@ def _pd_solve(cvec, blk, rel_gap):
     return ("optimal", best_y, best_z, primal, primal - dual, it)
 
 
-def sdp_solve(p: SdpProblem, rel_gap: float = 1e-8) -> SdpResult:
+def sdp_solve(p: SdpProblem) -> SdpResult:
     """Solve the LMI-form SDP from y = 0 with a certified duality gap.
 
     F0 must be positive definite, so that y = 0 is strictly feasible;
     otherwise InvalidInputError.  status 'optimal' guarantees S(y) ⪰ 0
     (strictly, up to 1e-12) and value within `gap` of the true optimum with
-    gap ≤ 10·rel_gap·(1+|value|) + 1e-12; an objective unbounded below (an
+    gap ≤ 10·REL_GAP·(1+|value|) + 1e-12; an objective unbounded below (an
     LMI of size 0 with c ≠ 0), a stalled path, a wider gap or a LAPACK
     failure gives numerical_failure.
     """
     if _chol_or_none(p.block.f0) is None:
         raise InvalidInputError("F0 is not positive definite (y = 0 must be strictly feasible)")
     try:
-        status, y, z, primal, gap, iters = _pd_solve(p.c, p.block, rel_gap)
+        status, y, z, primal, gap, iters = _pd_solve(p.c, p.block)
     except np.linalg.LinAlgError as err:
         return SdpResult(status="numerical_failure", message=f"LAPACK error: {err}")
     if status != "optimal":
@@ -511,7 +515,7 @@ def sdp_solve(p: SdpProblem, rel_gap: float = 1e-8) -> SdpResult:
             iterations=iters,
             message="unbounded: no LMI constrains c·y" if status == "unbounded" else "path stalled",
         )
-    ok = gap <= rel_gap * (1.0 + abs(primal)) * 10 + 1e-12
+    ok = gap <= REL_GAP * (1.0 + abs(primal)) * 10 + 1e-12
     return SdpResult(
         status="optimal" if ok else "numerical_failure",
         value=primal,

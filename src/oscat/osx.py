@@ -180,30 +180,36 @@ def normalize_space(x: SpaceExpr) -> SpaceExpr:
 # ---------------------------------------------------------------------------
 # flat realizations
 
-def _flat(x: SpaceExpr) -> FlatSpace:
-    """Completely isometric flat placement of a normalized space, or UnsupportedSpaceError."""
-    if x.kind == "base":
-        return FlatSpace.base(x.args[0], x.args[1])
-    if x.kind == "conj":  # conjugation preserves every matrix norm
-        return _flat(x.args[0])
-    if x.kind == "opp":
-        return _flat(x.args[0]).opp()
-    if x.kind == "sum_inf":
-        return FlatSpace.sum_inf(_flat(x.args[0]), _flat(x.args[1]))
-    if x.kind == "tens_min":
-        return FlatSpace.tens_min(_flat(x.args[0]), _flat(x.args[1]))
+def _flat(x: SpaceExpr, dual_side: bool = False) -> FlatSpace:
+    """Flat placement of a normalized space, or UnsupportedSpaceError.
+
+    The primal side places M(n,m) as n×m, ⊕∞ block-diagonally and ⊗min by
+    Kronecker products, completely isometrically; the dual side places the
+    trace-pairing representing matrices of dual(M(n,m)) as m×n, ⊕₁ and ⊗̂
+    the same way.  On either side opp is transposed and conj is as is.
+    """
+    kind = _DUAL_KIND.get(x.kind, x.kind) if dual_side else x.kind
+    if kind == "base" and not dual_side:
+        return FlatSpace.base(*x.args)
+    if kind == "dual" and dual_side and x.args[0].kind == "base":
+        return FlatSpace.base(*x.args[0].args[::-1])
+    if kind == "conj":  # conjugation preserves every matrix norm
+        return _flat(x.args[0], dual_side)
+    if kind == "opp":
+        return _flat(x.args[0], dual_side).opp()
+    if kind == "sum_inf":
+        return FlatSpace.sum_inf(_flat(x.args[0], dual_side), _flat(x.args[1], dual_side))
+    if kind == "tens_min":
+        return FlatSpace.tens_min(_flat(x.args[0], dual_side), _flat(x.args[1], dual_side))
     raise UnsupportedSpaceError(f"no flat realization for {format_space(x)}")
 
 
-def _algebra_shape(x: SpaceExpr) -> tuple[int, ...] | None:
-    """Block sizes when x is an ℓ∞ sum of square base spaces."""
-    if x.kind == "base" and x.args[0] == x.args[1]:
-        return (x.args[0],)
-    if x.kind == "sum_inf":
-        a, b = _algebra_shape(x.args[0]), _algebra_shape(x.args[1])
-        if a is not None and b is not None:
-            return a + b
-    return None
+def placement(x: SpaceExpr) -> FlatSpace:
+    """The matrix layout of x's coordinates: its primal placement, else its dual-side one."""
+    try:
+        return _flat(x)
+    except UnsupportedSpaceError:
+        return _flat(x, dual_side=True)
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +224,6 @@ def norm_at(e: SpaceElement, config=None) -> NormBracket:
     return _norm_dispatch(normalize_space(e.space), e.level, e.coords)
 
 
-def _no_route(space) -> NormBracket:
-    return NormBracket.unknown({"reason": f"no route for {format_space(space)}"})
-
-
 def _norm_dispatch(space, k, coords) -> NormBracket:
     if space.kind in ("tens_h", "tens_proj", "tens_min"):
         # two flat factors; the routes are looked up per call, so a rebound
@@ -229,18 +231,32 @@ def _norm_dispatch(space, k, coords) -> NormBracket:
         try:
             fa, fb = _flat(space.args[0]), _flat(space.args[1])
         except UnsupportedSpaceError:
-            return _no_route(space)
-        route = {
-            "tens_h": haagerup_bracket_flat,
-            "tens_proj": proj_bracket_flat,
-            "tens_min": inj_norm_flat,
-        }[space.kind]
-        return route(coords, k, fa, fb)
+            pass  # a tensor of duals may still have a dual-side placement
+        else:
+            route = {
+                "tens_h": haagerup_bracket_flat,
+                "tens_proj": proj_bracket_flat,
+                "tens_min": inj_norm_flat,
+            }[space.kind]
+            return route(coords, k, fa, fb)
 
     try:  # exact flat cases
         return NormBracket.exactly(_flat(space).level_norm(coords))
     except UnsupportedSpaceError:
         pass
+
+    try:
+        fs = _flat(space, dual_side=True)
+    except UnsupportedSpaceError:
+        pass
+    else:
+        # a functional on a block pattern extends by zero to M_p with the
+        # same cb norm, since the pattern's compression is completely contractive
+        p = max(fs.rows, fs.cols)
+        rows, cols = np.divmod(fs.pos, fs.cols)
+        padded = np.zeros((k, k, p * p), dtype=np.complex128)
+        padded[..., rows * p + cols] = coords
+        return dual_level_norm(padded, (p,), k)
 
     if space.kind == "conj":
         # conjugate spaces carry the same matrix norms on the same elements
@@ -249,24 +265,6 @@ def _norm_dispatch(space, k, coords) -> NormBracket:
     if space.kind == "opp":
         # ‖[x_ij]‖ in X_o equals ‖[x_ji]‖ in X: transpose the outer indices
         return _norm_dispatch(space.args[0], k, coords.transpose(1, 0, 2))
-
-    if space.kind == "dual":
-        inner = space.args[0]
-        if inner.kind == "base":
-            # coords are the m×n representing matrices; pad into M_p
-            # (p = max(n, m), p = n when square) where the cb norm is unchanged
-            n, m = inner.args
-            p = max(n, m)
-            padded = np.zeros((k, k, p, p), dtype=np.complex128)
-            padded[:, :, :m, :n] = coords.reshape(k, k, m, n)
-            return dual_level_norm(padded.reshape(k, k, p * p), (p,), k)
-        return _no_route(space)
-
-    if space.kind == "sum_1":
-        duals_alg = _algebra_shape(normalize_space(dual(space)))
-        if duals_alg is not None:
-            # the trace pairing identifies both sides coordinate-wise
-            return dual_level_norm(coords, duals_alg, k)
 
     if space.kind in ("sum_inf", "sum_1"):
         da = dim(space.args[0])
@@ -281,7 +279,7 @@ def _norm_dispatch(space, k, coords) -> NormBracket:
             return NormBracket.from_bounds(ba.lower + bb.lower, ba.upper + bb.upper)
         return NormBracket.from_bounds(max(ba.lower, bb.lower), ba.upper + bb.upper)
 
-    return _no_route(space)
+    return NormBracket.unknown({"reason": f"no route for {format_space(space)}"})
 
 
 # ---------------------------------------------------------------------------

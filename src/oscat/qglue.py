@@ -403,10 +403,19 @@ class MorphismResult:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _algebra_shape(x: SpaceExpr) -> tuple[int, ...] | None:
+    """Block sizes when x is an ℓ∞ sum of square base spaces."""
+    if x.kind == "base" and x.args[0] == x.args[1]:
+        return (x.args[0],)
+    if x.kind == "sum_inf":
+        a, b = _algebra_shape(x.args[0]), _algebra_shape(x.args[1])
+        if a is not None and b is not None:
+            return a + b
+    return None
+
+
 def _carrier_block_type(space: SpaceExpr):
     """('operator'|'trace', shape) for ⊕∞M / ⊕₁T carriers, else None."""
-    from .osx import _algebra_shape
-
     sp = normalize_space(space)
     shape = _algebra_shape(sp)
     if shape is not None:
@@ -533,8 +542,10 @@ def quantum_switch(n: int, config=None):
     want = np.zeros((n * n, n * n, 2 * n, 2 * n))
     want[..., :n, :n] = xy
     want[..., n:, n:] = xy.transpose(1, 0, 2, 3)
-    krons = np.einsum("xab,ycd->xyacbd", units, units).reshape(n**4, n**4)
-    got = (krons @ qsw.transfer.T).reshape(want.shape)
+    # kron(E_x, E_y) is the single matrix unit at (a, c), (b, d), so its image
+    # is one column of the transfer matrix: a gather, not a product with an
+    # n⁴ × n⁴ permutation matrix
+    got = qsw.transfer.T[axis_perm((n,) * 4, (0, 2, 1, 3))].reshape(want.shape)
     mismatches = int(np.count_nonzero((got != want).any(axis=(2, 3))))
     report["claims"].append(
         {

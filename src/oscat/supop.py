@@ -54,6 +54,12 @@ _COHERENCE_TOL = 1e-12
 _NORMAL_MIN = np.finfo(np.float64).tiny
 
 
+def _check_size(rows: int, cols: int) -> None:
+    """The size rule, checked before allocating: a transfer matrix holds at most DIM_CAP² entries."""
+    if rows * cols > DIM_CAP * DIM_CAP:
+        raise SizeLimitError(f"transfer matrix {rows}x{cols} exceeds {DIM_CAP}^2 entries")
+
+
 def partial_trace(m: np.ndarray, dims: tuple[int, int], axis: int) -> np.ndarray:
     """Trace out the factor `axis` (0 or 1) of an operator on C^d0 ⊗ C^d1."""
     d0, d1 = dims
@@ -103,6 +109,7 @@ class SuperOp:
         `action` maps BlockMatrix → BlockMatrix.
         """
         dom_shape, cod_shape = block_shape(dom_shape), block_shape(cod_shape)
+        _check_size(block_dim(cod_shape), block_dim(dom_shape))
         basis = np.eye(block_dim(dom_shape))
         transfer = np.zeros((block_dim(cod_shape), basis.shape[0]), dtype=np.complex128)
         for a, e in enumerate(basis):
@@ -171,8 +178,7 @@ class SuperOp:
         """id_{M_k} ⊗ s under M_k(X) ≅ M_k ⊗ X."""
         if k < 1:
             raise ShapeMismatchError("amplification level must be >= 1")
-        if k * max(self.dom_shape + self.cod_shape, default=0) > DIM_CAP:
-            raise SizeLimitError("amplified dimensions exceed cap")
+        _check_size(k * k * self.transfer.shape[0], k * k * self.transfer.shape[1])
         return identity_map((k,)).tensor(self)
 
     def compose(self, other: "SuperOp") -> "SuperOp":
@@ -181,19 +187,21 @@ class SuperOp:
             raise ShapeMismatchError(
                 f"cannot compose: inner shapes {other.cod_shape} vs {self.dom_shape}"
             )
+        _check_size(self.transfer.shape[0], other.transfer.shape[1])
         return SuperOp(other.dom_shape, self.cod_shape, self.transfer @ other.transfer)
 
     def tensor(self, other: "SuperOp") -> "SuperOp":
         """Kronecker action; block lists combine lexicographically."""
         dom = pair_shape(self.dom_shape, other.dom_shape)
         cod = pair_shape(self.cod_shape, other.cod_shape)
-        if max(dom + cod, default=0) > DIM_CAP:
-            raise SizeLimitError("tensor dimensions exceed cap")
+        _check_size(block_dim(cod), block_dim(dom))
         rows = pair_reindex(self.cod_shape, other.cod_shape)
         cols = pair_reindex(self.dom_shape, other.dom_shape)
         return SuperOp(dom, cod, np.kron(self.transfer, other.transfer)[np.ix_(rows, cols)])
 
     def direct_sum(self, other: "SuperOp") -> "SuperOp":
+        (r0, c0), (r1, c1) = self.transfer.shape, other.transfer.shape
+        _check_size(r0 + r1, c0 + c1)
         return SuperOp(
             self.dom_shape + other.dom_shape,
             self.cod_shape + other.cod_shape,
@@ -275,11 +283,13 @@ def _op_defect(v: np.ndarray, shape) -> float:
 
 def identity_map(shape) -> SuperOp:
     shape = block_shape(shape)
+    _check_size(block_dim(shape), block_dim(shape))
     return SuperOp(shape, shape, np.eye(block_dim(shape)))
 
 
 def transpose_map(n: int) -> SuperOp:
     shape = block_shape((n,))
+    _check_size(n * n, n * n)
     return SuperOp(shape, shape, np.eye(n * n)[blockwise_transpose(shape)])
 
 
@@ -287,11 +297,13 @@ def conjugation(u) -> SuperOp:
     """x ↦ u x u*; use .adjoint() for the Heisenberg direction a ↦ u* a u."""
     u = cmatrix(u)
     n = u.shape[0]
+    _check_size(n * n, u.shape[1] ** 2)
     return SuperOp((n,), (n,), np.kron(u, u.conj()))
 
 
 def depolarizing(n: int) -> SuperOp:
     shape = block_shape((n,))
+    _check_size(n * n, n * n)
     unit = np.eye(n).ravel()
     return SuperOp(shape, shape, np.outer(unit, unit) / n)
 
@@ -299,4 +311,5 @@ def depolarizing(n: int) -> SuperOp:
 def trace_map(shape) -> SuperOp:
     """The functional x ↦ Σ_i tr(x_i) as a map into the [1] block space."""
     shape = block_shape(shape)
+    _check_size(1, block_dim(shape))
     return SuperOp(shape, (1,), unit_vector(shape))

@@ -524,7 +524,7 @@ class PositivityVerdict:
     diagnostic: float  # min eigenvalue (or hermiticity defect if negative path)
 
 
-def positivity(p: BlockMatrix, structure, tol: float = 1e-9) -> PositivityVerdict:
+def positivity(p: BlockMatrix, tol: float = 1e-9) -> PositivityVerdict:
     """Concrete check: blockwise PSD; witness a with a*a = p via spectral root.
 
     For algebras p is an element; for coalgebras p is the representing matrix
@@ -562,7 +562,7 @@ def abstract_positive_functional(
     coalgebras the candidate is the spectral square root.  Returns
     (is_positive, witness_rep or None, reproduction_error).
     """
-    verdict = positivity(p_rep, co, tol)
+    verdict = positivity(p_rep, tol)
     if not verdict.positive:
         return False, None, abs(verdict.diagnostic)
     a_rep = verdict.witness

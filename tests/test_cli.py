@@ -332,7 +332,7 @@ class TestRunner:
 
         monkeypatch.setattr(
             diamond_mod, "sdp_solve",
-            lambda p, rel_gap: SdpResult(status="numerical_failure", message="barrier stalled"),
+            lambda p: SdpResult(status="numerical_failure", message="barrier stalled"),
         )
         # a fixed non-Hermitian map that no route before the SDP decides, so the SDP runs
         rep = run_session(parse_session(f"map t = choi([2] -> [2], {NON_HERMITIAN_CHOI});\nnorm {kind};"))
@@ -454,9 +454,40 @@ class TestTensorNorms:
         op = NORM_KINDS[kind][0]
         rep = run_session(parse_session(f"norm {kind} {SWAP} in T(2) {op} T(2);"), config)
         rec = rep.records[0]
+        if kind == "proj":
+            # T(2) ⊗̂ T(2) is the dual of M(2) ⊗min M(2) = M(4): the literal is
+            # a representing matrix, and the SWAP's trace norm is 4
+            assert rec.status == "pass" and rec.detail["norm_status"] == "exact"
+            assert abs(rec.value - 4.0) <= 1e-12 * 4.0 and rep.exit_code == 0
+            return
         assert rec.status == "unknown" and rec.value is None
         assert rec.detail["reason"] == f"no route for (T(2) {op} T(2))"
         assert rep.exit_code == 2
+
+
+class TestLiteralPlacement:
+    """A tensor literal is read at the Kronecker placement of its factors' osx placements."""
+
+    def test_off_placement_entry_is_refused(self, config):
+        # (M(1) ⊕∞ M(1)) ⊗min M(1) is the diagonal of M(2)
+        text = ("norm inj [[1,0],[0,3]] in (M(1) (+inf) M(1)) (*min) M(1);\n"
+                "norm inj [[1,2],[0,3]] in (M(1) (+inf) M(1)) (*min) M(1);")
+        rep = run_session(parse_session(text), config)
+        assert rep.records[0].status == "pass" and rep.records[0].value == 3.0
+        assert rep.records[1].status == "fail"
+        assert "nonzero entry off the placement" in rep.records[1].detail["error"]
+
+    def test_dual_side_factors(self, config):
+        # (T(1) ⊕₁ T(1)) ⊗̂ T(1) is the dual of the diagonal of M(2): the trace norm
+        rep = run_session(parse_session("norm proj [[1,0],[0,-2]] in (T(1) (+1) T(1)) (*proj) T(1);"), config)
+        rec = rep.records[0]
+        assert rec.status == "pass" and rec.detail["norm_status"] == "exact"
+        assert abs(rec.value - 3.0) <= 1e-12 * 3.0
+
+    def test_factor_without_placement_fails(self, config):
+        rep = run_session(parse_session("norm haagerup [[1]] in M(1) (*h) (M(1) (*h) M(1));"), config)
+        assert rep.records[0].status == "fail"
+        assert "no flat realization" in rep.records[0].detail["error"]
 
 
 class TestNamedSpaces:

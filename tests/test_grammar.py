@@ -138,6 +138,10 @@ MALFORMED = [
     ("space X = ;", 11, "a space expression"),
     ("map = identity([2]);", 5, "a name"),
     ("map f identity([2]);", 7, "'='"),
+    # statement keywords are whole names, not prefixes of the next token
+    ("assert lawsA;", 8, "'laws'"),
+    ("demo qswitch2;", 6, "'qswitch'"),
+    ("norm inj [[1]] inM(1) (*min) M(1);", 16, "'in'"),
 ]
 
 

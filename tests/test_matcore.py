@@ -129,7 +129,7 @@ class TestKron:
 
     def test_size_cap(self):
         with pytest.raises(SizeLimitError):
-            kron(np.eye(100), np.eye(100), cap=4096)
+            kron(np.eye(100), np.eye(100))
 
 
 class TestAxisPerm:

@@ -181,7 +181,7 @@ class TestDiamond:
         # the real embedding: one block of complex size 2·n² for n = 3
         seen = []
         solve = diamond_mod.sdp_solve
-        monkeypatch.setattr(diamond_mod, "sdp_solve", lambda p, rel_gap: seen.append(p) or solve(p, rel_gap))
+        monkeypatch.setattr(diamond_mod, "sdp_solve", lambda p: seen.append(p) or solve(p))
         assert diamond_mod._diamond_sdp(make(rng, 3).big_choi(), 3, 3).status == "exact"
         (p,) = seen
         assert p.f0.shape == (18, 18) and p.block.n == 18
@@ -191,7 +191,7 @@ class TestDiamond:
     def test_solver_failure_reason_kept(self, monkeypatch):
         monkeypatch.setattr(
             diamond_mod, "sdp_solve",
-            lambda p, rel_gap: SdpResult(status="numerical_failure", message="barrier stalled"),
+            lambda p: SdpResult(status="numerical_failure", message="barrier stalled"),
         )
         br = diamond_norm(sdp_bound_map())
         assert br.witnesses["route"] == "sdp"
@@ -202,7 +202,7 @@ class TestDiamond:
     def test_crossed_certificate_is_unknown(self, monkeypatch):
         # dual value above the primal value: upper end -dual below lower end -value
         crossed = SdpResult(status="optimal", value=-2.0, dual_value=-1.5, gap=-0.5)
-        monkeypatch.setattr(diamond_mod, "sdp_solve", lambda p, rel_gap: crossed)
+        monkeypatch.setattr(diamond_mod, "sdp_solve", lambda p: crossed)
         br = diamond_norm(sdp_bound_map())
         assert br.status == "unknown" and br.witnesses["reason"] == "crossed certificate"
         assert br.witnesses["value"] == -2.0 and br.witnesses["dual_value"] == -1.5
@@ -210,7 +210,7 @@ class TestDiamond:
     def test_rounding_crossing_kept(self, monkeypatch):
         # a crossing within 1e-12·(1+|value|) is rounding, not a bug
         near = SdpResult(status="optimal", value=-2.0, dual_value=-2.0 + 2e-12, gap=-2e-12)
-        monkeypatch.setattr(diamond_mod, "sdp_solve", lambda p, rel_gap: near)
+        monkeypatch.setattr(diamond_mod, "sdp_solve", lambda p: near)
         br = diamond_norm(sdp_bound_map())
         assert br.status == "exact" and br.lower == br.upper == 2.0
 
@@ -292,7 +292,7 @@ class TestClosedForm:
         # point, certificate or not) lies in both brackets.
         seen = []
         solve = diamond_mod.sdp_solve
-        monkeypatch.setattr(diamond_mod, "sdp_solve", lambda p, rel_gap: seen.append(solve(p, rel_gap)) or seen[-1])
+        monkeypatch.setattr(diamond_mod, "sdp_solve", lambda p: seen.append(solve(p)) or seen[-1])
         routes = set()
         for seed in range(4):
             for delta in (1e-5, 1e-6, 1e-7):
@@ -553,7 +553,7 @@ class TestReweighted:
         monkeypatch.setattr(diamond_mod, "_weigh", lambda *a: weighed.append(1) or weigh(*a))
         monkeypatch.setattr(diamond_mod, "_face_bracket", lambda *a: at_face.append(len(weighed)) or face(*a))
         monkeypatch.setattr(
-            diamond_mod, "sdp_solve", lambda p, rel_gap: at_sdp.append(len(weighed)) or solve(p, rel_gap)
+            diamond_mod, "sdp_solve", lambda p: at_sdp.append(len(weighed)) or solve(p)
         )
         br = diamond_norm(s)
         assert br.witnesses["route"] == "sdp"

@@ -139,7 +139,7 @@ class TestNormAt:
         assert abs(br.mid - (tr_norm(c1) + tr_norm(c2))) <= 1e-6
 
     def test_sum1_levels_via_dual_algebra(self, rng, config):
-        # level-2 norm of a ⊕₁T element dispatches through the dual algebra
+        # level-2 norm of a ⊕₁T element: its block-diagonal dual-side placement
         coords = np.zeros((2, 2, 8), dtype=complex)
         for i in range(2):
             for j in range(2):
@@ -186,9 +186,16 @@ class TestNormAt:
             assert abs(hi.mid - lo.mid) <= 1e-6  # embedding is isometric here
 
     def test_unknown_is_honest(self, config):
+        # T(2) ⊗̂ (T(2) ⊗̂ T(2)) is the dual of M(8): all-ones coordinates are
+        # the 8×8 all-ones representing matrix, of trace norm 8
         deep = tens_proj(T(2), tens_proj(T(2), T(2)))
         br = norm_at(SpaceElement(deep, 1, np.zeros(64, complex) + 1), config)
-        assert br.status in ("unknown", "bracket", "upper_only")
+        assert br.status == "exact" and abs(br.mid - 8.0) <= 1e-12 * 8.0
+        # a Haagerup tensor over that nesting has no route
+        deep = tens_h(T(2), tens_proj(T(2), T(2)))
+        br = norm_at(SpaceElement(deep, 1, np.zeros(64, complex) + 1), config)
+        assert br.status == "unknown" and br.upper == np.inf
+        assert br.witnesses["reason"] == "no route for (T(2) (*h) (T(2) (*proj) T(2)))"
 
     def test_min_tensor_skips_whole_placement(self, rng, config):
         # M(8) ⊗min M(8): FlatSpace.tens_min's (4096, 64, 64) placement would
@@ -313,6 +320,125 @@ def _dense_place(x):
     out[: len(a), : a.shape[1], : a.shape[2]] = a
     out[len(a) :, a.shape[1] :, a.shape[2] :] = b
     return out
+
+
+# ROADMAP item 2's shapes: (space, status and route at levels 1 and 2); a route
+# of None is a flat route, which names none
+ITEM2_TABLE = [
+    ("M(2) (*h) M(2)", ("exact", "reweighted closed form"), ("exact", "sdp")),
+    ("M(2) (*proj) M(2)", ("bracket", None), ("bracket", None)),
+    ("M(2) (*min) M(2)", ("exact", None), ("exact", None)),
+    ("T(2) (*proj) T(2)", ("exact", "closed form"), ("exact", "reweighted closed form")),
+    ("dual(M(2) (*min) M(2))", ("exact", "closed form"), ("exact", "reweighted closed form")),
+] + [
+    (text, ("unknown", None), ("unknown", None))
+    for text in (
+        "T(2) (*h) T(2)", "T(2) (*min) T(2)",
+        "M(2) (*proj) T(2)", "M(2) (*h) T(2)", "M(2) (*min) T(2)",
+        "T(2) (*proj) M(2)", "T(2) (*h) M(2)", "T(2) (*min) M(2)",
+        "dual(M(2) (*h) M(2))", "dual(M(2) (*proj) M(2))",
+        "M(2) (*h) (M(2) (*h) M(2))", "(M(2) (*h) M(2)) (*min) M(2)",
+    )
+]
+
+
+def _representing_matrix(coords, a, b):
+    """The (ab)×(ab) Kronecker placement of level-1 T(a) ⊗̂ T(b) coordinates."""
+    return coords.reshape(a, a, b, b).transpose(0, 2, 1, 3).reshape(a * b, a * b)
+
+
+class TestDualSide:
+    """Duals of flat spaces: one placement, one zero-padded functional norm."""
+
+    @pytest.mark.parametrize("text,level1,level2", ITEM2_TABLE, ids=[r[0] for r in ITEM2_TABLE])
+    def test_item2_table(self, text, level1, level2):
+        sp = parse_space(text)
+        rng = np.random.default_rng(5)
+        for k, want in ((1, level1), (2, level2)):
+            br = norm_at(SpaceElement(sp, k, rand_complex(rng, k, k * dim(sp)).reshape(k, k, -1)))
+            assert (br.status, br.witnesses.get("route")) == want
+            if br.status == "unknown":
+                assert br.witnesses["reason"] == f"no route for {format_space(normalize_space(sp))}"
+
+    @pytest.mark.parametrize("a", [1, 2, 3])
+    @pytest.mark.parametrize("b", [1, 2, 3])
+    def test_trace_class_proj_is_the_trace_norm(self, a, b):
+        # T(a) ⊗̂ T(b) = (M(a) ⊗min M(b))* = T(ab) on the Kronecker placement
+        rng = np.random.default_rng([a, b])
+        sp = tens_proj(T(a), T(b))
+        v = rand_complex(rng, 1, a * a * b * b).ravel()
+        br = norm_at(SpaceElement(sp, 1, v))
+        want = tr_norm(_representing_matrix(v, a, b))
+        assert br.status == "exact" and abs(br.upper - want) <= 1e-12 * want
+        w = rand_complex(rng, 2, 2 * a * a * b * b).reshape(2, 2, -1)
+        assert norm_at(SpaceElement(sp, 2, w)).status == "exact"
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_trace_class_proj_cross_norm(self, k):
+        # ‖x ⊗ y‖ = ‖x‖·‖y‖ for x at level k in T(a) and y in T(b)
+        rng = np.random.default_rng(k)
+        for a, b in ((1, 2), (2, 2), (2, 3), (3, 2)):
+            x = rand_complex(rng, k, k * a * a).reshape(k, k, -1)
+            y = rand_complex(rng, b).ravel()
+            bx = norm_at(SpaceElement(T(a), k, x))
+            by = norm_at(SpaceElement(T(b), 1, y))
+            coords = np.einsum("ija,b->ijab", x, y).reshape(k, k, -1)
+            br = norm_at(SpaceElement(tens_proj(T(a), T(b)), k, coords))
+            assert br.status == "exact"
+            assert br.lower <= bx.upper * by.upper * (1 + 1e-9)
+            assert br.upper >= bx.lower * by.lower * (1 - 1e-9)
+
+    def test_dual_of_min_tensor_is_trace_class_proj(self, rng):
+        for k in (1, 2):
+            v = rand_complex(rng, k, k * 16).reshape(k, k, 16)
+            b1 = norm_at(SpaceElement(dual(tens_min(M(2), M(2))), k, v))
+            b2 = norm_at(SpaceElement(tens_proj(T(2), T(2)), k, v))
+            assert b1.status == "exact" and (b1.lower, b1.upper) == (b2.lower, b2.upper)
+
+    def test_sum1_of_rectangular_duals(self):
+        # exact, and inside the [max, sum] bracket of its two parts
+        rng = np.random.default_rng(9)
+        sp = dual(sum_inf(opp(M(2, 3)), M(1)))
+        v = rand_complex(rng, 2, 2 * 7).reshape(2, 2, 7)
+        br = norm_at(SpaceElement(sp, 2, v))
+        parts = [norm_at(SpaceElement(part, 2, c))
+                 for part, c in ((opp(dual(M(2, 3))), v[..., :6]), (T(1), v[..., 6:]))]
+        assert br.status == "exact" and all(p.status == "exact" for p in parts)
+        assert max(p.lower for p in parts) <= br.lower <= br.upper <= sum(p.upper for p in parts)
+
+    def test_dual_side_placement(self):
+        # dual(M(n,m)) is placed as m×n, ⊕₁ block-diagonally, ⊗̂ by Kronecker
+        fs = _flat(sum_1(dual(M(2, 3)), tens_proj(T(1), opp(dual(M(1, 2))))), dual_side=True)
+        assert (fs.rows, fs.cols, fs.dim) == (4, 4, 8)
+        for space in (T(2), sum_1(T(2), T(1)), tens_proj(T(2), T(2))):
+            with pytest.raises(UnsupportedSpaceError):
+                _flat(space)
+        for space in (M(2), sum_inf(T(2), T(1)), tens_min(T(2), T(2)), tens_h(T(2), T(2))):
+            with pytest.raises(UnsupportedSpaceError):
+                _flat(space, dual_side=True)
+
+
+class TestSumCombination:
+    """Sums whose parts are not all on one side combine the parts' brackets."""
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_suminf_of_trace_classes_is_the_larger(self, k):
+        rng = np.random.default_rng(k)
+        v = rand_complex(rng, k, k * 13).reshape(k, k, 13)
+        br = norm_at(SpaceElement(sum_inf(T(2), T(3)), k, v))
+        b2, b3 = norm_at(SpaceElement(T(2), k, v[..., :4])), norm_at(SpaceElement(T(3), k, v[..., 4:]))
+        assert (br.lower, br.upper) == (max(b2.lower, b3.lower), max(b2.upper, b3.upper))
+
+    def test_sum1_of_matrix_spaces(self):
+        rng = np.random.default_rng(3)
+        x, y = rand_complex(rng, 2), rand_complex(rng, 3)
+        br = norm_at(SpaceElement(sum_1(M(2), M(3)), 1, np.concatenate([x.ravel(), y.ravel()])))
+        assert br.lower == br.upper == op_norm(x) + op_norm(y)
+        v = rand_complex(rng, 2, 2 * 13).reshape(2, 2, 13)
+        br = norm_at(SpaceElement(sum_1(M(2), M(3)), 2, v))
+        b2, b3 = norm_at(SpaceElement(M(2), 2, v[..., :4])), norm_at(SpaceElement(M(3), 2, v[..., 4:]))
+        assert (br.lower, br.upper) == (max(b2.lower, b3.lower), b2.upper + b3.upper)
+        assert br.status == "bracket"
 
 
 class TestCanonicalMaps:

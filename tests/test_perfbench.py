@@ -78,7 +78,7 @@ def test_diamond_random_items_mostly_skip_sdp(workloads, monkeypatch):
 
     solved = []
     solve = diamond_mod.sdp_solve
-    monkeypatch.setattr(diamond_mod, "sdp_solve", lambda p, rel_gap: solved.append(1) or solve(p, rel_gap))
+    monkeypatch.setattr(diamond_mod, "sdp_solve", lambda p: solved.append(1) or solve(p))
     items = [it for it in workloads.build("diamond", 1).items if it.kind.endswith("-random-n3")]
     assert len(items) == 20
     reached = 0
@@ -98,7 +98,7 @@ def test_session_haagerup_norms_mostly_skip_sdp(workloads, monkeypatch):
 
     solved = []
     solve = diamond_mod.sdp_solve
-    monkeypatch.setattr(diamond_mod, "sdp_solve", lambda p, rel_gap: solved.append(1) or solve(p, rel_gap))
+    monkeypatch.setattr(diamond_mod, "sdp_solve", lambda p: solved.append(1) or solve(p))
     sessions = reached = 0
     for item in workloads.build("session_mix", 1).items:
         solved.clear()

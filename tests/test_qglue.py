@@ -308,6 +308,20 @@ class TestMorphisms:
         r = check_morphism(conjugation(w), o1, o3)
         assert r.verdict in ("invalid", "unknown")
 
+    def test_with_of_algebra_objects(self):
+        # H(A) & H(A) carries M(2) ⊕∞ M(2) and the product of the two unit sets
+        hh = connective("with", embed_H(make_algebra([2])), embed_H(make_algebra([2])))
+        swap = SuperOp((2, 2), (2, 2), np.eye(8)[np.r_[4:8, 0:4]])
+        rows = [
+            (identity_map((2, 2)), "valid", "complete contraction; all 1 generator transported"),
+            (swap, "valid", "complete contraction; all 1 generator transported"),
+            (SuperOp((2, 2), (2, 2), 1.001 * np.eye(8)), "invalid", "not a complete contraction"),
+            (SuperOp((2, 2), (2, 2), np.diag([1.0] * 4 + [0.0] * 4)), "invalid", "set not preserved"),
+        ]
+        for f, verdict, reason in rows:
+            r = check_morphism(f, hh, hh)
+            assert (r.verdict, r.reason) == (verdict, reason)
+
     def test_unsupported_carrier_unknown(self):
         h2 = embed_H(make_algebra([2]))
         tt = connective("tensor", h2, h2)
@@ -423,6 +437,20 @@ class TestQuantumSwitch:
         assert "n**4 <= 4096" in rep.records[0].detail["error"]
         assert peak < 2**20
         assert quantum_switch_map(8).transfer.shape == (256, 4096)
+
+    def test_exact_formula_gathers_without_a_permutation_matrix(self):
+        # claim (i) reads each matrix-unit pair's image off the transfer
+        # matrix; an n⁴ × n⁴ permutation matrix at n = 6 alone takes 13 MB
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            _, report = quantum_switch(6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report["claims"][0]["evidence"] == {"basis_pairs": 6**4, "mismatches": 0}
+        assert peak < 12 * 2**20
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_haagerup_violation_is_n(self, n):

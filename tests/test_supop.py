@@ -460,3 +460,63 @@ class TestMultiBlock:
     def test_amplify_past_cap_raises_before_allocating(self):
         with pytest.raises(SizeLimitError):
             identity_map((2,)).amplify(2049)
+
+
+def _identity_action(shape):
+    return SuperOp.from_action(lambda x: x, shape, shape)
+
+
+def _trace_square(shape):
+    t = trace_map(shape)
+    return t.adjoint().compose(t)
+
+
+class TestSizeRule:
+    """A transfer matrix holds at most DIM_CAP² entries, checked before allocating."""
+
+    # one-line sessions that would each allocate gigabytes without the rule
+    REPROS = [
+        "map t = transpose(150);",
+        "map t = depolarize(150);",
+        "map i = identity([12]);\nmap t = tensor(i, i);",
+        "map i = identity([12]);\nmap t = amplify(i, 12);",
+    ]
+
+    @pytest.mark.parametrize("text", REPROS)
+    def test_repro_is_a_fail_record(self, text):
+        import tracemalloc
+
+        from oscat.cli import parse_session, run_session
+
+        tracemalloc.start()
+        try:
+            rep = run_session(parse_session(text))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [r.status for r in rep.records] == ["fail"]
+        assert "exceeds 4096^2 entries" in rep.records[0].detail["error"]
+        assert peak < 8 * 2**20
+
+    # (map constructor, an input of exactly 16² entries, the next larger input)
+    BOUNDARY = [
+        (identity_map, (4,), (4, 1)),
+        (transpose_map, 4, 5),
+        (depolarizing, 4, 5),
+        (lambda n: conjugation(np.eye(n)), 4, 5),
+        (trace_map, (16,), (16, 1)),
+        (_identity_action, (4,), (4, 1)),
+        (_trace_square, (4,), (4, 1)),
+        (lambda s: identity_map((2,)).tensor(identity_map(s)), (2,), (2, 1)),
+        (lambda k: identity_map((2,)).amplify(k), 2, 3),
+        (lambda s: identity_map((2, 2, 2)).direct_sum(identity_map(s)), (2,), (2, 1)),
+    ]
+
+    @pytest.mark.parametrize("build,fits,too_big", BOUNDARY)
+    def test_boundary(self, build, fits, too_big, monkeypatch):
+        import oscat.supop as supop
+
+        monkeypatch.setattr(supop, "DIM_CAP", 16)
+        assert build(fits).transfer.size == 16 * 16
+        with pytest.raises(SizeLimitError, match=r"exceeds 16\^2 entries"):
+            build(too_big)

@@ -340,20 +340,20 @@ class TestDuality:
 
 class TestPositivity:
     def test_identity_positive(self):
-        v = positivity(BlockMatrix([np.eye(2)]), make_algebra([2]))
+        v = positivity(BlockMatrix([np.eye(2)]))
         assert v.positive
         w = v.witness
         assert (w @ w.adjoint() - BlockMatrix([np.eye(2)])).op_norm() < 1e-10
 
     def test_indefinite_flagged(self):
-        v = positivity(BlockMatrix([np.diag([1.0, -1.0])]), make_coalgebra([2]))
+        v = positivity(BlockMatrix([np.diag([1.0, -1.0])]))
         assert not v.positive and abs(v.diagnostic + 1.0) < 1e-12
 
     def test_gram_witness_roundtrip(self, rng):
         for _ in range(20):
             t = rand_complex(rng, 3)
             p = BlockMatrix([t.conj().T @ t])
-            v = positivity(p, make_coalgebra([3]))
+            v = positivity(p)
             assert v.positive
             w = v.witness
             err = (BlockMatrix([w.blocks[0].conj().T @ w.blocks[0]]) - p).op_norm()
@@ -367,7 +367,7 @@ class TestPositivity:
             else:
                 p = BlockMatrix([rand_complex(rng, 2) + rand_complex(rng, 2).conj().T, rand_complex(rng, 1).real.astype(complex)])
             ok_abs, _, _ = abstract_positive_functional(co, p)
-            ok_con = positivity(p, co, tol=1e-8).positive
+            ok_con = positivity(p, tol=1e-8).positive
             assert ok_abs == ok_con
 
 
