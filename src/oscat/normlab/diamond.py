@@ -43,8 +43,11 @@ The operator-picture cb norm is the diamond norm of the trace-pairing
 adjoint, so for a CP map it is ‖Φ(1)‖ (Paulsen, *Completely Bounded Maps
 and Operator Algebras*, Prop. 3.6); it takes no other path.  A domain or
 codomain of dimension one takes the closed-form shortcut (the norm of the
-image element or of the functional), and block maps are flattened through
-the completely isometric block-diagonal embeddings.
+image element or of the functional).  A map out of several domain blocks
+takes the largest norm of its restrictions, since an ℓ¹ sum is a coproduct
+(Effros–Ruan, *Operator Spaces*, §2.6); in the operator picture the adjoint
+splits the codomain the same way.  Codomain blocks are flattened through the
+completely isometric block-diagonal embedding.
 """
 from __future__ import annotations
 
@@ -53,7 +56,7 @@ import functools
 import numpy as np
 
 from ..errors import ShapeMismatchError
-from ..matcore import BlockMatrix, block_dim, blockwise_transpose
+from ..matcore import BlockMatrix, block_dim, block_offsets, blockwise_transpose
 from ..supop import SuperOp
 from .brackets import NormBracket
 from .sdp import REL_GAP, HermBasis, SdpProblem, lmi_triples, sdp_solve
@@ -476,7 +479,10 @@ def diamond_norm(s: SuperOp) -> NormBracket:
     closed form (`_reweighted_bracket`), then the closed form at the
     ε-weights of a rank-one pair found by a pure-state seesaw
     (`_face_bracket`), each accepted at the same width, and goes to the SDP
-    when both hand it on.  `witnesses["route"]` says which.
+    when both hand it on.  `witnesses["route"]` says which.  A domain of
+    several nonzero blocks is split: each restriction takes these routes, the
+    bracket is the max of their ends, the route is that of the part with the
+    largest upper end, and `witnesses["blocks"]` counts the parts.
     """
     K, L = sum(s.dom_shape), sum(s.cod_shape)
     closed = {"route": "closed form"}
@@ -490,6 +496,17 @@ def diamond_norm(s: SuperOp) -> NormBracket:
         # a functional on ⊕T: its ball is the hull of the block trace-norm
         # balls, so the norm is max_i ‖r_i‖
         return NormBracket.exactly(functional_rep(s).op_norm(), closed)
+    blocks = [(off, k) for off, k in block_offsets(s.dom_shape) if k]
+    if len(blocks) > 1:
+        # ⊕₁T is the coproduct (Effros–Ruan §2.6): the largest norm of the restrictions
+        parts = [
+            diamond_norm(SuperOp((k,), s.cod_shape, s.transfer[:, off : off + k * k])) for off, k in blocks
+        ]
+        top = max(parts, key=lambda p: p.upper)
+        if top.status == "unknown":
+            return top
+        lower = max(p.lower for p in parts)
+        return NormBracket.from_bounds(lower, top.upper, {**top.witnesses, "blocks": len(parts)})
     J = s.big_choi()
     lower, upper, tr_l = _closed_form_bracket(J, K, L)
     if upper - lower <= _REL_GAP * (1.0 + abs(lower)):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatchError, UnsupportedSpaceError
-from .matcore import axis_perm
+from .matcore import axis_perm, block_embedding
 from .normlab.brackets import (
     FlatSpace,
     NormBracket,
@@ -155,7 +155,7 @@ _DUAL_KIND = {
 
 
 def normalize_space(x: SpaceExpr) -> SpaceExpr:
-    """Push duals inward by `_DUAL_KIND`; keeps conj/opp markers (they commute with dual)."""
+    """Push duals inward by `_DUAL_KIND` and through the conj/opp markers (they commute with dual)."""
     if x.kind == "base":
         return x
     if x.kind == "conj":
@@ -169,12 +169,14 @@ def normalize_space(x: SpaceExpr) -> SpaceExpr:
         return normalize_space(inner.args[0])
     if inner.kind == "opp":
         return opp(normalize_space(dual(inner.args[0])))
+    if inner.kind == "conj":
+        return conj(normalize_space(dual(inner.args[0])))
     if inner.kind in _DUAL_KIND:
         args = tuple(normalize_space(dual(a)) for a in inner.args)
         return SpaceExpr(_DUAL_KIND[inner.kind], args)
-    # a dual stops at base and conj, unless normalizing the inside removes them
+    # a dual stops at base, unless normalizing the inside removes it
     inner = normalize_space(inner)
-    return dual(inner) if inner.kind in ("base", "conj") else normalize_space(dual(inner))
+    return dual(inner) if inner.kind == "base" else normalize_space(dual(inner))
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +212,30 @@ def placement(x: SpaceExpr) -> FlatSpace:
         return _flat(x)
     except UnsupportedSpaceError:
         return _flat(x, dual_side=True)
+
+
+def block_carrier(x: SpaceExpr):
+    """(picture, shape, order) when x's placement fills a block diagonal of square blocks.
+
+    A primal placement gives an ⊕∞M carrier ("operator"), a dual-side one an ⊕₁T
+    carrier ("trace"); coordinate order[j] sits where `block_embedding(shape)` puts
+    BlockMatrix coordinate j.  Zero blocks fill no rows, so the shape has none.
+    """
+    x = normalize_space(x)
+    for picture, dual_side in (("operator", False), ("trace", True)):
+        try:
+            fs = _flat(x, dual_side)
+        except UnsupportedSpaceError:
+            continue
+        counts = np.bincount(fs.pos // max(fs.cols, 1), minlength=fs.rows)
+        shape, row = [], 0
+        while row < fs.rows and counts[row]:
+            shape.append(int(counts[row]))
+            row += shape[-1]
+        order = np.argsort(fs.pos)
+        if fs.rows == fs.cols == row and np.array_equal(fs.pos[order], block_embedding(shape)):
+            return picture, tuple(shape), order
+    return None
 
 
 # ---------------------------------------------------------------------------

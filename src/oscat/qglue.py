@@ -23,6 +23,7 @@ from .osx import (
     SpaceElement,
     SpaceExpr,
     algebra_space,
+    block_carrier,
     coalgebra_space,
     dim,
     dual,
@@ -403,35 +404,12 @@ class MorphismResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _algebra_shape(x: SpaceExpr) -> tuple[int, ...] | None:
-    """Block sizes when x is an ℓ∞ sum of square base spaces."""
-    if x.kind == "base" and x.args[0] == x.args[1]:
-        return (x.args[0],)
-    if x.kind == "sum_inf":
-        a, b = _algebra_shape(x.args[0]), _algebra_shape(x.args[1])
-        if a is not None and b is not None:
-            return a + b
-    return None
-
-
-def _carrier_block_type(space: SpaceExpr):
-    """('operator'|'trace', shape) for ⊕∞M / ⊕₁T carriers, else None."""
-    sp = normalize_space(space)
-    shape = _algebra_shape(sp)
-    if shape is not None:
-        return "operator", shape
-    shape = _algebra_shape(normalize_space(dual(sp)))
-    if shape is not None:
-        return "trace", shape
-    return None
-
-
 def check_morphism(f: SuperOp, a: QObject, b: QObject, tol: float = 1e-9) -> MorphismResult:
-    src = _carrier_block_type(a.space)
-    dst = _carrier_block_type(b.space)
+    src, dst = block_carrier(a.space), block_carrier(b.space)
     if src is None or dst is None:
         return MorphismResult("unknown", "unsupported carrier space")
-    if tuple(f.dom_shape) != tuple(src[1]) or tuple(f.cod_shape) != tuple(dst[1]):
+    # a zero block adds no coordinates, so shapes compare without them
+    if tuple(filter(None, f.dom_shape)) != src[1] or tuple(filter(None, f.cod_shape)) != dst[1]:
         raise ShapeMismatchError("morphism shapes do not match the objects")
 
     # fully faithful images: H(A)→H(B) are exactly the CPU maps, S(C)→S(D)
@@ -459,7 +437,9 @@ def check_morphism(f: SuperOp, a: QObject, b: QObject, tol: float = 1e-9) -> Mor
     gens, exhaustive = generators(a.set)
     undecided = []
     for i, g in enumerate(gens):
-        img = f.apply(BlockMatrix.from_vector(g, src[1])).to_vector()
+        # gather g into block order, scatter the image back into b's coordinates
+        img = np.empty(dst[2].size, dtype=np.complex128)
+        img[dst[2]] = f.transfer @ g[src[2]]
         r = membership(b.set, img, tol)
         if r == "no":
             return MorphismResult("invalid", "set not preserved", cb)

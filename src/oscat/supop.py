@@ -54,10 +54,10 @@ _COHERENCE_TOL = 1e-12
 _NORMAL_MIN = np.finfo(np.float64).tiny
 
 
-def _check_size(rows: int, cols: int) -> None:
-    """The size rule, checked before allocating: a transfer matrix holds at most DIM_CAP² entries."""
+def _check_size(rows: int, cols: int, what: str = "transfer matrix") -> None:
+    """The size rule, checked before allocating: a transfer or Choi matrix holds at most DIM_CAP² entries."""
     if rows * cols > DIM_CAP * DIM_CAP:
-        raise SizeLimitError(f"transfer matrix {rows}x{cols} exceeds {DIM_CAP}^2 entries")
+        raise SizeLimitError(f"{what} {rows}x{cols} exceeds {DIM_CAP}^2 entries")
 
 
 def partial_trace(m: np.ndarray, dims: tuple[int, int], axis: int) -> np.ndarray:
@@ -124,9 +124,12 @@ class SuperOp:
     def big_choi(self) -> np.ndarray:
         """Choi of the map T_K → T_L through the block-diagonal embeddings.
 
-        J[(y1,a),(y2,b)] = φ(E_ab)[y1,y2]; cross-block sectors are zero.
+        J[(y1,a),(y2,b)] = φ(E_ab)[y1,y2]; cross-block sectors are zero.  J has
+        (ΣL·ΣK)² entries, more than the transfer matrix of a block map, so the
+        size rule is checked on it before allocating.
         """
         K, L = sum(self.dom_shape), sum(self.cod_shape)
+        _check_size(L * K, L * K, "Choi matrix")
         if len(self.dom_shape) == len(self.cod_shape) == 1:
             big = self.transfer  # one sector, all of it; np.array below copies
         else:

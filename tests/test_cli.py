@@ -200,6 +200,16 @@ class TestRunner:
             ("fail", "undefined name 'u'"),
         ]
 
+    def test_par_with_a_unitary_object_reads_its_carrier(self):
+        # par(u, h) carries M(2) (*min) M(2), a block carrier through its
+        # Kronecker placement; only the source generators stay open
+        text = (
+            "alg A2 = [2];\nobj u = unitary(A2, [[0,1],[1,0]]);\nobj h = H(A2);\n"
+            "obj p = par(u, h);\nmap i = identity([4]);\ncheck morphism i : p -> p;"
+        )
+        (rec,) = run_session(parse_session(text)).records
+        assert (rec.status, rec.detail["reason"]) == ("unknown", "source generators not exhaustive")
+
     def test_checks_on_many_blocks_stay_per_sector(self):
         # 64 one-by-one blocks: the CP test works sector by sector, never on
         # the 4096 x 4096 big Choi matrix (268 MB)

@@ -750,6 +750,61 @@ class TestCbNorm:
         assert abs(br.mid - 2.0) <= 1e-4
 
 
+class TestDomainBlockSplit:
+    """A map out of several domain blocks takes the largest norm of its restrictions (⊕₁ is a coproduct)."""
+
+    def test_many_one_dimensional_blocks(self):
+        # the whole Choi matrix of this identity would be 16384 × 16384 complex (4 GiB)
+        import tracemalloc
+
+        s = identity_map((1,) * 128)
+        tracemalloc.start()
+        try:
+            br = diamond_norm(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (br.status, br.lower, br.upper) == ("exact", 1.0, 1.0)
+        assert br.witnesses == {"route": "closed form", "blocks": 128}
+        assert peak < 4 * 2**20
+
+    SHAPES = [((2, 1), (2,)), ((1, 2), (2, 1)), ((2, 2), (1, 2)), ((1, 1, 1), (2,)), ((2, 0, 1), (1, 1))]
+
+    @pytest.mark.parametrize("dom, cod", SHAPES)
+    def test_split_overlaps_whole_map(self, dom, cod):
+        # the trace picture splits the domain of s, the operator picture the
+        # domain of its adjoint, the codomain of s; each bracket overlaps the
+        # closed form and the SDP of the whole Choi matrix
+        rng = np.random.default_rng([*dom, 5, *cod])
+        nd, nc = sum(k * k for k in dom), sum(k * k for k in cod)
+        for _ in range(3):
+            s = SuperOp(dom, cod, rand_complex(rng, nc, nd))
+            for br, t in ((diamond_norm(s), s), (cb_norm(s, "operator"), s.adjoint())):
+                parts = len(tuple(filter(None, t.dom_shape)))
+                assert br.status != "unknown"
+                assert br.witnesses.get("blocks") == (parts if parts > 1 else None)
+                lo, hi, _ = diamond_mod._closed_form_bracket(t.big_choi(), sum(t.dom_shape), sum(t.cod_shape))
+                assert lo <= br.upper * (1 + 1e-12) and br.lower <= hi * (1 + 1e-12)
+                _overlaps_sdp(br, t)
+
+    def test_max_of_the_parts(self, rng):
+        # ends, route and witnesses of the part with the larger upper end
+        s = SuperOp((2, 1), (2,), np.hstack([random_superop(rng, 2).transfer, 1.5 * np.eye(4)[:, :1]]))
+        parts = [diamond_norm(SuperOp((2,), (2,), s.transfer[:, :4])),
+                 diamond_norm(SuperOp((1,), (2,), s.transfer[:, 4:]))]
+        top = max(parts, key=lambda p: p.upper)
+        br = diamond_norm(s)
+        assert (br.lower, br.upper) == (max(p.lower for p in parts), top.upper)
+        assert br.witnesses == {**top.witnesses, "blocks": 2}
+
+    def test_operator_picture_splits_the_codomain(self):
+        # x ↦ (x, …, x) from T_2 into 512 copies of M_2: its adjoint sums the copies
+        x = identity_map((2,)).tensor(trace_map((1,) * 512).adjoint())
+        br = cb_norm(x, "operator")
+        assert br.status == "exact" and abs(br.mid - 1.0) <= 1e-12
+        assert br.witnesses["blocks"] == 512
+
+
 class TestDualLevelNorms:
     def test_t2_identity(self):
         br = dual_level_norm(np.eye(2).reshape(1, 1, 4).astype(complex), (2,), 1)

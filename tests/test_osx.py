@@ -27,6 +27,7 @@ from oscat.osx import (
     tens_min,
     tens_proj,
 )
+from oscat.qglue import pairing
 
 
 class TestGrammar:
@@ -534,6 +535,65 @@ class TestConjOppPush:
         assert all(br.status == "exact" for br in brs)
         assert max(br.mid for br in brs) - min(br.mid for br in brs) < 1e-12
         assert abs(brs[0].mid - op_norm(a) * op_norm(b)) <= 1e-8
+
+
+class TestDualThroughConj:
+    """dual(conj(X)) normalizes to conj(dual(X)); its norms are checked on explicit elements of conj(X)."""
+
+    # X with its matrix blocks (offset, rows, cols) in coordinate order; conj(X)
+    # carries X's matrix norms on the same coordinates
+    SPACES = [
+        (M(2), ((0, 2, 2),)),
+        (M(2, 3), ((0, 2, 3),)),
+        (sum_inf(M(2), M(1)), ((0, 2, 2), (4, 1, 1))),
+    ]
+
+    def test_normal_form(self):
+        assert normalize_space(dual(conj(M(2)))) == conj(T(2))
+        assert normalize_space(dual(conj(sum_inf(M(2), M(1))))) == conj(sum_1(T(2), T(1)))
+        assert normalize_space(dual(opp(conj(M(2, 3))))) == conj(opp(dual(M(2, 3))))
+        br = norm_at(SpaceElement(dual(conj(M(2))), 1, np.eye(2).ravel()))
+        assert br.status == "exact" and abs(br.mid - 2.0) <= 1e-12
+
+    @staticmethod
+    def _level_norm(x, blocks):
+        """‖x‖ in M_k(X) for x of shape (k, k, dim): the largest flattened block."""
+        k = x.shape[0]
+        return max(
+            op_norm(x[:, :, off : off + r * c].reshape(k, k, r, c).transpose(0, 2, 1, 3).reshape(k * r, k * c))
+            for off, r, c in blocks
+        )
+
+    @pytest.mark.parametrize("x, blocks", SPACES, ids=[format_space(x) for x, _ in SPACES])
+    def test_attained_and_never_exceeded(self, x, blocks):
+        rng = np.random.default_rng(31)
+        d, cx = dim(x), conj(x)
+        basis = np.eye(d)
+        for _ in range(3):
+            # level 1: the functional is a·x for a = (pairing with each basis
+            # vector); per block Σ A_ij X_ij is largest on the unit ball at
+            # X = conj(U·V*) for A = U·S·V*, with value tr S
+            f = rand_complex(rng, 1, d).ravel()
+            br = norm_at(SpaceElement(dual(cx), 1, f))
+            assert br.status == "exact"
+            a = np.array([pairing(cx, f, e) for e in basis])
+            best = np.zeros(d, dtype=np.complex128)
+            for off, r, c in blocks:
+                u, _, vh = np.linalg.svd(a[off : off + r * c].reshape(r, c), full_matrices=False)
+                best[off : off + r * c] = (u @ vh).conj().ravel()
+            assert self._level_norm(best.reshape(1, 1, d), blocks) <= 1 + 1e-12
+            assert abs(pairing(cx, f, best) - br.upper) <= 1e-12 * br.upper
+            # levels 1 and 2: ‖[⟨F_ij, x_kl⟩]‖ ≤ ‖F‖ for every x in the unit ball of M_m(conj(X))
+            for k in (1, 2):
+                big = rand_complex(rng, k * k, d).reshape(k, k, d)
+                upper = norm_at(SpaceElement(dual(cx), k, big)).upper
+                for m in (1, 2):
+                    for _ in range(40):
+                        el = rand_complex(rng, m * m, d).reshape(m, m, d)
+                        el /= self._level_norm(el, blocks)
+                        vals = np.array([[[[pairing(cx, big[i, j], el[p, q]) for q in range(m)]
+                                           for j in range(k)] for p in range(m)] for i in range(k)])
+                        assert op_norm(vals.reshape(k * m, k * m)) <= upper * (1 + 1e-12)
 
 
 class TestDualIsometryQuotient:

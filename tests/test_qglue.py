@@ -17,7 +17,7 @@ from oscat.matcore import (
     rand_hermitian,
     rand_unitary,
 )
-from oscat.osx import M, T, dim, format_space, normalize_space, parse_space, tens_proj
+from oscat.osx import M, T, dim, format_space, normalize_space, parse_space, tens_min, tens_proj
 from oscat.qglue import (
     QObject,
     SetSpec,
@@ -323,10 +323,88 @@ class TestMorphisms:
             assert (r.verdict, r.reason) == (verdict, reason)
 
     def test_unsupported_carrier_unknown(self):
+        # M(2) ⊗̂ M(2) and M(2) ⊗min T(2) have no placement that fills a block diagonal
+        h2, s2 = embed_H(make_algebra([2])), embed_S(make_coalgebra([2]))
+        for o in (connective("tensor", h2, h2), connective("par", h2, s2)):
+            r = check_morphism(identity_map((4,)), o, o)
+            assert (r.verdict, r.reason) == ("unknown", "unsupported carrier space")
+
+
+class TestBlockCarriers:
+    """Carriers read off the osx placements: ⊕∞M from a primal one, ⊕₁T from a dual-side one."""
+
+    @staticmethod
+    def _pauli_x():
+        return QObject(embed_H(make_algebra([2])).space, singleton_unitary(BlockMatrix([np.array([[0, 1], [1, 0]])])))
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_kronecker_order_on_min_tensor(self, rng, m):
+        # M(2) ⊗min M(m) is M(2m) through the Kronecker placement, so the
+        # conjugation by U⊗V maps X⊗Z to UXU*⊗VZV* (at m = 3 the coordinate
+        # order is not its own inverse)
+        u, v = rand_unitary(rng, 2), rand_unitary(rng, m)
+        x, z = rand_hermitian(rng, 2), rand_hermitian(rng, m)
+        x, z = x / op_norm(x), z / op_norm(z)
+        sp = tens_min(M(2), M(m))
+
+        def obj(a, b):
+            return QObject(sp, finite_set([np.outer(a.ravel(), b.ravel()).ravel()], sp))
+
+        f = conjugation(kron(u, v))
+        moved = obj(u @ x @ u.conj().T, v @ z @ v.conj().T)
+        r = check_morphism(f, obj(x, z), moved)
+        assert (r.verdict, r.reason) == ("valid", "complete contraction; all 1 generator transported")
+        r = check_morphism(f, obj(x, z), obj(u @ x @ u.conj().T, z))
+        assert (r.verdict, r.reason) == ("invalid", "set not preserved")
+
+    def test_density_pairs_on_projective_tensor(self, rng):
+        u, v = rand_unitary(rng, 2), rand_unitary(rng, 2)
+        sp = normalize_space(tens_proj(T(2), T(2)))
+        states = []
+        for _ in range(2):
+            a, b = rand_complex(rng, 2), rand_complex(rng, 2)
+            states.append((a @ a.conj().T / np.trace(a @ a.conj().T), b @ b.conj().T / np.trace(b @ b.conj().T)))
+
+        def obj(pairs):
+            return QObject(sp, finite_set([np.outer(r.ravel(), t.ravel()).ravel() for r, t in pairs], sp))
+
+        moved = [(u @ r @ u.conj().T, v @ t @ v.conj().T) for r, t in states]
+        r = check_morphism(conjugation(kron(u, v)), obj(states), obj(moved))
+        assert (r.verdict, r.reason) == ("valid", "complete contraction; all 2 generators transported")
+
+    def test_pars_of_unitary_objects(self):
+        h, u = embed_H(make_algebra([2])), self._pauli_x()
+        for a, b in ((h, u), (u, h), (u, u)):
+            for o in (connective("par", a, b), connective("dual", connective("par", a, b))):
+                assert check_morphism(identity_map((4,)), o, o).reason == "source generators not exhaustive"
+                r = check_morphism(SuperOp((4,), (4,), 1.001 * np.eye(16)), o, o)
+                assert (r.verdict, r.reason) == ("invalid", "not a complete contraction")
+
+    ZERO_BLOCKS = [  # (object, map shape, verdicts of identity and 1.001·identity)
+        (lambda: embed_H(make_algebra([2, 0])), (2, 0), (("valid", "cpu"), ("invalid", "unit not preserved"))),
+        (lambda: embed_S(make_coalgebra([1, 0, 1])), (1, 0, 1),
+         (("valid", "cptp"), ("invalid", "not trace preserving"))),
+        (lambda: embed_H(make_algebra([0])), (0,), (("valid", "cpu"), ("valid", "cpu"))),
+        (lambda: connective("with", embed_H(make_algebra([2, 0])), embed_H(make_algebra([1]))), (2, 0, 1),
+         (("valid", "complete contraction; all 1 generator transported"),
+          ("invalid", "not a complete contraction"))),
+    ]
+
+    @pytest.mark.parametrize("make, shape, want", ZERO_BLOCKS)
+    def test_zero_blocks(self, make, shape, want):
+        # a zero block adds no coordinates, so the map's shape matches with it
+        o, d = make(), sum(k * k for k in shape)
+        got = tuple((r.verdict, r.reason) for r in (
+            check_morphism(SuperOp(shape, shape, scale * np.eye(d)), o, o) for scale in (1.0, 1.001)))
+        assert got == want
+
+    def test_shape_mismatch_raises(self):
         h2 = embed_H(make_algebra([2]))
-        tt = connective("tensor", h2, h2)
-        r = check_morphism(identity_map((4,)), tt, tt)
-        assert r.verdict == "unknown"
+        pp = connective("par", h2, self._pauli_x())
+        for o, shape in ((h2, (1, 1)), (h2, (3,)), (pp, (2, 2)), (embed_S(make_coalgebra([2, 1])), (1, 2))):
+            d = sum(k * k for k in shape)
+            with pytest.raises(ShapeMismatchError, match="morphism shapes do not match"):
+                check_morphism(SuperOp(shape, shape, np.eye(d)), o, o)
 
 
 class TestQuantumSwitch:

@@ -520,3 +520,19 @@ class TestSizeRule:
         assert build(fits).transfer.size == 16 * 16
         with pytest.raises(SizeLimitError, match=r"exceeds 16\^2 entries"):
             build(too_big)
+
+    def test_choi_repro_is_a_fail_record(self):
+        # an 8192 × 4 transfer matrix whose Choi matrix would be 8192 × 8192 (1 GiB)
+        ones = ",".join(["1"] * 2048)
+        text = f"map i = identity([2]);\nmap t = trace([{ones}]);\nmap a = adjoint(t);\n"
+        self.test_repro_is_a_fail_record(text + "map x = tensor(i, a);\nnorm diamond x;")
+
+    def test_choi_boundary(self, monkeypatch):
+        # big_choi has (ΣL·ΣK)² entries, more than the transfer matrix of a block map
+        import oscat.supop as supop
+
+        monkeypatch.setattr(supop, "DIM_CAP", 6)
+        assert SuperOp((1, 1), (2, 1), np.zeros((5, 2))).big_choi().shape == (6, 6)
+        assert SuperOp((2,), (3,), np.zeros((9, 4))).big_choi().shape == (6, 6)
+        with pytest.raises(SizeLimitError, match=r"Choi matrix 8x8 exceeds 6\^2 entries"):
+            SuperOp((1, 1), (2, 2), np.zeros((8, 2))).big_choi()
