@@ -56,7 +56,7 @@ import functools
 import numpy as np
 
 from ..errors import ShapeMismatchError
-from ..matcore import BlockMatrix, block_dim, block_offsets, blockwise_transpose
+from ..matcore import BlockMatrix, block_dim, block_offsets, blockwise_transpose, tr_norm
 from ..supop import SuperOp
 from .brackets import NormBracket
 from .sdp import REL_GAP, HermBasis, SdpProblem, lmi_triples, sdp_solve
@@ -489,9 +489,11 @@ def diamond_norm(s: SuperOp) -> NormBracket:
     if K == 0 or L == 0:
         return NormBracket.exactly(0.0, closed)
     if K == 1:
-        # map C → ⊕T: norm of the image element
-        img = s.apply(BlockMatrix.identity(s.dom_shape))
-        return NormBracket.exactly(img.tr_norm(), closed)
+        # map C → ⊕T: the trace norm of Φ(1), the transfer matrix's one column;
+        # a zero codomain block adds exactly 0.0, so only nonzero blocks are read
+        img = s.transfer[:, 0]
+        parts = (img[off : off + k * k].reshape(k, k) for off, k in block_offsets(s.cod_shape))
+        return NormBracket.exactly(sum((tr_norm(b) for b in parts if b.any()), 0.0), closed)
     if L == 1:
         # a functional on ⊕T: its ball is the hull of the block trace-norm
         # balls, so the norm is max_i ‖r_i‖

@@ -2,7 +2,8 @@
 
 Objects pair a space with a symbolically described subset; polars are taken
 symbolically with the collapses the theory licenses (density sets, unit sets,
-unitary singletons, triple-polar absorption), and membership is three-valued:
+unitary singletons, triple-polar absorption), ⅋ and ⊕ are the de Morgan duals
+of ⊗ and &, and membership is three-valued:
 yes / no / unknown — an unsupported bipolar closure answers unknown rather
 than guessing.  Tensor-factor coordinates use the shared canonical basis, so
 elementary tensors are plain outer products of coordinate vectors.
@@ -29,10 +30,8 @@ from .osx import (
     dual,
     norm_at,
     normalize_space,
-    sum_1,
     sum_inf,
     tens_h,
-    tens_min,
     tens_proj,
 )
 from .supop import SuperOp
@@ -65,7 +64,7 @@ class SetSpec:
 
     kinds: empty | full_ball | unit_set(shape) | density_ops(shape) |
     singleton_unitary(shape, u) | finite(elems, closure) | polar_of(inner) |
-    product(s, r) | sum_polar(s, r) | tensor_bipolar(s, r) | par_polar(s, r)
+    product(s, r) | tensor_bipolar(s, r)
     """
 
     kind: str
@@ -166,30 +165,18 @@ def generators(s: SetSpec):
         ga, _ = generators(s.payload[0])
         gb, _ = generators(s.payload[1])
         return [np.outer(x, y).ravel() for x in ga for y in gb], False
-    if s.kind in ("product", "sum_polar"):
+    if s.kind == "product":
         ga, ea = generators(s.payload[0])
         gb, eb = generators(s.payload[1])
         return [np.concatenate([x, y]) for x in ga for y in gb], ea and eb
     if s.kind == "polar_of":
         inner = s.payload[0]
-        if inner.kind == "unit_set":
-            shape = inner.payload[0]
-            outs = []
-            for b, n in enumerate(shape):
-                blocks = [np.zeros((k, k), complex) for k in shape]
-                if n:
-                    blocks[b] = np.eye(n) / n
-                    outs.append(BlockMatrix(blocks).to_vector())
-            return outs, False
         if inner.kind == "singleton_unitary":
             shape, u = inner.payload
             n_tot = sum(shape)
             if n_tot:
                 return [(u.adjoint() * (1.0 / n_tot)).to_vector()], False
             return [], False
-        if inner.kind == "density_ops":
-            # P_C° = {ε}: the counit, represented by the identity
-            return [unit_vector(inner.payload[0])], True
         if inner.kind == "tensor_bipolar":
             a, b = inner.payload
             fa, _ = generators(polar(a))
@@ -253,9 +240,15 @@ def membership(s: SetSpec, x_coords, tol: float = 1e-9) -> str:
             if np.max(np.abs(e - x)) <= tol:
                 return "yes"
         return "no"
-    if s.kind == "polar_of":
+    if s.kind in ("polar_of", "tensor_bipolar"):
+        gens, _ = generators(s)
+        if any(np.max(np.abs(g - x)) <= tol for g in gens):
+            return "yes"
+        # a bipolar closure S°° is the polar of S°
+        if s.kind == "tensor_bipolar":
+            s = SetSpec("polar_of", s.space, (polar(s),))
         return _polar_membership(s, x, tol)
-    if s.kind in ("product", "sum_polar"):
+    if s.kind == "product":
         a, b = s.payload
         da = dim(a.space)
         ra = membership(a, x[:da], tol)
@@ -263,8 +256,6 @@ def membership(s: SetSpec, x_coords, tol: float = 1e-9) -> str:
         if "no" in (ra, rb):
             return "no"
         return "yes" if ra == rb == "yes" else "unknown"
-    if s.kind in ("tensor_bipolar", "par_polar"):
-        return _closure_membership(s, x, tol)
     raise ValueError(f"unknown SetSpec kind {s.kind!r}")
 
 
@@ -286,7 +277,7 @@ def _norm_leq_one(space, coords, tol) -> str:
 def _polar_membership(s: SetSpec, f, tol) -> str:
     inner = s.payload[0]
     # decidable coproduct-of-H case: z = (α·1, (1-α)·1) with α ∈ [0,1]
-    if inner.kind == "sum_polar" and all(
+    if inner.kind == "product" and all(
         p.kind == "density_ops" for p in inner.payload
     ):
         return _h_plus_membership(inner, f, tol)
@@ -335,23 +326,6 @@ def _h_plus_membership(inner: SetSpec, z, tol) -> str:
     return "yes"
 
 
-def _closure_membership(s: SetSpec, x, tol) -> str:
-    gens, _ = generators(s)
-    for g in gens:
-        if np.max(np.abs(g - x)) <= tol:
-            return "yes"
-    # no-certificates from known polar members f1 ⊗ f2
-    fa, _ = generators(polar(s.payload[0]))
-    fb, _ = generators(polar(s.payload[1]))
-    for f1 in fa:
-        for f2 in fb:
-            if abs(pairing(s.space, np.outer(f1, f2).ravel(), x) - 1) > max(tol, 1e-7):
-                return "no"
-    if _norm_leq_one(s.space, x, tol) == "no":
-        return "no"
-    return "unknown"
-
-
 # ---------------------------------------------------------------------------
 # connectives (Thm: Q is *-autonomous with finite (co)products)
 
@@ -367,11 +341,8 @@ def connective(kind: str, a: QObject, b: QObject | None = None) -> QObject:
         if a.set.kind == "density_ops" and b.set.kind == "density_ops":
             shape = a.set.payload[0] + b.set.payload[0]
             return QObject(coalgebra_space(shape), density_ops(shape))
-        space = sum_1(a.space, b.space)
-        inner = SetSpec(
-            "sum_polar", normalize_space(dual(space)), (polar(a.set), polar(b.set))
-        )
-        return QObject(space, SetSpec("polar_of", space, (inner,)))
+        # de Morgan: A ⊕ B = (A^⊥ & B^⊥)^⊥
+        return connective("dual", connective("with", connective("dual", a), connective("dual", b)))
     if kind == "tensor":
         if a.set.kind == "density_ops" and b.set.kind == "density_ops":
             shape = pair_shape(a.set.payload[0], b.set.payload[0])
@@ -386,11 +357,8 @@ def connective(kind: str, a: QObject, b: QObject | None = None) -> QObject:
             return QObject(space, finite_set([elem], space, "bipolar"))
         return QObject(space, SetSpec("tensor_bipolar", space, (a.set, b.set)))
     if kind == "par":
-        if a.set.kind == "unit_set" and b.set.kind == "unit_set":
-            shape = pair_shape(a.set.payload[0], b.set.payload[0])
-            return QObject(algebra_space(shape), unit_set(shape))
-        space = tens_min(a.space, b.space)
-        return QObject(space, SetSpec("par_polar", space, (a.set, b.set)))
+        # de Morgan: A ⅋ B = (A^⊥ ⊗ B^⊥)^⊥; H ⅋ H = H comes from S ⊗ S = S
+        return connective("dual", connective("tensor", connective("dual", a), connective("dual", b)))
     raise ValueError(f"unknown connective {kind!r}")
 
 

@@ -753,7 +753,7 @@ class TestCbNorm:
 class TestDomainBlockSplit:
     """A map out of several domain blocks takes the largest norm of its restrictions (⊕₁ is a coproduct)."""
 
-    def test_many_one_dimensional_blocks(self):
+    def test_many_one_dimensional_blocks(self, linalg_calls):
         # the whole Choi matrix of this identity would be 16384 × 16384 complex (4 GiB)
         import tracemalloc
 
@@ -767,6 +767,11 @@ class TestDomainBlockSplit:
         assert (br.status, br.lower, br.upper) == ("exact", 1.0, 1.0)
         assert br.witnesses == {"route": "closed form", "blocks": 128}
         assert peak < 4 * 2**20
+        # each part's K = 1 shortcut reads only its one nonzero codomain block
+        for picture in ("trace", "operator"):
+            linalg_calls.clear()
+            assert cb_norm(s, picture).upper == 1.0
+            assert linalg_calls["svd"] <= 128, picture
 
     SHAPES = [((2, 1), (2,)), ((1, 2), (2, 1)), ((2, 2), (1, 2)), ((1, 1, 1), (2,)), ((2, 0, 1), (1, 1))]
 

@@ -113,8 +113,7 @@ class TestPolar:
 
     def test_polar_of_density_contains_counit_only(self):
         # P_C° = {ε}: the counit's representation is the identity
-        p = polar(density_ops((2,)))
-        gens, exhaustive = generators(SetSpec("polar_of", p.space, (density_ops((2,)),)))
+        gens, exhaustive = generators(polar(density_ops((2,))))
         assert exhaustive and np.allclose(gens[0], np.eye(2).ravel())
 
     def test_galois_on_finite_sets(self, rng):
@@ -215,6 +214,57 @@ class TestConnectives:
         one = np.outer(np.eye(2).ravel(), np.eye(2).ravel()).ravel()
         assert membership(tt.set, one) == "yes"
         assert membership(tt.set, 0.9 * one) in ("no", "unknown")
+
+
+class TestDeMorgan:
+    """⅋ and ⊕ are the de Morgan duals of ⊗ and &: A ⅋ B = (A^⊥ ⊗ B^⊥)^⊥, A ⊕ B = (A^⊥ & B^⊥)^⊥."""
+
+    FLIP = np.array([[0.0, 1.0], [1.0, 0.0]])
+    PAIRS = [(a, b) for a in "SHU" for b in "SHU"]
+
+    @classmethod
+    def _atoms(cls):
+        h = embed_H(make_algebra([2]))
+        return {"S": embed_S(make_coalgebra([2])), "H": h,
+                "U": QObject(h.space, singleton_unitary(BlockMatrix([cls.FLIP])))}
+
+    @pytest.mark.parametrize("a, b", PAIRS)
+    def test_built_from_tensor_and_with(self, a, b):
+        atoms = self._atoms()
+        x, y = atoms[a], atoms[b]
+
+        def d(o):
+            return connective("dual", o)
+
+        assert connective("par", x, y) == d(connective("tensor", d(x), d(y)))
+        if (a, b) != ("S", "S"):  # S ⊕ S collapses to S of the sum shape
+            assert connective("plus", x, y) == d(connective("with", d(x), d(y)))
+
+    def test_par_of_h_objects_is_h(self):
+        h = embed_H(make_algebra([2]))
+        assert connective("par", h, h) == embed_H(make_algebra([4]))
+
+    @pytest.mark.parametrize("a, b", PAIRS)
+    def test_par_generators_are_members(self, a, b):
+        atoms = self._atoms()
+        p = connective("par", atoms[a], atoms[b])
+        gens, _ = generators(p.set)
+        assert gens
+        assert all(membership(p.set, g) == "yes" for g in gens)
+
+    def test_par_of_unitary_singletons(self):
+        u = self._atoms()["U"]
+        p = connective("par", u, u)
+        xx = np.outer(self.FLIP.ravel(), self.FLIP.ravel()).ravel()
+        assert membership(p.set, xx) == "yes"
+        assert membership(p.set, -xx) == "no"
+
+    @pytest.mark.parametrize("a, b", PAIRS)
+    def test_zero_not_in_dual_of_par(self, a, b):
+        # a member of (A ⅋ B)^⊥ pairs to 1 with every u ⊗ v, u ∈ A and v ∈ B
+        atoms = self._atoms()
+        dp = connective("dual", connective("par", atoms[a], atoms[b]))
+        assert membership(dp.set, np.zeros(dim(dp.space))) == "no"
 
 
 class TestSphereAndRigidity:
