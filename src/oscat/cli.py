@@ -38,7 +38,6 @@ from .osx import (
     SpaceSyntaxError,
     format_space,
     norm_at,
-    normalize_space,
     parse_space,
     placement,
 )
@@ -671,7 +670,7 @@ def _run_norm(env: _Env, st: Statement, text: str) -> Record:
         br = cb_norm(env.lookup("maps", st.get("arg")), st.get("picture"))
     else:
         mat = parse_matrix_literal(st.get("arg"))
-        sp = normalize_space(parse_space(st.get("space"), names=env.spaces))
+        sp = parse_space(st.get("space"), names=env.spaces)
         tensor, op = _NORM_TENSORS[kind]
         if sp.kind != tensor:
             raise OscatError(f"norm {kind} needs a {op} space, got {format_space(sp)}")

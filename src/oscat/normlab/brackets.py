@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ShapeMismatchError, SizeLimitError
+from ..errors import InvalidInputError, ShapeMismatchError, SizeLimitError
 from ..matcore import op_norm
 from ..supop import SuperOp
 
@@ -161,6 +161,8 @@ def elem_coords(x_coords: np.ndarray, y_coords: np.ndarray) -> np.ndarray:
 
 def _tensor_coords_reshape(v: np.ndarray, k: int, da: int, db: int) -> np.ndarray:
     v = np.asarray(v, dtype=np.complex128)
+    if not np.isfinite(v).all():
+        raise InvalidInputError("tensor coords have non-finite entries")
     if v.shape == (k, k, da * db):
         return v
     if k == 1 and v.shape == (da * db,):

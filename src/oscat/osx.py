@@ -62,7 +62,30 @@ def M(n: int, m: int | None = None) -> SpaceExpr:
     return SpaceExpr("base", (int(n), int(m)))
 
 
+# Duality of the binary constructors: (X ⊕∞ Y)* = X* ⊕₁ Y*, (X ⊗min Y)* =
+# X* ⊗̂ Y*, and ⊗h is self-dual (θ is the coordinate identity); Effros–Ruan,
+# *Operator Spaces* (2000), ch. 7–9.
+_DUAL_KIND = {
+    "sum_inf": "sum_1",
+    "sum_1": "sum_inf",
+    "tens_min": "tens_proj",
+    "tens_proj": "tens_min",
+    "tens_h": "tens_h",
+}
+
+
 def dual(x: SpaceExpr) -> SpaceExpr:
+    """x*, pushed inward as built, so a dual node stands only on a base space.
+
+    d: X → X** is the coordinate identity; a dual passes conj/opp and `_DUAL_KIND`."""
+    if x.kind == "dual":
+        return x.args[0]
+    if x.kind == "conj":
+        return conj(dual(x.args[0]))
+    if x.kind == "opp":
+        return opp(dual(x.args[0]))
+    if x.kind in _DUAL_KIND:
+        return SpaceExpr(_DUAL_KIND[x.kind], tuple(dual(a) for a in x.args))
     return SpaceExpr("dual", (x,))
 
 
@@ -140,50 +163,10 @@ class SpaceElement:
 
 
 # ---------------------------------------------------------------------------
-# structural normalization
-
-# Duality of the binary constructors: (X ⊕∞ Y)* = X* ⊕₁ Y*, (X ⊗min Y)* =
-# X* ⊗̂ Y*, and ⊗h is self-dual (θ is the coordinate identity); Effros–Ruan,
-# *Operator Spaces* (2000), ch. 7–9.
-_DUAL_KIND = {
-    "sum_inf": "sum_1",
-    "sum_1": "sum_inf",
-    "tens_min": "tens_proj",
-    "tens_proj": "tens_min",
-    "tens_h": "tens_h",
-}
-
-
-def normalize_space(x: SpaceExpr) -> SpaceExpr:
-    """Push duals inward by `_DUAL_KIND` and through the conj/opp markers (they commute with dual)."""
-    if x.kind == "base":
-        return x
-    if x.kind == "conj":
-        return conj(normalize_space(x.args[0]))
-    if x.kind == "opp":
-        return opp(normalize_space(x.args[0]))
-    if x.kind != "dual":
-        return SpaceExpr(x.kind, tuple(normalize_space(a) for a in x.args))
-    inner = x.args[0]
-    if inner.kind == "dual":  # double dual d is the coordinate identity
-        return normalize_space(inner.args[0])
-    if inner.kind == "opp":
-        return opp(normalize_space(dual(inner.args[0])))
-    if inner.kind == "conj":
-        return conj(normalize_space(dual(inner.args[0])))
-    if inner.kind in _DUAL_KIND:
-        args = tuple(normalize_space(dual(a)) for a in inner.args)
-        return SpaceExpr(_DUAL_KIND[inner.kind], args)
-    # a dual stops at base, unless normalizing the inside removes it
-    inner = normalize_space(inner)
-    return dual(inner) if inner.kind == "base" else normalize_space(dual(inner))
-
-
-# ---------------------------------------------------------------------------
 # flat realizations
 
 def _flat(x: SpaceExpr, dual_side: bool = False) -> FlatSpace:
-    """Flat placement of a normalized space, or UnsupportedSpaceError.
+    """Flat placement of x, or UnsupportedSpaceError.
 
     The primal side places M(n,m) as n×m, ⊕∞ block-diagonally and ⊗min by
     Kronecker products, completely isometrically; the dual side places the
@@ -193,7 +176,7 @@ def _flat(x: SpaceExpr, dual_side: bool = False) -> FlatSpace:
     kind = _DUAL_KIND.get(x.kind, x.kind) if dual_side else x.kind
     if kind == "base" and not dual_side:
         return FlatSpace.base(*x.args)
-    if kind == "dual" and dual_side and x.args[0].kind == "base":
+    if kind == "dual" and dual_side:
         return FlatSpace.base(*x.args[0].args[::-1])
     if kind == "conj":  # conjugation preserves every matrix norm
         return _flat(x.args[0], dual_side)
@@ -221,7 +204,6 @@ def block_carrier(x: SpaceExpr):
     carrier ("trace"); coordinate order[j] sits where `block_embedding(shape)` puts
     BlockMatrix coordinate j.  Zero blocks fill no rows, so the shape has none.
     """
-    x = normalize_space(x)
     for picture, dual_side in (("operator", False), ("trace", True)):
         try:
             fs = _flat(x, dual_side)
@@ -247,7 +229,7 @@ def norm_at(e: SpaceElement, config=None) -> NormBracket:
     No route depends on the seed or the tolerance.  `config` is accepted and
     not read, so that callers which still pass a `RunConfig` keep binding.
     """
-    return _norm_dispatch(normalize_space(e.space), e.level, e.coords)
+    return _norm_dispatch(e.space, e.level, e.coords)
 
 
 def _norm_dispatch(space, k, coords) -> NormBracket:
@@ -319,7 +301,7 @@ class CanonicalMap:
     matrix: np.ndarray
 
     def apply(self, e: SpaceElement) -> SpaceElement:
-        if normalize_space(e.space) != normalize_space(self.src):
+        if e.space != self.src:
             raise ShapeMismatchError("element space does not match map source")
         out = np.einsum("ab,ijb->ija", self.matrix, e.coords)
         return SpaceElement(self.dst, e.level, out)
@@ -376,8 +358,8 @@ def algebra_space(shape) -> SpaceExpr:
 
 
 def coalgebra_space(shape) -> SpaceExpr:
-    """⊕₁ T_{k_i}, normalized as the dual of the algebra carrier."""
-    return normalize_space(dual(algebra_space(shape)))
+    """⊕₁ T_{k_i}, the dual of the algebra carrier."""
+    return dual(algebra_space(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -506,11 +488,9 @@ def format_space(x: SpaceExpr) -> str:
     if x.kind == "base":
         n, m = x.args
         return f"M({n})" if n == m else f"M({n},{m})"
-    if x.kind == "dual":
-        inner = x.args[0]
-        if inner.kind == "base" and inner.args[0] == inner.args[1]:
-            return f"T({inner.args[0]})"
-        return f"dual({format_space(inner)})"
+    if x.kind == "dual":  # a dual stands only on a base space
+        n, m = x.args[0].args
+        return f"T({n})" if n == m else f"dual(M({n},{m}))"
     if x.kind in ("conj", "opp"):
         return f"{x.kind}({format_space(x.args[0])})"
     a, b = x.args

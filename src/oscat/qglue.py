@@ -2,8 +2,8 @@
 
 Objects pair a space with a symbolically described subset; polars are taken
 symbolically with the collapses the theory licenses (density sets, unit sets,
-unitary singletons, triple-polar absorption), ⅋ and ⊕ are the de Morgan duals
-of ⊗ and &, and membership is three-valued:
+unitary singletons, S°° = S for every set bipolar by construction), ⅋ and ⊕
+are the de Morgan duals of ⊗ and &, and membership is three-valued:
 yes / no / unknown — an unsupported bipolar closure answers unknown rather
 than guessing.  Tensor-factor coordinates use the shared canonical basis, so
 elementary tensors are plain outer products of coordinate vectors.
@@ -29,7 +29,6 @@ from .osx import (
     dim,
     dual,
     norm_at,
-    normalize_space,
     sum_inf,
     tens_h,
     tens_proj,
@@ -128,7 +127,6 @@ def _pairing_twist(space: SpaceExpr) -> np.ndarray:
     On M(n, m) it is the transpose; a dual inverts it, sums concatenate and
     tensors take pairs, so no permutation matrix is ever built.
     """
-    space = normalize_space(space)
     if space.kind == "base":
         return axis_perm(space.args, (1, 0))
     if space.kind == "dual":
@@ -189,9 +187,18 @@ def generators(s: SetSpec):
 # ---------------------------------------------------------------------------
 # polar
 
+def _bipolar(s: SetSpec) -> bool:
+    """s = s°° by construction; (S × R)°° = S°° × R°° by `_split_membership`'s convex split."""
+    if s.kind == "finite":
+        return s.payload[1] == "bipolar"
+    if s.kind == "product":
+        return all(_bipolar(p) for p in s.payload)
+    return s.kind in ("polar_of", "tensor_bipolar", "unit_set", "density_ops", "singleton_unitary")
+
+
 def polar(s: SetSpec) -> SetSpec:
     """S° with the collapses proven in the theory applied symbolically."""
-    dual_space = normalize_space(dual(s.space))
+    dual_space = dual(s.space)
     if s.kind == "empty":
         return SetSpec("full_ball", dual_space)
     if s.kind == "full_ball":
@@ -200,13 +207,8 @@ def polar(s: SetSpec) -> SetSpec:
         return density_ops(s.payload[0])
     if s.kind == "density_ops":
         return unit_set(s.payload[0])
-    if s.kind == "polar_of":
-        inner = s.payload[0]
-        if inner.kind in ("polar_of", "singleton_unitary", "unit_set", "density_ops"):
-            return inner  # S°°° = S°, and proven-bipolar sets absorb
-        if inner.kind == "finite" and inner.payload[1] == "bipolar":
-            return inner
-        return SetSpec("polar_of", dual_space, (s,))
+    if s.kind == "polar_of" and _bipolar(s.payload[0]):
+        return s.payload[0]  # S°° = S
     return SetSpec("polar_of", dual_space, (s,))
 
 
@@ -276,11 +278,8 @@ def _norm_leq_one(space, coords, tol) -> str:
 
 def _polar_membership(s: SetSpec, f, tol) -> str:
     inner = s.payload[0]
-    # decidable coproduct-of-H case: z = (α·1, (1-α)·1) with α ∈ [0,1]
-    if inner.kind == "product" and all(
-        p.kind == "density_ops" for p in inner.payload
-    ):
-        return _h_plus_membership(inner, f, tol)
+    if inner.kind == "product" and all(generators(x)[0] for x in inner.payload):
+        return _split_membership(*inner.payload, f, tol)
     gens, exhaustive = generators(inner)
     for g in gens:
         if abs(pairing(inner.space, f, g) - 1) > max(tol, 1e-7):
@@ -293,37 +292,32 @@ def _polar_membership(s: SetSpec, f, tol) -> str:
     return "unknown"
 
 
-def _h_plus_membership(inner: SetSpec, z, tol) -> str:
-    """({1_A}° + {1_B}°)° = {(α·1_A, (1−α)·1_B) : α ∈ [0,1]}.
+def _split_membership(s: SetSpec, r: SetSpec, f, tol) -> str:
+    """f ∈ (S × R)° = {(α·g, (1−α)·h) : α ∈ [0, 1], g ∈ S°, h ∈ R°}, for S and R with generators.
 
-    Pairing 1 against all split states forces both components to be scalar
-    multiples of the unit with coefficients summing to one; the ℓ∞ ball then
-    caps the coefficients to [0,1].
+    A member pairs to one α with every x ∈ S and to 1 − α with every y ∈ R; its
+    ℓ¹ norm is at most 1, which forces α ∈ [0, 1], ‖f_S‖ = α and ‖f_R‖ = 1 − α.
+    Each part's coefficient is its mean pairing over its factor's generators,
+    and the part is judged scaled by it, so the slack tol stays absolute.
     """
-    shape_a = inner.payload[0].payload[0]
-    shape_b = inner.payload[1].payload[0]
-    da = sum(k * k for k in shape_a)
-    za = BlockMatrix.from_vector(z[:da], shape_a)
-    zb = BlockMatrix.from_vector(z[da:], shape_b)
-    coeffs = []
-    for bm, shape in ((za, shape_a), (zb, shape_b)):
-        alphas = []
-        for blk, k in zip(bm.blocks, shape):
-            if k == 0:
-                continue
-            alpha = np.trace(blk) / k
-            if op_norm(blk - alpha * np.eye(k)) > max(tol, 1e-9):
-                return "no"
-            alphas.append(alpha)
-        if alphas and np.max(np.abs(np.diff(alphas + [alphas[0]]))) > max(tol, 1e-9):
-            return "no"
-        coeffs.append(alphas[0] if alphas else 0.0)
-    if abs(coeffs[0] + coeffs[1] - 1) > max(tol, 1e-9):
+    ds = dim(s.space)
+    parts = ((f[:ds], s), (f[ds:], r))
+    coeffs = [np.mean([pairing(x.space, part, g) for g in generators(x)[0]]) for part, x in parts]
+    if abs(sum(coeffs) - 1) > tol:
         return "no"
-    for c in coeffs:
-        if abs(c.imag) > max(tol, 1e-9) or c.real < -tol or c.real > 1 + tol:
+    verdicts = []
+    for (part, x), c in zip(parts, coeffs):
+        if abs(c.imag) > tol or not -tol <= c.real <= 1 + tol:
             return "no"
-    return "yes"
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            scaled, slack = part / c, tol / abs(c)
+        if np.isfinite(scaled).all():
+            verdicts.append(membership(polar(x), scaled, slack))
+        elif np.any(np.abs(part) > tol):  # c ≈ 0, and no coordinate exceeds the norm
+            return "no"
+    if "no" in verdicts:
+        return "no"
+    return "yes" if all(v == "yes" for v in verdicts) else "unknown"
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +325,7 @@ def _h_plus_membership(inner: SetSpec, z, tol) -> str:
 
 def connective(kind: str, a: QObject, b: QObject | None = None) -> QObject:
     if kind == "dual":
-        return QObject(normalize_space(dual(a.space)), polar(a.set))
+        return QObject(dual(a.space), polar(a.set))
     if b is None:
         raise ShapeMismatchError(f"connective {kind!r} needs two objects")
     if kind == "with":

@@ -85,6 +85,12 @@ def rows():
     return _rows()
 
 
+def test_negation_is_involutive():
+    # (A^⊥)^⊥ = A in a *-autonomous category, sets and spaces alike
+    objs = _objects()
+    assert [name for name, o in objs.items() if connective("dual", connective("dual", o)) != o] == []
+
+
 def test_table_size(rows):
     assert len(rows) == 234
 

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import random_cptp, random_superop
 from oscat.acceptance import entangled_witness
+from oscat.errors import InvalidInputError
 from oscat.matcore import op_norm, rand_complex, rand_unitary, tr_norm
 from oscat.normlab.brackets import (
     FlatSpace,
@@ -18,6 +19,7 @@ from oscat.normlab import brackets as brackets_mod
 from oscat.normlab import diamond as diamond_mod
 from oscat.normlab import sdp as sdp_mod
 from oscat.normlab.sdp import SdpResult
+from oscat.osx import SpaceElement, norm_at, parse_space
 from oscat.supop import SuperOp, conjugation, identity_map, trace_map, transpose_map
 
 F2 = FlatSpace.base(2, 2)
@@ -1064,6 +1066,17 @@ class TestProjExpansion:
         br = proj_bracket_flat(v, 1, F2, F2)
         assert br.status == "exact" and br.lower <= 1e-301 <= br.upper
         assert proj_bracket_flat(np.zeros(16), 1, F2, F2) == NormBracket.exactly(0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_coordinate_is_invalid_input(self, bad):
+        # LAPACK's SVD raises on a NaN and does not return on an inf, so the
+        # shared input check of the tensor routes rejects both first
+        v = np.ones(16, dtype=complex)
+        v[0] = bad
+        with pytest.raises(InvalidInputError):
+            proj_bracket_flat(v, 1, F2, F2)
+        with pytest.raises(InvalidInputError):
+            norm_at(SpaceElement(parse_space("M(2) (*proj) M(2)"), 1, v))
 
 
 def _proj_upper_per_term(v, k, fa, fb) -> float:

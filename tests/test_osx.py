@@ -18,7 +18,6 @@ from oscat.osx import (
     dual,
     format_space,
     norm_at,
-    normalize_space,
     opp,
     parse_space,
     sum_1,
@@ -28,6 +27,8 @@ from oscat.osx import (
     tens_proj,
 )
 from oscat.qglue import pairing
+from test_mall_table import _objects
+from test_space_table import corpus
 
 
 class TestGrammar:
@@ -80,28 +81,44 @@ class TestNormalization:
         assert opp(conj(M(2))) == conj(opp(M(2)))
 
     def test_dual_rules(self):
-        assert normalize_space(dual(dual(M(2)))) == M(2)
-        assert normalize_space(dual(sum_inf(M(2), M(3)))) == sum_1(T(2), T(3))
-        assert normalize_space(dual(sum_1(T(2), T(3)))) == sum_inf(M(2), M(3))
-        assert normalize_space(dual(tens_min(M(2), M(3)))) == tens_proj(T(2), T(3))
-        assert normalize_space(dual(tens_h(M(2), M(3)))) == tens_h(T(2), T(3))
-        assert normalize_space(dual(opp(M(2)))) == opp(T(2))
+        assert dual(dual(M(2))) == M(2)
+        assert dual(sum_inf(M(2), M(3))) == sum_1(T(2), T(3))
+        assert dual(sum_1(T(2), T(3))) == sum_inf(M(2), M(3))
+        assert dual(tens_min(M(2), M(3))) == tens_proj(T(2), T(3))
+        assert dual(tens_h(M(2), M(3))) == tens_h(T(2), T(3))
+        assert dual(opp(M(2))) == opp(T(2))
 
     LEAVES = [M(2), M(2, 3), T(2), opp(M(2)), conj(M(2))]
     DUAL_CTOR = {sum_inf: sum_1, sum_1: sum_inf, tens_min: tens_proj, tens_proj: tens_min, tens_h: tens_h}
 
     @pytest.mark.parametrize("ctor", list(DUAL_CTOR), ids=lambda c: c.__name__)
     def test_duality_table(self, ctor):
-        # De Morgan rows of the duality, the double dual, dual through opp,
-        # and idempotence, on every pair of leaves
+        # De Morgan rows of the duality, the double dual and dual through
+        # opp, on every pair of leaves
         for a in self.LEAVES:
             for b in self.LEAVES:
                 x = ctor(a, b)
-                nx, ndx = normalize_space(x), normalize_space(dual(x))
-                assert ndx == self.DUAL_CTOR[ctor](normalize_space(dual(a)), normalize_space(dual(b)))
-                assert normalize_space(dual(dual(x))) == nx
-                assert normalize_space(dual(opp(x))) == opp(ndx)
-                assert normalize_space(nx) == nx and normalize_space(ndx) == ndx
+                dx = dual(x)
+                assert dx == self.DUAL_CTOR[ctor](dual(a), dual(b))
+                assert dual(dx) == x
+                assert dual(opp(x)) == opp(dx)
+
+
+def _duals_on_base(x) -> bool:
+    if x.kind == "base":
+        return True
+    if x.kind == "dual":
+        return x.args[0].kind == "base"
+    return all(_duals_on_base(a) for a in x.args)
+
+
+def test_dual_is_built_normal_and_involutive():
+    # over the grammar table's texts and the MALL table's carriers, a dual
+    # stands only on a base space and dual(dual(x)) is x
+    spaces = [parse_space(text) for text, _ in corpus()] + [o.space for o in _objects().values()]
+    for x in spaces:
+        assert _duals_on_base(x) and _duals_on_base(dual(x))
+        assert dual(dual(x)) == x
 
 
 class TestNormAt:
@@ -359,7 +376,7 @@ class TestDualSide:
             br = norm_at(SpaceElement(sp, k, rand_complex(rng, k, k * dim(sp)).reshape(k, k, -1)))
             assert (br.status, br.witnesses.get("route")) == want
             if br.status == "unknown":
-                assert br.witnesses["reason"] == f"no route for {format_space(normalize_space(sp))}"
+                assert br.witnesses["reason"] == f"no route for {format_space(sp)}"
 
     @pytest.mark.parametrize("a", [1, 2, 3])
     @pytest.mark.parametrize("b", [1, 2, 3])
@@ -448,7 +465,7 @@ class TestCanonicalMaps:
         el = SpaceElement(M(2), 1, rand_complex(rng, 2).ravel())
         out = cm.apply(el)
         assert np.allclose(out.coords, el.coords)
-        assert normalize_space(out.space) == M(2)
+        assert out.space == M(2)
 
     def test_swap_on_elementary(self, rng):
         g = canonical_map("swap", M(2), M(3))
@@ -549,9 +566,9 @@ class TestDualThroughConj:
     ]
 
     def test_normal_form(self):
-        assert normalize_space(dual(conj(M(2)))) == conj(T(2))
-        assert normalize_space(dual(conj(sum_inf(M(2), M(1))))) == conj(sum_1(T(2), T(1)))
-        assert normalize_space(dual(opp(conj(M(2, 3))))) == conj(opp(dual(M(2, 3))))
+        assert dual(conj(M(2))) == conj(T(2))
+        assert dual(conj(sum_inf(M(2), M(1)))) == conj(sum_1(T(2), T(1)))
+        assert dual(opp(conj(M(2, 3)))) == conj(opp(dual(M(2, 3))))
         br = norm_at(SpaceElement(dual(conj(M(2))), 1, np.eye(2).ravel()))
         assert br.status == "exact" and abs(br.mid - 2.0) <= 1e-12
 
@@ -638,4 +655,4 @@ class TestBlockSpaces:
     def test_algebra_space_roundtrip(self):
         sp = algebra_space([2, 3])
         assert dim(sp) == 13
-        assert normalize_space(dual(coalgebra_space([2, 3]))) == sp
+        assert dual(coalgebra_space([2, 3])) == sp

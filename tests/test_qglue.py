@@ -17,7 +17,7 @@ from oscat.matcore import (
     rand_hermitian,
     rand_unitary,
 )
-from oscat.osx import M, T, dim, format_space, normalize_space, parse_space, tens_min, tens_proj
+from oscat.osx import M, T, dim, format_space, parse_space, tens_min, tens_proj
 from oscat.qglue import (
     QObject,
     SetSpec,
@@ -120,7 +120,7 @@ class TestPolar:
         # S ⊆ S°° and S°°° = S° at the membership level, sampled
         x = np.concatenate([[1.0], [1.0]])
         y = np.concatenate([[1.0], [-1.0]])
-        sp = normalize_space(M(1))  # placeholder, carrier set below
+        sp = M(1)  # placeholder, carrier set below
         from oscat.osx import sum_inf
 
         carrier = sum_inf(M(1), M(1))
@@ -172,7 +172,7 @@ class TestConnectives:
         o2 = QObject(embed_H(make_algebra([2])).space, singleton_unitary(BlockMatrix([v])))
         ot = connective("tensor", o1, o2)
         assert ot.set.kind == "finite" and ot.set.payload[1] == "bipolar"
-        assert normalize_space(ot.space) == tens_proj(M(2), M(2))
+        assert ot.space == tens_proj(M(2), M(2))
         elem = np.outer(u.ravel(), v.ravel()).ravel()
         assert membership(ot.set, elem) == "yes"
         assert membership(ot.set, np.outer(np.eye(2).ravel(), v.ravel()).ravel()) == "no"
@@ -194,12 +194,12 @@ class TestConnectives:
         alg = make_algebra([2, 1])
         left = connective("dual", embed_H(alg))
         right = embed_S(dualize(alg))
-        assert normalize_space(left.space) == normalize_space(right.space)
+        assert left.space == right.space
         assert left.set == right.set
         co = make_coalgebra([2, 1])
         left = connective("dual", embed_S(co))
         right = embed_H(dualize(co))
-        assert normalize_space(left.space) == normalize_space(right.space)
+        assert left.space == right.space
         assert left.set == right.set
 
     def test_unit_object(self):
@@ -265,6 +265,46 @@ class TestDeMorgan:
         atoms = self._atoms()
         dp = connective("dual", connective("par", atoms[a], atoms[b]))
         assert membership(dp.set, np.zeros(dim(dp.space))) == "no"
+
+
+    @pytest.mark.parametrize("a, b", PAIRS)
+    def test_plus_contains_the_convex_split(self, a, b):
+        # A ⊕ B ∋ (α·g, (1−α)·h) for g ∈ A, h ∈ B and α ∈ [0, 1]; at α = 1.3
+        # the split's ℓ¹ norm |α| + |1 − α| exceeds 1
+        atoms = self._atoms()
+        pl = connective("plus", atoms[a], atoms[b])
+        g, h = generators(atoms[a].set)[0][0], generators(atoms[b].set)[0][0]
+        for alpha, want in ((0.0, "yes"), (0.3, "yes"), (1.0, "yes"), (1.3, "no")):
+            assert membership(pl.set, np.concatenate([alpha * g, (1 - alpha) * h])) == want
+
+    # membership in H ⊕ H of (λ·1, (1−λ)·1) + noise·ν at tol 1e-9, one letter
+    # (yes/no/unknown) per noise level
+    HH_NOISE = (0.0, 1e-12, 3e-10, 1e-9, 3e-9, 1e-6)
+    HH_GRID = {0.0: "yyynnn", 1e-10: "yyynnn", 0.3: "yyynnn", 1 - 1e-10: "yyynnn", 1.0: "yyynnn",
+               1.3: "nnnnnn", -0.2: "nnnnnn"}
+
+    def test_h_plus_h_grid(self):
+        h = self._atoms()["H"]
+        pl = connective("plus", h, h)
+        one = generators(h.set)[0][0]
+        rng = np.random.default_rng(0)
+        nu = rng.normal(size=8) + 1j * rng.normal(size=8)
+        nu /= np.max(np.abs(nu))
+        for lam, want in self.HH_GRID.items():
+            z = np.concatenate([lam * one, (1 - lam) * one])
+            got = "".join(membership(pl.set, z + noise * nu, 1e-9)[0] for noise in self.HH_NOISE)
+            assert got == want, lam
+
+    def test_dual_of_par_of_duals_is_the_tensor(self):
+        # (A^⊥ ⅋ B^⊥)^⊥ = A ⊗ B, generators included
+        atoms = self._atoms()
+
+        def d(o):
+            return connective("dual", o)
+
+        dp = d(connective("par", d(atoms["H"]), d(atoms["U"])))
+        assert dp == connective("tensor", atoms["H"], atoms["U"])
+        assert len(generators(dp.set)[0]) == 1
 
 
 class TestSphereAndRigidity:
@@ -409,7 +449,7 @@ class TestBlockCarriers:
 
     def test_density_pairs_on_projective_tensor(self, rng):
         u, v = rand_unitary(rng, 2), rand_unitary(rng, 2)
-        sp = normalize_space(tens_proj(T(2), T(2)))
+        sp = tens_proj(T(2), T(2))
         states = []
         for _ in range(2):
             a, b = rand_complex(rng, 2), rand_complex(rng, 2)
@@ -601,7 +641,6 @@ class TestSerialization:
 
 def _dense_twist(space):
     """The permutation matrix Q with ⟨f, x⟩ = fᵀ·Q·x, built densely (the oracle)."""
-    space = normalize_space(space)
     if space.kind == "base":
         n, m = space.args
         return np.eye(n * m)[axis_perm((n, m), (1, 0))]
